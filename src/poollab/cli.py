@@ -14,14 +14,14 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
 import time
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .corpus import read_documents, read_pool, sample_pool, write_pool
@@ -38,7 +38,7 @@ from .factuality import (
     write_judgements,
     VERDICT_COLUMNS,
 )
-from .filters import build_stages, profile, run_pipeline, PROFILES
+from .filters import build_stages, profile, run_pipeline, PROFILES, STATS_COLUMNS
 from .injection import (
     InjectionSpec,
     JunkKind,
@@ -47,6 +47,7 @@ from .injection import (
     random_junk_stream,
     shuffled_junk_stream,
 )
+from .io import csv_cell, field_names, read_json, read_rows, write_json, write_rows
 from .runlog import (
     EvalSlice,
     best_eval,
@@ -79,38 +80,61 @@ EXIT_USAGE = 2
 
 REFERENCE_POOL_TOKENS = 240e12  # full-corpus scale used in summaries
 
+#: Crossings CSV columns: the CrossingPoint fields plus its derived epoch properties.
+CROSSING_COLUMNS = (
+    "model_params",
+    "pool_tokens",
+    "crossing_tokens",
+    "epochs_at_cross",
+    "observed",
+    "extreme_epochs",
+)
+
 
 class UsageError(Exception):
     """Flag combination errors that should exit with the usage code."""
 
 
 # ---------------------------------------------------------------------------
-# Small helpers: config merging, manifests, CSV output.
+# Small helpers: config merging, value parsing, manifests.
 # ---------------------------------------------------------------------------
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return obj
 
 
-def opt(args: argparse.Namespace, config: dict, key: str, default):
-    """Flag value if given, else config-file value, else default."""
+def parse_value(name: str, value: object, kind: Callable):
+    """``kind(value)``, with a failed conversion reported as a domain error."""
+    try:
+        return kind(value)
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name}: invalid value {value!r} ({exc})") from exc
+
+
+def opt(args: argparse.Namespace, config: dict, key: str, default, kind: Callable | None = None):
+    """Flag value if given, else config-file value, else default; ``kind`` converts it."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+    if value is None:
+        value = config.get(key, default)
+    return value if kind is None else parse_value(key, value, kind)
+
+
+def _comma_list(value: str) -> list[str]:
+    return [item for item in value.split(",") if item]
+
+
+def _token_count(value: object) -> int:
+    return int(float(value))  # accepts "2000" and "1e6"
 
 
 def _threads(args: argparse.Namespace, config: dict) -> int:
-    n = int(opt(args, config, "threads", os.cpu_count() or 1))
+    n = opt(args, config, "threads", os.cpu_count() or 1, int)
     if n < 1:
         raise ConfigError(f"--threads must be >= 1, got {n}")
     return n
@@ -136,33 +160,7 @@ def write_manifest(
         "tool_version": __version__,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    with open(str(output) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _csv_value(value: object) -> str:
-    if value is None:
-        return "NEVER"
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)  # full precision, round-trips exactly
-    return str(value)
-
-
-def write_csv(path: str | Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_csv_value(row[name]) for name in fieldnames])
-
-
-def _write_json(path: str | Path, obj: object) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(str(output) + ".manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +170,8 @@ def _write_json(path: str | Path, obj: object) -> None:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    seed = int(opt(args, config, "seed", 0))
-    target = int(float(opt(args, config, "target_tokens", 0)))
+    seed = opt(args, config, "seed", 0, int)
+    target = opt(args, config, "target_tokens", 0, _token_count)
     label = opt(args, config, "label", Path(args.output).stem)
     pool = sample_pool(read_documents(args.input), target, seed, label=label)
     write_pool(args.output, pool)
@@ -184,37 +182,25 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    cfg = profile(opt(args, config, "profile", "gopher"))
-    cfg.english_threshold = float(opt(args, config, "english_threshold", cfg.english_threshold))
-    cfg.quality_keep_fraction = float(
-        opt(args, config, "quality_keep_fraction", cfg.quality_keep_fraction)
+    cfg = profile(opt(args, config, "profile", "gopher", str))
+    cfg.english_threshold = opt(args, config, "english_threshold", cfg.english_threshold, float)
+    cfg.quality_keep_fraction = opt(
+        args, config, "quality_keep_fraction", cfg.quality_keep_fraction, float
     )
-    cfg.stopword_min_count = int(
-        opt(args, config, "stopword_min_count", cfg.stopword_min_count)
-    )
+    cfg.stopword_min_count = opt(args, config, "stopword_min_count", cfg.stopword_min_count, int)
     cfg.stopword_distinct = bool(opt(args, config, "stopword_distinct", cfg.stopword_distinct))
-    for name, thr in opt(args, config, "repetition_thresholds", {}).items():
-        cfg.repetition_thresholds[name] = float(thr)
+    thresholds = opt(
+        args, config, "repetition_thresholds", {}, lambda v: {k: float(t) for k, t in v.items()}
+    )
+    cfg.repetition_thresholds.update(thresholds)
 
-    stage_names = [s for s in opt(args, config, "stages", "english,repetition,stopword").split(",") if s]
+    stage_names = opt(args, config, "stages", "english,repetition,stopword", _comma_list)
     pool = read_pool(args.pool)
     result = run_pipeline(pool, build_stages(stage_names, cfg), threads=_threads(args, config))
     write_pool(args.output, result.pool)
     outputs = [args.output]
     if args.stats:
-        write_csv(
-            args.stats,
-            [
-                "stage",
-                "docs_in",
-                "docs_kept",
-                "tokens_in",
-                "tokens_kept",
-                "retention_docs",
-                "retention_tokens",
-            ],
-            result.stats_rows(),
-        )
+        write_rows(args.stats, STATS_COLUMNS, result.stats_rows())
         outputs.append(args.stats)
     write_manifest(args.output, args, {}, [args.pool], outputs)
     print(
@@ -226,9 +212,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 def cmd_inject(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    seed = int(opt(args, config, "seed", 0))
-    ratio = float(opt(args, config, "ratio", 0))
-    kind = JunkKind(opt(args, config, "kind", JunkKind.RANDOM_STRINGS.value))
+    seed = opt(args, config, "seed", 0, int)
+    ratio = opt(args, config, "ratio", 0, float)
+    kind = opt(args, config, "kind", JunkKind.RANDOM_STRINGS.value, JunkKind)
     pool = read_pool(args.pool)
     if kind is JunkKind.SHUFFLED_DOCS:
         if not args.junk_source:
@@ -236,7 +222,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
         source = shuffled_junk_stream(read_documents(args.junk_source), seed)
         inputs = [args.pool, args.junk_source]
     else:
-        vocab_seed = int(opt(args, config, "vocab_seed", seed))
+        vocab_seed = opt(args, config, "vocab_seed", seed, int)
         source = random_junk_stream(pool, build_vocab(vocab_seed), seed)
         inputs = [args.pool]
     injected = inject(pool, InjectionSpec(kind=kind, ratio=ratio, seed=seed), source)
@@ -266,36 +252,31 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class RunSummary:
+    """One row of the ``report`` CSV."""
+
+    record_ref: str
+    dataset_label: str
+    model_name: str
+    model_params: int
+    pool_tokens: int
+    train_tokens: int
+    epochs: float
+    flops: float
+    best_eval: float
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    records = load_run_log(args.runs)
-    rows = []
-    for i, record in enumerate(records):
-        rows.append(
-            {
-                "record_ref": f"{record.dataset_label}#{i}",
-                "dataset_label": record.dataset_label,
-                "model_name": record.model.name,
-                "model_params": record.model.total_params,
-                "pool_tokens": record.pool_tokens,
-                "train_tokens": record.train_tokens,
-                "epochs": epochs(record),
-                "flops": compute_flops(record),
-                "best_eval": best_eval(record),
-            }
+    rows = [
+        RunSummary(
+            f"{r.dataset_label}#{i}", r.dataset_label, r.model.name, r.model.total_params,
+            r.pool_tokens, r.train_tokens, epochs(r), compute_flops(r), best_eval(r),
         )
-    rows.sort(key=lambda r: (r["dataset_label"], r["model_params"], r["train_tokens"]))
-    fields = [
-        "record_ref",
-        "dataset_label",
-        "model_name",
-        "model_params",
-        "pool_tokens",
-        "train_tokens",
-        "epochs",
-        "flops",
-        "best_eval",
+        for i, r in enumerate(load_run_log(args.runs))
     ]
-    write_csv(args.output, fields, rows)
+    rows.sort(key=lambda row: (row.dataset_label, row.model_params, row.train_tokens))
+    write_rows(args.output, field_names(RunSummary), rows)
     write_manifest(args.output, args, {}, [args.runs], [args.output])
     print(f"reported {len(rows)} runs -> {args.output}")
     return EXIT_OK
@@ -313,16 +294,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
         for i, record in enumerate(records)
     ]
     frontier = pareto_frontier(points)
-    rows = [
-        {
-            "compute": p.compute,
-            "loss": p.loss,
-            "dataset_label": p.dataset_label,
-            "record_ref": p.record_ref,
-        }
-        for p in frontier
-    ]
-    write_csv(args.output, ["compute", "loss", "dataset_label", "record_ref"], rows)
+    write_rows(args.output, field_names(FrontierPoint), frontier)
     write_manifest(args.output, args, {}, [args.runs], [args.output])
     print(f"frontier has {len(frontier)} of {len(points)} points -> {args.output}")
     return EXIT_OK
@@ -343,84 +315,25 @@ def cmd_crossing(args: argparse.Namespace) -> int:
     )
     if not cells:
         raise ValidationError("no (model size, pool size) cell is present for both labels")
-    rows = []
-    for model_params, pool_tokens in cells:
-        cp = crossing_point(
-            [r for r in pool_runs if (r.model.total_params, r.pool_tokens) == (model_params, pool_tokens)],
-            [r for r in filtered_runs if (r.model.total_params, r.pool_tokens) == (model_params, pool_tokens)],
-            model_params,
-            pool_tokens,
+    crossings = [
+        crossing_point(
+            [r for r in pool_runs if (r.model.total_params, r.pool_tokens) == cell],
+            [r for r in filtered_runs if (r.model.total_params, r.pool_tokens) == cell],
+            *cell,
             eval_sets,
         )
-        rows.append(
-            {
-                "model_params": cp.model_params,
-                "pool_tokens": cp.pool_tokens,
-                "crossing_tokens": cp.crossing_tokens,
-                "epochs_at_cross": cp.epochs_at_cross,
-                "observed": cp.observed,
-                "extreme_epochs": cp.extreme_epochs,
-            }
-        )
-    fields = [
-        "model_params",
-        "pool_tokens",
-        "crossing_tokens",
-        "epochs_at_cross",
-        "observed",
-        "extreme_epochs",
+        for cell in cells
     ]
-    write_csv(args.output, fields, rows)
+    write_rows(args.output, CROSSING_COLUMNS, crossings)
     write_manifest(args.output, args, {}, [args.runs], [args.output])
-    print(f"computed {len(rows)} crossing cells -> {args.output}")
+    print(f"computed {len(crossings)} crossing cells -> {args.output}")
     return EXIT_OK
-
-
-def read_crossings_csv(path: str | Path) -> list[CrossingPoint]:
-    crossings = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            raw = row["crossing_tokens"]
-            crossings.append(
-                CrossingPoint(
-                    model_params=int(float(row["model_params"])),
-                    pool_tokens=int(float(row["pool_tokens"])),
-                    crossing_tokens=None if raw == "NEVER" else float(raw),
-                    observed=row["observed"] == "True",
-                )
-            )
-    return crossings
-
-
-def _law_to_json(law: ThresholdLaw, quads: dict[int, tuple[float, float, float]]) -> dict:
-    return {
-        "method": law.method,
-        "parameter": law.parameter,
-        "alpha": law.alpha,
-        "beta": law.beta,
-        "r2": law.r2,
-        "points": [
-            {
-                "model_params": p.model_params,
-                "pool_tokens": p.pool_tokens,
-                "crossing_tokens": p.crossing_tokens,
-                "compute": p.compute,
-            }
-            for p in law.points
-        ],
-        "quadratics": {str(m): list(c) for m, c in sorted(quads.items())},
-        "extrapolation": {
-            "pool_tokens": REFERENCE_POOL_TOKENS,
-            "compute": extrapolate_compute(law, REFERENCE_POOL_TOKENS),
-        },
-    }
 
 
 def cmd_scaling_law(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    crossings = read_crossings_csv(args.crossings)
     by_model: dict[int, list[CrossingPoint]] = {}
-    for cp in crossings:
+    for cp in read_rows(args.crossings, CrossingPoint):
         by_model.setdefault(cp.model_params, []).append(cp)
     quads = {}
     for model_params, cell in sorted(by_model.items()):
@@ -435,35 +348,31 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
 
     method = opt(args, config, "method", "tpp")
     if method == "tpp":
-        ratio = float(opt(args, config, "ratio", 600.0))
+        ratio = opt(args, config, "ratio", 600.0, float)
+        configs = bundled_model_configs()
         if args.configs:
-            with open(args.configs, "r", encoding="utf-8") as fh:
-                configs = [ModelConfig(**o) for o in json.load(fh)]
-        else:
-            configs = bundled_model_configs()
+            try:
+                configs = [ModelConfig(**o) for o in read_json(args.configs)]
+            except TypeError as exc:
+                raise ValidationError(f"{args.configs}: malformed model configs: {exc}") from exc
         law = fit_threshold_tokens_per_param(quads, configs, ratio)
     elif method == "epoch":
-        law = fit_threshold_epoch_constraint(quads, float(opt(args, config, "epochs", 4.0)))
+        law = fit_threshold_epoch_constraint(quads, opt(args, config, "epochs", 4.0, float))
     else:
         raise UsageError(f"--method must be tpp or epoch, got {method!r}")
 
-    _write_json(args.output, _law_to_json(law, {m: q.coeffs for m, q in quads.items()}))
+    law_json = {
+        **asdict(law),
+        "quadratics": {str(m): list(q.coeffs) for m, q in sorted(quads.items())},
+        "extrapolation": {
+            "pool_tokens": REFERENCE_POOL_TOKENS,
+            "compute": extrapolate_compute(law, REFERENCE_POOL_TOKENS),
+        },
+    }
+    write_json(args.output, law_json)
     outputs = [args.output]
     if args.points_csv:
-        rows = [
-            {
-                "model_params": p.model_params,
-                "pool_tokens": p.pool_tokens,
-                "crossing_tokens": p.crossing_tokens,
-                "compute": p.compute,
-            }
-            for p in law.points
-        ]
-        write_csv(
-            args.points_csv,
-            ["model_params", "pool_tokens", "crossing_tokens", "compute"],
-            rows,
-        )
+        write_rows(args.points_csv, field_names(ThresholdPoint), law.points)
         outputs.append(args.points_csv)
     write_manifest(args.output, args, {}, [args.crossings], outputs)
     print(
@@ -474,54 +383,42 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
 
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
-    with open(args.law, "r", encoding="utf-8") as fh:
-        law_obj = json.load(fh)
-    pool_tokens = float(args.pool_tokens)
-    law = ThresholdLaw(
-        method=law_obj["method"],
-        parameter=law_obj["parameter"],
-        points=tuple(
-            ThresholdPoint(
-                model_params=p["model_params"],
-                pool_tokens=p["pool_tokens"],
-                crossing_tokens=p["crossing_tokens"],
-                compute=p["compute"],
-            )
-            for p in law_obj["points"]
-        ),
-        alpha=law_obj["alpha"],
-        beta=law_obj["beta"],
-        r2=law_obj["r2"],
-    )
+    law = ThresholdLaw.from_dict(read_json(args.law))
+    pool_tokens = parse_value("--pool-tokens", args.pool_tokens, float)
     compute = extrapolate_compute(law, pool_tokens)
     print(repr(compute))
     if args.output:
-        _write_json(args.output, {"pool_tokens": pool_tokens, "compute": compute})
+        write_json(args.output, {"pool_tokens": pool_tokens, "compute": compute})
         write_manifest(args.output, args, {}, [args.law], [args.output])
     return EXIT_OK
 
 
 def cmd_slice_loss(args: argparse.Namespace) -> int:
-    with open(args.slice, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    slc = EvalSlice(
-        position_losses=tuple(float(v) for v in obj["position_losses"]),
-        context_length=int(obj.get("context_length", len(obj["position_losses"]))),
-    )
-    ts = [int(t) for t in args.t.split(",")]
-    rows = [{"t": t, "mean_loss": slice_loss(slc, t)} for t in ts]
+    obj = read_json(args.slice)
+    try:
+        losses = tuple(float(v) for v in obj["position_losses"])
+        slc = EvalSlice(losses, int(obj.get("context_length", len(losses))))
+    except KeyError as exc:
+        raise ValidationError(f"{args.slice}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{args.slice}: malformed slice: {exc}") from exc
+    ts = parse_value("--t", args.t, lambda v: [int(t) for t in v.split(",")])
+    columns = ("t", "mean_loss")
+    rows = [dict(zip(columns, (t, slice_loss(slc, t)))) for t in ts]
     if args.output:
-        write_csv(args.output, ["t", "mean_loss"], rows)
+        write_rows(args.output, columns, rows)
         write_manifest(args.output, args, {}, [args.slice], [args.output])
     else:
         for row in rows:
-            print(f"{row['t']},{_csv_value(row['mean_loss'])}")
+            print(",".join(csv_cell(v) for v in row.values()))
     return EXIT_OK
 
 
 def cmd_verify_theory(args: argparse.Namespace) -> int:
     if not args.prop1 and not args.filter_fact:
         raise UsageError("choose at least one of --prop1 / --filter-fact")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     seed = args.seed
     verdicts = []
     if args.prop1:
@@ -569,8 +466,8 @@ def cmd_judge(args: argparse.Namespace) -> int:
         client = JudgeClient(
             endpoint=args.endpoint,
             model_name=opt(args, config, "model_name", "judge"),
-            timeout=float(opt(args, config, "timeout", 30.0)),
-            max_concurrency=int(opt(args, config, "max_concurrency", 4)),
+            timeout=opt(args, config, "timeout", 30.0, float),
+            max_concurrency=opt(args, config, "max_concurrency", 4, int),
         )
     combined = JudgeRun(judgements=[], failures=[])
     for qa in qa_items:
@@ -581,7 +478,7 @@ def cmd_judge(args: argparse.Namespace) -> int:
     outputs = [args.output]
     if args.aggregate:
         rows = aggregate_judgements(combined.judgements, qa_items)
-        write_csv(args.aggregate, ["subject"] + VERDICT_COLUMNS, rows)
+        write_rows(args.aggregate, ["subject"] + VERDICT_COLUMNS, rows)
         outputs.append(args.aggregate)
     write_manifest(args.output, args, {}, [args.qa, args.pool], outputs)
     print(
@@ -604,9 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"poollab {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="<command>")
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def with_config(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config merged with flags (flags win)")
-        p.add_argument("--threads", type=int, help="worker count; 1 = fully sequential")
 
     p = sub.add_parser("sample", help="sample a token-budgeted pool from a document stream")
     p.add_argument("--input", required=True, help="input documents JSONL")
@@ -614,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--label")
     p.add_argument("--output", required=True)
-    common(p)
+    with_config(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("filter", help="run a filter pipeline over a pool")
@@ -629,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--output", required=True)
     p.add_argument("--stats", help="per-stage retention CSV")
-    common(p)
+    p.add_argument("--threads", type=int, help="worker count; 1 = fully sequential")
+    with_config(p)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("inject", help="mix junk documents into a pool at a token ratio")
@@ -640,26 +537,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-seed", dest="vocab_seed", type=int)
     p.add_argument("--junk-source", dest="junk_source", help="JSONL docs to shuffle")
     p.add_argument("--output", required=True)
-    common(p)
+    with_config(p)
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("ingest", help="validate and persist a training-run log")
     p.add_argument("--runs", required=True)
     p.add_argument("--output")
     p.add_argument("--validate-only", dest="validate_only", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("report", help="per-run summary CSV (epochs, compute, best loss)")
     p.add_argument("--runs", required=True)
     p.add_argument("--output", required=True)
-    common(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("pareto", help="compute-versus-loss Pareto frontier")
     p.add_argument("--runs", required=True)
     p.add_argument("--output", required=True)
-    common(p)
     p.set_defaults(func=cmd_pareto)
 
     p = sub.add_parser("crossing", help="pool-vs-filtered crossing points per cell")
@@ -668,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filtered-label", dest="filtered_label", required=True)
     p.add_argument("--eval-sets", dest="eval_sets", help="comma list; default: all present")
     p.add_argument("--output", required=True)
-    common(p)
     p.set_defaults(func=cmd_crossing)
 
     p = sub.add_parser("scaling-law", help="fit a compute threshold law from crossings")
@@ -679,21 +572,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", help="model configs JSON; default: bundled reference")
     p.add_argument("--output", required=True, help="law summary JSON")
     p.add_argument("--points-csv", dest="points_csv", help="threshold points CSV")
-    common(p)
+    with_config(p)
     p.set_defaults(func=cmd_scaling_law)
 
     p = sub.add_parser("extrapolate", help="evaluate a fitted law at a pool size")
     p.add_argument("--law", required=True, help="JSON from scaling-law")
     p.add_argument("--pool-tokens", dest="pool_tokens", required=True)
     p.add_argument("--output")
-    common(p)
     p.set_defaults(func=cmd_extrapolate)
 
     p = sub.add_parser("slice-loss", help="mean loss over initial context positions")
     p.add_argument("--slice", required=True, help="JSON with position_losses")
     p.add_argument("--t", required=True, help="position count(s), comma list")
     p.add_argument("--output")
-    common(p)
     p.set_defaults(func=cmd_slice_loss)
 
     p = sub.add_parser("verify-theory", help="numeric checks of the closed-form results")
@@ -702,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
-    common(p)
     p.set_defaults(func=cmd_verify_theory)
 
     p = sub.add_parser("judge", help="keyword-match documents and classify with a judge")
@@ -715,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-concurrency", dest="max_concurrency", type=int)
     p.add_argument("--output", required=True, help="judgements JSONL")
     p.add_argument("--aggregate", help="per-subject verdict-count CSV")
-    common(p)
+    with_config(p)
     p.set_defaults(func=cmd_judge)
 
     return parser

@@ -16,13 +16,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .errors import StreamExhaustedError, ValidationError
+from .io import read_json, write_json
 
 
 class DocumentSource(str, Enum):
     POOL = "pool"
     RANDOM_JUNK = "random_junk"
     SHUFFLED_JUNK = "shuffled_junk"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -201,19 +201,22 @@ def write_pool(path: str | Path, pool: Pool) -> None:
         "total_tokens": pool.total_tokens,
         "counter_name": pool.counter_name,
     }
-    with open(header_path(path), "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(header_path(path), header)
 
 
 def read_pool(path: str | Path, counter: TokenCounter = WHITESPACE_COUNTER) -> Pool:
-    """Read a pool written by :func:`write_pool`; header is optional."""
+    """Read a pool written by :func:`write_pool`; header is optional.
+
+    A header's ``total_tokens`` must equal the recount of the documents.
+    """
     docs = list(read_documents(path, counter))
+    total = sum(d.token_count for d in docs)
     label, seed = Path(path).stem, 0
     hp = header_path(path)
     if hp.exists():
-        with open(hp, "r", encoding="utf-8") as fh:
-            header = json.load(fh)
+        header = read_json(hp)
+        if not isinstance(header, dict):
+            raise ValidationError(f"{hp}: pool header must be a JSON object")
         label = header.get("label", label)
         seed = header.get("seed", seed)
         if header.get("counter_name", counter.name) != counter.name:
@@ -221,9 +224,14 @@ def read_pool(path: str | Path, counter: TokenCounter = WHITESPACE_COUNTER) -> P
                 f"{path}: pool was written under counter "
                 f"{header['counter_name']!r}, reading with {counter.name!r}"
             )
+        if header.get("total_tokens", total) != total:
+            raise ValidationError(
+                f"{hp}: header total_tokens {header['total_tokens']} != "
+                f"recount {total} under counter {counter.name!r}"
+            )
     return Pool(
         documents=docs,
-        total_tokens=sum(d.token_count for d in docs),
+        total_tokens=total,
         seed=seed,
         label=label,
         counter_name=counter.name,

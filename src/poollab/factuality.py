@@ -273,20 +273,7 @@ def read_qa_items(path: str | Path) -> list[QAItem]:
 
 
 def write_judgements(path: str | Path, run: JudgeRun) -> None:
+    """One JSON object of fields per line: judgements first, then failures."""
     with open(path, "w", encoding="utf-8") as fh:
-        for j in run.judgements:
-            fh.write(
-                json.dumps(
-                    {
-                        "doc_id": j.doc_id,
-                        "qa_id": j.qa_id,
-                        "verdict": j.verdict.value,
-                        "raw_response": j.raw_response,
-                    }
-                )
-                + "\n"
-            )
-        for f in run.failures:
-            fh.write(
-                json.dumps({"doc_id": f.doc_id, "qa_id": f.qa_id, "error": f.error}) + "\n"
-            )
+        for entry in [*run.judgements, *run.failures]:
+            fh.write(json.dumps(vars(entry)) + "\n")  # asdict, without its deep copies

@@ -407,6 +407,18 @@ def build_stages(
     return stages
 
 
+#: Stats CSV columns: the stage name, then :class:`FilterStats` attributes.
+STATS_COLUMNS = (
+    "stage",
+    "docs_in",
+    "docs_kept",
+    "tokens_in",
+    "tokens_kept",
+    "retention_docs",
+    "retention_tokens",
+)
+
+
 @dataclass
 class PipelineResult:
     pool: Pool
@@ -416,20 +428,10 @@ class PipelineResult:
 
     def stats_rows(self) -> list[dict[str, object]]:
         """Rows for the stats CSV, one per stage plus a cumulative row."""
-        rows = []
-        for name, stats in self.per_stage + [("cumulative", self.cumulative)]:
-            rows.append(
-                {
-                    "stage": name,
-                    "docs_in": stats.docs_in,
-                    "docs_kept": stats.docs_kept,
-                    "tokens_in": stats.tokens_in,
-                    "tokens_kept": stats.tokens_kept,
-                    "retention_docs": stats.retention_docs,
-                    "retention_tokens": stats.retention_tokens,
-                }
-            )
-        return rows
+        return [
+            {"stage": name, **{column: getattr(stats, column) for column in STATS_COLUMNS[1:]}}
+            for name, stats in self.per_stage + [("cumulative", self.cumulative)]
+        ]
 
 
 def run_pipeline(pool: Pool, stages: Sequence[PipelineStage], threads: int = 1) -> PipelineResult:

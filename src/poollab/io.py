@@ -1,0 +1,106 @@
+"""The two text formats poollab's artifacts share: CSV rows and pretty JSON.
+
+CSV cells: ``None`` is written as ``NEVER``, floats with ``repr`` (the
+shortest representation that round-trips exactly), bools with ``str``.
+Rows are written from objects or mappings, one column per attribute or
+key, and read back into dataclasses by their field types.
+
+Pretty JSON: indent 2, sorted keys, trailing newline.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+from dataclasses import fields
+from pathlib import Path
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
+
+from .errors import ValidationError
+
+NEVER = "NEVER"
+
+T = TypeVar("T")
+
+
+def csv_cell(value: object) -> str:
+    if value is None:
+        return NEVER
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def field_names(cls: type) -> list[str]:
+    """CSV columns for a dataclass: its fields, in declaration order."""
+    return [f.name for f in fields(cls)]
+
+
+def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[object]) -> None:
+    """CSV with a header row; each column is read as a key of a mapping row or an attribute."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            if isinstance(row, Mapping):
+                writer.writerow([csv_cell(row[name]) for name in columns])
+            else:
+                writer.writerow([csv_cell(getattr(row, name)) for name in columns])
+
+
+def _parse_float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {cell!r}")
+    return value
+
+
+def _parse_bool(cell: str) -> bool:
+    if cell not in ("True", "False"):
+        raise ValueError(f"expected True or False, got {cell!r}")
+    return cell == "True"
+
+
+# Keyed by the field annotation strings of the dataclasses read back from CSV.
+_PARSERS = {
+    "int": lambda cell: int(float(cell)),
+    "float | None": lambda cell: None if cell == NEVER else _parse_float(cell),
+    "bool": _parse_bool,
+}
+
+
+def read_rows(path: str | Path, cls: type[T]) -> list[T]:
+    """Read a :func:`write_rows` CSV into ``cls`` instances; other columns are ignored."""
+    parsers = [(f.name, _PARSERS[f.type]) for f in fields(cls)]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name, _ in parsers if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"{path}: missing column(s) {missing}")
+        out = []
+        for row in reader:
+            values = {}
+            for name, parse in parsers:
+                try:
+                    values[name] = parse(row[name])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValidationError(
+                        f"{path}: line {reader.line_num}: column {name!r}: {exc}"
+                    ) from exc
+            out.append(cls(**values))
+    return out
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path: str | Path) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or undecodable bytes
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc

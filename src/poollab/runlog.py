@@ -55,11 +55,6 @@ def non_embedding_params(cfg: ModelConfig) -> int:
     per_layer = 4 * cfg.hidden_dim**2 + 3 * cfg.hidden_dim * cfg.ffn_dim
     return cfg.layers * per_layer + (2 * cfg.layers + 1) * cfg.hidden_dim
 
-#: Human-readable record of the accounting above, embedded in outputs.
-NON_EMBEDDING_FORMULA = (
-    "layers*(4*hidden_dim^2 + 3*hidden_dim*ffn_dim) + (2*layers + 1)*hidden_dim"
-)
-
 
 @dataclass(frozen=True)
 class EvalPoint:
@@ -172,32 +167,18 @@ def slice_loss(slc: EvalSlice, t: int) -> float:
 
 
 def record_to_dict(record: RunRecord) -> dict:
+    """The record's fields as JSON data, without empty ``benchmarks``.
+
+    Equal to ``dataclasses.asdict`` minus those keys; ``vars`` avoids its
+    per-value deep copies, which made ``ingest`` measurably slower.
+    """
     return {
-        "dataset_label": record.dataset_label,
-        "model": {
-            "name": record.model.name,
-            "hidden_dim": record.model.hidden_dim,
-            "layers": record.model.layers,
-            "heads": record.model.heads,
-            "head_dim": record.model.head_dim,
-            "ffn_dim": record.model.ffn_dim,
-            "vocab_size": record.model.vocab_size,
-            "total_params": record.model.total_params,
-            "non_embedding_params": record.model.non_embedding_params,
-        },
-        "train_tokens": record.train_tokens,
-        "pool_tokens": record.pool_tokens,
-        "batch_tokens": record.batch_tokens,
+        **vars(record),
+        "model": dict(vars(record.model)),
         "eval_points": [
-            {
-                "tokens_seen": p.tokens_seen,
-                "losses": dict(p.losses),
-                **({"benchmarks": dict(p.benchmarks)} if p.benchmarks else {}),
-            }
+            {k: v for k, v in vars(p).items() if k != "benchmarks" or v}
             for p in record.eval_points
         ],
-        "weight_decay": record.weight_decay,
-        "learning_rate": record.learning_rate,
     }
 
 

@@ -414,12 +414,32 @@ class ThresholdLaw:
     def predict_compute(self, pool_tokens: float) -> float:
         return self.alpha * pool_tokens**self.beta
 
+    @classmethod
+    def from_dict(cls, obj: Mapping) -> "ThresholdLaw":
+        """Inverse of ``dataclasses.asdict``; keys other than the fields are ignored."""
+        try:
+            return cls(
+                method=str(obj["method"]),
+                parameter=float(obj["parameter"]),
+                points=tuple(ThresholdPoint(**p) for p in obj["points"]),
+                alpha=float(obj["alpha"]),
+                beta=float(obj["beta"]),
+                r2=float(obj["r2"]),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"threshold law is missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed threshold law: {exc}") from exc
+
 
 def extrapolate_compute(law: ThresholdLaw, pool_tokens: float) -> float:
     """Compute needed for the unfiltered pool to win at ``pool_tokens``."""
-    if pool_tokens <= 0:
-        raise ValidationError("pool_tokens must be positive")
-    return law.predict_compute(pool_tokens)
+    if not (math.isfinite(pool_tokens) and pool_tokens > 0):
+        raise ValidationError(f"pool_tokens must be positive and finite, got {pool_tokens!r}")
+    try:
+        return law.predict_compute(pool_tokens)
+    except OverflowError as exc:
+        raise ValidationError(f"compute at pool_tokens {pool_tokens!r} overflows") from exc
 
 
 def _fit_threshold_points(
@@ -427,6 +447,8 @@ def _fit_threshold_points(
 ) -> ThresholdLaw:
     if len(points) < 3:
         raise FitError(f"threshold law needs >= 3 model sizes, got {len(points)}")
+    if len({p.pool_tokens for p in points}) < 2:
+        raise FitError("threshold points share one pool size; the law's slope is undetermined")
     x = np.log10([p.pool_tokens for p in points])
     y = np.log10([p.compute for p in points])
     intercept, slope, sse, sst = _loglog_regression(x, y)

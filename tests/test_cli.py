@@ -78,6 +78,14 @@ class TestBasics:
     def test_no_command_exits_two(self):
         assert dispatch([]) == 2
 
+    def test_threads_only_on_filter(self, tmp_path, runs_file):
+        assert dispatch(["report", "--runs", str(runs_file), "--threads", "2",
+                         "--output", str(tmp_path / "r.csv")]) == 2
+
+    def test_config_only_where_read(self, tmp_path, runs_file):
+        assert dispatch(["report", "--runs", str(runs_file), "--config", "c.json",
+                         "--output", str(tmp_path / "r.csv")]) == 2
+
 
 class TestPoolPipeline:
     def test_sample_filter_inject_chain(self, tmp_path, docs_file, extra_docs_file):
@@ -182,6 +190,19 @@ class TestRunAnalysis:
         assert dispatch(["ingest", "--runs", str(bad), "--validate-only"]) == 1
         err = capsys.readouterr().err
         assert "line 3" in err and err.rstrip().splitlines()[-1].startswith("error: ")
+
+    def test_empty_run_log_writes_header_only(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        expected = {
+            "report": b"record_ref,dataset_label,model_name,model_params,pool_tokens,"
+                      b"train_tokens,epochs,flops,best_eval\r\n",
+            "pareto": b"compute,loss,dataset_label,record_ref\r\n",
+        }
+        for command, header in expected.items():
+            out = tmp_path / f"{command}.csv"
+            assert dispatch([command, "--runs", str(empty), "--output", str(out)]) == 0
+            assert out.read_bytes() == header
 
     def test_crossing_csv(self, tmp_path, runs_file):
         out = tmp_path / "crossings.csv"
@@ -291,6 +312,13 @@ class TestVerifyTheoryCli:
     def test_requires_a_check(self):
         assert dispatch(["verify-theory", "--trials", "2"]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_is_usage_error(self, tmp_path, trials):
+        out = tmp_path / "v.jsonl"
+        assert dispatch(["verify-theory", "--filter-fact", "--trials", trials,
+                         "--output", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestJudgeCli:
     def test_mock_judge_end_to_end(self, tmp_path):
@@ -327,3 +355,81 @@ class TestJudgeCli:
         write_documents(pool, [make_document("d0", "k")])
         assert dispatch(["judge", "--qa", str(qa), "--pool", str(pool),
                          "--output", str(tmp_path / "o.jsonl")]) == 2
+
+
+CROSSINGS_HEADER = "model_params,pool_tokens,crossing_tokens,epochs_at_cross,observed,extreme_epochs\n"
+LAW = {"method": "tokens_per_param", "parameter": 600.0, "points": [],
+       "alpha": 2.0, "beta": 1.5, "r2": 1.0}
+
+
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def shared_quadratic_crossings():
+    """Three model sizes whose crossings lie on one quadratic (-0.05, 2.0, -3.0)."""
+    rows = []
+    for model in (10**8, 10**9, 10**10):
+        for x in (4, 5, 6):
+            crossing = 10 ** (-0.05 * x * x + 2.0 * x - 3.0)
+            rows.append(f"{model},{10**x},{crossing!r},{crossing / 10**x!r},False,False\n")
+    return CROSSINGS_HEADER + "".join(rows)
+
+
+# Each builder gets (tmp_path, docs_file) and returns argv for one malformed input.
+MALFORMED_INPUTS = {
+    "config-invalid-json": lambda t, docs: [
+        "sample", "--input", docs, "--target-tokens", "100",
+        "--config", write_text(t, "c.json", "{oops"), "--output", str(t / "p.jsonl")],
+    "law-invalid-json": lambda t, docs: [
+        "extrapolate", "--law", write_text(t, "law.json", "{oops"), "--pool-tokens", "1e12"],
+    "slice-invalid-json": lambda t, docs: [
+        "slice-loss", "--slice", write_text(t, "s.json", "[1,"), "--t", "1"],
+    "law-without-method": lambda t, docs: [
+        "extrapolate", "--law",
+        write_text(t, "law.json", json.dumps({k: v for k, v in LAW.items() if k != "method"})),
+        "--pool-tokens", "1e12"],
+    "slice-without-position-losses": lambda t, docs: [
+        "slice-loss", "--slice", write_text(t, "s.json", '{"context_length": 1}'), "--t", "1"],
+    "target-tokens-abc": lambda t, docs: [
+        "sample", "--input", docs, "--target-tokens", "abc", "--output", str(t / "p.jsonl")],
+    "target-tokens-inf": lambda t, docs: [
+        "sample", "--input", docs, "--target-tokens", "inf", "--output", str(t / "p.jsonl")],
+    "target-tokens-nan": lambda t, docs: [
+        "sample", "--input", docs, "--target-tokens", "nan", "--output", str(t / "p.jsonl")],
+    "pool-tokens-abc": lambda t, docs: [
+        "extrapolate", "--law", write_text(t, "law.json", json.dumps(LAW)),
+        "--pool-tokens", "abc"],
+    "slice-t-not-integer": lambda t, docs: [
+        "slice-loss", "--slice",
+        write_text(t, "s.json", '{"position_losses": [1.0], "context_length": 1}'), "--t", "a"],
+    "config-stages-list": lambda t, docs: [
+        "filter", "--pool", docs, "--config",
+        write_text(t, "c.json", '{"stages": ["english"]}'), "--output", str(t / "f.jsonl")],
+    "crossing-tokens-abc": lambda t, docs: [
+        "scaling-law", "--crossings",
+        write_text(t, "x.csv", CROSSINGS_HEADER + "1000,100,abc,NEVER,False,False\n"),
+        "--output", str(t / "law.json")],
+    "crossing-tokens-column-missing": lambda t, docs: [
+        "scaling-law", "--crossings",
+        write_text(t, "x.csv", "model_params,pool_tokens,observed\n1000,100,False\n"),
+        "--output", str(t / "law.json")],
+    "shared-quadratic-epoch-law": lambda t, docs: [
+        "scaling-law", "--crossings", write_text(t, "x.csv", shared_quadratic_crossings()),
+        "--method", "epoch", "--output", str(t / "law.json")],
+    "pool-tokens-nan": lambda t, docs: [
+        "extrapolate", "--law", write_text(t, "law.json", json.dumps(LAW)),
+        "--pool-tokens", "nan", "--output", str(t / "e.json")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_one_without_traceback(tmp_path, docs_file, capsys, case):
+    argv = MALFORMED_INPUTS[case](tmp_path, str(docs_file))
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.rstrip().splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "e.json").exists()

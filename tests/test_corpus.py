@@ -140,3 +140,21 @@ class TestJsonl:
         chars = TokenCounter(name="chars", count=len)
         with pytest.raises(ValidationError, match="counter"):
             read_pool(path, counter=chars)
+
+    def test_tampered_header_total_rejected(self, tmp_path, ten_token_docs):
+        pool = sample_pool(ten_token_docs, 100, seed=11, label="demo")
+        path = tmp_path / "pool.jsonl"
+        write_pool(path, pool)
+        header_file = tmp_path / "pool.jsonl.header.json"
+        header = json.loads(header_file.read_text())
+        header["total_tokens"] = 1
+        header_file.write_text(json.dumps(header), encoding="utf-8")
+        with pytest.raises(ValidationError, match="total_tokens 1 != recount"):
+            read_pool(path)
+
+    def test_header_must_be_object(self, tmp_path, ten_token_docs):
+        path = tmp_path / "pool.jsonl"
+        write_pool(path, sample_pool(ten_token_docs, 100, seed=11))
+        (tmp_path / "pool.jsonl.header.json").write_text("[]", encoding="utf-8")
+        with pytest.raises(ValidationError, match="JSON object"):
+            read_pool(path)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -19,6 +20,7 @@ from poollab import (
     slice_loss,
     write_run_log,
 )
+from poollab.runlog import record_to_dict
 
 TINY = ModelConfig(
     name="tiny",
@@ -252,6 +254,16 @@ class TestSerialization:
         path = tmp_path / "runs.jsonl"
         write_run_log(path, records)
         assert load_run_log(path) == records
+
+    def test_record_to_dict_is_asdict_without_empty_benchmarks(self):
+        with_benchmarks = EvalPoint(tokens_seen=10, losses={"c4": 3.0}, benchmarks={"arc": 0.4})
+        rec = RunRecord(
+            dataset_label="cc", model=TINY, train_tokens=20, pool_tokens=10,
+            eval_points=(with_benchmarks, EvalPoint(tokens_seen=20, losses={"c4": 2.0})),
+        )
+        expected = asdict(rec)
+        del expected["eval_points"][1]["benchmarks"]
+        assert json.dumps(record_to_dict(rec)) == json.dumps(expected)
 
     def test_default_batch_tokens(self):
         assert record().batch_tokens == 2**19

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from poollab import (
     fit_threshold_tokens_per_param,
     pareto_frontier,
 )
-from poollab.scaling import QuadFit
+from poollab.io import read_json, write_json
+from poollab.scaling import QuadFit, ThresholdLaw
 
 from worldgen import bisect_root, curve_run, planted_threshold_world, qeval
 
@@ -396,3 +398,38 @@ class TestThresholdLaws:
         law = fit_threshold_epoch_constraint(quads, world.epochs)
         with pytest.raises(ValidationError):
             extrapolate_compute(law, 0.0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                extrapolate_compute(law, bad)
+        assert law.beta > 1.0
+        with pytest.raises(ValidationError, match="overflows"):
+            extrapolate_compute(law, 1e300)
+
+    def test_shared_quadratic_is_degenerate(self):
+        # every model at the same pool size leaves the law's slope undetermined
+        quads = {
+            m: QuadFit(model_params=m, coeffs=(-0.05, 2.0, -3.0), residuals=(), points=())
+            for m in (10**8, 10**9, 10**10)
+        }
+        with pytest.raises(FitError, match="one pool size"):
+            fit_threshold_epoch_constraint(quads, epochs=4.0)
+
+    def test_law_json_round_trip(self, tmp_path):
+        world = planted_threshold_world()
+        quads = {m: fit_crossing_quadratic(c) for m, c in world.crossings_by_model.items()}
+        for law in (
+            fit_threshold_tokens_per_param(quads, world.configs, world.ratio),
+            fit_threshold_epoch_constraint(quads, world.epochs),
+        ):
+            path = tmp_path / f"{law.method}.json"
+            write_json(path, asdict(law))
+            assert ThresholdLaw.from_dict(read_json(path)) == law
+
+    def test_law_from_dict_rejects_malformed(self):
+        with pytest.raises(ValidationError, match="missing 'method'"):
+            ThresholdLaw.from_dict({"parameter": 1.0})
+        with pytest.raises(ValidationError, match="malformed"):
+            ThresholdLaw.from_dict(
+                {"method": "m", "parameter": 1.0, "points": [{"x": 1}],
+                 "alpha": 1.0, "beta": 1.0, "r2": 1.0}
+            )
