@@ -144,7 +144,7 @@ def write_manifest(
     output: str | Path,
     args: argparse.Namespace,
     seeds: dict[str, int] | None = None,
-    inputs: Sequence[str] = (),
+    inputs: Sequence[str | None] = (),
     outputs: Sequence[str] = (),
 ) -> None:
     merged = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
@@ -155,7 +155,7 @@ def write_manifest(
         "command_line": " ".join(sys.argv),
         "config_digest": digest,
         "seeds": seeds or {},
-        "inputs": sorted(str(p) for p in inputs),
+        "inputs": sorted(str(p) for p in inputs if p),
         "outputs": sorted(str(p) for p in outputs),
         "tool_version": __version__,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -175,7 +175,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     label = opt(args, config, "label", Path(args.output).stem)
     pool = sample_pool(read_documents(args.input), target, seed, label=label)
     write_pool(args.output, pool)
-    write_manifest(args.output, args, {"seed": seed}, [args.input], [args.output])
+    write_manifest(args.output, args, {"seed": seed}, [args.input, args.config], [args.output])
     print(f"sampled {len(pool)} docs, {pool.total_tokens} tokens -> {args.output}")
     return EXIT_OK
 
@@ -202,7 +202,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if args.stats:
         write_rows(args.stats, STATS_COLUMNS, result.stats_rows())
         outputs.append(args.stats)
-    write_manifest(args.output, args, {}, [args.pool], outputs)
+    write_manifest(args.output, args, {}, [args.pool, args.config], outputs)
     print(
         f"filtered {result.cumulative.docs_in} -> {result.cumulative.docs_kept} docs "
         f"(token retention {result.cumulative.retention_tokens:.4f}) via {stage_names}"
@@ -227,7 +227,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
         inputs = [args.pool]
     injected = inject(pool, InjectionSpec(kind=kind, ratio=ratio, seed=seed), source)
     write_pool(args.output, injected)
-    write_manifest(args.output, args, {"seed": seed}, inputs, [args.output])
+    write_manifest(args.output, args, {"seed": seed}, [*inputs, args.config], [args.output])
     print(
         f"injected to {injected.total_tokens} tokens "
         f"({len(injected)} docs), label {injected.label!r}"
@@ -374,7 +374,7 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
     if args.points_csv:
         write_rows(args.points_csv, field_names(ThresholdPoint), law.points)
         outputs.append(args.points_csv)
-    write_manifest(args.output, args, {}, [args.crossings], outputs)
+    write_manifest(args.output, args, {}, [args.crossings, args.config, args.configs], outputs)
     print(
         f"{law.method}: compute = {law.alpha:.6g} * pool^{law.beta:.6g} "
         f"(r2={law.r2:.6f}), 240T-token compute {law.predict_compute(REFERENCE_POOL_TOKENS):.6g}"
@@ -458,8 +458,6 @@ def cmd_judge(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if not args.mock and not args.endpoint:
         raise UsageError("choose --mock or --endpoint <url>")
-    qa_items = read_qa_items(args.qa)
-    pool = read_pool(args.pool)
     if args.mock:
         client = mock_judge_client(_heuristic_mock_verdict)
     else:
@@ -469,6 +467,8 @@ def cmd_judge(args: argparse.Namespace) -> int:
             timeout=opt(args, config, "timeout", 30.0, float),
             max_concurrency=opt(args, config, "max_concurrency", 4, int),
         )
+    qa_items = read_qa_items(args.qa)
+    pool = read_pool(args.pool)
     combined = JudgeRun(judgements=[], failures=[])
     for qa in qa_items:
         run = judge_documents(keyword_match(pool, qa), qa, client)
@@ -480,7 +480,7 @@ def cmd_judge(args: argparse.Namespace) -> int:
         rows = aggregate_judgements(combined.judgements, qa_items)
         write_rows(args.aggregate, ["subject"] + VERDICT_COLUMNS, rows)
         outputs.append(args.aggregate)
-    write_manifest(args.output, args, {}, [args.qa, args.pool], outputs)
+    write_manifest(args.output, args, {}, [args.qa, args.pool, args.config], outputs)
     print(
         f"judged {len(combined.judgements)} documents "
         f"({len(combined.failures)} failures) across {len(qa_items)} QA items"

@@ -168,8 +168,12 @@ def read_documents(
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {obj!r}")
                 doc_id = obj["id"]
                 text = obj["text"]
+                if not (isinstance(doc_id, str) and isinstance(text, str)):
+                    raise ValueError("document id and text must be strings")
                 source = DocumentSource(obj.get("source", "pool"))
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from exc

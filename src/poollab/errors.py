@@ -29,5 +29,9 @@ class FitError(PoolLabError):
     """A curve fit or root solve could not be carried out."""
 
 
+class NoRootError(FitError):
+    """A fitted curve never meets the line it is solved against."""
+
+
 class JudgeError(PoolLabError):
     """The judge backend returned an unusable response."""

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .corpus import Document, Pool
 from .errors import JudgeError, ValidationError
@@ -45,11 +44,14 @@ class QAItem:
     keywords: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        for name in ("subject", "question", "answer"):
+            if not isinstance(getattr(self, name), str):
+                raise ValidationError(f"QA item {name} must be a string")
         if not self.keywords:
             raise ValidationError("QA item needs at least one keyword")
         for kw in self.keywords:
-            if kw != kw.lower():
-                raise ValidationError(f"keywords must be lowercase, got {kw!r}")
+            if not isinstance(kw, str) or kw != kw.lower():
+                raise ValidationError(f"keywords must be lowercase strings, got {kw!r}")
 
     @property
     def qa_id(self) -> str:
@@ -124,7 +126,7 @@ def keyword_match(pool: Pool, qa: QAItem) -> list[Document]:
 
 @dataclass
 class JudgeClient:
-    """Judge backend reachable over HTTP, or any classify callable."""
+    """Judge backend reachable over HTTP(S), or any classify callable."""
 
     endpoint: str = ""
     model_name: str = "judge"
@@ -138,9 +140,15 @@ class JudgeClient:
         if self.classify is None:
             if not self.endpoint:
                 raise ValidationError("JudgeClient needs an endpoint or a classify callable")
+            if urlsplit(self.endpoint).scheme not in ("http", "https"):
+                raise ValidationError(
+                    f"judge endpoint must be an http(s) URL, got {self.endpoint!r}"
+                )
             self.classify = self._classify_http
 
     def _classify_http(self, doc_text: str, question: str, answer: str) -> Verdict:
+        from urllib.request import Request, urlopen  # here, not at the top: ~25 ms of start-up
+
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get("JUDGE_API_KEY")
         if api_key:
@@ -149,11 +157,11 @@ class JudgeClient:
             "model": self.model_name,
             "messages": [{"role": "user", "content": render_prompt(doc_text, question, answer)}],
         }
-        response = requests.post(
-            self.endpoint, json=payload, headers=headers, timeout=self.timeout
+        request = Request(
+            self.endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
         )
-        response.raise_for_status()
-        body = response.json()
+        with urlopen(request, timeout=self.timeout) as response:  # raises HTTPError on 4xx/5xx
+            body = json.load(response)
         try:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -164,14 +172,13 @@ class JudgeClient:
 def mock_judge_client(
     classify: Callable[[str, str, str], Verdict] | None = None,
     default: Verdict = Verdict.UNRELATED,
-    max_concurrency: int = 4,
 ) -> JudgeClient:
-    """In-process judge for tests and offline runs; no network involved."""
+    """In-process judge for tests and offline runs; sequential, since threads only help HTTP."""
     fn = classify if classify is not None else (lambda doc, q, a: default)
     return JudgeClient(
         endpoint="mock://",
         model_name="mock",
-        max_concurrency=max_concurrency,
+        max_concurrency=1,
         backoff_base=0.0,
         classify=fn,
     )
@@ -201,8 +208,6 @@ def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -
                     time.sleep(client.backoff_base * 2**attempt)
         return JudgeFailure(doc_id=doc.id, qa_id=qa.qa_id, error=last_error)
 
-    if not docs:
-        return JudgeRun(judgements=[], failures=[])
     workers = max(1, client.max_concurrency)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as executor:
@@ -259,12 +264,15 @@ def read_qa_items(path: str | Path) -> list[QAItem]:
                 continue
             try:
                 obj = json.loads(line)
+                keywords = obj["keywords"]
+                if not isinstance(keywords, list):  # tuple("pulsar") would split it into letters
+                    raise ValidationError(f"keywords must be a list, got {keywords!r}")
                 items.append(
                     QAItem(
                         subject=obj["subject"],
                         question=obj["question"],
                         answer=obj["answer"],
-                        keywords=tuple(obj["keywords"]),
+                        keywords=tuple(keywords),
                     )
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValidationError) as exc:

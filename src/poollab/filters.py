@@ -64,7 +64,6 @@ class FilterConfig:
         default_factory=lambda: dict(GOPHER_REPETITION_THRESHOLDS)
     )
     quality_keep_fraction: float = 0.16
-    dedup_enabled: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.english_threshold <= 1.0:

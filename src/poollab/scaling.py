@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import FitError, ValidationError
+from .errors import FitError, NoRootError, ValidationError
 from .runlog import ModelConfig, RunRecord, best_achievable, point_loss
 
 #: Crossings needing more epochs than this are flagged as unreliable
@@ -343,24 +343,29 @@ class QuadFit:
     def predict(self, pool_tokens: float) -> float:
         return 10.0 ** self.predict_log10(math.log10(pool_tokens))
 
-    def invert_smaller_root(self, crossing_tokens: float) -> float:
-        """Pool tokens whose predicted crossing equals ``crossing_tokens``.
+    def invert_smaller_root(self, crossing_tokens: float, slope: float = 0.0) -> float:
+        """Smaller pool size at which the fit meets the line ``crossing_tokens * pool**slope``.
 
-        Solves the quadratic in log10 space and takes the smaller root:
-        the smaller pool reaches a given crossing-token count first.
+        Slope 0 fixes the crossing tokens; slope 1, with ``crossing_tokens`` an epoch
+        count, fixes the epochs.  The smaller pool reaches a given crossing first.
+        Raises FitError if the fit coincides with the line, NoRootError if it never meets it.
         """
         c2, c1, c0 = self.coeffs
-        y = math.log10(crossing_tokens)
+        a1, a0 = c1 - slope, c0 - math.log10(crossing_tokens)
         if abs(c2) < 1e-12:
-            if abs(c1) < 1e-12:
-                raise FitError("degenerate constant fit cannot be inverted")
-            return 10.0 ** ((y - c0) / c1)
-        disc = c1 * c1 - 4.0 * c2 * (c0 - y)
+            if abs(a1) >= 1e-12:
+                return 10.0 ** (-a0 / a1)
+            if abs(a0) < 1e-12:
+                raise FitError(
+                    f"model {self.model_params}: quadratic coincides with the line "
+                    f"{crossing_tokens:g} * pool^{slope:g}; intersection is not unique"
+                )
+            raise NoRootError(f"model {self.model_params}: constant fit never meets the line")
+        disc = a1 * a1 - 4.0 * c2 * a0
         if disc < 0:
-            raise FitError(f"no real pool size reaches crossing tokens {crossing_tokens:g}")
+            raise NoRootError(f"no real pool size reaches crossing tokens {crossing_tokens:g}")
         root = math.sqrt(disc)
-        candidates = sorted([(-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)])
-        return 10.0 ** candidates[0]
+        return 10.0 ** min((-a1 - root) / (2 * c2), (-a1 + root) / (2 * c2))
 
 
 def fit_crossing_quadratic(crossings: Sequence[CrossingPoint]) -> QuadFit:
@@ -513,39 +518,17 @@ def fit_threshold_epoch_constraint(
     """
     if epochs <= 0:
         raise ValidationError("epochs must be positive")
-    log_e = math.log10(epochs)
     points: list[ThresholdPoint] = []
     for model_params in sorted(quads):
-        c2, c1, c0 = quads[model_params].coeffs
-        # q(x) - (x + log10(epochs)) == 0
-        a2, a1, a0 = c2, c1 - 1.0, c0 - log_e
-        if abs(a2) < 1e-12 and abs(a1) < 1e-12:
-            if abs(a0) < 1e-12:
-                raise FitError(
-                    f"model {model_params}: quadratic coincides with the "
-                    f"{epochs:g}-epoch line; intersection is not unique"
-                )
+        try:
+            pool_tokens = quads[model_params].invert_smaller_root(epochs, slope=1.0)
+        except NoRootError:
             warnings.warn(
                 f"model {model_params}: no intersection with the {epochs:g}-epoch line",
                 RuntimeWarning,
                 stacklevel=2,
             )
             continue
-        if abs(a2) < 1e-12:
-            roots = [-a0 / a1]
-        else:
-            disc = a1 * a1 - 4.0 * a2 * a0
-            if disc < 0:
-                warnings.warn(
-                    f"model {model_params}: no intersection with the {epochs:g}-epoch line",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            root = math.sqrt(disc)
-            roots = sorted([(-a1 - root) / (2 * a2), (-a1 + root) / (2 * a2)])
-        x = roots[0]
-        pool_tokens = 10.0**x
         crossing_tokens = epochs * pool_tokens
         compute = 6.0 * crossing_tokens * model_params
         points.append(ThresholdPoint(model_params, pool_tokens, crossing_tokens, compute))

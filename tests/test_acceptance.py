@@ -34,11 +34,11 @@ from poollab import (
     fit_threshold_epoch_constraint,
     fit_threshold_tokens_per_param,
     judge_documents,
+    JudgeClient,
     keyword_match,
     kl_improvement_bruteforce,
     kl_improvement_closed_form,
     make_document,
-    mock_judge_client,
     non_embedding_params,
     predict_conditional,
     random_orthogonal_spec,
@@ -406,7 +406,9 @@ def test_c11_factuality_pipeline_under_mocks():
             raise ConnectionError("injected fault")
         return Verdict.RELATED
 
-    run = judge_documents(matched, qa, mock_judge_client(faulty, max_concurrency=6))
+    run = judge_documents(
+        matched, qa, JudgeClient(classify=faulty, max_concurrency=6, backoff_base=0.0)
+    )
     judged_ids = {j.doc_id for j in run.judgements}
     failed_ids = {f.doc_id for f in run.failures}
     assert judged_ids | failed_ids == {d.id for d in matched}

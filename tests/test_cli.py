@@ -1,10 +1,16 @@
 import csv
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import poollab
 from poollab import bundled_model_configs, write_documents, write_run_log, make_document
 from poollab.cli import dispatch
 
@@ -264,6 +270,20 @@ class TestScalingLawCli:
         saved = json.loads(extrap_json.read_text())
         assert saved == {"pool_tokens": 240e12, "compute": printed}
 
+    def test_manifest_lists_config_files(self, tmp_path):
+        world = planted_threshold_world()
+        crossings = tmp_path / "crossings.csv"
+        write_crossings_csv(crossings, world)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"method": "tpp"}), encoding="utf-8")
+        configs = tmp_path / "models.json"
+        configs.write_text(json.dumps([asdict(c) for c in world.configs]), encoding="utf-8")
+        out = tmp_path / "law.json"
+        assert dispatch(["scaling-law", "--crossings", str(crossings), "--config", str(config),
+                         "--configs", str(configs), "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "law.json.manifest.json").read_text())
+        assert manifest["inputs"] == sorted([str(crossings), str(config), str(configs)])
+
     def test_scaling_law_rejects_bad_method(self, tmp_path):
         world = planted_threshold_world()
         crossings = tmp_path / "crossings.csv"
@@ -347,6 +367,19 @@ class TestJudgeCli:
         assert list(rows[0]) == ["subject", "Support", "Refute", "Related", "Unrelated"]
         assert float(rows[0]["Support"]) >= 1.0
 
+    def test_non_http_endpoint_exits_one(self, tmp_path, capsys):
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text(json.dumps({"subject": "s", "question": "q", "answer": "a",
+                                  "keywords": ["k"]}) + "\n", encoding="utf-8")
+        pool = tmp_path / "pool.jsonl"
+        write_documents(pool, [make_document("d0", "k")])
+        out = tmp_path / "o.jsonl"
+        assert dispatch(["judge", "--qa", str(qa), "--pool", str(pool),
+                         "--endpoint", f"file://{qa}", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+        assert "http(s)" in err and not out.exists()
+
     def test_requires_mock_or_endpoint(self, tmp_path):
         qa = tmp_path / "qa.jsonl"
         qa.write_text(json.dumps({"subject": "s", "question": "q", "answer": "a",
@@ -419,6 +452,16 @@ MALFORMED_INPUTS = {
     "shared-quadratic-epoch-law": lambda t, docs: [
         "scaling-law", "--crossings", write_text(t, "x.csv", shared_quadratic_crossings()),
         "--method", "epoch", "--output", str(t / "law.json")],
+    "document-not-an-object": lambda t, docs: [
+        "sample", "--input", write_text(t, "d.jsonl", '{"id": "a", "text": "ok"}\n[1]\n'),
+        "--target-tokens", "1", "--output", str(t / "p.jsonl")],
+    "document-text-not-a-string": lambda t, docs: [
+        "sample", "--input", write_text(t, "d.jsonl", '{"id": "a", "text": 5}\n'),
+        "--target-tokens", "1", "--output", str(t / "p.jsonl")],
+    "qa-keywords-a-string": lambda t, docs: [
+        "judge", "--mock", "--pool", docs, "--output", str(t / "j.jsonl"), "--qa",
+        write_text(t, "qa.jsonl", json.dumps(
+            {"subject": "s", "question": "q", "answer": "a", "keywords": "the"}))],
     "pool-tokens-nan": lambda t, docs: [
         "extrapolate", "--law", write_text(t, "law.json", json.dumps(LAW)),
         "--pool-tokens", "nan", "--output", str(t / "e.json")],
@@ -433,3 +476,21 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, docs_file, capsys
     assert err.rstrip().splitlines()[-1].startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("case,lineno", [
+    ("document-not-an-object", 2),
+    ("document-text-not-a-string", 1),
+])
+def test_malformed_document_error_names_path_and_line(tmp_path, docs_file, capsys, case, lineno):
+    assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'd.jsonl'}: line {lineno}: ")
+
+
+def test_cli_import_loads_no_http_client_library():
+    code = "import sys, poollab.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    src = str(Path(poollab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"

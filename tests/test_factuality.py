@@ -1,4 +1,7 @@
 import json
+import re
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -120,7 +123,8 @@ class TestJudgeDocuments:
             return Verdict.RELATED
 
         docs = pool_of(*[f"pulsar doc {i} {'x' * i}" for i in range(20)]).documents
-        run = judge_documents(docs, QA, mock_judge_client(flaky, max_concurrency=8))
+        client = JudgeClient(classify=flaky, max_concurrency=8, backoff_base=0.0)
+        run = judge_documents(docs, QA, client)
         seen = {j.doc_id for j in run.judgements} | {f.doc_id for f in run.failures}
         assert seen == {d.id for d in docs}
 
@@ -134,7 +138,7 @@ class TestJudgeDocuments:
             return Verdict.REFUTE
 
         docs = pool_of("pulsar claim").documents
-        run = judge_documents(docs, QA, mock_judge_client(eventually, max_concurrency=1))
+        run = judge_documents(docs, QA, mock_judge_client(eventually))
         assert [j.verdict for j in run.judgements] == [Verdict.REFUTE]
         assert calls["pulsar claim"] == 3
 
@@ -148,52 +152,81 @@ class TestJudgeDocuments:
         assert len(run.failures) == 1 and "unparseable" in run.failures[0].error
 
 
+class JudgeHandler(BaseHTTPRequestHandler):
+    """Loopback judge: records each request, replies with the server's canned response."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append((dict(self.headers), json.loads(body)))
+        status, payload = self.server.reply
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def judge_server(monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "all_proxy",
+                "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)  # loopback requests must not go to a proxy
+    server = HTTPServer(("127.0.0.1", 0), JudgeHandler)
+    server.requests = []
+    server.reply = (200, {"choices": [{"message": {"content": "Support"}}]})
+    server.url = f"http://127.0.0.1:{server.server_port}/v1/chat"
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 class TestHttpClient:
-    def make_response(self, payload, status=200):
-        class FakeResponse:
-            status_code = status
-
-            def raise_for_status(self):
-                if status >= 400:
-                    raise RuntimeError(f"http {status}")
-
-            def json(self):
-                return payload
-
-        return FakeResponse()
-
-    def test_chat_shape_parsed(self, monkeypatch):
-        payload = {"choices": [{"message": {"content": "Support"}}]}
-        monkeypatch.setattr(
-            "poollab.factuality.requests.post",
-            lambda *a, **k: self.make_response(payload),
-        )
-        client = JudgeClient(endpoint="http://judge.local/v1/chat", backoff_base=0.0)
-        docs = pool_of("pulsar fact").documents
-        run = judge_documents(docs, QA, client)
+    def test_chat_shape_parsed(self, judge_server, monkeypatch):
+        monkeypatch.setenv("JUDGE_API_KEY", "sekrit")
+        client = JudgeClient(endpoint=judge_server.url, model_name="j1", backoff_base=0.0)
+        run = judge_documents(pool_of("pulsar fact").documents, QA, client)
         assert [j.verdict for j in run.judgements] == [Verdict.SUPPORT]
+        [(headers, body)] = judge_server.requests
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer sekrit"
+        assert body == {
+            "model": "j1",
+            "messages": [
+                {"role": "user", "content": render_prompt("pulsar fact", QA.question, QA.answer)}
+            ],
+        }
 
-    def test_malformed_payload_is_failure(self, monkeypatch):
-        monkeypatch.setattr(
-            "poollab.factuality.requests.post",
-            lambda *a, **k: self.make_response({"unexpected": True}),
-        )
-        client = JudgeClient(endpoint="http://judge.local/v1/chat", backoff_base=0.0)
+    def test_no_api_key_no_header(self, judge_server, monkeypatch):
+        monkeypatch.delenv("JUDGE_API_KEY", raising=False)
+        client = JudgeClient(endpoint=judge_server.url, backoff_base=0.0)
+        judge_documents(pool_of("pulsar").documents, QA, client)
+        [(headers, _)] = judge_server.requests
+        assert "Authorization" not in headers
+
+    @pytest.mark.parametrize("reply", [
+        (500, {"error": "overloaded"}),
+        (200, {"unexpected": True}),
+        (200, b"not json"),
+    ])
+    def test_bad_reply_is_one_failure_after_all_attempts(self, judge_server, reply):
+        judge_server.reply = reply
+        client = JudgeClient(endpoint=judge_server.url, max_attempts=3, backoff_base=0.0)
         run = judge_documents(pool_of("pulsar").documents, QA, client)
         assert run.judgements == [] and len(run.failures) == 1
+        assert len(judge_server.requests) == 3
 
-    def test_api_key_header(self, monkeypatch):
-        captured = {}
-
-        def capture(url, json=None, headers=None, timeout=None):
-            captured.update(headers or {})
-            return self.make_response({"choices": [{"message": {"content": "Related"}}]})
-
-        monkeypatch.setattr("poollab.factuality.requests.post", capture)
-        monkeypatch.setenv("JUDGE_API_KEY", "sekrit")
-        client = JudgeClient(endpoint="http://judge.local/v1/chat", backoff_base=0.0)
-        judge_documents(pool_of("pulsar").documents, QA, client)
-        assert captured.get("Authorization") == "Bearer sekrit"
+    @pytest.mark.parametrize("endpoint", ["file:///dev/null", "ftp://judge.invalid/", "judge"])
+    def test_non_http_endpoint_rejected(self, endpoint):
+        with pytest.raises(ValidationError, match="http"):
+            JudgeClient(endpoint=endpoint)
 
 
 class TestAggregation:
@@ -269,4 +302,16 @@ class TestQaIo:
         path = tmp_path / "qa.jsonl"
         path.write_text('{"subject": "s"}\n', encoding="utf-8")
         with pytest.raises(ValidationError, match="line 1"):
+            read_qa_items(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("keywords", "pulsar"),  # a string, not a list of keywords
+        ("keywords", [1]),
+        ("question", 5),
+    ])
+    def test_wrong_field_type_rejected(self, tmp_path, field, value):
+        item = {"subject": "s", "question": "q", "answer": "a", "keywords": ["pulsar"]}
+        path = tmp_path / "qa.jsonl"
+        path.write_text("\n" + json.dumps({**item, field: value}) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 2: ") + f".*{field}"):
             read_qa_items(path)
