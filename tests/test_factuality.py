@@ -196,13 +196,19 @@ class TestHttpClient:
         assert [j.verdict for j in run.judgements] == [Verdict.SUPPORT]
         [(headers, body)] = judge_server.requests
         assert headers["Content-Type"] == "application/json"
-        assert headers["Authorization"] == "Bearer sekrit"
         assert body == {
             "model": "j1",
             "messages": [
                 {"role": "user", "content": render_prompt("pulsar fact", QA.question, QA.answer)}
             ],
         }
+
+    def test_api_key_header(self, judge_server, monkeypatch):
+        monkeypatch.setenv("JUDGE_API_KEY", "sekrit")
+        client = JudgeClient(endpoint=judge_server.url, backoff_base=0.0)
+        judge_documents(pool_of("pulsar").documents, QA, client)
+        [(headers, _)] = judge_server.requests
+        assert headers["Authorization"] == "Bearer sekrit"
 
     def test_no_api_key_no_header(self, judge_server, monkeypatch):
         monkeypatch.delenv("JUDGE_API_KEY", raising=False)
@@ -211,9 +217,15 @@ class TestHttpClient:
         [(headers, _)] = judge_server.requests
         assert "Authorization" not in headers
 
+    def test_malformed_payload_is_failure(self, judge_server):
+        judge_server.reply = (200, {"unexpected": True})
+        client = JudgeClient(endpoint=judge_server.url, max_attempts=3, backoff_base=0.0)
+        run = judge_documents(pool_of("pulsar").documents, QA, client)
+        assert run.judgements == [] and len(run.failures) == 1
+        assert len(judge_server.requests) == 3
+
     @pytest.mark.parametrize("reply", [
         (500, {"error": "overloaded"}),
-        (200, {"unexpected": True}),
         (200, b"not json"),
     ])
     def test_bad_reply_is_one_failure_after_all_attempts(self, judge_server, reply):
