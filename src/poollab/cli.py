@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -134,7 +133,7 @@ def _token_count(value: object) -> int:
 
 
 def _threads(args: argparse.Namespace, config: dict) -> int:
-    n = opt(args, config, "threads", os.cpu_count() or 1, int)
+    n = opt(args, config, "threads", 1, int)  # the stages hold the GIL: more threads cost time
     if n < 1:
         raise ConfigError(f"--threads must be >= 1, got {n}")
     return n

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .errors import StreamExhaustedError, ValidationError
 from .io import read_json, write_json
+
+#: A word, as the stop-word filter and the keyword matcher count them.
+WORD_RE = re.compile(r"\w+")
 
 
 class DocumentSource(str, Enum):
@@ -73,7 +78,11 @@ def make_document(
 
 @dataclass
 class Pool:
-    """An ordered collection of documents with a recorded sampling seed."""
+    """An ordered collection of documents with a recorded sampling seed.
+
+    Pools are not mutated after construction: ``__post_init__`` checks
+    ``total_tokens`` once, and ``word_index`` is built once.
+    """
 
     documents: list[Document] = field(default_factory=list)
     total_tokens: int = 0
@@ -95,6 +104,19 @@ class Pool:
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    @cached_property
+    def word_index(self) -> dict[str, list[int]]:
+        """Each ``\\w+`` word of the lowercased texts -> ascending positions of its documents.
+
+        Built on first use.  Not a dataclass field, so equality, ``repr``
+        and the written pool ignore it.
+        """
+        index: dict[str, list[int]] = {}
+        for position, doc in enumerate(self.documents):
+            for word in set(WORD_RE.findall(doc.text.lower())):
+                index.setdefault(word, []).append(position)
+        return index
 
     def replace_documents(self, documents: list[Document], label: str | None = None) -> "Pool":
         """New pool with the same seed/counter but different membership."""

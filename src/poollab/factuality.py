@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
-from .corpus import Document, Pool
+from .corpus import WORD_RE, Document, Pool
 from .errors import JudgeError, ValidationError
 
 
@@ -114,14 +115,26 @@ def keyword_match(pool: Pool, qa: QAItem) -> list[Document]:
 
     Whole-word means regex word boundaries, so "pulsar" does not match
     inside "pulsars".  Pool order is preserved.
+
+    Candidates come from ``pool.word_index``: wherever ``\\b<kw>\\b``
+    matches the lowercased text, every ``\\w+`` run inside ``kw`` is a
+    whole ``\\w+`` run of the text, so intersecting those words' postings
+    drops no match.  A keyword that is a single ``\\w+`` run is decided
+    by the index alone; any other keyword ("x-ray", "new york", ".net")
+    is regex-checked on the candidates.
     """
-    patterns = [re.compile(rf"\b{re.escape(kw)}\b") for kw in qa.keywords]
-    matched = []
-    for doc in pool.documents:
-        lowered = doc.text.lower()
-        if all(p.search(lowered) for p in patterns):
-            matched.append(doc)
-    return matched
+    words = {word for kw in qa.keywords for word in WORD_RE.findall(kw)}
+    if words:
+        index = pool.word_index
+        postings = sorted((index.get(word, []) for word in words), key=len)
+        positions = sorted(set(postings[0]).intersection(*postings[1:]))
+    else:
+        positions = range(len(pool.documents))
+    candidates = [pool.documents[i] for i in positions]
+    patterns = [
+        re.compile(rf"\b{re.escape(kw)}\b") for kw in qa.keywords if not WORD_RE.fullmatch(kw)
+    ]
+    return [doc for doc in candidates if all(p.search(doc.text.lower()) for p in patterns)]
 
 
 @dataclass
@@ -137,6 +150,16 @@ class JudgeClient:
     classify: Callable[[str, str, str], Verdict] | None = None
 
     def __post_init__(self) -> None:
+        if not 0 < self.timeout < math.inf:
+            raise ValidationError(f"judge timeout must be a positive number, got {self.timeout}")
+        if self.max_attempts < 1:
+            raise ValidationError(f"judge max_attempts must be >= 1, got {self.max_attempts}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValidationError(f"judge backoff_base must be >= 0, got {self.backoff_base}")
+        if self.max_concurrency < 1:
+            raise ValidationError(
+                f"judge max_concurrency must be >= 1, got {self.max_concurrency}"
+            )
         if self.classify is None:
             if not self.endpoint:
                 raise ValidationError("JudgeClient needs an endpoint or a classify callable")
@@ -192,6 +215,8 @@ def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -
     a failure entry while the rest of the batch proceeds.
     """
 
+    qa_id = qa.qa_id  # a sha256 of the question; hashed once per call, not per document
+
     def judge_one(doc: Document) -> Judgement | JudgeFailure:
         last_error = "no attempts made"
         for attempt in range(client.max_attempts):
@@ -200,17 +225,16 @@ def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -
                 if not isinstance(verdict, Verdict):
                     verdict = parse_verdict(str(verdict))
                 return Judgement(
-                    doc_id=doc.id, qa_id=qa.qa_id, verdict=verdict, raw_response=verdict.value
+                    doc_id=doc.id, qa_id=qa_id, verdict=verdict, raw_response=verdict.value
                 )
             except Exception as exc:  # transport or parse failure; retry
                 last_error = f"{type(exc).__name__}: {exc}"
                 if attempt + 1 < client.max_attempts and client.backoff_base > 0:
                     time.sleep(client.backoff_base * 2**attempt)
-        return JudgeFailure(doc_id=doc.id, qa_id=qa.qa_id, error=last_error)
+        return JudgeFailure(doc_id=doc.id, qa_id=qa_id, error=last_error)
 
-    workers = max(1, client.max_concurrency)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
+    if client.max_concurrency > 1:
+        with ThreadPoolExecutor(max_workers=client.max_concurrency) as executor:
             results = list(executor.map(judge_one, docs))
     else:
         results = [judge_one(doc) for doc in docs]

@@ -20,7 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Callable, Sequence
 
-from .corpus import Document, Pool
+from .corpus import WORD_RE, Document, Pool
 from .errors import ConfigError, ValidationError
 
 DEFAULT_STOPWORDS = ("the", "be", "to", "of", "and", "that", "have", "with")
@@ -163,9 +163,6 @@ def builtin_english_scorer() -> DocumentScorer:
 # Per-document filters.
 # ---------------------------------------------------------------------------
 
-_WORD_RE = re.compile(r"\w+")
-
-
 def stopword_filter(doc: Document, cfg: FilterConfig) -> FilterOutcome:
     """Keep documents with enough whole-word stop-word occurrences.
 
@@ -175,7 +172,7 @@ def stopword_filter(doc: Document, cfg: FilterConfig) -> FilterOutcome:
     if not cfg.stopword_list:
         raise ConfigError("stopword_list must be non-empty")
     wanted = {w.lower() for w in cfg.stopword_list}
-    tokens = _WORD_RE.findall(doc.text.lower())
+    tokens = WORD_RE.findall(doc.text.lower())
     if cfg.stopword_distinct:
         count = len(wanted.intersection(tokens))
     else:
@@ -196,15 +193,16 @@ def _dedup_fraction(items: list[str]) -> float:
 
 
 def _covered_fraction(spans: list[tuple[int, int]], text_len: int) -> float:
-    # Union of character spans, so overlapping occurrences never push the
-    # fraction above 1.
+    # Length of the union of character spans, so overlapping occurrences
+    # never push the fraction above 1.
     if not spans or text_len == 0:
         return 0.0
-    mask = bytearray(text_len)
-    for start, end in spans:
-        for i in range(start, end):
-            mask[i] = 1
-    return sum(mask) / text_len
+    covered = reach = 0
+    for start, end in sorted(spans):
+        if end > reach:
+            covered += end - max(start, reach)
+            reach = end
+    return covered / text_len
 
 
 def repetition_fractions(doc: Document) -> dict[str, float]:

@@ -380,6 +380,17 @@ class TestJudgeCli:
         assert err.splitlines() == [err.strip()] and err.startswith("error: ")
         assert "http(s)" in err and not out.exists()
 
+    @pytest.mark.parametrize("timeout", ["-1", "0"])
+    def test_non_positive_timeout_exits_one_before_reading(self, tmp_path, capsys, timeout):
+        out = tmp_path / "o.jsonl"
+        assert dispatch(["judge", "--qa", str(tmp_path / "missing-qa.jsonl"),
+                         "--pool", str(tmp_path / "missing-pool.jsonl"),
+                         "--endpoint", "http://127.0.0.1:9", "--timeout", timeout,
+                         "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+        assert "timeout" in err and not out.exists()
+
     def test_requires_mock_or_endpoint(self, tmp_path):
         qa = tmp_path / "qa.jsonl"
         qa.write_text(json.dumps({"subject": "s", "question": "q", "answer": "a",

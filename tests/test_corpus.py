@@ -127,6 +127,20 @@ class TestJsonl:
         assert back.seed == 11
         assert back.documents == pool.documents
 
+    def test_word_index_changes_no_equality_repr_or_bytes(self, tmp_path, ten_token_docs):
+        pool = sample_pool(ten_token_docs, 100, seed=11, label="demo")
+        other = sample_pool(ten_token_docs, 100, seed=11, label="demo")
+        text, before = repr(pool), tmp_path / "before.jsonl"
+        write_pool(before, pool)
+        assert pool.word_index[pool.documents[3].text.split()[0]] == [3]
+        after = tmp_path / "after.jsonl"
+        write_pool(after, pool)
+        assert pool == other and repr(pool) == text
+        assert after.read_bytes() == before.read_bytes()
+        assert (tmp_path / "after.jsonl.header.json").read_bytes() == (
+            tmp_path / "before.jsonl.header.json"
+        ).read_bytes()
+
     def test_malformed_line_names_lineno(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "text": "ok"}\nnot json\n', encoding="utf-8")

@@ -4,6 +4,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poollab import (
     JudgeClient,
@@ -33,7 +34,35 @@ QA = QAItem(
 )
 
 
+def reference_keyword_match(pool, qa):
+    """Regex scan of every document, as keyword_match did before the word index."""
+    patterns = [re.compile(rf"\b{re.escape(kw)}\b") for kw in qa.keywords]
+    matched = []
+    for doc in pool.documents:
+        lowered = doc.text.lower()
+        if all(p.search(lowered) for p in patterns):
+            matched.append(doc)
+    return matched
+
+
+# Word pieces, separators and a non-ASCII letter; joining them gives texts
+# and keywords with whole words, partial words, "x-ray", "a b" and ".net".
+PIECES = ["pulsar", "PULSAR", "x", "ray", "net", "_", "7", "é", "É", "-", ".", " ", "\n", ","]
+texts = st.lists(st.sampled_from(PIECES), max_size=20).map("".join)
+keywords = st.one_of(
+    st.sampled_from(["pulsar", "x-ray", "x ray", "new york", ".net", "-", "", "é", "_7"]),
+    st.lists(st.sampled_from(PIECES), max_size=4).map(lambda parts: "".join(parts).lower()),
+)
+
+
 class TestKeywordMatch:
+    @given(st.lists(texts, max_size=8), st.lists(keywords, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_index_matches_reference_scan(self, docs, kws):
+        pool = pool_of(*docs)
+        qa = QAItem(subject="s", question="q", answer="a", keywords=tuple(kws))
+        assert keyword_match(pool, qa) == reference_keyword_match(pool, qa)
+
     def test_whole_word_hit(self):
         matched = keyword_match(pool_of("The pulsar spins."), QA)
         assert [d.id for d in matched] == ["d0"]
@@ -234,6 +263,22 @@ class TestHttpClient:
         run = judge_documents(pool_of("pulsar").documents, QA, client)
         assert run.judgements == [] and len(run.failures) == 1
         assert len(judge_server.requests) == 3
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("timeout", 0.0),
+            ("timeout", -1.0),
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("max_attempts", 0),
+            ("backoff_base", -0.5),
+            ("max_concurrency", 0),
+        ],
+    )
+    def test_nonsense_retry_settings_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            JudgeClient(endpoint="http://127.0.0.1:9/", **{name: value})
 
     @pytest.mark.parametrize("endpoint", ["file:///dev/null", "ftp://judge.invalid/", "judge"])
     def test_non_http_endpoint_rejected(self, endpoint):

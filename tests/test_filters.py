@@ -2,7 +2,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poollab import (
     ConfigError,
@@ -23,6 +23,8 @@ from poollab import (
     stopword_filter,
 )
 from poollab.filters import GOPHER_REPETITION_THRESHOLDS, REPETITION_GRANULARITIES
+
+import oracle_recount
 
 
 def doc(text, doc_id="d0"):
@@ -130,6 +132,19 @@ class TestRepetitionFractions:
             for n in range(5, 11):
                 _, dup = oracle_ngram_fractions(text, n)
                 assert fractions[f"dup_{n}gram"] == pytest.approx(dup), (text, n)
+
+    @given(
+        st.lists(
+            st.sampled_from(["a", "b", "ab", "c", " ", "  ", "\n", "\n\n"]), max_size=80
+        ).map("".join)
+    )
+    # Duplicated 5-grams found in an order that is not text order: "b b b b b"
+    # lies between the two "a a a a a" runs but is found after both.
+    @example("a a a a a c c c c c b b b b b a a a a a ab ab ab ab ab b b b b b")
+    @settings(max_examples=200, deadline=None)
+    def test_equals_oracle_recount_exactly(self, text):
+        # A few short words, so n-grams repeat, overlap and tie on count.
+        assert repetition_fractions(doc(text)) == oracle_recount.repetition_fractions(text)
 
     @given(st.text(alphabet="ab \n", max_size=120))
     @settings(max_examples=120, deadline=None)
