@@ -81,7 +81,11 @@ class Pool:
     """An ordered collection of documents with a recorded sampling seed.
 
     Pools are not mutated after construction: ``__post_init__`` checks
-    ``total_tokens`` once, and ``word_index`` is built once.
+    ``total_tokens`` once, and ``word_index`` is built once.  Changing
+    ``documents`` after ``word_index`` was first read leaves the index
+    stale, and ``factuality.keyword_match`` then misses added documents
+    and returns wrong ones (or raises ``IndexError``) for reordered,
+    replaced or removed ones; use ``replace_documents`` to get a new pool.
     """
 
     documents: list[Document] = field(default_factory=list)

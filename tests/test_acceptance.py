@@ -328,9 +328,9 @@ def test_c09_filter_determinism_and_oracle_recount(tmp_path):
         assert _stats_to_dict(stats) == live_oracle["pipeline"][name], name
     assert _stats_to_dict(result.cumulative) == live_oracle["pipeline"]["cumulative"]
 
-    # identical stats CSV under --threads 1 vs default worker count
+    # identical stats CSV sequentially and with 4 worker threads
     outputs = {}
-    for tag, extra in {"seq": ["--threads", "1"], "par": []}.items():
+    for tag, extra in {"seq": ["--threads", "1"], "par": ["--threads", "4"]}.items():
         out = tmp_path / f"out_{tag}.jsonl"
         stats_path = tmp_path / f"stats_{tag}.csv"
         code = dispatch([
@@ -344,7 +344,7 @@ def test_c09_filter_determinism_and_oracle_recount(tmp_path):
     print(
         f"\nPASS criterion 9 (filter oracle recount): live recount == frozen oracle, "
         f"library == oracle on all 5 filters (pipeline retention {retention:.4f}), "
-        f"stats identical under --threads 1 vs default"
+        f"stats identical under --threads 1 vs --threads 4"
     )
 
 

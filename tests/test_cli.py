@@ -151,7 +151,7 @@ class TestPoolPipeline:
         dispatch(["sample", "--input", str(docs_file), "--target-tokens", "2000",
                   "--seed", "7", "--output", str(pool)])
         stats = {}
-        for tag, extra in {"seq": ["--threads", "1"], "par": []}.items():
+        for tag, extra in {"seq": ["--threads", "1"], "par": ["--threads", "4"]}.items():
             out = tmp_path / f"f_{tag}.jsonl"
             stat = tmp_path / f"s_{tag}.csv"
             assert dispatch(["filter", "--pool", str(pool), "--output", str(out),
