@@ -55,6 +55,7 @@ from .runlog import (
     epochs,
     load_run_log,
     ModelConfig,
+    RunRecord,
     parse_run_log,
     slice_loss,
     write_run_log,
@@ -145,8 +146,18 @@ def write_manifest(
     seeds: dict[str, int] | None = None,
     inputs: Sequence[str | None] = (),
     outputs: Sequence[str] = (),
+    config: dict | None = None,
 ) -> None:
-    merged = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+    """Write ``<output>.manifest.json``.
+
+    ``config_digest`` hashes the flags together with the loaded ``--config``
+    contents, not its path, so editing the file in place changes the digest.
+    """
+    merged = {
+        k: v for k, v in vars(args).items() if k not in ("func", "config") and v is not None
+    }
+    if config:
+        merged["config"] = config
     digest = hashlib.sha256(
         json.dumps(merged, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()
@@ -174,7 +185,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     label = opt(args, config, "label", Path(args.output).stem)
     pool = sample_pool(read_documents(args.input), target, seed, label=label)
     write_pool(args.output, pool)
-    write_manifest(args.output, args, {"seed": seed}, [args.input, args.config], [args.output])
+    write_manifest(
+        args.output, args, {"seed": seed}, [args.input, args.config], [args.output], config
+    )
     print(f"sampled {len(pool)} docs, {pool.total_tokens} tokens -> {args.output}")
     return EXIT_OK
 
@@ -201,7 +214,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if args.stats:
         write_rows(args.stats, STATS_COLUMNS, result.stats_rows())
         outputs.append(args.stats)
-    write_manifest(args.output, args, {}, [args.pool, args.config], outputs)
+    write_manifest(args.output, args, {}, [args.pool, args.config], outputs, config)
     print(
         f"filtered {result.cumulative.docs_in} -> {result.cumulative.docs_kept} docs "
         f"(token retention {result.cumulative.retention_tokens:.4f}) via {stage_names}"
@@ -226,7 +239,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
         inputs = [args.pool]
     injected = inject(pool, InjectionSpec(kind=kind, ratio=ratio, seed=seed), source)
     write_pool(args.output, injected)
-    write_manifest(args.output, args, {"seed": seed}, [*inputs, args.config], [args.output])
+    write_manifest(
+        args.output, args, {"seed": seed}, [*inputs, args.config], [args.output], config
+    )
     print(
         f"injected to {injected.total_tokens} tokens "
         f"({len(injected)} docs), label {injected.label!r}"
@@ -299,6 +314,14 @@ def cmd_pareto(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _group_by_cell(records: Sequence[RunRecord]) -> dict[tuple[int, int], list[RunRecord]]:
+    """Records keyed by (model total params, pool tokens), in log order within each cell."""
+    cells: dict[tuple[int, int], list[RunRecord]] = {}
+    for record in records:
+        cells.setdefault((record.model.total_params, record.pool_tokens), []).append(record)
+    return cells
+
+
 def cmd_crossing(args: argparse.Namespace) -> int:
     records = load_run_log(args.runs)
     eval_sets = args.eval_sets.split(",") if args.eval_sets else None
@@ -308,19 +331,12 @@ def cmd_crossing(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"need runs for both labels {args.pool_label!r} and {args.filtered_label!r}"
         )
-    cells = sorted(
-        {(r.model.total_params, r.pool_tokens) for r in pool_runs}
-        & {(r.model.total_params, r.pool_tokens) for r in filtered_runs}
-    )
+    pool_cells, filtered_cells = _group_by_cell(pool_runs), _group_by_cell(filtered_runs)
+    cells = sorted(pool_cells.keys() & filtered_cells.keys())
     if not cells:
         raise ValidationError("no (model size, pool size) cell is present for both labels")
     crossings = [
-        crossing_point(
-            [r for r in pool_runs if (r.model.total_params, r.pool_tokens) == cell],
-            [r for r in filtered_runs if (r.model.total_params, r.pool_tokens) == cell],
-            *cell,
-            eval_sets,
-        )
+        crossing_point(pool_cells[cell], filtered_cells[cell], *cell, eval_sets)
         for cell in cells
     ]
     write_rows(args.output, CROSSING_COLUMNS, crossings)
@@ -373,7 +389,9 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
     if args.points_csv:
         write_rows(args.points_csv, field_names(ThresholdPoint), law.points)
         outputs.append(args.points_csv)
-    write_manifest(args.output, args, {}, [args.crossings, args.config, args.configs], outputs)
+    write_manifest(
+        args.output, args, {}, [args.crossings, args.config, args.configs], outputs, config
+    )
     print(
         f"{law.method}: compute = {law.alpha:.6g} * pool^{law.beta:.6g} "
         f"(r2={law.r2:.6f}), 240T-token compute {law.predict_compute(REFERENCE_POOL_TOKENS):.6g}"
@@ -479,7 +497,7 @@ def cmd_judge(args: argparse.Namespace) -> int:
         rows = aggregate_judgements(combined.judgements, qa_items)
         write_rows(args.aggregate, ["subject"] + VERDICT_COLUMNS, rows)
         outputs.append(args.aggregate)
-    write_manifest(args.output, args, {}, [args.qa, args.pool, args.config], outputs)
+    write_manifest(args.output, args, {}, [args.qa, args.pool, args.config], outputs, config)
     print(
         f"judged {len(combined.judgements)} documents "
         f"({len(combined.failures)} failures) across {len(qa_items)} QA items"

@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import FitError, NoRootError, ValidationError
 from .runlog import ModelConfig, RunRecord, best_achievable, point_loss
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Crossings needing more epochs than this are flagged as unreliable
 #: extrapolations (validation loss can turn non-monotone at extreme
@@ -101,6 +102,8 @@ class PowerLawFit:
 
 def _loglog_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Least-squares line y = intercept + slope*x; returns sse and sst too."""
+    import numpy as np
+
     design = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ coef
@@ -137,6 +140,8 @@ def _asymptote_grid(loss_min: float, c_hi: float, losses: np.ndarray, grid_size:
     log-spaced sweep of the gap down to the allowed floor, plus the
     closed-form three-point solve (exact for geometrically spaced N).
     """
+    import numpy as np
+
     parts = [np.linspace(0.0, c_hi, grid_size)]
     gap_floor = loss_min - c_hi
     # ~24 points per decade keeps the nearest candidate within ~5% of
@@ -169,6 +174,8 @@ def fit_power_law(points: Sequence[tuple[float, float]], grid_size: int = 33) ->
         FitError: fewer than 3 points, N not strictly increasing,
             non-positive losses, or a non-decaying loss sequence.
     """
+    import numpy as np
+
     if len(points) < 3:
         raise FitError(f"power-law fit needs >= 3 points, got {len(points)}")
     n = np.array([p[0] for p in points], dtype=float)
@@ -370,6 +377,8 @@ class QuadFit:
 
 def fit_crossing_quadratic(crossings: Sequence[CrossingPoint]) -> QuadFit:
     """Least-squares quadratic through one model size's finite crossings."""
+    import numpy as np
+
     finite = [c for c in crossings if not c.never]
     if len(finite) < 3:
         never_pools = [c.pool_tokens for c in crossings if c.never]
@@ -450,6 +459,8 @@ def extrapolate_compute(law: ThresholdLaw, pool_tokens: float) -> float:
 def _fit_threshold_points(
     method: str, parameter: float, points: list[ThresholdPoint]
 ) -> ThresholdLaw:
+    import numpy as np
+
     if len(points) < 3:
         raise FitError(f"threshold law needs >= 3 model sizes, got {len(points)}")
     if len({p.pool_tokens for p in points}) < 2:

@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from .errors import FitError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORTHOGONALITY_TOL = 1e-12
 RANGE_TOL = 1e-10
@@ -56,6 +57,8 @@ class TaskSpec:
     noise_power: float = 0.0
 
     def validate(self) -> None:
+        import numpy as np
+
         if self.k < 1:
             raise ValidationError("need at least one task")
         if len(self.p) != self.k or abs(float(np.sum(self.p)) - 1.0) > 1e-9:
@@ -83,6 +86,8 @@ class TaskSpec:
 
     @property
     def m_star(self) -> np.ndarray:
+        import numpy as np
+
         return sum(np.outer(u, v) for u, v in zip(self.u_list, self.v_list))
 
     @property
@@ -90,6 +95,8 @@ class TaskSpec:
         return sum(p_i * s for p_i, s in zip(self.p, self.sigma_list))
 
     def sigma_sqrt(self) -> np.ndarray:
+        import numpy as np
+
         eigvals, eigvecs = np.linalg.eigh(self.sigma)
         eigvals = np.clip(eigvals, 0.0, None)
         return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
@@ -102,6 +109,8 @@ def analytic_min_loss(spec: TaskSpec, r: int) -> float:
     beyond the r-th, plus the noise power; zero trailing sum once r
     reaches the number of positive singular values.
     """
+    import numpy as np
+
     spec.validate()
     if not 0 <= r <= min(spec.d, spec.m_out):
         raise ValidationError(f"r must be in [0, {min(spec.d, spec.m_out)}], got {r}")
@@ -109,9 +118,12 @@ def analytic_min_loss(spec: TaskSpec, r: int) -> float:
     return float(np.sum(singular_values[r:] ** 2)) + spec.noise_power
 
 
-def _population_loss(spec: TaskSpec, u: np.ndarray, v: np.ndarray) -> float:
-    err = spec.m_star - u @ v.T
-    return float(np.trace(err @ spec.sigma @ err.T)) + spec.noise_power
+def _population_loss(err_sigma: np.ndarray, err: np.ndarray, noise_power: float) -> float:
+    """``tr(err Sigma err^T)`` plus the noise, from ``err_sigma = err @ Sigma``.
+
+    The loss is even in ``err``, so the gradient's ``U V^T - M_star`` serves.
+    """
+    return float((err_sigma @ err.T).trace()) + noise_power
 
 
 def empirical_min_loss(
@@ -134,11 +146,14 @@ def empirical_min_loss(
         FitError: the iterate diverged (loss exceeded 1e6 x initial);
             retry with a smaller ``lr``.
     """
+    import numpy as np
+
     spec.validate()
     if r < 1:
         raise ValidationError("empirical_min_loss needs r >= 1; use the analytic value for r=0")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
+    # both are sums of outer products: build them once, not once per step
     sigma = spec.sigma
     m_star = spec.m_star
     if lr is None:
@@ -149,16 +164,18 @@ def empirical_min_loss(
     for _ in range(restarts):
         u = init_scale * rng.standard_normal((spec.m_out, r))
         v = init_scale * rng.standard_normal((spec.d, r))
-        initial = _population_loss(spec, u, v)
+        err = u @ v.T - m_star
+        err_sigma = err @ sigma
+        initial = _population_loss(err_sigma, err, spec.noise_power)
         loss = initial
         for _ in range(steps):
-            err = u @ v.T - m_star
-            err_sigma = err @ sigma
             grad_u = 2.0 * err_sigma @ v
             grad_v = 2.0 * err_sigma.T @ u
             u = u - lr * grad_u
             v = v - lr * grad_v
-            new_loss = _population_loss(spec, u, v)
+            err = u @ v.T - m_star
+            err_sigma = err @ sigma
+            new_loss = _population_loss(err_sigma, err, spec.noise_power)
             if not math.isfinite(new_loss) or new_loss > 1e6 * max(initial, 1e-12):
                 raise FitError("gradient descent diverged; try a lower lr")
             if abs(loss - new_loss) <= 1e-15 * max(1.0, loss):
@@ -186,6 +203,8 @@ def random_orthogonal_spec(
     trace products exactly zero.  Each ``v`` is drawn inside its block
     (hence inside range(sigma)); each ``u`` is a random unit vector.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     k = k if k is not None else int(rng.integers(1, max_k + 1))
     d = d if d is not None else int(rng.integers(k, max_d + 1))

@@ -1,22 +1,33 @@
+import ast
 import csv
+import importlib
 import json
 import math
 import os
 import random
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 import poollab
-from poollab import bundled_model_configs, write_documents, write_run_log, make_document
-from poollab.cli import dispatch
+from poollab import (
+    bundled_model_configs,
+    crossing_point,
+    load_run_log,
+    make_document,
+    write_documents,
+    write_run_log,
+)
+from poollab.cli import CROSSING_COLUMNS, dispatch
+from poollab.io import write_rows
 
 from worldgen import curve_run, planted_threshold_world
 
 CONFIG_15M = next(c for c in bundled_model_configs() if c.name == "15M")
+CONFIG_80M = next(c for c in bundled_model_configs() if c.name == "80M")
 
 
 @pytest.fixture
@@ -169,6 +180,19 @@ class TestPoolPipeline:
         assert header["seed"] == 5  # from config
         assert 600 <= header["total_tokens"] < 700  # flag won over config
 
+    def test_manifest_digest_hashes_config_contents(self, tmp_path, docs_file):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "pool.jsonl"
+        digests = []
+        for seed in (1, 2, 1):
+            cfg.write_text(json.dumps({"seed": seed}), encoding="utf-8")
+            assert dispatch(["sample", "--input", str(docs_file), "--target-tokens", "600",
+                             "--config", str(cfg), "--output", str(out)]) == 0
+            manifest = json.loads((tmp_path / "pool.jsonl.manifest.json").read_text())
+            digests.append(manifest["config_digest"])
+        # same path, different contents: different digests; same contents: same digest
+        assert digests[0] != digests[1] and digests[0] == digests[2]
+
 
 class TestRunAnalysis:
     def test_ingest_validate_report_pareto(self, tmp_path, runs_file):
@@ -219,6 +243,50 @@ class TestRunAnalysis:
         expected = (2.0 / 0.5) ** (1.0 / 0.3)
         assert float(rows[0]["crossing_tokens"]) == pytest.approx(expected, rel=1e-5)
         assert rows[0]["observed"] == "False"
+
+    def test_crossing_csv_groups_interleaved_cells(self, tmp_path):
+        # each cc cell is split over two records; records of all cells and of
+        # both labels are shuffled together, and two cells have only one label
+        grids = ([2, 4, 8], [16, 32, 64])
+        cc_curves = {  # (a, b, c) against the rw best of 3.5
+            (CONFIG_15M, 1_000): (2.0, 0.3, 3.0),  # extrapolated
+            (CONFIG_15M, 3_000): (2.0, 0.3, 1.0),  # observed
+            (CONFIG_80M, 1_000): (2.0, 0.3, 3.6),  # never
+            (CONFIG_80M, 3_000): (1.5, 0.4, 3.1),  # extrapolated
+            (CONFIG_80M, 5_000): (2.0, 0.3, 3.0),  # no rw runs
+        }
+        records = [curve_run("cc", cfg, pool, *abc, tokens_grid=grid)
+                   for (cfg, pool), abc in cc_curves.items() for grid in grids]
+        records += [curve_run("rw", cfg, pool, 1e-9, 0.5, 3.5, tokens_grid=grids[1])
+                    for cfg, pool in [*list(cc_curves)[:4], (CONFIG_15M, 5_000)]]
+        random.Random(0).shuffle(records)
+        # a cell's eval sets come from its first record in log order; give the
+        # later of one cell's cc records an extra set, so a reordered cell fails
+        last = max(i for i, r in enumerate(records)
+                   if r.dataset_label == "cc" and (r.model, r.pool_tokens) == (CONFIG_80M, 3_000))
+        records[last] = replace(records[last], eval_points=tuple(
+            replace(p, losses={**p.losses, "other": 9.0}) for p in records[last].eval_points))
+        runs = tmp_path / "runs.jsonl"
+        write_run_log(runs, records)
+
+        out = tmp_path / "crossings.csv"
+        assert dispatch(["crossing", "--runs", str(runs), "--pool-label", "cc",
+                         "--filtered-label", "rw", "--output", str(out)]) == 0
+
+        logged = load_run_log(runs)
+
+        def runs_of(label, cell):
+            return [r for r in logged
+                    if r.dataset_label == label and (r.model.total_params, r.pool_tokens) == cell]
+
+        cells = sorted((cfg.total_params, pool) for cfg, pool in list(cc_curves)[:4])
+        expected = [crossing_point(runs_of("cc", c), runs_of("rw", c), *c) for c in cells]
+        assert {(cp.observed, cp.never) for cp in expected} == {
+            (True, False), (False, False), (False, True)
+        }
+        reference = tmp_path / "reference.csv"
+        write_rows(reference, CROSSING_COLUMNS, expected)
+        assert out.read_bytes() == reference.read_bytes()
 
 
 def write_crossings_csv(path, world):
@@ -498,10 +566,34 @@ def test_malformed_document_error_names_path_and_line(tmp_path, docs_file, capsy
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'd.jsonl'}: line {lineno}: ")
 
 
-def test_cli_import_loads_no_http_client_library():
-    code = "import sys, poollab.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+def run_python(code):
+    """Run ``code`` in a fresh interpreter on this checkout's sources; return its stdout."""
     src = str(Path(poollab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout
+
+
+def test_cli_import_loads_no_numpy():
+    # only crossing, scaling-law and verify-theory compute with numpy
+    code = "import sys, poollab, poollab.cli; print('numpy' in sys.modules)"
+    assert run_python(code).strip() == "False"
+
+
+def test_package_exports_resolve():
+    tree = ast.parse(Path(poollab.__file__).read_text(encoding="utf-8"))
+    imported = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        source = getattr(importlib.import_module(f"poollab.{module}"), name)
+        assert getattr(poollab, name) is source, f"poollab.{name}"
+
+
+def test_cli_import_loads_no_http_client_library():
+    code = "import sys, poollab.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    assert run_python(code).strip() == "[]"

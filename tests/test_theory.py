@@ -86,7 +86,45 @@ class TestAnalyticMinLoss:
             analytic_min_loss(spec, 1)
 
 
+def reference_empirical_min_loss(spec, r, steps, restarts, seed, init_scale=0.1):
+    """The verifier loop as first written: the loss rebuilds M_star and Sigma every step."""
+    def loss_of(u, v):
+        err = spec.m_star - u @ v.T
+        return float(np.trace(err @ spec.sigma @ err.T)) + spec.noise_power
+
+    lr = 0.1 / float(np.linalg.norm(spec.sigma, 2))
+    best = math.inf
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        u = init_scale * rng.standard_normal((spec.m_out, r))
+        v = init_scale * rng.standard_normal((spec.d, r))
+        initial = loss = loss_of(u, v)
+        for _ in range(steps):
+            err_sigma = (u @ v.T - spec.m_star) @ spec.sigma
+            grad_u = 2.0 * err_sigma @ v
+            grad_v = 2.0 * err_sigma.T @ u
+            u, v = u - lr * grad_u, v - lr * grad_v
+            new_loss = loss_of(u, v)
+            if not math.isfinite(new_loss) or new_loss > 1e6 * max(initial, 1e-12):
+                raise FitError("gradient descent diverged; try a lower lr")
+            if abs(loss - new_loss) <= 1e-15 * max(1.0, loss):
+                loss = new_loss
+                break
+            loss = new_loss
+        best = min(best, loss)
+    return best
+
+
 class TestEmpiricalMinLoss:
+    def test_equals_per_step_reference_exactly(self):
+        # hoisting M_star and Sigma and reusing err @ Sigma for the loss
+        # must not move a single bit of the result
+        for seed in range(6):
+            spec = random_orthogonal_spec(seed=seed, noise_power=0.0 if seed % 2 else None)
+            for r in range(1, min(spec.d, spec.m_out) + 1):
+                expected = reference_empirical_min_loss(spec, r, 300, 2, seed + r)
+                assert empirical_min_loss(spec, r, steps=300, restarts=2, seed=seed + r) == expected
+
     def test_two_task_rank_one(self):
         spec = two_task_spec()
         value = empirical_min_loss(spec, 1, steps=4000, seed=3)
