@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -80,21 +80,20 @@ def make_document(
 class Pool:
     """An ordered collection of documents with a recorded sampling seed.
 
-    Pools are not mutated after construction: ``__post_init__`` checks
-    ``total_tokens`` once, and ``word_index`` is built once.  Changing
-    ``documents`` after ``word_index`` was first read leaves the index
-    stale, and ``factuality.keyword_match`` then misses added documents
-    and returns wrong ones (or raises ``IndexError``) for reordered,
-    replaced or removed ones; use ``replace_documents`` to get a new pool.
+    ``documents`` is stored as a tuple, whatever sequence it was built
+    from, so a pool's membership cannot change in place after ``__post_init__``
+    has checked ``total_tokens``; use ``replace_documents`` to get a new
+    pool.
     """
 
-    documents: list[Document] = field(default_factory=list)
+    documents: tuple[Document, ...] = ()
     total_tokens: int = 0
     seed: int = 0
     label: str = ""
     counter_name: str = WHITESPACE_COUNTER.name
 
     def __post_init__(self) -> None:
+        self.documents = tuple(self.documents)
         expected = sum(d.token_count for d in self.documents)
         if self.total_tokens == 0 and self.documents:
             self.total_tokens = expected
@@ -125,7 +124,7 @@ class Pool:
     def replace_documents(self, documents: list[Document], label: str | None = None) -> "Pool":
         """New pool with the same seed/counter but different membership."""
         return Pool(
-            documents=list(documents),
+            documents=tuple(documents),
             total_tokens=sum(d.token_count for d in documents),
             seed=self.seed,
             label=self.label if label is None else label,

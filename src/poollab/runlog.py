@@ -9,6 +9,7 @@ loss slices from externally produced logs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -78,17 +79,19 @@ class RunRecord:
         if not self.eval_points:
             raise ValidationError(f"{self.dataset_label}: record has no eval points")
         seen = [p.tokens_seen for p in self.eval_points]
-        if any(b < a for a, b in zip(seen, seen[1:])):
+        if seen != sorted(seen):
             raise ValidationError(f"{self.dataset_label}: eval_points not sorted by tokens_seen")
-        for point in self.eval_points:
-            if any(v <= 0 for v in point.losses.values()):
-                raise ValidationError(
-                    f"{self.dataset_label}: non-positive loss at tokens_seen={point.tokens_seen}"
-                )
-        if self.train_tokens < max(seen):
+        if not all(0 < v < math.inf for p in self.eval_points for v in p.losses.values()):
+            point, v = next((p, v) for p in self.eval_points for v in p.losses.values()
+                            if not 0 < v < math.inf)
+            raise ValidationError(
+                f"{self.dataset_label}: {'non-positive' if v <= 0 else 'non-finite'} loss "
+                f"at tokens_seen={point.tokens_seen}"
+            )
+        if self.train_tokens < seen[-1]:
             raise ValidationError(
                 f"{self.dataset_label}: train_tokens {self.train_tokens} < last eval "
-                f"tokens_seen {max(seen)}"
+                f"tokens_seen {seen[-1]}"
             )
 
 
@@ -124,7 +127,14 @@ def best_eval(record: RunRecord, eval_sets: Sequence[str] | None = None) -> floa
     sets = list(eval_sets) if eval_sets else sorted(record.eval_points[0].losses)
     if not sets:
         raise ValidationError("record has no eval sets")
-    return min(point_loss(p, sets) for p in record.eval_points)
+    n_sets = len(sets)
+    try:  # point_loss's arithmetic, without its per-point check for missing sets
+        means = [sum(map(p.losses.__getitem__, sets)) / n_sets for p in record.eval_points]
+    except KeyError:
+        for point in record.eval_points:
+            point_loss(point, sets)  # raises, naming the point and its missing sets
+        raise
+    return min(means)
 
 
 def best_achievable(records: Sequence[RunRecord], eval_sets: Sequence[str] | None = None) -> float:
@@ -166,6 +176,13 @@ def slice_loss(slc: EvalSlice, t: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _point_to_dict(point: EvalPoint) -> dict:
+    if point.benchmarks:
+        return {"tokens_seen": point.tokens_seen, "losses": point.losses,
+                "benchmarks": point.benchmarks}
+    return {"tokens_seen": point.tokens_seen, "losses": point.losses}
+
+
 def record_to_dict(record: RunRecord) -> dict:
     """The record's fields as JSON data, without empty ``benchmarks``.
 
@@ -175,28 +192,33 @@ def record_to_dict(record: RunRecord) -> dict:
     return {
         **vars(record),
         "model": dict(vars(record.model)),
-        "eval_points": [
-            {k: v for k, v in vars(p).items() if k != "benchmarks" or v}
-            for p in record.eval_points
-        ],
+        "eval_points": [_point_to_dict(p) for p in record.eval_points],
     }
 
 
 def record_from_dict(obj: dict) -> RunRecord:
+    """The record of one parsed JSON object; raises ValidationError if malformed.
+
+    When every loss of the record is already a float, the parsed
+    ``losses`` dicts are used as they are; otherwise each is converted
+    to ``{str(set): float(loss)}``.
+    """
     try:
         model = ModelConfig(**obj["model"])
-        eval_points = tuple(
+        points = obj["eval_points"]
+        losses = [p["losses"] for p in points]
+        if any(type(v) is not float for point_losses in losses for v in point_losses.values()):
+            losses = [{str(k): float(v) for k, v in p.items()} for p in losses]
+        eval_points = tuple([
             EvalPoint(
-                tokens_seen=p["tokens_seen"],
-                losses={str(k): float(v) for k, v in p["losses"].items()},
-                benchmarks=(
-                    {str(k): float(v) for k, v in p["benchmarks"].items()}
-                    if p.get("benchmarks")
-                    else None
-                ),
+                p["tokens_seen"],
+                point_losses,
+                {str(k): float(v) for k, v in p["benchmarks"].items()}
+                if p.get("benchmarks")
+                else None,
             )
-            for p in obj["eval_points"]
-        )
+            for p, point_losses in zip(points, losses)
+        ])
         return RunRecord(
             dataset_label=obj["dataset_label"],
             model=model,
@@ -207,7 +229,7 @@ def record_from_dict(obj: dict) -> RunRecord:
             weight_decay=float(obj.get("weight_decay", 0.1)),
             learning_rate=float(obj.get("learning_rate", 5e-3)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed run record: {exc}") from exc
 
 

@@ -161,6 +161,45 @@ def _asymptote_grid(loss_min: float, c_hi: float, losses: np.ndarray, grid_size:
     return np.clip(grid, 0.0, c_hi)
 
 
+def _grid_sse(grid: np.ndarray, losses: np.ndarray, design: np.ndarray, solve: np.ndarray,
+              sse_at) -> np.ndarray:
+    """``sse_at`` at every grid candidate, from one (grid x points) array operation.
+
+    The batched products sum in another order than ``sse_at``'s, so a
+    value can differ from it in the last bits.  A sum of m products, in
+    any order, is within about m*eps/2 of exact relative to the sum of
+    the products' magnitudes.  Those magnitudes are at most ``|y|``
+    plus the fitted values' terms, so each batched residual is within
+    ``resid_err`` of ``sse_at``'s, and each SSE within ``tol``.  Every
+    value whose comparison with a neighbour, or with the smallest
+    value, could flip within ``tol`` is recomputed by ``sse_at``.  The
+    grid-local minima and the first argmin are then exactly those of
+    ``sse_at``; usually only the argmin is recomputed.  The arrays are
+    reused in place to keep the peak memory at two of them.
+    """
+    import numpy as np
+
+    ys = losses - grid[:, None]
+    np.log(ys, out=ys)
+    resid = (ys @ solve.T) @ design.T
+    np.subtract(ys, resid, out=resid)
+    sses = np.einsum("ij,ij->i", resid, resid)
+    m = len(losses)
+    eps = np.finfo(float).eps
+    abs_ys = np.abs(ys, out=ys)
+    term_mag = (abs_ys @ np.abs(solve).T) @ np.abs(design).max(axis=0)
+    resid_err = 8 * m * eps * (abs_ys.max(axis=1) + term_mag)
+    abs_resid_sum = np.abs(resid, out=resid).sum(axis=1)
+    tol = resid_err * (2.0 * abs_resid_sum + m * resid_err) + 4 * m * eps * sses
+    redo = sses - tol <= np.min(sses + tol)
+    unsure = np.abs(np.diff(sses)) <= tol[:-1] + tol[1:]
+    redo[:-1] |= unsure
+    redo[1:] |= unsure
+    for i in np.flatnonzero(redo):
+        sses[i] = sse_at(float(grid[i]))
+    return sses
+
+
 def fit_power_law(points: Sequence[tuple[float, float]], grid_size: int = 33) -> PowerLawFit:
     """Fit ``L(N) = c + a * N**(-b)`` to (N, loss) samples.
 
@@ -171,8 +210,9 @@ def fit_power_law(points: Sequence[tuple[float, float]], grid_size: int = 33) ->
     against log N.  r2 is reported on those log residuals.
 
     Raises:
-        FitError: fewer than 3 points, N not strictly increasing,
-            non-positive losses, or a non-decaying loss sequence.
+        FitError: fewer than 3 points, an N that is not finite and
+            positive, N not strictly increasing, non-positive or
+            non-finite losses, or a non-decaying loss sequence.
     """
     import numpy as np
 
@@ -180,10 +220,14 @@ def fit_power_law(points: Sequence[tuple[float, float]], grid_size: int = 33) ->
         raise FitError(f"power-law fit needs >= 3 points, got {len(points)}")
     n = np.array([p[0] for p in points], dtype=float)
     losses = np.array([p[1] for p in points], dtype=float)
+    if not np.all(np.isfinite(n) & (n > 0)):
+        raise FitError("token counts must be finite and positive")
     if np.any(np.diff(n) <= 0):
         raise FitError("token counts must be strictly increasing")
     if np.any(losses <= 0):
         raise FitError("losses must be positive")
+    if not np.all(np.isfinite(losses)):
+        raise FitError("losses must be finite")
     if np.all(np.diff(losses) >= 0):
         raise FitError("losses are not decaying; cannot fit a decreasing power law")
 
@@ -204,15 +248,14 @@ def fit_power_law(points: Sequence[tuple[float, float]], grid_size: int = 33) ->
         best_c = 0.0
     else:
         grid = _asymptote_grid(loss_min, c_hi, losses, grid_size)
-        sses = np.array([sse_at(float(c)) for c in grid])
+        sses = _grid_sse(grid, losses, design, solve, sse_at)
         candidates = [float(grid[int(np.argmin(sses))])]
-        for i in range(len(grid)):
-            left = sses[i - 1] if i > 0 else math.inf
-            right = sses[i + 1] if i + 1 < len(grid) else math.inf
-            if sses[i] <= left and sses[i] <= right:
-                lo = float(grid[max(i - 1, 0)])
-                hi = float(grid[min(i + 1, len(grid) - 1)])
-                candidates.append(_golden_section_min(sse_at, lo, hi, tol=1e-10))
+        padded = np.concatenate(([math.inf], sses, [math.inf]))
+        local_min = (sses <= padded[:-2]) & (sses <= padded[2:])
+        for i in np.flatnonzero(local_min):
+            lo = float(grid[max(i - 1, 0)])
+            hi = float(grid[min(i + 1, len(grid) - 1)])
+            candidates.append(_golden_section_min(sse_at, lo, hi, tol=1e-10))
         best_c = min(candidates, key=sse_at)
 
     y = np.log(losses - best_c)

@@ -288,6 +288,47 @@ class TestRunAnalysis:
         write_rows(reference, CROSSING_COLUMNS, expected)
         assert out.read_bytes() == reference.read_bytes()
 
+    @staticmethod
+    def rewrite_cc_record(runs_file, tmp_path, edit):
+        objs = [json.loads(line) for line in runs_file.read_text(encoding="utf-8").splitlines()]
+        edit(next(o for o in objs if o["dataset_label"] == "cc"))
+        path = tmp_path / "edited.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["ingest", "report", "crossing"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_loss_exits_one(self, tmp_path, runs_file, capfd, command, bad):
+        def edit(obj):
+            obj["eval_points"][2]["losses"]["avg"] = bad  # written as NaN / Infinity
+
+        runs = self.rewrite_cc_record(runs_file, tmp_path, edit)
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "ingest": ["ingest", "--runs", runs, "--validate-only"],
+            "report": ["report", "--runs", runs, "--output", out],
+            "crossing": ["crossing", "--runs", runs, "--pool-label", "cc",
+                         "--filtered-label", "rw", "--output", out],
+        }[command]
+        assert dispatch(argv) == 1
+        err = capfd.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            err.rstrip().splitlines()[-1]
+        ]
+        assert "non-finite loss at tokens_seen=8" in err and "Traceback" not in err
+
+    def test_tokens_seen_zero_in_extrapolated_cell_exits_one(self, tmp_path, runs_file, capfd):
+        def edit(obj):
+            obj["eval_points"].insert(0, {"tokens_seen": 0, "losses": {"avg": 9.0}})
+
+        runs = self.rewrite_cc_record(runs_file, tmp_path, edit)
+        assert dispatch(["ingest", "--runs", runs, "--validate-only"]) == 0
+        capfd.readouterr()
+        assert dispatch(["crossing", "--runs", runs, "--pool-label", "cc", "--filtered-label",
+                         "rw", "--output", str(tmp_path / "out.csv")]) == 1
+        # captured at the file descriptor, so LAPACK's own stderr lines would show here
+        assert capfd.readouterr().err == "error: token counts must be finite and positive\n"
+
 
 def write_crossings_csv(path, world):
     fields = ["model_params", "pool_tokens", "crossing_tokens", "epochs_at_cross",

@@ -91,6 +91,30 @@ class TestSamplePool:
 
 
 class TestPoolInvariants:
+    def test_documents_stored_as_tuple(self, ten_token_docs):
+        docs = ten_token_docs[:3]
+        from_list = Pool(documents=docs, seed=2, label="p")
+        from_tuple = Pool(documents=tuple(docs), seed=2, label="p")
+        assert from_list == from_tuple
+        assert type(from_list.documents) is tuple and from_list.documents == tuple(docs)
+        docs.append(ten_token_docs[3])  # the caller's list is not the pool's
+        assert len(from_list) == 3
+        assert type(from_list.replace_documents(docs).documents) is tuple
+
+    def test_write_pool_bytes(self, tmp_path):
+        pool = Pool(documents=[make_document("a", "one two"),
+                               make_document("b", "drei", DocumentSource.RANDOM_JUNK)],
+                    seed=5, label="demo")
+        write_pool(tmp_path / "p.jsonl", pool)
+        assert (tmp_path / "p.jsonl").read_bytes() == (
+            b'{"id": "a", "text": "one two", "source": "pool"}\n'
+            b'{"id": "b", "text": "drei", "source": "random_junk"}\n'
+        )
+        assert json.loads((tmp_path / "p.jsonl.header.json").read_text()) == {
+            "label": "demo", "seed": 5, "total_tokens": 3, "counter_name": "whitespace",
+        }
+        assert read_pool(tmp_path / "p.jsonl") == pool
+
     def test_total_must_match_members(self, ten_token_docs):
         with pytest.raises(ValidationError):
             Pool(documents=ten_token_docs[:2], total_tokens=5)

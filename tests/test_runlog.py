@@ -1,7 +1,9 @@
 import json
+import math
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poollab import (
     EvalPoint,
@@ -20,7 +22,7 @@ from poollab import (
     slice_loss,
     write_run_log,
 )
-from poollab.runlog import record_to_dict
+from poollab.runlog import point_loss, record_to_dict
 
 TINY = ModelConfig(
     name="tiny",
@@ -109,8 +111,31 @@ class TestBestEval:
         assert best_eval(r, ["a"]) == 3.0
 
     def test_missing_set_is_error(self):
-        with pytest.raises(ValidationError, match="missing"):
+        with pytest.raises(ValidationError) as exc:
             best_eval(record(eval_sets=("c4",)), ["c4", "fineweb"])
+        assert str(exc.value) == "eval point at tokens_seen=1000000000 missing sets ['fineweb']"
+
+    def test_missing_set_at_a_later_point_names_that_point(self):
+        r = RunRecord(
+            dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=100,
+            eval_points=(EvalPoint(tokens_seen=50, losses={"a": 3.0, "b": 4.0}),
+                         EvalPoint(tokens_seen=100, losses={"a": 2.0})),
+        )
+        with pytest.raises(ValidationError) as exc:
+            best_eval(r)
+        assert str(exc.value) == "eval point at tokens_seen=100 missing sets ['b']"
+
+    @given(st.lists(st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=3), min_size=1,
+                    max_size=8),
+           st.sampled_from([None, ["a"], ["c", "a"], ["b", "c", "a"]]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_min_of_point_losses_exactly(self, rows, sets):
+        points = tuple(EvalPoint(tokens_seen=i, losses=dict(zip("abc", row)))
+                       for i, row in enumerate(rows))
+        r = RunRecord(dataset_label="cc", model=TINY, train_tokens=len(rows), pool_tokens=1,
+                      eval_points=points)
+        expected = min(point_loss(p, sets or ["a", "b", "c"]) for p in points)
+        assert best_eval(r, sets) == expected
 
 
 class TestBestAchievable:
@@ -214,6 +239,20 @@ class TestValidation:
                 eval_points=(EvalPoint(tokens_seen=50, losses={"c4": 0.0}),),
             )
 
+    @pytest.mark.parametrize("bad,kind", [
+        (0.0, "non-positive"), (-1.0, "non-positive"), (-math.inf, "non-positive"),
+        (math.inf, "non-finite"), (math.nan, "non-finite"),
+    ])
+    def test_bad_loss_message_names_first_bad_point(self, bad, kind):
+        with pytest.raises(ValidationError) as exc:
+            RunRecord(
+                dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=10,
+                eval_points=(EvalPoint(tokens_seen=20, losses={"c4": 3.0, "fw": 2.0}),
+                             EvalPoint(tokens_seen=50, losses={"c4": 2.9, "fw": bad}),
+                             EvalPoint(tokens_seen=80, losses={"c4": -1.0, "fw": 1.0})),
+            )
+        assert str(exc.value) == f"cc: {kind} loss at tokens_seen=50"
+
     def test_train_tokens_below_last_eval(self):
         with pytest.raises(ValidationError, match="train_tokens"):
             RunRecord(
@@ -291,3 +330,82 @@ class TestSerialization:
         assert [e.lineno for e in errors] == [2, 3]
         with pytest.raises(ValidationError, match="line 2"):
             load_run_log(path)
+
+    def test_int_and_string_losses_equal_float_twins(self, tmp_path):
+        def line(losses, benchmarks):
+            obj = {
+                "dataset_label": "cc", "model": asdict(TINY), "train_tokens": 100,
+                "pool_tokens": 10,
+                "eval_points": [{"tokens_seen": 50, "losses": {"c4": 4.0, "fw": 5.0}},
+                                {"tokens_seen": 100, "losses": losses,
+                                 "benchmarks": benchmarks}],
+            }
+            return json.dumps(obj)
+
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join([
+            line({"c4": 3.0, "fw": 2.0}, {"arc": 1.0}),
+            line({"c4": 3, "fw": 2}, {"arc": 1}),
+            line({"c4": "3", "fw": "2.0"}, {"arc": "1"}),
+            line({"c4": 3.0, "fw": 2}, {"arc": 1.0}),
+        ]) + "\n", encoding="utf-8")
+        twin, *others = load_run_log(path)
+        assert others == [twin, twin, twin]
+        for rec in others:
+            for point in rec.eval_points:
+                assert all(type(v) is float for v in point.losses.values())
+                assert all(type(v) is float for v in (point.benchmarks or {}).values())
+
+    @pytest.mark.parametrize("field", ["losses", "benchmarks"])
+    def test_parse_rejects_non_object_losses(self, tmp_path, field):
+        point = {"tokens_seen": 100, "losses": {"c4": 3.0}, field: [3.0]}
+        obj = {"dataset_label": "cc", "model": asdict(TINY), "train_tokens": 100,
+               "pool_tokens": 10, "eval_points": [point]}
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        records, errors = parse_run_log(path)
+        assert records == [] and [e.lineno for e in errors] == [1]
+        assert errors[0].message.startswith("malformed run record: ")
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity"])
+    def test_parse_rejects_non_finite_loss(self, tmp_path, text):
+        obj = {"dataset_label": "cc", "model": asdict(TINY), "train_tokens": 100,
+               "pool_tokens": 10, "eval_points": [{"tokens_seen": 100, "losses": {"c4": 3.0}}]}
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(obj).replace("3.0", text) + "\n", encoding="utf-8")
+        records, errors = parse_run_log(path)
+        assert records == []
+        assert [e.message for e in errors] == ["cc: non-finite loss at tokens_seen=100"]
+
+    def test_write_run_log_bytes(self, tmp_path):
+        records = [
+            RunRecord(
+                dataset_label="rw", model=TINY, train_tokens=2**20, pool_tokens=87_000_000,
+                eval_points=(
+                    EvalPoint(tokens_seen=2**19, losses={"fw": 2.5, "c4": 3.123456789012345},
+                              benchmarks={"arc_easy": 0.4031}),
+                    EvalPoint(tokens_seen=2**20, losses={"c4": 3.0, "fw": 2.25}, benchmarks={}),
+                ),
+                weight_decay=0.3,
+            ),
+            RunRecord(dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=10,
+                      eval_points=(EvalPoint(tokens_seen=100, losses={"c4": 3.5}),)),
+        ]
+        model = (
+            '"model": {"ffn_dim": 512, "head_dim": 16, "heads": 8, "hidden_dim": 128, '
+            '"layers": 8, "name": "tiny", "non_embedding_params": 2099328, '
+            '"total_params": 1000000000, "vocab_size": 1000}'
+        )
+        expected = (
+            '{"batch_tokens": 524288, "dataset_label": "rw", "eval_points": ['
+            '{"benchmarks": {"arc_easy": 0.4031}, "losses": {"c4": 3.123456789012345, '
+            '"fw": 2.5}, "tokens_seen": 524288}, {"losses": {"c4": 3.0, "fw": 2.25}, '
+            '"tokens_seen": 1048576}], "learning_rate": 0.005, ' + model + ', '
+            '"pool_tokens": 87000000, "train_tokens": 1048576, "weight_decay": 0.3}\n'
+            '{"batch_tokens": 524288, "dataset_label": "cc", "eval_points": ['
+            '{"losses": {"c4": 3.5}, "tokens_seen": 100}], "learning_rate": 0.005, '
+            + model + ', "pool_tokens": 10, "train_tokens": 100, "weight_decay": 0.1}\n'
+        )
+        path = tmp_path / "runs.jsonl"
+        write_run_log(path, records)
+        assert path.read_bytes() == expected.encode("utf-8")

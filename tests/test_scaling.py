@@ -21,7 +21,14 @@ from poollab import (
     pareto_frontier,
 )
 from poollab.io import read_json, write_json
-from poollab.scaling import QuadFit, ThresholdLaw
+from poollab.scaling import (
+    PowerLawFit,
+    QuadFit,
+    ThresholdLaw,
+    _asymptote_grid,
+    _golden_section_min,
+    _loglog_regression,
+)
 
 from worldgen import bisect_root, curve_run, planted_threshold_world, qeval
 
@@ -81,7 +88,135 @@ class TestParetoFrontier:
             assert dominated_or_member
 
 
+def reference_fit_power_law(points, grid_size=33):
+    """The fit as first written: the scalar ``sse_at`` at every grid candidate, one by one."""
+    if len(points) < 3:
+        raise FitError(f"power-law fit needs >= 3 points, got {len(points)}")
+    n = np.array([p[0] for p in points], dtype=float)
+    losses = np.array([p[1] for p in points], dtype=float)
+    if np.any(np.diff(n) <= 0):
+        raise FitError("token counts must be strictly increasing")
+    if np.any(losses <= 0):
+        raise FitError("losses must be positive")
+    if np.all(np.diff(losses) >= 0):
+        raise FitError("losses are not decaying; cannot fit a decreasing power law")
+
+    log_n = np.log(n)
+    design = np.column_stack([np.ones_like(log_n), log_n])
+    solve = np.linalg.pinv(design)
+
+    def sse_at(c):
+        y = np.log(losses - c)
+        coef = solve @ y
+        resid = y - design @ coef
+        return float(resid @ resid)
+
+    loss_min = float(losses.min())
+    c_hi = loss_min - 1e-9 * max(1.0, abs(loss_min))
+    if c_hi <= 0.0:
+        best_c = 0.0
+    else:
+        grid = _asymptote_grid(loss_min, c_hi, losses, grid_size)
+        sses = np.array([sse_at(float(c)) for c in grid])
+        candidates = [float(grid[int(np.argmin(sses))])]
+        for i in range(len(grid)):
+            left = sses[i - 1] if i > 0 else math.inf
+            right = sses[i + 1] if i + 1 < len(grid) else math.inf
+            if sses[i] <= left and sses[i] <= right:
+                lo = float(grid[max(i - 1, 0)])
+                hi = float(grid[min(i + 1, len(grid) - 1)])
+                candidates.append(_golden_section_min(sse_at, lo, hi, tol=1e-10))
+        best_c = min(candidates, key=sse_at)
+
+    y = np.log(losses - best_c)
+    intercept, slope, sse, sst = _loglog_regression(log_n, y)
+    b = -slope
+    if b <= 0:
+        raise FitError("fitted exponent is not positive; losses are not decaying")
+    r2 = 1.0 - sse / sst if sst > 0 else 1.0
+    return PowerLawFit(a=float(np.exp(intercept)), b=b, c=best_c, r2=r2, n_points=len(points))
+
+
+def fit_outcome(fit, points):
+    """The fit, or the type and message of the FitError it raised."""
+    try:
+        return fit(points)
+    except FitError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def power_law_points(draw):
+    """(N, loss) samples that stress the asymptote search.
+
+    Curves ``c + a*N^-b`` with relative noise, near-zero and tiny
+    asymptotes (down to the ``c_hi <= 0`` branch), plateaus where the
+    loss repeats, near-constant curves whose grid SSEs differ only in
+    the last bits, and raw positive values that may not decay at all.
+    """
+    size = draw(st.integers(min_value=3, max_value=12))
+    exps = sorted(draw(st.lists(st.floats(0.0, 12.0), min_size=size, max_size=size, unique=True)))
+    tokens = sorted({float(round(10.0 ** e)) for e in exps})
+    kind = draw(st.sampled_from(["curve", "zero_asymptote", "tiny", "plateau", "flat", "raw"]))
+    if kind == "raw":
+        floats = st.floats(1e-3, 10.0, allow_nan=False)
+        losses = draw(st.lists(floats, min_size=len(tokens), max_size=len(tokens)))
+    else:
+        a = draw(st.floats(1e-3, 50.0))
+        b = draw(st.floats(0.05, 1.5))
+        c = 0.0 if kind == "zero_asymptote" else draw(st.floats(0.0, 5.0))
+        scale = 1e-12 if kind == "tiny" else 1.0
+        noise = draw(st.lists(st.floats(-0.02, 0.02), min_size=len(tokens),
+                              max_size=len(tokens)))
+        if kind == "zero_asymptote":
+            noise = [0.0] * len(tokens)
+        losses = [scale * (c + a * x**-b) * (1.0 + e) for x, e in zip(tokens, noise)]
+        if kind == "flat":  # 1 + a tiny decay: SSE differences near rounding
+            tiny = 10.0 ** draw(st.floats(-16.0, -9.0))
+            losses = [1.0 + c + tiny * (loss - c) for loss in losses]
+        if kind == "plateau":  # repeat stretches of the curve exactly
+            step = draw(st.integers(min_value=2, max_value=4))
+            losses = [losses[i - i % step] for i in range(len(losses))]
+    return list(zip(tokens, losses))
+
+
 class TestFitPowerLaw:
+    @given(power_law_points())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_reference_exactly(self, points):
+        # the batched grid SSE must pick exactly the candidates, and so the
+        # fit, of the scalar loop; errors must be the same FitError
+        assert fit_outcome(fit_power_law, points) == fit_outcome(reference_fit_power_law, points)
+
+    def test_equals_scalar_reference_on_flat_and_tiny_curves(self):
+        n = [10.0**e for e in range(1, 9)]
+        cases = [
+            [(x, 3.0 * x**-1.0) for x in n],  # exact power law: SSE is rounding noise near c=0
+            [(x, 1e-10 * (1.0 + x**-0.5)) for x in n],  # c_hi <= 0
+            [(x, 2.0 + 1e-14 * x**-0.5) for x in n],  # grid SSEs differ in the last bits
+            [(x, loss) for x, loss in zip(n, [4.0, 4.0, 3.0, 3.0, 3.0, 2.5, 2.5, 2.5])],
+        ]
+        for points in cases:
+            assert fit_outcome(fit_power_law, points) == fit_outcome(
+                reference_fit_power_law, points
+            )
+
+    @pytest.mark.parametrize("tokens", [
+        [0.0, 10.0, 100.0, 1000.0],
+        [-10.0, 10.0, 100.0, 1000.0],
+        [10.0, 100.0, 1000.0, math.inf],
+        [math.nan, 10.0, 100.0, 1000.0],
+    ])
+    def test_tokens_must_be_finite_and_positive(self, tokens):
+        points = [(x, loss) for x, loss in zip(tokens, [4.0, 3.0, 2.5, 2.2])]
+        with pytest.raises(FitError, match="token counts must be finite and positive"):
+            fit_power_law(points)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_losses_must_be_finite(self, bad):
+        with pytest.raises(FitError, match="losses must be finite"):
+            fit_power_law([(10.0, bad), (100.0, 3.0), (1000.0, 2.5), (10000.0, 2.2)])
+
     def test_recovers_saturating_curve(self):
         n = np.logspace(2, 6, 12)
         fit = fit_power_law([(x, 2.0 + 5.0 * x**-0.5) for x in n])
