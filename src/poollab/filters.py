@@ -14,10 +14,13 @@ from __future__ import annotations
 import math
 import re
 import string
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
+from operator import sub
+from threading import Lock
 from typing import Callable, Sequence
 
 from .corpus import WORD_RE, Document, Pool
@@ -42,6 +45,8 @@ GOPHER_REPETITION_THRESHOLDS = {
 }
 
 REPETITION_GRANULARITIES = tuple(GOPHER_REPETITION_THRESHOLDS)
+
+_NONSPACE_RE = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,15 @@ def repetition_fractions(doc: Document) -> dict[str, float]:
 
     Word spans include the whitespace between the words of an n-gram; an
     empty document yields all zeros.
+
+    The n-grams are counted in one pass that grows n from 2 to 10.  Words
+    are interned to integer ids, and the id of the n-gram at a position
+    is looked up from the pair (id of the (n-1)-gram there, id of the
+    n-th word).  Only positions whose (n-1)-gram occurs at least twice
+    are extended, since an n-gram can repeat only if its prefix does.
+    When no n-gram repeats, the top n-gram fraction is the longest single
+    n-word span.  Coverage is the length of the union of character spans,
+    so every fraction equals the brute-force count exactly.
     """
     text = doc.text
     out: dict[str, float] = {}
@@ -231,43 +245,63 @@ def repetition_fractions(doc: Document) -> dict[str, float]:
     paragraphs = [p for p in re.split(r"\n\s*\n", text) if p.strip()]
     out["duplicate_paragraph"] = _dedup_fraction(paragraphs)
 
-    word_spans = [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
-    words = [text[s:e] for s, e in word_spans]
+    text_len = len(text)
+    starts: list[int] = []
+    ends: list[int] = []
+    word_ids: list[int] = []
+    vocab: dict[str, int] = {}
+    for m in _NONSPACE_RE.finditer(text):
+        starts.append(m.start())
+        ends.append(m.end())
+        word_ids.append(vocab.setdefault(m.group(), len(vocab)))
+    n_words = len(word_ids)
 
-    for n in range(2, 5):
-        out[f"top_{n}gram"] = _top_ngram_fraction(words, word_spans, n, len(text))
-    for n in range(5, 11):
-        out[f"dup_{n}gram"] = _dup_ngram_fraction(words, word_spans, n, len(text))
+    # Positions whose current (n-1)-gram occurs at least twice, with its id.
+    counts = Counter(word_ids)
+    positions = [i for i, w in enumerate(word_ids) if counts[w] > 1]
+    gram_ids = [word_ids[i] for i in positions]
+    for n in range(2, 11):
+        last = n - 1
+        pair_ids: dict[tuple[int, int], int] = {}
+        # Positions ascend, so those too near the end for n words are a
+        # suffix, and zip below pairs the rest with their ids.
+        positions = [i for i in positions if i + last < n_words]
+        gram_ids = [
+            pair_ids.setdefault((g, word_ids[i + last]), len(pair_ids))
+            for i, g in zip(positions, gram_ids)
+        ]
+        counts = Counter(gram_ids)
+        repeated = [(i, g) for i, g in zip(positions, gram_ids) if counts[g] > 1]
+        if n <= 4:
+            out[f"top_{n}gram"] = _top_fraction(repeated, counts, starts, ends, last, text_len)
+        else:
+            spans = [(starts[i], ends[i + last]) for i, _ in repeated]
+            out[f"dup_{n}gram"] = _covered_fraction(spans, text_len)
+        positions = [i for i, _ in repeated]
+        gram_ids = [g for _, g in repeated]
     return out
 
 
-def _ngram_occurrences(
-    words: list[str], spans: list[tuple[int, int]], n: int
-) -> dict[tuple[str, ...], list[tuple[int, int]]]:
-    occurrences: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-    for i in range(len(words) - n + 1):
-        gram = tuple(words[i : i + n])
-        occurrences.setdefault(gram, []).append((spans[i][0], spans[i + n - 1][1]))
-    return occurrences
-
-
-def _top_ngram_fraction(
-    words: list[str], spans: list[tuple[int, int]], n: int, text_len: int
+def _top_fraction(
+    repeated: list[tuple[int, int]],
+    counts: Counter[int],
+    starts: list[int],
+    ends: list[int],
+    last: int,
+    text_len: int,
 ) -> float:
-    occurrences = _ngram_occurrences(words, spans, n)
-    if not occurrences:
+    # ``repeated`` holds every (position, n-gram id) whose n-gram occurs at
+    # least twice; n-grams absent from it occur once.
+    if len(ends) <= last:
         return 0.0
-    top_count = max(len(v) for v in occurrences.values())
-    candidates = [v for v in occurrences.values() if len(v) == top_count]
-    return max(_covered_fraction(v, text_len) for v in candidates)
-
-
-def _dup_ngram_fraction(
-    words: list[str], spans: list[tuple[int, int]], n: int, text_len: int
-) -> float:
-    occurrences = _ngram_occurrences(words, spans, n)
-    duplicated = [span for v in occurrences.values() if len(v) >= 2 for span in v]
-    return _covered_fraction(duplicated, text_len)
+    if not repeated:
+        return max(map(sub, ends[last:], starts)) / text_len
+    top_count = max(counts.values())
+    occurrences: dict[int, list[tuple[int, int]]] = {}
+    for i, g in repeated:
+        if counts[g] == top_count:
+            occurrences.setdefault(g, []).append((starts[i], ends[i + last]))
+    return max(_covered_fraction(spans, text_len) for spans in occurrences.values())
 
 
 def repetition_filter(doc: Document, cfg: FilterConfig) -> FilterOutcome:
@@ -376,6 +410,22 @@ def quality_stage(scorer: DocumentScorer, keep_fraction: float) -> PipelineStage
     )
 
 
+def _score_once(scorer: DocumentScorer) -> DocumentScorer:
+    # Misses are scored under the lock, so "once per distinct text" holds
+    # under threads too; hits read the dict without it.
+    scores: dict[str, float] = {}
+    lock = Lock()
+
+    def score(text: str) -> float:
+        if text not in scores:
+            with lock:
+                if text not in scores:
+                    scores[text] = scorer.score(text)
+        return scores[text]
+
+    return DocumentScorer(name=scorer.name, score=score)
+
+
 #: Stage lineups for the two composite filters: the heuristic-cleaning
 #: lineup, and that plus dedup + quality-classifier cut.
 REFINEDWEB_STAGES = ("english", "repetition", "stopword")
@@ -387,8 +437,13 @@ def build_stages(
     cfg: FilterConfig,
     scorer: DocumentScorer | None = None,
 ) -> list[PipelineStage]:
-    """Instantiate stages by name using ``cfg`` thresholds and ``scorer``."""
-    scorer = scorer or builtin_english_scorer()
+    """Instantiate stages by name using ``cfg`` thresholds and ``scorer``.
+
+    The ``english`` and ``quality`` stages share one scorer that scores
+    each distinct text once for the lifetime of the returned stages, so
+    ``quality`` does not rescore what ``english`` already scored.
+    """
+    scorer = _score_once(scorer or builtin_english_scorer())
     factories: dict[str, Callable[[], PipelineStage]] = {
         "english": lambda: english_stage(scorer, cfg.english_threshold),
         "repetition": lambda: repetition_stage(cfg),

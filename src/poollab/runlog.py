@@ -118,6 +118,18 @@ def point_loss(point: EvalPoint, eval_sets: Sequence[str]) -> float:
     return sum(point.losses[s] for s in eval_sets) / len(eval_sets)
 
 
+def point_losses(points: Sequence[EvalPoint], eval_sets: Sequence[str]) -> list[float]:
+    """:func:`point_loss` of each point, without its per-point check for
+    missing sets: the first point missing a set is named only on failure."""
+    n_sets = len(eval_sets)
+    try:
+        return [sum(map(p.losses.__getitem__, eval_sets)) / n_sets for p in points]
+    except KeyError:
+        for point in points:
+            point_loss(point, eval_sets)  # raises, naming the point and its missing sets
+        raise
+
+
 def best_eval(record: RunRecord, eval_sets: Sequence[str] | None = None) -> float:
     """Best-checkpoint loss: min over eval points of the mean across sets.
 
@@ -127,14 +139,7 @@ def best_eval(record: RunRecord, eval_sets: Sequence[str] | None = None) -> floa
     sets = list(eval_sets) if eval_sets else sorted(record.eval_points[0].losses)
     if not sets:
         raise ValidationError("record has no eval sets")
-    n_sets = len(sets)
-    try:  # point_loss's arithmetic, without its per-point check for missing sets
-        means = [sum(map(p.losses.__getitem__, sets)) / n_sets for p in record.eval_points]
-    except KeyError:
-        for point in record.eval_points:
-            point_loss(point, sets)  # raises, naming the point and its missing sets
-        raise
-    return min(means)
+    return min(point_losses(record.eval_points, sets))
 
 
 def best_achievable(records: Sequence[RunRecord], eval_sets: Sequence[str] | None = None) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import FitError, NoRootError, ValidationError
-from .runlog import ModelConfig, RunRecord, best_achievable, point_loss
+from .runlog import ModelConfig, RunRecord, best_achievable, point_losses
 
 if TYPE_CHECKING:
     import numpy as np
@@ -307,8 +307,7 @@ def _loss_curve(
     """(tokens_seen, mean loss) over all eval points; duplicates take the min."""
     by_tokens: dict[int, float] = {}
     for record in runs:
-        for point in record.eval_points:
-            loss = point_loss(point, eval_sets)
+        for point, loss in zip(record.eval_points, point_losses(record.eval_points, eval_sets)):
             prev = by_tokens.get(point.tokens_seen)
             by_tokens[point.tokens_seen] = loss if prev is None else min(prev, loss)
     return sorted(by_tokens.items())
@@ -356,7 +355,13 @@ def crossing_point(
             observed=True,
         )
 
-    fit = fit_power_law(curve)
+    try:
+        fit = fit_power_law(curve)
+    except FitError as exc:
+        raise FitError(
+            f"crossing fit for cell (model_params={model_params}, "
+            f"pool_tokens={pool_tokens}): {exc}"
+        ) from exc
     if fit.c < target:
         return CrossingPoint(
             model_params=model_params,

@@ -327,7 +327,10 @@ class TestRunAnalysis:
         assert dispatch(["crossing", "--runs", runs, "--pool-label", "cc", "--filtered-label",
                          "rw", "--output", str(tmp_path / "out.csv")]) == 1
         # captured at the file descriptor, so LAPACK's own stderr lines would show here
-        assert capfd.readouterr().err == "error: token counts must be finite and positive\n"
+        assert capfd.readouterr().err == (
+            "error: crossing fit for cell (model_params=15009920, pool_tokens=1000): "
+            "token counts must be finite and positive\n"
+        )
 
 
 def write_crossings_csv(path, world):

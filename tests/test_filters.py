@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,9 +25,20 @@ from poollab import (
     run_pipeline,
     stopword_filter,
 )
-from poollab.filters import GOPHER_REPETITION_THRESHOLDS, REPETITION_GRANULARITIES
+from poollab.filters import (
+    DCLM_STAGES,
+    GOPHER_REPETITION_THRESHOLDS,
+    REPETITION_GRANULARITIES,
+    dedup_stage,
+    english_stage,
+    quality_stage,
+    repetition_stage,
+    stopword_stage,
+)
 
 import oracle_recount
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def doc(text, doc_id="d0"):
@@ -144,6 +158,55 @@ class TestRepetitionFractions:
     @settings(max_examples=200, deadline=None)
     def test_equals_oracle_recount_exactly(self, text):
         # A few short words, so n-grams repeat, overlap and tie on count.
+        assert repetition_fractions(doc(text)) == oracle_recount.repetition_fractions(text)
+
+    @pytest.mark.parametrize("text", [
+        # occurrences of different repeated n-grams interleave, so no
+        # n-gram's occurrences form one run in text order
+        "a a a a a b b b b b a a a a a b b b b b",
+        "q r s t u v w x y z k q r s t u v w x y z m k",
+        "c d e f g h c d e f g h x a b a b c d e f g h",
+        # duplicated 10-grams that overlap themselves
+        "t " * 25,
+        "one two three four five six one two three four five six seven one two three four five six",
+    ])
+    def test_duplicates_out_of_text_order(self, text):
+        assert repetition_fractions(doc(text)) == oracle_recount.repetition_fractions(text)
+
+    def test_top_count_one_above_repeated_2grams(self):
+        # "x yy" occurs twice; no 3-gram or 4-gram repeats, so those top
+        # fractions are the longest single span: "x yy zzzz", "yy x yy zzzz"
+        text = "x yy x yy zzzz"
+        fractions = repetition_fractions(doc(text))
+        assert fractions == oracle_recount.repetition_fractions(text)
+        assert fractions["top_2gram"] == 8 / 14
+        assert fractions["top_3gram"] == 9 / 14
+        assert fractions["top_4gram"] == 12 / 14
+        assert fractions["dup_5gram"] == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_texts_around_n_words(self, n, repeat):
+        for count in (0, 1, n - 1, n):
+            words = ["w"] * count if repeat else [f"w{i}" * (1 + i % 3) for i in range(count)]
+            text = "  ".join(words) + "\n"
+            assert repetition_fractions(doc(text)) == oracle_recount.repetition_fractions(text)
+
+    @given(
+        st.integers(min_value=2, max_value=30).flatmap(
+            lambda k: st.lists(
+                st.tuples(
+                    st.sampled_from([f"w{i}" * (1 + i % 3) for i in range(k)]),
+                    st.sampled_from([" ", " ", " ", "  ", "\t", "\n", "\n\n"]),
+                ),
+                max_size=90,
+            )
+        ).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_oracle_recount_on_small_vocabularies(self, text):
+        # 2 to 30 distinct words: long repeated runs beside n-grams that
+        # occur once, so the prefix pruning and count ties are exercised
         assert repetition_fractions(doc(text)) == oracle_recount.repetition_fractions(text)
 
     @given(st.text(alphabet="ab \n", max_size=120))
@@ -304,6 +367,43 @@ class TestPipeline:
         par = run_pipeline(pool, stages(), threads=4)
         assert [d.id for d in seq.pool.documents] == [d.id for d in par.pool.documents]
         assert seq.stats_rows() == par.stats_rows()
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_each_text_scored_once(self, threads):
+        base = oracle_recount.load_fixture(DATA_DIR / "corpus_1k.jsonl")[:120]
+        # every third text three times in a row under new ids, so threads
+        # score duplicates at once and quality reranks what english scored
+        docs = [doc(t, f"{i}-{k}") for n, (i, t) in enumerate(base)
+                for k in range(1 if n % 3 else 3)]
+        pool = Pool(documents=docs)
+        scored = []
+
+        def count(text):
+            scored.append(text)  # list.append is atomic, so safe across threads
+            time.sleep(0)  # yield mid-score, as a scorer waiting on I/O would
+            return builtin_english_scorer().score(text)
+
+        cfg = FilterConfig(quality_keep_fraction=0.5)
+        stages = build_stages(DCLM_STAGES, cfg, DocumentScorer("counting", count))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a racy cache scores twice
+        try:
+            cached = run_pipeline(pool, stages, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(scored) == sorted({d.text for d in docs})
+
+        plain = builtin_english_scorer()
+        uncached = run_pipeline(pool, [
+            english_stage(plain, cfg.english_threshold),
+            repetition_stage(cfg),
+            stopword_stage(cfg),
+            dedup_stage(),
+            quality_stage(plain, cfg.quality_keep_fraction),
+        ], threads)
+        assert cached.stats_rows() == uncached.stats_rows()
+        assert cached.pool.documents == uncached.pool.documents
+        assert 0 < len(cached.pool) < len(pool)
 
     def test_empty_stage_list_rejected(self, small_pool):
         with pytest.raises(ConfigError):

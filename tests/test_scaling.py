@@ -21,12 +21,14 @@ from poollab import (
     pareto_frontier,
 )
 from poollab.io import read_json, write_json
+from poollab.runlog import EvalPoint, RunRecord, point_loss
 from poollab.scaling import (
     PowerLawFit,
     QuadFit,
     ThresholdLaw,
     _asymptote_grid,
     _golden_section_min,
+    _loss_curve,
     _loglog_regression,
 )
 
@@ -336,6 +338,14 @@ class TestCrossingPoint:
         with pytest.raises(ValidationError):
             crossing_point(pool, filtered, TINY.total_params, 1000)
 
+    def test_failed_fit_names_the_cell(self):
+        grid = [2, 4, 8, 16]
+        pool = [curve_run("cc", TINY, 1000, -1.0, 0.5, 3.0, tokens_grid=grid)]  # rising
+        filtered = [curve_run("rw", TINY, 1000, 1e-9, 0.5, 2.0, tokens_grid=grid)]
+        with pytest.raises(FitError, match=r"^crossing fit for cell \(model_params=1000000, "
+                                           r"pool_tokens=1000\): losses are not decaying"):
+            crossing_point(pool, filtered, TINY.total_params, 1000)
+
     def test_extreme_epoch_flag(self):
         cp = CrossingPoint(
             model_params=1, pool_tokens=1000, crossing_tokens=130_000.0, observed=False
@@ -345,6 +355,41 @@ class TestCrossingPoint:
             model_params=1, pool_tokens=1000, crossing_tokens=121_600.0, observed=False
         )
         assert not cp2.extreme_epochs
+
+
+@st.composite
+def eval_runs(draw):
+    """Runs over three eval sets whose tokens_seen collide within and across runs."""
+    losses = st.floats(min_value=1e-3, max_value=20.0)
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        seen = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=8)))
+        points = tuple(
+            EvalPoint(tokens_seen=n, losses={s: draw(losses) for s in "abc"}) for n in seen
+        )
+        runs.append(RunRecord(dataset_label="cc", model=TINY, train_tokens=seen[-1],
+                              pool_tokens=1000, eval_points=points))
+    return runs, draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+
+
+class TestLossCurve:
+    @given(eval_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_point_reference(self, case):
+        runs, sets = case
+        by_tokens = {}
+        for record in runs:
+            for point in record.eval_points:
+                loss = point_loss(point, sets)
+                by_tokens[point.tokens_seen] = min(by_tokens.get(point.tokens_seen, loss), loss)
+        assert _loss_curve(runs, sets) == sorted(by_tokens.items())
+
+    def test_missing_set_names_the_point(self):
+        points = (EvalPoint(1, {"a": 2.0, "b": 2.0}), EvalPoint(3, {"a": 1.0}))
+        run = RunRecord(dataset_label="cc", model=TINY, train_tokens=3, pool_tokens=1000,
+                        eval_points=points)
+        with pytest.raises(ValidationError, match=r"tokens_seen=3 missing sets \['b'\]"):
+            _loss_curve([run], ["a", "b"])
 
 
 class TestCrossingQuadratic:
