@@ -16,9 +16,6 @@ from .corpus import (
     Document,
     DocumentSource,
     Pool,
-    TokenCounter,
-    WHITESPACE_COUNTER,
-    count_tokens,
     make_document,
     read_documents,
     read_pool,

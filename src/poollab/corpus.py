@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import StreamExhaustedError, ValidationError
 from .io import read_json, write_json
@@ -32,7 +32,7 @@ class DocumentSource(str, Enum):
 
 @dataclass(frozen=True)
 class Document:
-    """A unit of corpus text; ``token_count`` is under the active counter."""
+    """A unit of corpus text; ``token_count`` is its number of whitespace runs."""
 
     id: str
     text: str
@@ -40,40 +40,20 @@ class Document:
     token_count: int = 0
 
 
-@dataclass(frozen=True)
-class TokenCounter:
-    """Named, deterministic text -> token-count function with count('') == 0."""
+#: How poollab counts tokens: maximal runs of non-whitespace characters
+#: (``str.split``).  It stands in for a subword tokenizer; retention
+#: *ratios* stay comparable.  Pool headers record this name for it.
+COUNTER_NAME = "whitespace"
 
-    name: str
-    count: Callable[[str], int]
-
-
-def _whitespace_count(text: str) -> int:
-    # Maximal runs of non-whitespace characters, i.e. str.split semantics.
-    return len(text.split())
-
-
-#: Default counter: number of whitespace-separated runs.  Stands in for a
-#: subword tokenizer; retention *ratios* stay comparable across counters.
-WHITESPACE_COUNTER = TokenCounter(name="whitespace", count=_whitespace_count)
-
-
-def count_tokens(counter: TokenCounter, text: str) -> int:
-    """Apply ``counter`` to ``text``; deterministic, 0 for empty text."""
-    n = counter.count(text)
-    if n < 0:
-        raise ValidationError(f"counter {counter.name!r} returned negative count {n}")
-    return n
+#: The type each pool-header field must have (``type(v) is`` keeps bools out of ints).
+_HEADER_TYPES = {"label": str, "seed": int, "total_tokens": int, "counter_name": str}
 
 
 def make_document(
-    doc_id: str,
-    text: str,
-    source: DocumentSource = DocumentSource.POOL,
-    counter: TokenCounter = WHITESPACE_COUNTER,
+    doc_id: str, text: str, source: DocumentSource = DocumentSource.POOL
 ) -> Document:
-    """Build a Document with its token count filled in from ``counter``."""
-    return Document(id=doc_id, text=text, source=source, token_count=count_tokens(counter, text))
+    """Build a Document with its token count filled in."""
+    return Document(id=doc_id, text=text, source=source, token_count=len(text.split()))
 
 
 @dataclass
@@ -90,7 +70,6 @@ class Pool:
     total_tokens: int = 0
     seed: int = 0
     label: str = ""
-    counter_name: str = WHITESPACE_COUNTER.name
 
     def __post_init__(self) -> None:
         self.documents = tuple(self.documents)
@@ -122,13 +101,12 @@ class Pool:
         return index
 
     def replace_documents(self, documents: list[Document], label: str | None = None) -> "Pool":
-        """New pool with the same seed/counter but different membership."""
+        """New pool with the same seed but different membership."""
         return Pool(
             documents=tuple(documents),
             total_tokens=sum(d.token_count for d in documents),
             seed=self.seed,
             label=self.label if label is None else label,
-            counter_name=self.counter_name,
         )
 
 
@@ -137,7 +115,6 @@ def sample_pool(
     target_tokens: int,
     seed: int,
     label: str = "pool",
-    counter: TokenCounter = WHITESPACE_COUNTER,
 ) -> Pool:
     """Draw whole documents in seeded shuffled order until ``target_tokens`` is met.
 
@@ -167,13 +144,7 @@ def sample_pool(
             f"stream exhausted at {total} tokens before reaching target {target_tokens}",
             achieved_tokens=total,
         )
-    return Pool(
-        documents=chosen,
-        total_tokens=total,
-        seed=seed,
-        label=label,
-        counter_name=counter.name,
-    )
+    return Pool(documents=chosen, total_tokens=total, seed=seed, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +153,8 @@ def sample_pool(
 # ---------------------------------------------------------------------------
 
 
-def read_documents(
-    path: str | Path, counter: TokenCounter = WHITESPACE_COUNTER
-) -> Iterator[Document]:
-    """Stream documents from a JSONL file, recounting tokens under ``counter``."""
+def read_documents(path: str | Path) -> Iterator[Document]:
+    """Stream documents from a JSONL file, recounting their tokens."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -202,7 +171,7 @@ def read_documents(
                 source = DocumentSource(obj.get("source", "pool"))
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-            yield make_document(doc_id, text, source, counter)
+            yield make_document(doc_id, text, source)
 
 
 def write_documents(path: str | Path, documents: Iterable[Document]) -> None:
@@ -228,17 +197,19 @@ def write_pool(path: str | Path, pool: Pool) -> None:
         "label": pool.label,
         "seed": pool.seed,
         "total_tokens": pool.total_tokens,
-        "counter_name": pool.counter_name,
+        "counter_name": COUNTER_NAME,
     }
     write_json(header_path(path), header)
 
 
-def read_pool(path: str | Path, counter: TokenCounter = WHITESPACE_COUNTER) -> Pool:
+def read_pool(path: str | Path) -> Pool:
     """Read a pool written by :func:`write_pool`; header is optional.
 
-    A header's ``total_tokens`` must equal the recount of the documents.
+    Each header field present must have its type in ``_HEADER_TYPES``;
+    ``counter_name`` must be ``COUNTER_NAME`` and ``total_tokens`` must
+    equal the recount of the documents.
     """
-    docs = list(read_documents(path, counter))
+    docs = list(read_documents(path))
     total = sum(d.token_count for d in docs)
     label, seed = Path(path).stem, 0
     hp = header_path(path)
@@ -246,22 +217,20 @@ def read_pool(path: str | Path, counter: TokenCounter = WHITESPACE_COUNTER) -> P
         header = read_json(hp)
         if not isinstance(header, dict):
             raise ValidationError(f"{hp}: pool header must be a JSON object")
+        for key, kind in _HEADER_TYPES.items():
+            if key in header and type(header[key]) is not kind:
+                raise ValidationError(
+                    f"{hp}: header {key} must be {kind.__name__}, got {header[key]!r}"
+                )
         label = header.get("label", label)
         seed = header.get("seed", seed)
-        if header.get("counter_name", counter.name) != counter.name:
+        if header.get("counter_name", COUNTER_NAME) != COUNTER_NAME:
             raise ValidationError(
-                f"{path}: pool was written under counter "
-                f"{header['counter_name']!r}, reading with {counter.name!r}"
+                f"{hp}: pool was counted under counter {header['counter_name']!r}; "
+                f"poollab counts {COUNTER_NAME!r} runs only"
             )
         if header.get("total_tokens", total) != total:
             raise ValidationError(
-                f"{hp}: header total_tokens {header['total_tokens']} != "
-                f"recount {total} under counter {counter.name!r}"
+                f"{hp}: header total_tokens {header['total_tokens']} != recount {total}"
             )
-    return Pool(
-        documents=docs,
-        total_tokens=total,
-        seed=seed,
-        label=label,
-        counter_name=counter.name,
-    )
+    return Pool(documents=docs, total_tokens=total, seed=seed, label=label)

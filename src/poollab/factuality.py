@@ -16,6 +16,7 @@ import math
 import os
 import re
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -192,12 +193,12 @@ class JudgeClient:
         return parse_verdict(content)
 
 
-def mock_judge_client(
-    classify: Callable[[str, str, str], Verdict] | None = None,
-    default: Verdict = Verdict.UNRELATED,
-) -> JudgeClient:
-    """In-process judge for tests and offline runs; sequential, since threads only help HTTP."""
-    fn = classify if classify is not None else (lambda doc, q, a: default)
+def mock_judge_client(classify: Callable[[str, str, str], Verdict] | None = None) -> JudgeClient:
+    """In-process judge for tests and offline runs; sequential, since threads only help HTTP.
+
+    Without ``classify`` every document is judged ``Verdict.UNRELATED``.
+    """
+    fn = classify if classify is not None else (lambda doc, q, a: Verdict.UNRELATED)
     return JudgeClient(
         endpoint="mock://",
         model_name="mock",
@@ -255,10 +256,7 @@ def aggregate_judgements(
     Returns CSV-ready rows with columns subject, Support, Refute,
     Related, Unrelated; subjects with no judgements get all-zero rows.
     """
-    by_qa: dict[str, dict[Verdict, int]] = {}
-    for j in judgements:
-        counts = by_qa.setdefault(j.qa_id, {v: 0 for v in Verdict})
-        counts[j.verdict] += 1
+    counts = Counter((j.qa_id, j.verdict) for j in judgements)
 
     rows = []
     subjects: dict[str, list[QAItem]] = {}
@@ -268,7 +266,7 @@ def aggregate_judgements(
         items = subjects[subject]
         means = {}
         for verdict in Verdict:
-            total = sum(by_qa.get(item.qa_id, {}).get(verdict, 0) for item in items)
+            total = sum(counts[item.qa_id, verdict] for item in items)
             means[verdict.value] = total / len(items)
         rows.append({"subject": subject, **means})
     return rows

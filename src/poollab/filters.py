@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 from .corpus import WORD_RE, Document, Pool
 from .errors import ConfigError, ValidationError
 
-DEFAULT_STOPWORDS = ("the", "be", "to", "of", "and", "that", "have", "with")
+#: The stop words of the Gopher recipe (Rae et al. 2021, App. A).
+DEFAULT_STOPWORDS = frozenset(("the", "be", "to", "of", "and", "that", "have", "with"))
 
 #: Line/paragraph/n-gram thresholds from the Gopher curation recipe; the
 #: granularities are fixed but every number is configurable.
@@ -60,7 +61,6 @@ class DocumentScorer:
 @dataclass
 class FilterConfig:
     english_threshold: float = 0.5
-    stopword_list: tuple[str, ...] = DEFAULT_STOPWORDS
     stopword_min_count: int = 2
     # Count the total across the list by default; set True to require
     # `stopword_min_count` *distinct* stop words instead.
@@ -174,14 +174,11 @@ def stopword_filter(doc: Document, cfg: FilterConfig) -> FilterOutcome:
     Matching is case-insensitive on ``\\w+`` tokens; by default the count
     is the total across the list, not per-word.
     """
-    if not cfg.stopword_list:
-        raise ConfigError("stopword_list must be non-empty")
-    wanted = {w.lower() for w in cfg.stopword_list}
     tokens = WORD_RE.findall(doc.text.lower())
     if cfg.stopword_distinct:
-        count = len(wanted.intersection(tokens))
+        count = len(DEFAULT_STOPWORDS.intersection(tokens))
     else:
-        count = sum(1 for t in tokens if t in wanted)
+        count = sum(1 for t in tokens if t in DEFAULT_STOPWORDS)
     kept = count >= cfg.stopword_min_count
     return FilterOutcome(
         doc_id=doc.id,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .corpus import Document, DocumentSource, Pool, TokenCounter, WHITESPACE_COUNTER, make_document
+from .corpus import Document, DocumentSource, Pool, make_document
 from .errors import StreamExhaustedError, ValidationError
 
 
@@ -80,11 +80,7 @@ def build_vocab(seed: int) -> JunkVocab:
 
 
 def gen_random_document(
-    vocab: JunkVocab,
-    n_words: int,
-    seed: int,
-    doc_id: str | None = None,
-    counter: TokenCounter = WHITESPACE_COUNTER,
+    vocab: JunkVocab, n_words: int, seed: int, doc_id: str | None = None
 ) -> Document:
     """A document of ``n_words`` uniform vocabulary draws joined by single spaces."""
     if n_words <= 0:
@@ -95,13 +91,10 @@ def gen_random_document(
         doc_id if doc_id is not None else f"random-{seed:x}-{n_words}",
         text,
         DocumentSource.RANDOM_JUNK,
-        counter,
     )
 
 
-def shuffle_document(
-    doc: Document, seed: int, counter: TokenCounter = WHITESPACE_COUNTER
-) -> Document:
+def shuffle_document(doc: Document, seed: int) -> Document:
     """Seeded uniform permutation of the document's whitespace-split words.
 
     Punctuation travels with its word; the word multiset is preserved
@@ -110,19 +103,17 @@ def shuffle_document(
     words = doc.text.split()
     rng = random.Random(seed)
     rng.shuffle(words)
-    return make_document(doc.id, " ".join(words), DocumentSource.SHUFFLED_JUNK, counter)
+    return make_document(doc.id, " ".join(words), DocumentSource.SHUFFLED_JUNK)
 
 
-def random_junk_stream(
-    pool: Pool, vocab: JunkVocab, seed: int, counter: TokenCounter = WHITESPACE_COUNTER
-) -> Iterator[Document]:
+def random_junk_stream(pool: Pool, vocab: JunkVocab, seed: int) -> Iterator[Document]:
     """Endless random-word documents length-matched to ``pool``.
 
     Document lengths (in words) are drawn from the pool's empirical
     length distribution so that injection changes content, not shape.
     Per-document RNG streams are keyed by (seed, index).
     """
-    lengths = [max(1, len(d.text.split())) for d in pool.documents]
+    lengths = [max(1, d.token_count) for d in pool.documents]
     if not lengths:
         raise ValidationError("cannot length-match junk to an empty pool")
     length_rng = random.Random(derive_seed(seed, "lengths"))
@@ -131,17 +122,15 @@ def random_junk_stream(
         n_words = length_rng.choice(lengths)
         yield gen_random_document(
             vocab, n_words, seed=derive_seed(seed, "random-doc", index),
-            doc_id=f"random-{seed}-{index}", counter=counter,
+            doc_id=f"random-{seed}-{index}",
         )
         index += 1
 
 
-def shuffled_junk_stream(
-    documents: Iterable[Document], seed: int, counter: TokenCounter = WHITESPACE_COUNTER
-) -> Iterator[Document]:
+def shuffled_junk_stream(documents: Iterable[Document], seed: int) -> Iterator[Document]:
     """Shuffle each incoming document under a per-document RNG stream."""
     for doc in documents:
-        yield shuffle_document(doc, seed=derive_seed(seed, "shuffle-doc", doc.id), counter=counter)
+        yield shuffle_document(doc, seed=derive_seed(seed, "shuffle-doc", doc.id))
 
 
 def inject(pool: Pool, spec: InjectionSpec, junk_source: Iterable[Document]) -> Pool:
@@ -184,5 +173,4 @@ def inject(pool: Pool, spec: InjectionSpec, junk_source: Iterable[Document]) -> 
         total_tokens=pool.total_tokens + junk_tokens,
         seed=spec.seed,
         label=label,
-        counter_name=pool.counter_name,
     )

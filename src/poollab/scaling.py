@@ -96,9 +96,6 @@ class PowerLawFit:
             )
         return (self.a / (target - self.c)) ** (1.0 / self.b)
 
-    def near_zero_asymptote(self, tol: float = 1e-8) -> bool:
-        return self.c <= tol
-
 
 def _loglog_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Least-squares line y = intercept + slope*x; returns sse and sst too."""
@@ -110,6 +107,10 @@ def _loglog_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, floa
     sse = float(np.sum((y - fitted) ** 2))
     sst = float(np.sum((y - np.mean(y)) ** 2))
     return float(coef[0]), float(coef[1]), sse, sst
+
+
+#: Points of the linear part of the asymptote grid over [0, min(L)).
+LINEAR_GRID_SIZE = 33
 
 
 def _golden_section_min(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -131,7 +132,7 @@ def _golden_section_min(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def _asymptote_grid(loss_min: float, c_hi: float, losses: np.ndarray, grid_size: int) -> np.ndarray:
+def _asymptote_grid(loss_min: float, c_hi: float, losses: np.ndarray) -> np.ndarray:
     """Candidate asymptotes in [0, c_hi].
 
     The squared-residual landscape in c has a well at the true asymptote
@@ -142,7 +143,7 @@ def _asymptote_grid(loss_min: float, c_hi: float, losses: np.ndarray, grid_size:
     """
     import numpy as np
 
-    parts = [np.linspace(0.0, c_hi, grid_size)]
+    parts = [np.linspace(0.0, c_hi, LINEAR_GRID_SIZE)]
     gap_floor = loss_min - c_hi
     # ~24 points per decade keeps the nearest candidate within ~5% of
     # the true gap, close enough that the well beats rival local minima.
@@ -200,7 +201,7 @@ def _grid_sse(grid: np.ndarray, losses: np.ndarray, design: np.ndarray, solve: n
     return sses
 
 
-def fit_power_law(points: Sequence[tuple[float, float]], grid_size: int = 33) -> PowerLawFit:
+def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     """Fit ``L(N) = c + a * N**(-b)`` to (N, loss) samples.
 
     The asymptote c is located by a grid over [0, min(L)) (see
@@ -247,7 +248,7 @@ def fit_power_law(points: Sequence[tuple[float, float]], grid_size: int = 33) ->
     if c_hi <= 0.0:
         best_c = 0.0
     else:
-        grid = _asymptote_grid(loss_min, c_hi, losses, grid_size)
+        grid = _asymptote_grid(loss_min, c_hi, losses)
         sses = _grid_sse(grid, losses, design, solve, sse_at)
         candidates = [float(grid[int(np.argmin(sses))])]
         padded = np.concatenate(([math.inf], sses, [math.inf]))

@@ -30,6 +30,16 @@ if TYPE_CHECKING:
 
 ORTHOGONALITY_TOL = 1e-12
 RANGE_TOL = 1e-10
+#: Largest |analytic - empirical| loss gap a rank-necessity trial passes with.
+RANK_GAP_TOL = 1e-4
+#: Largest |brute force - closed form| KL gap a filter-improvement trial passes with.
+KL_GAP_TOL = 1e-12
+#: Scale of the random rank-r factors gradient descent starts from.
+INIT_SCALE = 0.1
+#: Upper bounds of a random TaskSpec's task count, input and output dimensions.
+MAX_TASKS, MAX_D, MAX_M_OUT = 4, 16, 8
+#: Upper bounds of a random SimilarityDataset's example and label counts.
+MAX_EXAMPLES, MAX_LABELS = 50, 5
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +143,6 @@ def empirical_min_loss(
     lr: float | None = None,
     restarts: int = 3,
     seed: int = 0,
-    init_scale: float = 0.1,
 ) -> float:
     """Minimize the population loss over rank-r factors by gradient descent.
 
@@ -162,8 +171,8 @@ def empirical_min_loss(
     best = math.inf
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
-        u = init_scale * rng.standard_normal((spec.m_out, r))
-        v = init_scale * rng.standard_normal((spec.d, r))
+        u = INIT_SCALE * rng.standard_normal((spec.m_out, r))
+        v = INIT_SCALE * rng.standard_normal((spec.d, r))
         err = u @ v.T - m_star
         err_sigma = err @ sigma
         initial = _population_loss(err_sigma, err, spec.noise_power)
@@ -186,31 +195,23 @@ def empirical_min_loss(
     return best
 
 
-def random_orthogonal_spec(
-    seed: int,
-    k: int | None = None,
-    d: int | None = None,
-    m_out: int | None = None,
-    max_k: int = 4,
-    max_d: int = 16,
-    max_m_out: int = 8,
-    noise_power: float | None = None,
-) -> TaskSpec:
+def random_orthogonal_spec(seed: int, noise_power: float | None = None) -> TaskSpec:
     """Random TaskSpec with exactly orthogonal inputs.
 
     Coordinates are partitioned into k blocks; task i's second moment is
     a random PSD matrix supported on block i, which makes the pairwise
     trace products exactly zero.  Each ``v`` is drawn inside its block
     (hence inside range(sigma)); each ``u`` is a random unit vector.
+    ``k <= d`` and ``k <= m_out``, so the tasks are independent.
     """
     import numpy as np
 
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    k = k if k is not None else int(rng.integers(1, max_k + 1))
-    d = d if d is not None else int(rng.integers(k, max_d + 1))
-    m_out = m_out if m_out is not None else int(rng.integers(k, max_m_out + 1))
-    if d < k or m_out < k:
-        raise ValidationError("need d >= k and m_out >= k for independent tasks")
+    k = int(rng.integers(1, MAX_TASKS + 1))
+    d = int(rng.integers(k, MAX_D + 1))
+    m_out = int(rng.integers(k, MAX_M_OUT + 1))
 
     # Random block boundaries giving every task at least one coordinate.
     cuts = sorted(rng.choice(np.arange(1, d), size=k - 1, replace=False).tolist()) if k > 1 else []
@@ -366,12 +367,10 @@ def kl_improvement_bruteforce(
     return kl_unfiltered - kl_filtered
 
 
-def random_similarity_dataset(
-    seed: int, max_examples: int = 50, max_labels: int = 5
-) -> SimilarityDataset:
+def random_similarity_dataset(seed: int) -> SimilarityDataset:
     rng = random.Random(seed)
-    n = rng.randint(2, max_examples)
-    n_labels = rng.randint(2, max_labels)
+    n = rng.randint(2, MAX_EXAMPLES)
+    n_labels = rng.randint(2, MAX_LABELS)
     labels = [f"label{i}" for i in range(n_labels)]
     examples = [(f"x{i}", rng.choice(labels)) for i in range(n)]
     weights = {f"x{i}": rng.uniform(0.05, 2.0) for i in range(n)}
@@ -383,7 +382,7 @@ def random_similarity_dataset(
 # ---------------------------------------------------------------------------
 
 
-def run_rank_necessity_trial(seed: int, tol: float = 1e-4) -> dict:
+def run_rank_necessity_trial(seed: int) -> dict:
     """One randomized check that gradient descent matches the closed form."""
     spec = random_orthogonal_spec(seed)
     results = []
@@ -393,7 +392,7 @@ def run_rank_necessity_trial(seed: int, tol: float = 1e-4) -> dict:
         # badly conditioned second moments need the longer step budget
         empirical = empirical_min_loss(spec, r, steps=8000, restarts=3, seed=seed + r)
         gap = abs(analytic - empirical)
-        ok = ok and gap <= tol
+        ok = ok and gap <= RANK_GAP_TOL
         results.append({"r": r, "analytic": analytic, "empirical": empirical, "gap": gap})
     return {
         "seed": seed,
@@ -406,7 +405,7 @@ def run_rank_necessity_trial(seed: int, tol: float = 1e-4) -> dict:
     }
 
 
-def run_filter_fact_trial(seed: int, tol: float = 1e-12) -> dict:
+def run_filter_fact_trial(seed: int) -> dict:
     """One randomized check that brute-force KL matches the closed form."""
     rng = random.Random(seed * 7919 + 13)
     for _ in range(100):
@@ -432,6 +431,6 @@ def run_filter_fact_trial(seed: int, tol: float = 1e-12) -> dict:
             "bruteforce": brute,
             "closed_form": closed,
             "gap": gap,
-            "pass": gap <= tol,
+            "pass": gap <= KL_GAP_TOL,
         }
     raise FitError("could not draw a well-posed filter trial in 100 attempts")

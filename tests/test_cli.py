@@ -441,6 +441,9 @@ class TestVerifyTheoryCli:
         verdict = json.loads(lines[0])
         assert verdict["check"] == "rank_necessity" and verdict["pass"]
 
+    def test_filter_fact_accepts_negative_seed(self):
+        assert dispatch(["verify-theory", "--filter-fact", "--trials", "2", "--seed", "-1"]) == 0
+
     def test_requires_a_check(self):
         assert dispatch(["verify-theory", "--trials", "2"]) == 2
 
@@ -534,6 +537,19 @@ def shared_quadratic_crossings():
     return CROSSINGS_HEADER + "".join(rows)
 
 
+def pool_with_header(tmp_path, **fields):
+    """A two-token pool whose header has ``fields`` in place of valid values."""
+    path = write_text(tmp_path, "pool.jsonl", '{"id": "a", "text": "one two"}\n')
+    header = {"label": "p", "seed": 0, "total_tokens": 2, "counter_name": "whitespace"}
+    write_text(tmp_path, "pool.jsonl.header.json", json.dumps({**header, **fields}))
+    return path
+
+
+def filter_pool_with_header(tmp_path, **fields):
+    return ["filter", "--pool", pool_with_header(tmp_path, **fields),
+            "--output", str(tmp_path / "f.jsonl")]
+
+
 # Each builder gets (tmp_path, docs_file) and returns argv for one malformed input.
 MALFORMED_INPUTS = {
     "config-invalid-json": lambda t, docs: [
@@ -588,6 +604,17 @@ MALFORMED_INPUTS = {
     "pool-tokens-nan": lambda t, docs: [
         "extrapolate", "--law", write_text(t, "law.json", json.dumps(LAW)),
         "--pool-tokens", "nan", "--output", str(t / "e.json")],
+    "pool-header-label-null": lambda t, docs: [
+        "inject", "--pool", pool_with_header(t, label=None), "--kind", "random_strings",
+        "--ratio", "1", "--seed", "1", "--output", str(t / "i.jsonl")],
+    "pool-header-seed-a-string": lambda t, docs: filter_pool_with_header(t, seed="abc"),
+    "pool-header-seed-a-bool": lambda t, docs: filter_pool_with_header(t, seed=True),
+    "pool-header-total-tokens-a-string": lambda t, docs: filter_pool_with_header(
+        t, total_tokens="2"),
+    "pool-header-counter-name-not-a-string": lambda t, docs: filter_pool_with_header(
+        t, counter_name=5),
+    "verify-theory-prop1-negative-seed": lambda t, docs: [
+        "verify-theory", "--prop1", "--trials", "1", "--seed", "-1"],
 }
 
 
@@ -608,6 +635,16 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, docs_file, capsys
 def test_malformed_document_error_names_path_and_line(tmp_path, docs_file, capsys, case, lineno):
     assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'd.jsonl'}: line {lineno}: ")
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in sorted(MALFORMED_INPUTS) if c.startswith("pool-header")]
+)
+def test_malformed_pool_header_error_names_header(tmp_path, docs_file, capsys, case):
+    assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'pool.jsonl.header.json'}: ")
+    assert err.count("\n") == 1
 
 
 def run_python(code):

@@ -7,10 +7,7 @@ from poollab import (
     DocumentSource,
     Pool,
     StreamExhaustedError,
-    TokenCounter,
     ValidationError,
-    WHITESPACE_COUNTER,
-    count_tokens,
     make_document,
     read_documents,
     read_pool,
@@ -20,19 +17,23 @@ from poollab import (
 )
 
 
+def token_count(text):
+    return make_document("d", text).token_count
+
+
 class TestCountTokens:
     def test_empty(self):
-        assert count_tokens(WHITESPACE_COUNTER, "") == 0
+        assert token_count("") == 0
 
     def test_hand_count(self):
-        assert count_tokens(WHITESPACE_COUNTER, "the cat sat") == 3
+        assert token_count("the cat sat") == 3
 
     def test_runs_not_separators(self):
         # two spaces still separate exactly two runs
-        assert count_tokens(WHITESPACE_COUNTER, "a  b") == 2
+        assert token_count("a  b") == 2
 
     def test_mixed_whitespace(self):
-        assert count_tokens(WHITESPACE_COUNTER, " a\tb\nc ") == 3
+        assert token_count(" a\tb\nc ") == 3
 
 
 class TestSamplePool:
@@ -175,9 +176,12 @@ class TestJsonl:
         pool = sample_pool(ten_token_docs, 100, seed=11, label="demo")
         path = tmp_path / "pool.jsonl"
         write_pool(path, pool)
-        chars = TokenCounter(name="chars", count=len)
-        with pytest.raises(ValidationError, match="counter"):
-            read_pool(path, counter=chars)
+        header_file = tmp_path / "pool.jsonl.header.json"
+        header = json.loads(header_file.read_text())
+        header["counter_name"] = "chars"
+        header_file.write_text(json.dumps(header), encoding="utf-8")
+        with pytest.raises(ValidationError, match="counter 'chars'"):
+            read_pool(path)
 
     def test_tampered_header_total_rejected(self, tmp_path, ten_token_docs):
         pool = sample_pool(ten_token_docs, 100, seed=11, label="demo")

@@ -99,10 +99,6 @@ class TestStopwordFilter:
         assert stopword_filter(repeated, FilterConfig()).kept
         assert not stopword_filter(repeated, FilterConfig(stopword_distinct=True)).kept
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(ConfigError):
-            stopword_filter(doc("x"), FilterConfig(stopword_list=()))
-
 
 class TestRepetitionFractions:
     def test_identical_lines(self):

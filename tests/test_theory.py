@@ -20,6 +20,7 @@ from poollab import (
 )
 from poollab.theory import (
     apply_filter,
+    random_similarity_dataset,
     run_filter_fact_trial,
     run_rank_necessity_trial,
     weighted_pass_rates,
@@ -160,6 +161,46 @@ class TestEmpiricalMinLoss:
         result = run_rank_necessity_trial(seed=11)
         assert result["pass"]
         assert result["k"] <= 4 and result["d"] <= 16 and result["m_out"] <= 8
+
+
+# (k, d, m_out, noise_power) of random_orthogonal_spec(seed) for seeds 0-9,
+# recorded when the shape bounds were still parameters: fixing them as
+# constants must leave the RNG stream, and so every trial, unchanged.
+ORTHOGONAL_SPEC_PINS = [
+    (4, 12, 6, 0.1544286813596305),
+    (2, 9, 7, 0.03659503619548299),
+    (4, 7, 4, 0.2872332489414829),
+    (4, 5, 4, 0.19982811056522637),
+    (3, 16, 8, 0.11197149778124343),
+    (3, 14, 3, 0.3533871022369615),
+    (2, 10, 5, 0.40820307295884645),
+    (4, 12, 7, 0.21499843095058152),
+    (3, 7, 4, 0.20188984092108986),
+    (2, 15, 8, 0.4909008120948089),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(ORTHOGONAL_SPEC_PINS)))
+def test_random_orthogonal_spec_stream_pinned(seed):
+    spec = random_orthogonal_spec(seed)
+    assert (spec.k, spec.d, spec.m_out, spec.noise_power) == ORTHOGONAL_SPEC_PINS[seed]
+
+
+# (number of examples, labels drawn) of random_similarity_dataset(seed), recorded likewise.
+SIMILARITY_DATASET_PINS = {
+    0: (26, ["label0", "label1", "label2", "label3", "label4"]),
+    1: (10, ["label0", "label1"]),
+    2: (5, ["label0", "label1"]),
+    7: (22, ["label0", "label1", "label2"]),
+    123: (5, ["label0", "label2", "label3"]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SIMILARITY_DATASET_PINS))
+def test_random_similarity_dataset_stream_pinned(seed):
+    data = random_similarity_dataset(seed)
+    labels = sorted({y for _, y in data.examples})
+    assert (len(data.examples), labels) == SIMILARITY_DATASET_PINS[seed]
 
 
 class TestPredictConditional:
