@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -46,7 +46,7 @@ from .injection import (
     random_junk_stream,
     shuffled_junk_stream,
 )
-from .io import csv_cell, field_names, read_json, read_rows, write_json, write_rows
+from .io import csv_cell, field_names, read_json, read_rows, write_json, write_lines, write_rows
 from .runlog import (
     EvalSlice,
     best_eval,
@@ -194,17 +194,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    cfg = profile(opt(args, config, "profile", "gopher", str))
-    cfg.english_threshold = opt(args, config, "english_threshold", cfg.english_threshold, float)
-    cfg.quality_keep_fraction = opt(
-        args, config, "quality_keep_fraction", cfg.quality_keep_fraction, float
-    )
-    cfg.stopword_min_count = opt(args, config, "stopword_min_count", cfg.stopword_min_count, int)
-    cfg.stopword_distinct = bool(opt(args, config, "stopword_distinct", cfg.stopword_distinct))
+    base = profile(opt(args, config, "profile", "gopher", str))
+    kinds = {"english_threshold": float, "quality_keep_fraction": float,
+             "stopword_min_count": int, "stopword_distinct": bool}
     thresholds = opt(
         args, config, "repetition_thresholds", {}, lambda v: {k: float(t) for k, t in v.items()}
     )
-    cfg.repetition_thresholds.update(thresholds)
+    cfg = replace(  # a new config, so FilterConfig.__post_init__ checks the merged values
+        base, repetition_thresholds={**base.repetition_thresholds, **thresholds},
+        **{key: opt(args, config, key, getattr(base, key), kind) for key, kind in kinds.items()},
+    )
 
     stage_names = opt(args, config, "stages", "english,repetition,stopword", _comma_list)
     pool = read_pool(args.pool)
@@ -445,18 +444,13 @@ def cmd_verify_theory(args: argparse.Namespace) -> int:
         for i in range(args.trials):
             verdicts.append({"check": "filter_improvement", **run_filter_fact_trial(seed + i)})
     all_pass = all(v["pass"] for v in verdicts)
-    lines = [json.dumps(v, sort_keys=True) for v in verdicts]
-    summary = json.dumps(
-        {"trials": len(verdicts), "passed": sum(v["pass"] for v in verdicts), "pass": all_pass},
-        sort_keys=True,
-    )
+    passed = sum(v["pass"] for v in verdicts)
+    summary = {"trials": len(verdicts), "passed": passed, "pass": all_pass}
+    lines = [json.dumps(v, sort_keys=True) for v in [*verdicts, summary]]
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines + [summary]) + "\n")
+        write_lines(args.output, lines)
         write_manifest(args.output, args, {"seed": seed}, [], [args.output])
-    for line in lines:
-        print(line)
-    print(summary)
+    print("\n".join(lines))
     return EXIT_OK if all_pass else EXIT_DOMAIN_ERROR
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import StreamExhaustedError, ValidationError
-from .io import read_json, write_json
+from .io import read_json, read_jsonl, write_json, write_lines
 
 #: A word, as the stop-word filter and the keyword matcher count them.
 WORD_RE = re.compile(r"\w+")
@@ -153,37 +153,23 @@ def sample_pool(
 # ---------------------------------------------------------------------------
 
 
+def _document(obj: object) -> Document:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    doc_id, text = obj["id"], obj["text"]
+    if not (isinstance(doc_id, str) and isinstance(text, str)):
+        raise ValueError("document id and text must be strings")
+    return make_document(doc_id, text, DocumentSource(obj.get("source", "pool")))
+
+
 def read_documents(path: str | Path) -> Iterator[Document]:
     """Stream documents from a JSONL file, recounting their tokens."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError(f"expected a JSON object, got {obj!r}")
-                doc_id = obj["id"]
-                text = obj["text"]
-                if not (isinstance(doc_id, str) and isinstance(text, str)):
-                    raise ValueError("document id and text must be strings")
-                source = DocumentSource(obj.get("source", "pool"))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-            yield make_document(doc_id, text, source)
+    return read_jsonl(path, _document)
 
 
 def write_documents(path: str | Path, documents: Iterable[Document]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in documents:
-            fh.write(
-                json.dumps(
-                    {"id": doc.id, "text": doc.text, "source": doc.source.value},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_lines(path, (json.dumps({"id": d.id, "text": d.text, "source": d.source.value},
+                                  ensure_ascii=False) for d in documents))
 
 
 def header_path(pool_path: str | Path) -> Path:
@@ -193,12 +179,8 @@ def header_path(pool_path: str | Path) -> Path:
 def write_pool(path: str | Path, pool: Pool) -> None:
     """Write pool documents as JSONL plus a ``<path>.header.json`` sidecar."""
     write_documents(path, pool.documents)
-    header = {
-        "label": pool.label,
-        "seed": pool.seed,
-        "total_tokens": pool.total_tokens,
-        "counter_name": COUNTER_NAME,
-    }
+    header = {"label": pool.label, "seed": pool.seed, "total_tokens": pool.total_tokens,
+              "counter_name": COUNTER_NAME}
     write_json(header_path(path), header)
 
 

@@ -26,6 +26,7 @@ from urllib.parse import urlsplit
 
 from .corpus import WORD_RE, Document, Pool
 from .errors import JudgeError, ValidationError
+from .io import read_jsonl, write_lines
 
 
 class Verdict(str, Enum):
@@ -277,33 +278,17 @@ def aggregate_judgements(
 # ---------------------------------------------------------------------------
 
 
+def _qa_item(obj: dict) -> QAItem:
+    keywords = obj["keywords"]
+    if not isinstance(keywords, list):  # tuple("pulsar") would split it into letters
+        raise ValidationError(f"keywords must be a list, got {keywords!r}")
+    return QAItem(obj["subject"], obj["question"], obj["answer"], tuple(keywords))
+
+
 def read_qa_items(path: str | Path) -> list[QAItem]:
-    items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                keywords = obj["keywords"]
-                if not isinstance(keywords, list):  # tuple("pulsar") would split it into letters
-                    raise ValidationError(f"keywords must be a list, got {keywords!r}")
-                items.append(
-                    QAItem(
-                        subject=obj["subject"],
-                        question=obj["question"],
-                        answer=obj["answer"],
-                        keywords=tuple(keywords),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValidationError) as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-    return items
+    return list(read_jsonl(path, _qa_item))
 
 
 def write_judgements(path: str | Path, run: JudgeRun) -> None:
-    """One JSON object of fields per line: judgements first, then failures."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in [*run.judgements, *run.failures]:
-            fh.write(json.dumps(vars(entry)) + "\n")  # asdict, without its deep copies
+    """One JSON object of fields (``vars``: no deep copies) per line: judgements, then failures."""
+    write_lines(path, (json.dumps(vars(entry)) for entry in [*run.judgements, *run.failures]))

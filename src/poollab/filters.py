@@ -76,6 +76,8 @@ class FilterConfig:
         if self.stopword_min_count < 0:
             raise ConfigError("stopword_min_count must be >= 0")
         for name, thr in self.repetition_thresholds.items():
+            if name not in REPETITION_GRANULARITIES:
+                raise ConfigError(f"unknown repetition threshold {name!r}")
             if not 0.0 <= thr <= 1.0:
                 raise ConfigError(f"repetition threshold {name} must be in [0,1], got {thr}")
         if not 0.0 < self.quality_keep_fraction <= 1.0:

@@ -9,6 +9,7 @@ so only the order (not the unigram distribution) is destroyed.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -56,8 +57,8 @@ class InjectionSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.ratio <= 0:
-            raise ValidationError(f"injection ratio must be > 0, got {self.ratio}")
+        if not 0 < self.ratio < math.inf:  # NaN fails too: a target it can never meet
+            raise ValidationError(f"injection ratio must be finite and > 0, got {self.ratio}")
 
 
 def build_vocab(seed: int) -> JunkVocab:

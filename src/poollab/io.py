@@ -1,4 +1,6 @@
-"""The two text formats poollab's artifacts share: CSV rows and pretty JSON.
+"""The text formats poollab's artifacts share, and the one way files are written.
+
+JSONL: UTF-8, one JSON value per line, blank lines skipped.
 
 CSV cells: ``None`` is written as ``NEVER``, floats with ``repr`` (the
 shortest representation that round-trips exactly), bools with ``str``.
@@ -6,6 +8,9 @@ Rows are written from objects or mappings, one column per attribute or
 key, and read back into dataclasses by their field types.
 
 Pretty JSON: indent 2, sorted keys, trailing newline.
+
+Each file is written to a sibling ``<path>.<pid>.tmp`` that replaces
+``path`` only once it is complete.
 """
 
 from __future__ import annotations
@@ -13,15 +18,73 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import fields
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import ValidationError
 
 NEVER = "NEVER"
 
 T = TypeVar("T")
+
+
+@contextmanager
+def _replacing(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """A UTF-8 text file that replaces ``path`` when the block ends without an exception."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:  # KeyboardInterrupt too: never leave a partial artifact
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Each line followed by a newline."""
+    with _replacing(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+@dataclass
+class LineError:
+    lineno: int
+    message: str
+
+
+def read_jsonl(
+    path: str | Path, parse: Callable[[Any], T], errors: list[LineError] | None = None
+) -> Iterator[T]:
+    """``parse`` of each non-blank line's JSON value, lazily.
+
+    A line that is not UTF-8 JSON, or that ``parse`` rejects, raises
+    ``ValidationError("<path>: line <n>: <reason>")``, or is appended to
+    ``errors`` and skipped when that list is given.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                item = parse(json.loads(line))
+            except json.JSONDecodeError as exc:
+                reason = f"invalid JSON: {exc}"
+            except KeyError as exc:
+                reason = f"missing key {exc}"
+            except (TypeError, ValueError, ValidationError) as exc:
+                reason = str(exc)
+            else:
+                yield item
+                continue
+            if errors is None:
+                raise ValidationError(f"{path}: line {lineno}: {reason}")
+            errors.append(LineError(lineno, reason))
 
 
 def csv_cell(value: object) -> str:
@@ -39,7 +102,7 @@ def field_names(cls: type) -> list[str]:
 
 def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[object]) -> None:
     """CSV with a header row; each column is read as a key of a mapping row or an attribute."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
@@ -73,27 +136,30 @@ _PARSERS = {
 def read_rows(path: str | Path, cls: type[T]) -> list[T]:
     """Read a :func:`write_rows` CSV into ``cls`` instances; other columns are ignored."""
     parsers = [(f.name, _PARSERS[f.type]) for f in fields(cls)]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name, _ in parsers if name not in (reader.fieldnames or ())]
-        if missing:
-            raise ValidationError(f"{path}: missing column(s) {missing}")
-        out = []
-        for row in reader:
-            values = {}
-            for name, parse in parsers:
-                try:
-                    values[name] = parse(row[name])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ValidationError(
-                        f"{path}: line {reader.line_num}: column {name!r}: {exc}"
-                    ) from exc
-            out.append(cls(**values))
+    out = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [name for name, _ in parsers if name not in (reader.fieldnames or ())]
+            if missing:
+                raise ValidationError(f"{path}: missing column(s) {missing}")
+            for row in reader:
+                values = {}
+                for name, parse in parsers:
+                    try:
+                        values[name] = parse(row[name])
+                    except (TypeError, ValueError, OverflowError) as exc:
+                        raise ValidationError(
+                            f"{path}: line {reader.line_num}: column {name!r}: {exc}"
+                        ) from exc
+                out.append(cls(**values))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     return out
 
 
 def write_json(path: str | Path, obj: object) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

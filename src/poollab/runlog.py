@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
+from .io import LineError, read_jsonl, write_lines
 
 DEFAULT_BATCH_TOKENS = 2**19
 DEFAULT_CONTEXT_LENGTH = 1024
@@ -202,7 +203,8 @@ def record_to_dict(record: RunRecord) -> dict:
 
 
 def record_from_dict(obj: dict) -> RunRecord:
-    """The record of one parsed JSON object; raises ValidationError if malformed.
+    """The record of one parsed JSON object; raises ValidationError if malformed,
+    or KeyError for a missing key, which the JSONL reader names.
 
     When every loss of the record is already a float, the parsed
     ``losses`` dicts are used as they are; otherwise each is converted
@@ -234,32 +236,14 @@ def record_from_dict(obj: dict) -> RunRecord:
             weight_decay=float(obj.get("weight_decay", 0.1)),
             learning_rate=float(obj.get("learning_rate", 5e-3)),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed run record: {exc}") from exc
-
-
-@dataclass
-class LineError:
-    lineno: int
-    message: str
 
 
 def parse_run_log(path: str | Path) -> tuple[list[RunRecord], list[LineError]]:
     """Parse a JSONL run log, collecting malformed lines with line numbers."""
-    records: list[RunRecord] = []
     errors: list[LineError] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(record_from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                errors.append(LineError(lineno, f"invalid JSON: {exc}"))
-            except ValidationError as exc:
-                errors.append(LineError(lineno, str(exc)))
-    return records, errors
+    return list(read_jsonl(path, record_from_dict, errors)), errors
 
 
 def load_run_log(path: str | Path) -> list[RunRecord]:
@@ -273,9 +257,7 @@ def load_run_log(path: str | Path) -> list[RunRecord]:
 
 
 def write_run_log(path: str | Path, records: Iterable[RunRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+    write_lines(path, (json.dumps(record_to_dict(r), sort_keys=True) for r in records))
 
 
 def bundled_model_configs() -> list[ModelConfig]:

@@ -527,6 +527,17 @@ def write_text(tmp_path, name, text):
     return str(path)
 
 
+#: A good document line, then a line holding the byte 0xe9, which is not UTF-8.
+NOT_UTF8 = b'{"id": "a", "text": "one two"}\n{"id": "b", "text": "caf\xe9"}\n'
+QA_LINE = json.dumps({"subject": "s", "question": "q", "answer": "a", "keywords": ["the"]})
+
+
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
 def shared_quadratic_crossings():
     """Three model sizes whose crossings lie on one quadratic (-0.05, 2.0, -3.0)."""
     rows = []
@@ -615,6 +626,39 @@ MALFORMED_INPUTS = {
         t, counter_name=5),
     "verify-theory-prop1-negative-seed": lambda t, docs: [
         "verify-theory", "--prop1", "--trials", "1", "--seed", "-1"],
+    "document-not-utf8": lambda t, docs: [
+        "sample", "--input", write_bytes(t, "d.jsonl", NOT_UTF8),
+        "--target-tokens", "1", "--output", str(t / "p.jsonl")],
+    "pool-not-utf8": lambda t, docs: [
+        "filter", "--pool", write_bytes(t, "d.jsonl", NOT_UTF8), "--output", str(t / "f.jsonl")],
+    "run-log-not-utf8": lambda t, docs: [
+        "ingest", "--runs", write_bytes(t, "d.jsonl", NOT_UTF8), "--validate-only"],
+    "qa-not-utf8": lambda t, docs: [
+        "judge", "--mock", "--pool", docs, "--output", str(t / "j.jsonl"),
+        "--qa", write_bytes(t, "d.jsonl", QA_LINE.encode() + b"\n" + NOT_UTF8.splitlines()[1])],
+    "crossings-not-utf8": lambda t, docs: [
+        "scaling-law", "--crossings", write_bytes(t, "x.csv", CROSSINGS_HEADER.encode() + b"\xe9"),
+        "--output", str(t / "law.json")],
+    "qa-without-keywords": lambda t, docs: [
+        "judge", "--mock", "--pool", docs, "--output", str(t / "j.jsonl"), "--qa",
+        write_text(t, "d.jsonl", json.dumps({"subject": "s", "question": "q", "answer": "a"}))],
+    "document-without-id": lambda t, docs: [
+        "sample", "--input", write_text(t, "d.jsonl", '{"text": "one two"}\n'),
+        "--target-tokens", "1", "--output", str(t / "p.jsonl")],
+    "inject-ratio-nan": lambda t, docs: [
+        "inject", "--pool", docs, "--kind", "random_strings", "--ratio", "nan",
+        "--output", str(t / "i.jsonl")],
+    "inject-ratio-inf": lambda t, docs: [
+        "inject", "--pool", docs, "--kind", "random_strings", "--ratio", "inf",
+        "--output", str(t / "i.jsonl")],
+    "filter-stopword-min-count-negative": lambda t, docs: [
+        "filter", "--pool", docs, "--stopword-min-count", "-1", "--output", str(t / "f.jsonl")],
+    "filter-repetition-threshold-misspelled": lambda t, docs: [
+        "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
+        write_text(t, "c.json", '{"repetition_thresholds": {"top_2grams": 0.0}}')],
+    "filter-repetition-threshold-above-one": lambda t, docs: [
+        "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
+        write_text(t, "c.json", '{"repetition_thresholds": {"dup_5gram": 7.5}}')],
 }
 
 
@@ -631,10 +675,31 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, docs_file, capsys
 @pytest.mark.parametrize("case,lineno", [
     ("document-not-an-object", 2),
     ("document-text-not-a-string", 1),
+    ("document-not-utf8", 2),
+    ("pool-not-utf8", 2),
+    ("qa-not-utf8", 2),
 ])
 def test_malformed_document_error_names_path_and_line(tmp_path, docs_file, capsys, case, lineno):
     assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'd.jsonl'}: line {lineno}: ")
+
+
+@pytest.mark.parametrize("case,reason", [
+    ("qa-without-keywords", "missing key 'keywords'"),
+    ("document-without-id", "missing key 'id'"),
+])
+def test_missing_key_is_named(tmp_path, docs_file, capsys, case, reason):
+    assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'd.jsonl'}: line 1: {reason}\n"
+
+
+def test_undecodable_bytes_reported_by_path(tmp_path, docs_file, capsys):
+    assert dispatch(MALFORMED_INPUTS["run-log-not-utf8"](tmp_path, str(docs_file))) == 1
+    assert f"{tmp_path / 'd.jsonl'}: line 2: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert dispatch(MALFORMED_INPUTS["crossings-not-utf8"](tmp_path, str(docs_file))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'x.csv'}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -436,6 +436,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             profile("nope")
 
+    def test_unknown_repetition_threshold_rejected(self):
+        with pytest.raises(ConfigError, match="top_2grams"):
+            FilterConfig(repetition_thresholds={"top_2grams": 0.0})
+
     def test_threshold_bounds_checked(self):
         with pytest.raises(ConfigError):
             FilterConfig(english_threshold=1.5)

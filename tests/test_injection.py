@@ -180,6 +180,12 @@ class TestInject:
         with pytest.raises(ValidationError):
             InjectionSpec(kind=JunkKind.RANDOM_STRINGS, ratio=0.0, seed=1)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_ratio_must_be_finite(self, ratio):
+        # a target of nan or inf junk tokens is never met, so inject would never stop
+        with pytest.raises(ValidationError, match="finite"):
+            InjectionSpec(kind=JunkKind.RANDOM_STRINGS, ratio=ratio, seed=1)
+
 
 class TestJunkStreams:
     def test_random_stream_charset_and_length_matching(self):

@@ -22,6 +22,7 @@ from poollab import (
     slice_loss,
     write_run_log,
 )
+from poollab.io import LineError
 from poollab.runlog import point_loss, record_to_dict
 
 TINY = ModelConfig(
@@ -366,6 +367,14 @@ class TestSerialization:
         records, errors = parse_run_log(path)
         assert records == [] and [e.lineno for e in errors] == [1]
         assert errors[0].message.startswith("malformed run record: ")
+
+    def test_parse_names_a_missing_key(self, tmp_path):
+        obj = {"dataset_label": "cc", "model": asdict(TINY), "train_tokens": 100,
+               "pool_tokens": 10, "eval_points": [{"losses": {"c4": 3.0}}]}
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        records, errors = parse_run_log(path)
+        assert records == [] and errors == [LineError(1, "missing key 'tokens_seen'")]
 
     @pytest.mark.parametrize("text", ["NaN", "Infinity"])
     def test_parse_rejects_non_finite_loss(self, tmp_path, text):
