@@ -18,67 +18,100 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .corpus import read_documents, read_pool, sample_pool, write_pool
 from .errors import ConfigError, PoolLabError, ValidationError
-from .factuality import (
-    Verdict,
-    aggregate_judgements,
-    judge_documents,
-    keyword_match,
-    mock_judge_client,
-    JudgeClient,
-    JudgeRun,
-    read_qa_items,
-    write_judgements,
-    VERDICT_COLUMNS,
-)
-from .filters import build_stages, profile, run_pipeline, PROFILES, STATS_COLUMNS
-from .injection import (
-    InjectionSpec,
-    JunkKind,
-    build_vocab,
-    inject,
-    random_junk_stream,
-    shuffled_junk_stream,
-)
 from .io import csv_cell, field_names, read_json, read_rows, write_json, write_lines, write_rows
-from .runlog import (
-    EvalSlice,
-    best_eval,
-    bundled_model_configs,
-    compute_flops,
-    epochs,
-    load_run_log,
-    ModelConfig,
-    RunRecord,
-    parse_run_log,
-    slice_loss,
-    write_run_log,
-)
-from .scaling import (
-    CrossingPoint,
-    FrontierPoint,
-    ThresholdLaw,
-    ThresholdPoint,
-    crossing_point,
-    extrapolate_compute,
-    fit_crossing_quadratic,
-    fit_threshold_epoch_constraint,
-    fit_threshold_tokens_per_param,
-    pareto_frontier,
-)
-from .theory import run_filter_fact_trial, run_rank_necessity_trial
+
+#: The library modules each subcommand's handler uses.  :func:`dispatch`
+#: imports only these, so a child running one subcommand compiles no other.
+COMMAND_MODULES = {
+    "sample": ("corpus",),
+    "filter": ("corpus", "filters"),
+    "inject": ("corpus", "injection"),
+    "ingest": ("runlog",),
+    "report": ("runlog",),
+    "pareto": ("runlog", "scaling"),
+    "crossing": ("runlog", "scaling"),
+    "scaling-law": ("runlog", "scaling"),
+    "extrapolate": ("scaling",),
+    "slice-loss": ("runlog",),
+    "verify-theory": ("theory",),
+    "judge": ("corpus", "factuality"),
+}
+
+#: The names the handlers take from each library module.  They enter this
+#: module's namespace when :func:`dispatch` runs a subcommand that lists
+#: the module, or on the first ``poollab.cli.<name>`` lookup; a handler
+#: called other than through :func:`dispatch` needs them bound first.
+MODULE_NAMES = {
+    "corpus": ("read_documents", "read_pool", "sample_pool", "write_pool"),
+    "filters": ("build_stages", "profile", "run_pipeline", "STATS_COLUMNS"),
+    "injection": (
+        "InjectionSpec", "JunkKind", "build_vocab", "inject", "random_junk_stream",
+        "shuffled_junk_stream",
+    ),
+    "runlog": (
+        "EvalSlice", "ModelConfig", "best_eval", "bundled_model_configs", "compute_flops",
+        "epochs", "load_run_log", "parse_run_log", "slice_loss", "write_run_log",
+    ),
+    "scaling": (
+        "CrossingPoint", "FrontierPoint", "ThresholdLaw", "ThresholdPoint", "crossing_point",
+        "extrapolate_compute", "fit_crossing_quadratic", "fit_threshold_epoch_constraint",
+        "fit_threshold_tokens_per_param", "pareto_frontier",
+    ),
+    "theory": ("run_filter_fact_trial", "run_rank_necessity_trial"),
+    "factuality": (
+        "JudgeClient", "JudgeRun", "VERDICT_COLUMNS", "Verdict", "aggregate_judgements",
+        "judge_documents", "keyword_match", "mock_judge_client", "read_qa_items",
+        "write_judgements",
+    ),
+}
+
+#: ``--profile`` and ``--kind`` choices: ``sorted(filters.PROFILES)`` and the
+#: ``injection.JunkKind`` values, spelled out so that building the parser
+#: imports neither module.
+PROFILE_CHOICES = ("gopher", "permissive")
+KIND_CHOICES = ("random_strings", "shuffled_docs")
+
+
+def _bind_module(module: str) -> None:
+    """Import ``poollab.<module>`` and bind its :data:`MODULE_NAMES` here.
+
+    A name already bound is left alone, so a replacement installed with
+    ``setattr(poollab.cli, name, ...)`` stays the object the handlers call.
+    """
+    qualified = f"{__package__}.{module}"
+    __import__(qualified)  # not importlib.import_module: -X importtime reports this path
+    source = sys.modules[qualified]
+    namespace = globals()
+    for name in MODULE_NAMES[module]:
+        if name not in namespace:
+            namespace[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    for module, names in MODULE_NAMES.items():
+        if name in names:
+            _bind_module(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
 EXIT_USAGE = 2
 
 REFERENCE_POOL_TOKENS = 240e12  # full-corpus scale used in summaries
+
+#: Report CSV columns: one row per run.
+REPORT_COLUMNS = (
+    "record_ref", "dataset_label", "model_name", "model_params", "pool_tokens", "train_tokens",
+    "epochs", "flops", "best_eval",
+)
 
 #: Crossings CSV columns: the CrossingPoint fields plus its derived epoch properties.
 CROSSING_COLUMNS = (
@@ -117,11 +150,31 @@ def parse_value(name: str, value: object, kind: Callable):
         raise ValidationError(f"{name}: invalid value {value!r} ({exc})") from exc
 
 
+#: The JSON types a ``--config`` value may take for each plain ``opt`` kind.
+#: A JSON ``true`` is a Python int, so bools are rejected for other kinds.
+_CONFIG_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
 def opt(args: argparse.Namespace, config: dict, key: str, default, kind: Callable | None = None):
-    """Flag value if given, else config-file value, else default; ``kind`` converts it."""
+    """Flag value if given, else config-file value, else default; ``kind`` converts it.
+
+    A config value for a ``bool``, ``int``, ``float`` or ``str`` key must
+    already have that JSON type: it is checked, not coerced.
+    """
     value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
+    if value is None and key in config:
+        value = config[key]
+        if kind in _CONFIG_TYPES:
+            types, expected = _CONFIG_TYPES[kind]
+            if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+                raise ValidationError(f"{key}: config value {value!r} is not {expected}")
+    elif value is None:
+        value = default
     return value if kind is None else parse_value(key, value, kind)
 
 
@@ -131,6 +184,13 @@ def _comma_list(value: str) -> list[str]:
 
 def _token_count(value: object) -> int:
     return int(float(value))  # accepts "2000" and "1e6"
+
+
+def _number_map(value: dict) -> dict[str, float]:
+    """A JSON object of numbers, as floats; ``true`` is not a number."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value.values()):
+        raise ValueError("expected an object of numbers")
+    return {k: float(v) for k, v in value.items()}
 
 
 def _threads(args: argparse.Namespace, config: dict) -> int:
@@ -182,7 +242,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = opt(args, config, "seed", 0, int)
     target = opt(args, config, "target_tokens", 0, _token_count)
-    label = opt(args, config, "label", Path(args.output).stem)
+    label = opt(args, config, "label", Path(args.output).stem, str)
     pool = sample_pool(read_documents(args.input), target, seed, label=label)
     write_pool(args.output, pool)
     write_manifest(
@@ -197,9 +257,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     base = profile(opt(args, config, "profile", "gopher", str))
     kinds = {"english_threshold": float, "quality_keep_fraction": float,
              "stopword_min_count": int, "stopword_distinct": bool}
-    thresholds = opt(
-        args, config, "repetition_thresholds", {}, lambda v: {k: float(t) for k, t in v.items()}
-    )
+    thresholds = opt(args, config, "repetition_thresholds", {}, _number_map)
     cfg = replace(  # a new config, so FilterConfig.__post_init__ checks the merged values
         base, repetition_thresholds={**base.repetition_thresholds, **thresholds},
         **{key: opt(args, config, key, getattr(base, key), kind) for key, kind in kinds.items()},
@@ -265,31 +323,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """One row of the ``report`` CSV."""
-
-    record_ref: str
-    dataset_label: str
-    model_name: str
-    model_params: int
-    pool_tokens: int
-    train_tokens: int
-    epochs: float
-    flops: float
-    best_eval: float
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     rows = [
-        RunSummary(
+        dict(zip(REPORT_COLUMNS, (
             f"{r.dataset_label}#{i}", r.dataset_label, r.model.name, r.model.total_params,
             r.pool_tokens, r.train_tokens, epochs(r), compute_flops(r), best_eval(r),
-        )
+        )))
         for i, r in enumerate(load_run_log(args.runs))
     ]
-    rows.sort(key=lambda row: (row.dataset_label, row.model_params, row.train_tokens))
-    write_rows(args.output, field_names(RunSummary), rows)
+    rows.sort(key=lambda row: (row["dataset_label"], row["model_params"], row["train_tokens"]))
+    write_rows(args.output, REPORT_COLUMNS, rows)
     write_manifest(args.output, args, {}, [args.runs], [args.output])
     print(f"reported {len(rows)} runs -> {args.output}")
     return EXIT_OK
@@ -360,7 +403,7 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
             continue
         quads[model_params] = fit_crossing_quadratic(cell)
 
-    method = opt(args, config, "method", "tpp")
+    method = opt(args, config, "method", "tpp", str)
     if method == "tpp":
         ratio = opt(args, config, "ratio", 600.0, float)
         configs = bundled_model_configs()
@@ -454,15 +497,36 @@ def cmd_verify_theory(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_DOMAIN_ERROR
 
 
-def _heuristic_mock_verdict(doc_text: str, question: str, answer: str) -> Verdict:
-    text = doc_text.lower()
-    answer_words = [w for w in answer.lower().split() if len(w) > 2]
-    if answer_words and all(w in text for w in answer_words):
-        return Verdict.SUPPORT
-    question_words = [w for w in question.lower().split() if len(w) > 3]
-    if any(w in text for w in question_words):
-        return Verdict.RELATED
-    return Verdict.UNRELATED
+def _heuristic_mock_classifier() -> Callable[[str, str, str], Verdict]:
+    """The ``judge --mock`` classifier, with substring tests on lowercased text.
+
+    Support if the document contains every answer word longer than 2
+    characters, else Related if it contains any question word longer
+    than 3, else Unrelated.  A document is matched by many QA items, so
+    each document text is lowercased, and each question and answer
+    split, once per classifier.
+    """
+    lowered: dict[str, str] = {}
+    qa_words: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
+
+    def classify(doc_text: str, question: str, answer: str) -> Verdict:
+        text = lowered.get(doc_text)
+        if text is None:
+            text = lowered[doc_text] = doc_text.lower()
+        words = qa_words.get((question, answer))
+        if words is None:
+            words = qa_words[question, answer] = (
+                [w for w in answer.lower().split() if len(w) > 2],
+                [w for w in question.lower().split() if len(w) > 3],
+            )
+        answer_words, question_words = words
+        if answer_words and all(w in text for w in answer_words):
+            return Verdict.SUPPORT
+        if any(w in text for w in question_words):
+            return Verdict.RELATED
+        return Verdict.UNRELATED
+
+    return classify
 
 
 def cmd_judge(args: argparse.Namespace) -> int:
@@ -470,11 +534,11 @@ def cmd_judge(args: argparse.Namespace) -> int:
     if not args.mock and not args.endpoint:
         raise UsageError("choose --mock or --endpoint <url>")
     if args.mock:
-        client = mock_judge_client(_heuristic_mock_verdict)
+        client = mock_judge_client(_heuristic_mock_classifier())
     else:
         client = JudgeClient(
             endpoint=args.endpoint,
-            model_name=opt(args, config, "model_name", "judge"),
+            model_name=opt(args, config, "model_name", "judge", str),
             timeout=opt(args, config, "timeout", 30.0, float),
             max_concurrency=opt(args, config, "max_concurrency", 4, int),
         )
@@ -526,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="run a filter pipeline over a pool")
     p.add_argument("--pool", required=True)
-    p.add_argument("--profile", choices=sorted(PROFILES))
+    p.add_argument("--profile", choices=PROFILE_CHOICES)
     p.add_argument("--stages", help="comma list: english,repetition,stopword,dedup,quality")
     p.add_argument("--english-threshold", dest="english_threshold", type=float)
     p.add_argument("--quality-keep-fraction", dest="quality_keep_fraction", type=float)
@@ -542,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inject", help="mix junk documents into a pool at a token ratio")
     p.add_argument("--pool", required=True)
-    p.add_argument("--kind", choices=[k.value for k in JunkKind])
+    p.add_argument("--kind", choices=KIND_CHOICES)
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--vocab-seed", dest="vocab_seed", type=int)
@@ -632,6 +696,8 @@ def dispatch(argv: Sequence[str]) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    for module in COMMAND_MODULES[args.command]:
+        _bind_module(module)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -17,12 +17,10 @@ import os
 import re
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
-from urllib.parse import urlsplit
 
 from .corpus import WORD_RE, Document, Pool
 from .errors import JudgeError, ValidationError
@@ -165,6 +163,8 @@ class JudgeClient:
         if self.classify is None:
             if not self.endpoint:
                 raise ValidationError("JudgeClient needs an endpoint or a classify callable")
+            from urllib.parse import urlsplit  # only an HTTP judge parses a URL
+
             if urlsplit(self.endpoint).scheme not in ("http", "https"):
                 raise ValidationError(
                     f"judge endpoint must be an http(s) URL, got {self.endpoint!r}"
@@ -236,6 +236,8 @@ def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -
         return JudgeFailure(doc_id=doc.id, qa_id=qa_id, error=last_error)
 
     if client.max_concurrency > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only this path starts threads
+
         with ThreadPoolExecutor(max_workers=client.max_concurrency) as executor:
             results = list(executor.map(judge_one, docs))
     else:

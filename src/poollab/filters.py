@@ -15,7 +15,6 @@ import math
 import re
 import string
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
@@ -377,6 +376,8 @@ class PipelineStage:
 def _per_document_stage(name: str, outcome_fn: Callable[[Document], FilterOutcome]) -> PipelineStage:
     def apply(pool: Pool, threads: int) -> Pool:
         if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only this path starts threads
+
             with ThreadPoolExecutor(max_workers=threads) as executor:
                 outcomes = list(executor.map(outcome_fn, pool.documents))
         else:

@@ -1,5 +1,6 @@
-import ast
+import builtins
 import csv
+import dis
 import importlib
 import json
 import math
@@ -7,12 +8,14 @@ import os
 import random
 import subprocess
 import sys
+import types
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 import poollab
+import poollab.cli as cli
 from poollab import (
     bundled_model_configs,
     crossing_point,
@@ -179,6 +182,57 @@ class TestPoolPipeline:
         header = json.loads((tmp_path / "pool.jsonl.header.json").read_text())
         assert header["seed"] == 5  # from config
         assert 600 <= header["total_tokens"] < 700  # flag won over config
+
+    STOPWORD_DOC = "the cat and the dog of that cat"  # 5 stop words, 4 distinct
+
+    def filter_with_config(self, tmp_path, config):
+        pool = tmp_path / "pool.jsonl"
+        write_documents(pool, [make_document("d0", self.STOPWORD_DOC)])
+        cfg = write_text(tmp_path, "c.json", json.dumps(config))
+        out = tmp_path / "f.jsonl"
+        code = dispatch(["filter", "--pool", str(pool), "--stages", "stopword",
+                         "--config", cfg, "--output", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("key,value", [
+        ("stopword_distinct", "false"),  # bool("false") would be True
+        ("stopword_distinct", 0),
+        ("stopword_min_count", True),  # a JSON true is not an integer
+        ("stopword_min_count", 5.0),
+        ("stopword_min_count", "5"),
+        ("english_threshold", "0.5"),
+        ("english_threshold", False),
+        ("profile", 1),
+        ("repetition_thresholds", {"duplicate_line": True}),
+        ("repetition_thresholds", {"duplicate_line": "0.3"}),
+        ("repetition_thresholds", [0.3]),
+    ])
+    def test_config_value_of_wrong_json_type_exits_one(self, tmp_path, capsys, key, value):
+        code, out = self.filter_with_config(tmp_path, {key: value})
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith(f"error: {key}: ")
+
+    def test_config_label_must_be_a_string(self, tmp_path, docs_file, capsys):
+        # a label of 5 would be written to a pool header that no command can read
+        out = tmp_path / "pool.jsonl"
+        assert dispatch(["sample", "--input", str(docs_file), "--target-tokens", "100",
+                         "--config", write_text(tmp_path, "c.json", '{"label": 5}'),
+                         "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: label: config value 5 is not a string\n"
+        assert not out.exists()
+
+    def test_config_values_of_matching_json_type_apply(self, tmp_path):
+        kept = {}
+        for distinct in (False, True):
+            code, out = self.filter_with_config(tmp_path, {
+                "stopword_min_count": 5, "stopword_distinct": distinct,
+                "english_threshold": 0,  # an int for a float key
+                "quality_keep_fraction": 1.0, "profile": "gopher",
+            })
+            assert code == 0
+            kept[distinct] = len(out.read_text().splitlines())
+        assert kept == {False: 1, True: 0}
 
     def test_manifest_digest_hashes_config_contents(self, tmp_path, docs_file):
         cfg = tmp_path / "cfg.json"
@@ -482,6 +536,37 @@ class TestJudgeCli:
         assert list(rows[0]) == ["subject", "Support", "Refute", "Related", "Unrelated"]
         assert float(rows[0]["Support"]) >= 1.0
 
+    def test_mock_classifier_lowercases_each_document_once(self):
+        Verdict = cli.Verdict  # also binds the factuality names the classifier reads
+        lowered = []
+
+        class Text(str):
+            def lower(self):
+                lowered.append(str(self))
+                return super().lower()
+
+        def per_pair_verdict(doc_text, question, answer):  # the rule, with nothing shared
+            text = doc_text.lower()
+            answer_words = [w for w in answer.lower().split() if len(w) > 2]
+            if answer_words and all(w in text for w in answer_words):
+                return Verdict.SUPPORT
+            if any(w in text for w in question.lower().split() if len(w) > 3):
+                return Verdict.RELATED
+            return Verdict.UNRELATED
+
+        texts = ["The Pulsar ROTATES", "a neutron star spins", "nothing"]
+        qa_items = [("What is a pulsar?", "rotates"), ("Why does it spin?", "neutron STAR"),
+                    ("Whom?", "it"), ("Which pulsar spins?", "no")]
+        classify = cli._heuristic_mock_classifier()
+        verdicts = set()
+        for question, answer in qa_items:
+            for text in texts:
+                verdict = classify(Text(text), question, answer)
+                assert verdict is per_pair_verdict(text, question, answer)
+                verdicts.add(verdict)
+        assert lowered == texts
+        assert verdicts == set(Verdict) - {Verdict.REFUTE}
+
     def test_non_http_endpoint_exits_one(self, tmp_path, capsys):
         qa = tmp_path / "qa.jsonl"
         qa.write_text(json.dumps({"subject": "s", "question": "q", "answer": "a",
@@ -727,17 +812,133 @@ def test_cli_import_loads_no_numpy():
 
 
 def test_package_exports_resolve():
-    tree = ast.parse(Path(poollab.__file__).read_text(encoding="utf-8"))
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    for module, name in imported:
+    exports = poollab._EXPORTS
+    assert sorted(poollab.__all__) == sorted(exports)
+    for name, module in exports.items():
         source = getattr(importlib.import_module(f"poollab.{module}"), name)
         assert getattr(poollab, name) is source, f"poollab.{name}"
+    assert set(exports) <= set(dir(poollab))
+
+
+def handler_globals(handler):
+    """Global names read by ``handler``, by code nested in it (comprehensions,
+    closures), and by the ``poollab.cli`` functions it calls, transitively."""
+    names, codes = set(), [handler.__code__]
+    while codes:
+        code = codes.pop()
+        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+        for ins in dis.get_instructions(code):
+            if ins.opname == "LOAD_GLOBAL" and ins.argval not in names:
+                names.add(ins.argval)
+                helper = vars(cli).get(ins.argval)
+                if isinstance(helper, types.FunctionType) and helper.__module__ == cli.__name__:
+                    codes.append(helper.__code__)
+    return names
+
+
+def test_handlers_read_only_names_of_their_commands_modules():
+    # a handler runs in a fresh child with only COMMAND_MODULES[command]
+    # bound, so a name from any other module would be a NameError there
+    table = {name: module for module, names in cli.MODULE_NAMES.items() for name in names}
+    for name, module in table.items():
+        assert hasattr(importlib.import_module(f"poollab.{module}"), name), name
+    handlers = {
+        name.removeprefix("cmd_").replace("_", "-"): fn
+        for name, fn in vars(cli).items() if name.startswith("cmd_")
+    }
+    assert handlers.keys() == cli.COMMAND_MODULES.keys()
+    for command, handler in handlers.items():
+        names = handler_globals(handler)
+        unresolved = names - table.keys() - vars(builtins).keys() - vars(cli).keys()
+        assert not unresolved, f"{command}: {sorted(unresolved)}"
+        modules = {table[n] for n in names if n in table}
+        assert modules <= set(cli.COMMAND_MODULES[command]), command
+
+
+def test_dispatch_keeps_a_replaced_name(monkeypatch, tmp_path, docs_file):
+    # the traced benchmark replay wraps library calls this way
+    written, write_pool = [], cli.write_pool
+
+    def recording_write_pool(path, pool):
+        written.append(path)
+        write_pool(path, pool)
+
+    monkeypatch.setattr(cli, "write_pool", recording_write_pool)
+    out = str(tmp_path / "pool.jsonl")
+    assert dispatch(["sample", "--input", str(docs_file), "--target-tokens", "100",
+                     "--output", out]) == 0
+    assert written == [out]
+
+
+def test_parser_choices_match_the_library():
+    from poollab.filters import PROFILES
+    assert cli.PROFILE_CHOICES == tuple(sorted(PROFILES))
+    assert cli.KIND_CHOICES == tuple(k.value for k in poollab.JunkKind)
+
+
+def loaded_poollab_modules(code):
+    return run_python(
+        f"import sys; {code}; print(sorted(m for m in sys.modules if m.startswith('poollab')))"
+    ).strip()
+
+
+def test_cli_import_loads_only_cli_errors_io():
+    expected = "['poollab', 'poollab.cli', 'poollab.errors', 'poollab.io']"
+    assert loaded_poollab_modules("import poollab.cli") == expected
+    assert loaded_poollab_modules("import poollab") == "['poollab']"
+
+
+def test_library_import_loads_no_thread_pool():
+    # only filter --threads > 1 and an HTTP judge with max_concurrency > 1 start threads
+    code = ("import sys, poollab.filters, poollab.factuality; "
+            "print('concurrent.futures' in sys.modules)")
+    assert run_python(code).strip() == "False"
+
+
+def run_cli_child(*argv, options=()):
+    """``python [options] -m poollab.cli argv`` in a fresh interpreter on this checkout."""
+    src = str(Path(poollab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    return subprocess.run([sys.executable, *options, "-m", "poollab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_extrapolate_child_loads_only_scaling_and_runlog(tmp_path):
+    law = write_text(tmp_path, "law.json", json.dumps(LAW))
+    proc = run_cli_child("extrapolate", "--law", law, "--pool-tokens", "1e12",
+                         options=["-X", "importtime"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"poollab.scaling", "poollab.runlog"} <= loaded
+    unused = {f"poollab.{m}" for m in ("corpus", "filters", "injection", "theory", "factuality")}
+    assert not unused & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--pool", "p.jsonl", "--output", "o.jsonl", "--profile", "bogus"],
+    ["inject", "--pool", "p.jsonl", "--ratio", "1", "--output", "o.jsonl", "--kind", "bogus"],
+])
+def test_bogus_choice_exits_two_in_fresh_child(argv):
+    proc = run_cli_child(*argv)
+    assert proc.returncode == 2
+    assert "invalid choice: 'bogus'" in proc.stderr
+
+
+HELP_COMMANDS = ["", "sample", "filter", "inject", "ingest", "report", "pareto", "crossing",
+                 "scaling-law", "extrapolate", "slice-loss", "verify-theory", "judge"]
+
+
+def test_help_text_unchanged():
+    # tests/data/cli_help.txt holds the --help output (80 columns) of the
+    # CLI as it was when every subcommand's modules were imported up front
+    texts = []
+    for command in HELP_COMMANDS:
+        proc = run_cli_child(*command.split(), "--help")
+        assert proc.returncode == 0, proc.stderr
+        texts.append(f"$ poollab {command} --help".replace("  ", " ") + "\n" + proc.stdout)
+    expected = (Path(__file__).parent / "data" / "cli_help.txt").read_text(encoding="utf-8")
+    assert "".join(texts) == expected
 
 
 def test_cli_import_loads_no_http_client_library():
