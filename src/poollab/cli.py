@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -193,13 +194,6 @@ def _number_map(value: dict) -> dict[str, float]:
     return {k: float(v) for k, v in value.items()}
 
 
-def _threads(args: argparse.Namespace, config: dict) -> int:
-    n = opt(args, config, "threads", 1, int)  # the stages hold the GIL: more threads cost time
-    if n < 1:
-        raise ConfigError(f"--threads must be >= 1, got {n}")
-    return n
-
-
 def write_manifest(
     output: str | Path,
     args: argparse.Namespace,
@@ -241,7 +235,7 @@ def write_manifest(
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = opt(args, config, "seed", 0, int)
-    target = opt(args, config, "target_tokens", 0, _token_count)
+    target = parse_value("--target-tokens", args.target_tokens, _token_count)
     label = opt(args, config, "label", Path(args.output).stem, str)
     pool = sample_pool(read_documents(args.input), target, seed, label=label)
     write_pool(args.output, pool)
@@ -264,8 +258,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
     )
 
     stage_names = opt(args, config, "stages", "english,repetition,stopword", _comma_list)
-    pool = read_pool(args.pool)
-    result = run_pipeline(pool, build_stages(stage_names, cfg), threads=_threads(args, config))
+    threads = opt(args, config, "threads", 1, int)  # checked; every stage runs on one thread
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
+    result = run_pipeline(read_pool(args.pool), build_stages(stage_names, cfg), threads)
     write_pool(args.output, result.pool)
     outputs = [args.output]
     if args.stats:
@@ -502,17 +498,14 @@ def _heuristic_mock_classifier() -> Callable[[str, str, str], Verdict]:
 
     Support if the document contains every answer word longer than 2
     characters, else Related if it contains any question word longer
-    than 3, else Unrelated.  A document is matched by many QA items, so
-    each document text is lowercased, and each question and answer
-    split, once per classifier.
+    than 3, else Unrelated.  Each question and answer is split once per
+    classifier; documents are lowercased per call, which costs less than
+    holding a lowercased copy of each.
     """
-    lowered: dict[str, str] = {}
     qa_words: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
 
     def classify(doc_text: str, question: str, answer: str) -> Verdict:
-        text = lowered.get(doc_text)
-        if text is None:
-            text = lowered[doc_text] = doc_text.lower()
+        text = doc_text.lower()
         words = qa_words.get((question, answer))
         if words is None:
             words = qa_words[question, answer] = (
@@ -600,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--output", required=True)
     p.add_argument("--stats", help="per-stage retention CSV")
-    p.add_argument("--threads", type=int, help="worker count; 1 = fully sequential")
+    p.add_argument("--threads", type=int, help="must be >= 1; every stage runs on one thread")
     with_config(p)
     p.set_defaults(func=cmd_filter)
 
@@ -686,6 +679,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+INPUT_FLAGS = (
+    "input", "pool", "runs", "junk_source", "qa", "crossings", "law", "slice", "config", "configs",
+)
+OUTPUT_FLAGS = ("output", "stats", "aggregate", "points_csv")
+
+
+def _check_outputs_are_not_inputs(args: argparse.Namespace) -> None:
+    # realpath, not Path.resolve: a symlink loop must reach the handler's open() as an OSError
+    flags = vars(args)
+    inputs = {os.path.realpath(flags[flag]): flag for flag in INPUT_FLAGS if flags.get(flag)}
+    for flag in OUTPUT_FLAGS:
+        source = flags.get(flag) and inputs.get(os.path.realpath(flags[flag]))
+        if source:
+            names = " and ".join("--" + f.replace("_", "-") for f in (flag, source))
+            raise UsageError(f"{names} name the same file {flags[flag]}")
+
+
 def dispatch(argv: Sequence[str]) -> int:
     """Run one subcommand; returns the process exit status."""
     parser = build_parser()
@@ -699,6 +709,7 @@ def dispatch(argv: Sequence[str]) -> int:
     for module in COMMAND_MODULES[args.command]:
         _bind_module(module)
     try:
+        _check_outputs_are_not_inputs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -165,7 +165,11 @@ class JudgeClient:
                 raise ValidationError("JudgeClient needs an endpoint or a classify callable")
             from urllib.parse import urlsplit  # only an HTTP judge parses a URL
 
-            if urlsplit(self.endpoint).scheme not in ("http", "https"):
+            try:
+                scheme = urlsplit(self.endpoint).scheme
+            except ValueError as exc:  # e.g. "Invalid IPv6 URL"
+                raise ValidationError(f"judge endpoint {self.endpoint!r}: {exc}") from exc
+            if scheme not in ("http", "https"):
                 raise ValidationError(
                     f"judge endpoint must be an http(s) URL, got {self.endpoint!r}"
                 )

@@ -2,9 +2,9 @@
 
 Five filter families are provided: an English-score threshold, a
 repetition filter over lines/paragraphs/n-grams, a stop-word floor,
-exact deduplication, and a score-ranked quality cut.  Per-document
-filters are pure functions of (text, config, scorer), so a pipeline's
-output is independent of document-level parallelism.
+exact deduplication, and a score-ranked quality cut.  Every stage runs
+on the calling thread: the per-document filters are pure Python and
+hold the interpreter lock, so worker threads cannot speed them up.
 
 Boundary convention: a fraction exactly equal to its threshold is kept.
 """
@@ -16,10 +16,9 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from operator import sub
-from threading import Lock
 from typing import Callable, Sequence
 
 from .corpus import WORD_RE, Document, Pool
@@ -369,21 +368,15 @@ def quality_filter(pool: Pool, scorer: DocumentScorer, keep_fraction: float) -> 
 
 @dataclass(frozen=True)
 class PipelineStage:
+    """A named ``apply(pool, threads) -> pool`` step; built-in stages ignore ``threads``."""
+
     name: str
     apply: Callable[[Pool, int], Pool]
 
 
 def _per_document_stage(name: str, outcome_fn: Callable[[Document], FilterOutcome]) -> PipelineStage:
     def apply(pool: Pool, threads: int) -> Pool:
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor  # only this path starts threads
-
-            with ThreadPoolExecutor(max_workers=threads) as executor:
-                outcomes = list(executor.map(outcome_fn, pool.documents))
-        else:
-            outcomes = [outcome_fn(doc) for doc in pool.documents]
-        kept = [doc for doc, out in zip(pool.documents, outcomes) if out.kept]
-        return pool.replace_documents(kept)
+        return pool.replace_documents([doc for doc in pool.documents if outcome_fn(doc).kept])
 
     return PipelineStage(name=name, apply=apply)
 
@@ -401,29 +394,11 @@ def stopword_stage(cfg: FilterConfig) -> PipelineStage:
 
 
 def dedup_stage() -> PipelineStage:
-    return PipelineStage(name="dedup", apply=lambda pool, threads: exact_dedup(pool))
+    return PipelineStage(name="dedup", apply=lambda pool, _: exact_dedup(pool))
 
 
 def quality_stage(scorer: DocumentScorer, keep_fraction: float) -> PipelineStage:
-    return PipelineStage(
-        name="quality", apply=lambda pool, threads: quality_filter(pool, scorer, keep_fraction)
-    )
-
-
-def _score_once(scorer: DocumentScorer) -> DocumentScorer:
-    # Misses are scored under the lock, so "once per distinct text" holds
-    # under threads too; hits read the dict without it.
-    scores: dict[str, float] = {}
-    lock = Lock()
-
-    def score(text: str) -> float:
-        if text not in scores:
-            with lock:
-                if text not in scores:
-                    scores[text] = scorer.score(text)
-        return scores[text]
-
-    return DocumentScorer(name=scorer.name, score=score)
+    return PipelineStage("quality", lambda pool, _: quality_filter(pool, scorer, keep_fraction))
 
 
 #: Stage lineups for the two composite filters: the heuristic-cleaning
@@ -441,9 +416,11 @@ def build_stages(
 
     The ``english`` and ``quality`` stages share one scorer that scores
     each distinct text once for the lifetime of the returned stages, so
-    ``quality`` does not rescore what ``english`` already scored.
+    ``quality`` does not rescore what ``english`` already scored.  A name
+    listed twice is a :class:`ConfigError`.
     """
-    scorer = _score_once(scorer or builtin_english_scorer())
+    scorer = scorer or builtin_english_scorer()
+    scorer = DocumentScorer(name=scorer.name, score=cache(scorer.score))
     factories: dict[str, Callable[[], PipelineStage]] = {
         "english": lambda: english_stage(scorer, cfg.english_threshold),
         "repetition": lambda: repetition_stage(cfg),
@@ -455,6 +432,8 @@ def build_stages(
     for name in names:
         if name not in factories:
             raise ConfigError(f"unknown stage {name!r}; available: {sorted(factories)}")
+        if any(stage.name == name for stage in stages):
+            raise ConfigError(f"stage {name!r} is listed twice")
         stages.append(factories[name]())
     return stages
 
@@ -487,7 +466,10 @@ class PipelineResult:
 
 
 def run_pipeline(pool: Pool, stages: Sequence[PipelineStage], threads: int = 1) -> PipelineResult:
-    """Apply ``stages`` in order, recording per-stage and cumulative stats."""
+    """Apply ``stages`` in order, recording per-stage and cumulative stats.
+
+    ``threads`` goes to each ``apply``; the built-in stages run on one thread.
+    """
     if not stages:
         raise ConfigError("pipeline requires at least one stage")
     current = pool

@@ -328,7 +328,7 @@ def test_c09_filter_determinism_and_oracle_recount(tmp_path):
         assert _stats_to_dict(stats) == live_oracle["pipeline"][name], name
     assert _stats_to_dict(result.cumulative) == live_oracle["pipeline"]["cumulative"]
 
-    # identical stats CSV sequentially and with 4 worker threads
+    # identical stats CSV under --threads 1 and --threads 4, a budget the stages ignore
     outputs = {}
     for tag, extra in {"seq": ["--threads", "1"], "par": ["--threads", "4"]}.items():
         out = tmp_path / f"out_{tag}.jsonl"

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import types
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -172,6 +173,37 @@ class TestPoolPipeline:
                              "--stats", str(stat)] + extra) == 0
             stats[tag] = stat.read_bytes()
         assert stats["seq"] == stats["par"]
+
+    @pytest.mark.parametrize("output", ["pool.jsonl", "./sub/../pool.jsonl", "POOL"])
+    def test_output_naming_an_input_exits_two(self, tmp_path, capsys, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        pool = tmp_path / "pool.jsonl"
+        write_documents(pool, [make_document("d0", "the cat and the dog")])
+        before = pool.read_bytes()
+        output = str(pool) if output == "POOL" else output
+        assert dispatch(["filter", "--pool", "pool.jsonl", "--output", output]) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --output and --pool name the same file {output}\n"
+        assert pool.read_bytes() == before
+        assert not (tmp_path / "pool.jsonl.header.json").exists()
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["judge", "--mock", "--qa", "a.jsonl", "--pool", "b.jsonl", "--output", "o.jsonl",
+          "--aggregate", "a.jsonl"], "--aggregate and --qa"),
+        (["scaling-law", "--crossings", "x.csv", "--output", "law.json",
+          "--points-csv", "x.csv"], "--points-csv and --crossings"),
+        (["inject", "--pool", "p.jsonl", "--ratio", "1", "--kind", "shuffled_docs",
+          "--junk-source", "j.jsonl", "--output", "j.jsonl"], "--output and --junk-source"),
+        (["filter", "--pool", "p.jsonl", "--output", "o.jsonl", "--stats", "c.json",
+          "--config", "c.json"], "--stats and --config"),
+        (["ingest", "--runs", "r.jsonl", "--output", "r.jsonl"], "--output and --runs"),
+    ])
+    def test_every_output_flag_is_checked_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                         argv, flags):
+        monkeypatch.chdir(tmp_path)  # none of the named files exists: nothing is read
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {flags} name the same file ")
 
     def test_config_file_merging_flags_win(self, tmp_path, docs_file):
         cfg = tmp_path / "cfg.json"
@@ -536,14 +568,8 @@ class TestJudgeCli:
         assert list(rows[0]) == ["subject", "Support", "Refute", "Related", "Unrelated"]
         assert float(rows[0]["Support"]) >= 1.0
 
-    def test_mock_classifier_lowercases_each_document_once(self):
+    def test_mock_classifier_follows_the_per_pair_rule(self):
         Verdict = cli.Verdict  # also binds the factuality names the classifier reads
-        lowered = []
-
-        class Text(str):
-            def lower(self):
-                lowered.append(str(self))
-                return super().lower()
 
         def per_pair_verdict(doc_text, question, answer):  # the rule, with nothing shared
             text = doc_text.lower()
@@ -561,10 +587,9 @@ class TestJudgeCli:
         verdicts = set()
         for question, answer in qa_items:
             for text in texts:
-                verdict = classify(Text(text), question, answer)
+                verdict = classify(text, question, answer)
                 assert verdict is per_pair_verdict(text, question, answer)
                 verdicts.add(verdict)
-        assert lowered == texts
         assert verdicts == set(Verdict) - {Verdict.REFUTE}
 
     def test_non_http_endpoint_exits_one(self, tmp_path, capsys):
@@ -639,6 +664,13 @@ def pool_with_header(tmp_path, **fields):
     header = {"label": "p", "seed": 0, "total_tokens": 2, "counter_name": "whitespace"}
     write_text(tmp_path, "pool.jsonl.header.json", json.dumps({**header, **fields}))
     return path
+
+
+def symlink_loop(tmp_path):
+    """A path that is a symlink to a symlink back to it."""
+    (tmp_path / "loop-b").symlink_to(tmp_path / "loop-a")
+    (tmp_path / "loop-a").symlink_to(tmp_path / "loop-b")
+    return str(tmp_path / "loop-a")
 
 
 def filter_pool_with_header(tmp_path, **fields):
@@ -741,6 +773,21 @@ MALFORMED_INPUTS = {
     "filter-repetition-threshold-misspelled": lambda t, docs: [
         "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
         write_text(t, "c.json", '{"repetition_thresholds": {"top_2grams": 0.0}}')],
+    "filter-threads-zero": lambda t, docs: [
+        "filter", "--pool", docs, "--threads", "0", "--output", str(t / "f.jsonl")],
+    "filter-threads-negative": lambda t, docs: [
+        "filter", "--pool", docs, "--threads", "-3", "--output", str(t / "f.jsonl")],
+    "filter-config-threads-a-string": lambda t, docs: [
+        "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
+        write_text(t, "c.json", '{"threads": "2"}')],
+    "filter-stages-duplicate": lambda t, docs: [
+        "filter", "--pool", docs, "--stages", "english,repetition,english",
+        "--output", str(t / "f.jsonl")],
+    "filter-pool-symlink-loop": lambda t, docs: [
+        "filter", "--pool", symlink_loop(t), "--output", str(t / "f.jsonl")],
+    "judge-endpoint-invalid-ipv6": lambda t, docs: [
+        "judge", "--qa", write_text(t, "qa.jsonl", QA_LINE), "--pool", docs,
+        "--endpoint", "http://[::1", "--output", str(t / "j.jsonl")],
     "filter-repetition-threshold-above-one": lambda t, docs: [
         "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
         write_text(t, "c.json", '{"repetition_thresholds": {"dup_5gram": 7.5}}')],
@@ -889,10 +936,19 @@ def test_cli_import_loads_only_cli_errors_io():
 
 
 def test_library_import_loads_no_thread_pool():
-    # only filter --threads > 1 and an HTTP judge with max_concurrency > 1 start threads
-    code = ("import sys, poollab.filters, poollab.factuality; "
-            "print('concurrent.futures' in sys.modules)")
-    assert run_python(code).strip() == "False"
+    # only an HTTP judge with max_concurrency > 1 starts threads; filter
+    # stages run on the calling thread whatever thread count they are given
+    code = textwrap.dedent("""\
+        import sys, poollab.factuality
+        from poollab import FilterConfig, Pool, build_stages, make_document, run_pipeline
+        from poollab.filters import DCLM_STAGES
+        texts = ["the cat and the dog", "zzz qqq", "a\\na\\na", "the cat and the dog "]
+        pool = Pool(documents=[make_document(f"d{i}", t) for i, t in enumerate(texts)])
+        stages = build_stages(DCLM_STAGES, FilterConfig())
+        result = run_pipeline(pool, stages, threads=4)
+        print(len(result.per_stage), "concurrent.futures" in sys.modules)
+    """)
+    assert run_python(code).strip() == "5 False"
 
 
 def run_cli_child(*argv, options=()):

@@ -1,7 +1,5 @@
 import math
 import re
-import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -355,38 +353,22 @@ class TestPipeline:
         result = run_pipeline(small_pool, stages)
         assert result.stage_order == ["stopword", "english"]
 
-    def test_threads_do_not_change_outcome(self):
-        texts = ["the cat and the hat"] * 3 + ["zzz qqq"] * 3 + ["a\na\na\na"] * 2
-        pool = Pool(documents=[doc(t, f"d{i}") for i, t in enumerate(texts)])
-        stages = lambda: build_stages(["english", "repetition", "stopword"], FilterConfig())
-        seq = run_pipeline(pool, stages(), threads=1)
-        par = run_pipeline(pool, stages(), threads=4)
-        assert [d.id for d in seq.pool.documents] == [d.id for d in par.pool.documents]
-        assert seq.stats_rows() == par.stats_rows()
-
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_each_text_scored_once(self, threads):
+    def test_each_text_scored_once(self):
         base = oracle_recount.load_fixture(DATA_DIR / "corpus_1k.jsonl")[:120]
-        # every third text three times in a row under new ids, so threads
-        # score duplicates at once and quality reranks what english scored
+        # every third text three times in a row under new ids, so english
+        # meets repeated texts and quality reranks what english scored
         docs = [doc(t, f"{i}-{k}") for n, (i, t) in enumerate(base)
                 for k in range(1 if n % 3 else 3)]
         pool = Pool(documents=docs)
         scored = []
 
         def count(text):
-            scored.append(text)  # list.append is atomic, so safe across threads
-            time.sleep(0)  # yield mid-score, as a scorer waiting on I/O would
+            scored.append(text)
             return builtin_english_scorer().score(text)
 
         cfg = FilterConfig(quality_keep_fraction=0.5)
         stages = build_stages(DCLM_STAGES, cfg, DocumentScorer("counting", count))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so a racy cache scores twice
-        try:
-            cached = run_pipeline(pool, stages, threads)
-        finally:
-            sys.setswitchinterval(interval)
+        cached = run_pipeline(pool, stages)
         assert sorted(scored) == sorted({d.text for d in docs})
 
         plain = builtin_english_scorer()
@@ -396,7 +378,7 @@ class TestPipeline:
             stopword_stage(cfg),
             dedup_stage(),
             quality_stage(plain, cfg.quality_keep_fraction),
-        ], threads)
+        ])
         assert cached.stats_rows() == uncached.stats_rows()
         assert cached.pool.documents == uncached.pool.documents
         assert 0 < len(cached.pool) < len(pool)
@@ -404,6 +386,16 @@ class TestPipeline:
     def test_empty_stage_list_rejected(self, small_pool):
         with pytest.raises(ConfigError):
             run_pipeline(small_pool, [])
+
+    @pytest.mark.parametrize("names", [
+        ["english", "english"],
+        ["stopword", "dedup", "stopword"],
+        list(DCLM_STAGES) + ["quality"],
+    ])
+    def test_duplicate_stage_rejected(self, names):
+        # a repeated stage would write a second stats row under the same name
+        with pytest.raises(ConfigError, match=f"stage {names[-1]!r} is listed twice"):
+            build_stages(names, FilterConfig())
 
     def test_stats_rows_schema(self, small_pool):
         result = run_pipeline(small_pool, build_stages(["stopword"], FilterConfig()))
