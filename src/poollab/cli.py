@@ -3,9 +3,9 @@
 Subcommands chain into pipelines without manual edits: ``sample`` makes
 a pool, ``filter`` and ``inject`` transform it, ``ingest`` loads run
 logs, and ``pareto`` / ``crossing`` / ``scaling-law`` / ``extrapolate``
-analyze them.  Every artifact-producing command writes a
-``<output>.manifest.json`` sidecar; identical command + inputs + seed
-give byte-identical outputs (manifests carry the only timestamp).
+analyze them.  :func:`dispatch` writes a ``<output>.manifest.json``
+sidecar for every run given ``--output``; identical command + inputs +
+seed give byte-identical outputs (manifests carry the only timestamp).
 
 Exit codes: 0 success, 1 domain error (single "error: ..." line on
 stderr), 2 usage error.
@@ -25,7 +25,9 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .errors import ConfigError, PoolLabError, ValidationError
-from .io import csv_cell, field_names, read_json, read_rows, write_json, write_lines, write_rows
+from .io import (
+    csv_cell, field_names, read_json, read_rows, sha256_file, write_json, write_lines, write_rows,
+)
 
 #: The library modules each subcommand's handler uses.  :func:`dispatch`
 #: imports only these, so a child running one subcommand compiles no other.
@@ -165,7 +167,9 @@ def opt(args: argparse.Namespace, config: dict, key: str, default, kind: Callabl
     """Flag value if given, else config-file value, else default; ``kind`` converts it.
 
     A config value for a ``bool``, ``int``, ``float`` or ``str`` key must
-    already have that JSON type: it is checked, not coerced.
+    already have that JSON type: it is checked, not coerced.  The value
+    returned is also stored on ``args``, so the manifest records the
+    setting the run used.
     """
     value = getattr(args, key, None)
     if value is None and key in config:
@@ -176,7 +180,9 @@ def opt(args: argparse.Namespace, config: dict, key: str, default, kind: Callabl
                 raise ValidationError(f"{key}: config value {value!r} is not {expected}")
     elif value is None:
         value = default
-    return value if kind is None else parse_value(key, value, kind)
+    value = value if kind is None else parse_value(key, value, kind)
+    setattr(args, key, value)
+    return value
 
 
 def _comma_list(value: str) -> list[str]:
@@ -194,37 +200,47 @@ def _number_map(value: dict) -> dict[str, float]:
     return {k: float(v) for k, v in value.items()}
 
 
-def write_manifest(
-    output: str | Path,
-    args: argparse.Namespace,
-    seeds: dict[str, int] | None = None,
-    inputs: Sequence[str | None] = (),
-    outputs: Sequence[str] = (),
-    config: dict | None = None,
-) -> None:
-    """Write ``<output>.manifest.json``.
+#: The flags that name files a run reads, and those that name files it writes.
+INPUT_FLAGS = (
+    "input", "pool", "runs", "junk_source", "qa", "crossings", "law", "slice", "config", "configs",
+)
+OUTPUT_FLAGS = ("output", "stats", "aggregate", "points_csv")
 
-    ``config_digest`` hashes the flags together with the loaded ``--config``
-    contents, not its path, so editing the file in place changes the digest.
+#: The files a named path stands for: itself, a pool's header and an artifact's manifest.
+PATH_SUFFIXES = ("", ".header.json", ".manifest.json")
+
+
+def _named_files(args: argparse.Namespace, flags: Sequence[str]) -> list[tuple[str, str]]:
+    """``(flag, path)`` for each of ``flags`` that ``args`` sets."""
+    return [(flag, getattr(args, flag)) for flag in flags if getattr(args, flag, None)]
+
+
+def write_manifest(args: argparse.Namespace) -> None:
+    """Write ``<output>.manifest.json`` for the run that ``args`` describes.
+
+    Inputs and outputs are the paths named by :data:`INPUT_FLAGS` and
+    :data:`OUTPUT_FLAGS`, each input with the sha256 of its bytes.
+    ``config_digest`` hashes the effective settings: each flag, with the
+    value :func:`opt` took from ``--config`` or its default in its place.
     """
-    merged = {
+    settings = {
         k: v for k, v in vars(args).items() if k not in ("func", "config") and v is not None
     }
-    if config:
-        merged["config"] = config
     digest = hashlib.sha256(
-        json.dumps(merged, sort_keys=True, default=str).encode("utf-8")
+        json.dumps(settings, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()
+    inputs = sorted(path for _, path in _named_files(args, INPUT_FLAGS))
     manifest = {
         "command_line": " ".join(sys.argv),
         "config_digest": digest,
-        "seeds": seeds or {},
-        "inputs": sorted(str(p) for p in inputs if p),
-        "outputs": sorted(str(p) for p in outputs),
+        "seeds": {"seed": args.seed} if "seed" in vars(args) else {},
+        "inputs": inputs,
+        "input_sha256": {path: sha256_file(path) for path in inputs},
+        "outputs": sorted(path for _, path in _named_files(args, OUTPUT_FLAGS)),
         "tool_version": __version__,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    write_json(str(output) + ".manifest.json", manifest)
+    write_json(args.output + ".manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +255,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     label = opt(args, config, "label", Path(args.output).stem, str)
     pool = sample_pool(read_documents(args.input), target, seed, label=label)
     write_pool(args.output, pool)
-    write_manifest(
-        args.output, args, {"seed": seed}, [args.input, args.config], [args.output], config
-    )
     print(f"sampled {len(pool)} docs, {pool.total_tokens} tokens -> {args.output}")
     return EXIT_OK
 
@@ -263,11 +276,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     result = run_pipeline(read_pool(args.pool), build_stages(stage_names, cfg), threads)
     write_pool(args.output, result.pool)
-    outputs = [args.output]
     if args.stats:
         write_rows(args.stats, STATS_COLUMNS, result.stats_rows())
-        outputs.append(args.stats)
-    write_manifest(args.output, args, {}, [args.pool, args.config], outputs, config)
     print(
         f"filtered {result.cumulative.docs_in} -> {result.cumulative.docs_kept} docs "
         f"(token retention {result.cumulative.retention_tokens:.4f}) via {stage_names}"
@@ -278,23 +288,18 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def cmd_inject(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = opt(args, config, "seed", 0, int)
-    ratio = opt(args, config, "ratio", 0, float)
     kind = opt(args, config, "kind", JunkKind.RANDOM_STRINGS.value, JunkKind)
+    if (kind is JunkKind.SHUFFLED_DOCS) != bool(args.junk_source):
+        raise UsageError("--junk-source is read by --kind shuffled_docs only, which needs it")
+    spec = InjectionSpec(kind=kind, ratio=args.ratio, seed=seed)
     pool = read_pool(args.pool)
     if kind is JunkKind.SHUFFLED_DOCS:
-        if not args.junk_source:
-            raise UsageError("--junk-source is required for --kind shuffled_docs")
         source = shuffled_junk_stream(read_documents(args.junk_source), seed)
-        inputs = [args.pool, args.junk_source]
     else:
         vocab_seed = opt(args, config, "vocab_seed", seed, int)
         source = random_junk_stream(pool, build_vocab(vocab_seed), seed)
-        inputs = [args.pool]
-    injected = inject(pool, InjectionSpec(kind=kind, ratio=ratio, seed=seed), source)
+    injected = inject(pool, spec, source)
     write_pool(args.output, injected)
-    write_manifest(
-        args.output, args, {"seed": seed}, [*inputs, args.config], [args.output], config
-    )
     print(
         f"injected to {injected.total_tokens} tokens "
         f"({len(injected)} docs), label {injected.label!r}"
@@ -303,6 +308,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    if args.validate_only == bool(args.output):
+        raise UsageError("give exactly one of --output and --validate-only")
     records, errors = parse_run_log(args.runs)
     for err in errors:
         print(f"{args.runs}: line {err.lineno}: {err.message}", file=sys.stderr)
@@ -311,10 +318,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.validate_only:
         print(f"validated {len(records)} records from {args.runs}")
         return EXIT_OK
-    if not args.output:
-        raise UsageError("--output is required unless --validate-only is set")
     write_run_log(args.output, records)
-    write_manifest(args.output, args, {}, [args.runs], [args.output])
     print(f"ingested {len(records)} records -> {args.output}")
     return EXIT_OK
 
@@ -329,7 +333,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     ]
     rows.sort(key=lambda row: (row["dataset_label"], row["model_params"], row["train_tokens"]))
     write_rows(args.output, REPORT_COLUMNS, rows)
-    write_manifest(args.output, args, {}, [args.runs], [args.output])
     print(f"reported {len(rows)} runs -> {args.output}")
     return EXIT_OK
 
@@ -347,7 +350,6 @@ def cmd_pareto(args: argparse.Namespace) -> int:
     ]
     frontier = pareto_frontier(points)
     write_rows(args.output, field_names(FrontierPoint), frontier)
-    write_manifest(args.output, args, {}, [args.runs], [args.output])
     print(f"frontier has {len(frontier)} of {len(points)} points -> {args.output}")
     return EXIT_OK
 
@@ -378,13 +380,17 @@ def cmd_crossing(args: argparse.Namespace) -> int:
         for cell in cells
     ]
     write_rows(args.output, CROSSING_COLUMNS, crossings)
-    write_manifest(args.output, args, {}, [args.runs], [args.output])
     print(f"computed {len(crossings)} crossing cells -> {args.output}")
     return EXIT_OK
 
 
 def cmd_scaling_law(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    method = opt(args, config, "method", "tpp", str)
+    if method not in ("tpp", "epoch"):
+        raise UsageError(f"--method must be tpp or epoch, got {method!r}")
+    if method == "epoch" and args.configs:
+        raise UsageError("--configs is read only by --method tpp")
     by_model: dict[int, list[CrossingPoint]] = {}
     for cp in read_rows(args.crossings, CrossingPoint):
         by_model.setdefault(cp.model_params, []).append(cp)
@@ -399,7 +405,6 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
             continue
         quads[model_params] = fit_crossing_quadratic(cell)
 
-    method = opt(args, config, "method", "tpp", str)
     if method == "tpp":
         ratio = opt(args, config, "ratio", 600.0, float)
         configs = bundled_model_configs()
@@ -409,10 +414,8 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
             except TypeError as exc:
                 raise ValidationError(f"{args.configs}: malformed model configs: {exc}") from exc
         law = fit_threshold_tokens_per_param(quads, configs, ratio)
-    elif method == "epoch":
-        law = fit_threshold_epoch_constraint(quads, opt(args, config, "epochs", 4.0, float))
     else:
-        raise UsageError(f"--method must be tpp or epoch, got {method!r}")
+        law = fit_threshold_epoch_constraint(quads, opt(args, config, "epochs", 4.0, float))
 
     law_json = {
         **asdict(law),
@@ -423,13 +426,8 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
         },
     }
     write_json(args.output, law_json)
-    outputs = [args.output]
     if args.points_csv:
         write_rows(args.points_csv, field_names(ThresholdPoint), law.points)
-        outputs.append(args.points_csv)
-    write_manifest(
-        args.output, args, {}, [args.crossings, args.config, args.configs], outputs, config
-    )
     print(
         f"{law.method}: compute = {law.alpha:.6g} * pool^{law.beta:.6g} "
         f"(r2={law.r2:.6f}), 240T-token compute {law.predict_compute(REFERENCE_POOL_TOKENS):.6g}"
@@ -444,7 +442,6 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     print(repr(compute))
     if args.output:
         write_json(args.output, {"pool_tokens": pool_tokens, "compute": compute})
-        write_manifest(args.output, args, {}, [args.law], [args.output])
     return EXIT_OK
 
 
@@ -462,7 +459,6 @@ def cmd_slice_loss(args: argparse.Namespace) -> int:
     rows = [dict(zip(columns, (t, slice_loss(slc, t)))) for t in ts]
     if args.output:
         write_rows(args.output, columns, rows)
-        write_manifest(args.output, args, {}, [args.slice], [args.output])
     else:
         for row in rows:
             print(",".join(csv_cell(v) for v in row.values()))
@@ -488,7 +484,6 @@ def cmd_verify_theory(args: argparse.Namespace) -> int:
     lines = [json.dumps(v, sort_keys=True) for v in [*verdicts, summary]]
     if args.output:
         write_lines(args.output, lines)
-        write_manifest(args.output, args, {"seed": seed}, [], [args.output])
     print("\n".join(lines))
     return EXIT_OK if all_pass else EXIT_DOMAIN_ERROR
 
@@ -543,12 +538,9 @@ def cmd_judge(args: argparse.Namespace) -> int:
         combined.judgements.extend(run.judgements)
         combined.failures.extend(run.failures)
     write_judgements(args.output, combined)
-    outputs = [args.output]
     if args.aggregate:
         rows = aggregate_judgements(combined.judgements, qa_items)
         write_rows(args.aggregate, ["subject"] + VERDICT_COLUMNS, rows)
-        outputs.append(args.aggregate)
-    write_manifest(args.output, args, {}, [args.qa, args.pool, args.config], outputs, config)
     print(
         f"judged {len(combined.judgements)} documents "
         f"({len(combined.failures)} failures) across {len(qa_items)} QA items"
@@ -679,21 +671,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-INPUT_FLAGS = (
-    "input", "pool", "runs", "junk_source", "qa", "crossings", "law", "slice", "config", "configs",
-)
-OUTPUT_FLAGS = ("output", "stats", "aggregate", "points_csv")
-
-
 def _check_outputs_are_not_inputs(args: argparse.Namespace) -> None:
+    """Raise UsageError if an output would replace another file the run names.
+
+    Each path stands for itself and its sidecars, and each output is
+    compared with every input and every other output.
+    """
     # realpath, not Path.resolve: a symlink loop must reach the handler's open() as an OSError
-    flags = vars(args)
-    inputs = {os.path.realpath(flags[flag]): flag for flag in INPUT_FLAGS if flags.get(flag)}
-    for flag in OUTPUT_FLAGS:
-        source = flags.get(flag) and inputs.get(os.path.realpath(flags[flag]))
-        if source:
-            names = " and ".join("--" + f.replace("_", "-") for f in (flag, source))
-            raise UsageError(f"{names} name the same file {flags[flag]}")
+    named = _named_files(args, INPUT_FLAGS + OUTPUT_FLAGS)
+    files = {
+        flag: {os.path.realpath(path + suffix) for suffix in PATH_SUFFIXES}
+        for flag, path in named
+    }
+    for flag, path in _named_files(args, OUTPUT_FLAGS):
+        for other, _ in named:
+            for suffix in PATH_SUFFIXES:
+                if other != flag and os.path.realpath(path + suffix) in files[other]:
+                    names = " and ".join("--" + f.replace("_", "-") for f in (flag, other))
+                    raise UsageError(f"{names} name the same file {path + suffix}")
 
 
 def dispatch(argv: Sequence[str]) -> int:
@@ -710,7 +705,10 @@ def dispatch(argv: Sequence[str]) -> int:
         _bind_module(module)
     try:
         _check_outputs_are_not_inputs(args)
-        return args.func(args)
+        code = args.func(args)
+        if args.output:
+            write_manifest(args)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,6 @@ so only the order (not the unigram distribution) is destroyed.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +30,10 @@ def derive_seed(base_seed: int, *tags: object) -> int:
 VOCAB_SIZE = 10_000
 WORD_LENGTH_RANGE = (3, 8)
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+#: The largest junk-to-pool token ratio.  The injected pool is held in
+#: memory, so an unbounded ratio builds junk until the process is killed.
+MAX_INJECTION_RATIO = 100
 
 
 class JunkKind(str, Enum):
@@ -57,8 +60,11 @@ class InjectionSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.ratio < math.inf:  # NaN fails too: a target it can never meet
-            raise ValidationError(f"injection ratio must be finite and > 0, got {self.ratio}")
+        if not 0 < self.ratio <= MAX_INJECTION_RATIO:  # NaN fails too: a target it can never meet
+            raise ValidationError(
+                f"injection ratio must be finite, > 0 and <= {MAX_INJECTION_RATIO}, "
+                f"got {self.ratio}"
+            )
 
 
 def build_vocab(seed: int) -> JunkVocab:

@@ -16,6 +16,7 @@ Each file is written to a sibling ``<path>.<pid>.tmp`` that replaces
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -162,6 +163,15 @@ def write_json(path: str | Path, obj: object) -> None:
     with _replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def sha256_file(path: str | Path) -> str:
+    """Hex sha256 of a file's bytes, read in 64 KiB chunks so memory does not grow with it."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_json(path: str | Path) -> Any:

@@ -512,6 +512,12 @@ def _fit_threshold_points(
 
     if len(points) < 3:
         raise FitError(f"threshold law needs >= 3 model sizes, got {len(points)}")
+    for p in points:
+        if not (0 < p.pool_tokens < math.inf and 0 < p.compute < math.inf):
+            raise FitError(
+                f"model {p.model_params}: threshold point has pool_tokens {p.pool_tokens!r} "
+                f"and compute {p.compute!r}; both must be finite and > 0"
+            )
     if len({p.pool_tokens for p in points}) < 2:
         raise FitError("threshold points share one pool size; the law's slope is undetermined")
     x = np.log10([p.pool_tokens for p in points])
@@ -541,6 +547,8 @@ def fit_threshold_tokens_per_param(
     quadratic.  Models whose quadratic has no real inverse are excluded
     with a warning.
     """
+    if not 0 < ratio < math.inf:  # NaN fails too
+        raise ValidationError(f"tokens-per-param ratio must be finite and > 0, got {ratio}")
     by_total = {cfg.total_params: cfg for cfg in configs}
     points: list[ThresholdPoint] = []
     for model_params in sorted(quads):
@@ -576,8 +584,8 @@ def fit_threshold_epoch_constraint(
     quadratic coinciding with the line has no unique intersection and is
     an error.
     """
-    if epochs <= 0:
-        raise ValidationError("epochs must be positive")
+    if not 0 < epochs < math.inf:  # NaN fails too
+        raise ValidationError(f"epochs must be finite and > 0, got {epochs}")
     points: list[ThresholdPoint] = []
     for model_params in sorted(quads):
         try:

@@ -1,6 +1,7 @@
 import builtins
 import csv
 import dis
+import hashlib
 import importlib
 import json
 import math
@@ -198,12 +199,30 @@ class TestPoolPipeline:
         (["filter", "--pool", "p.jsonl", "--output", "o.jsonl", "--stats", "c.json",
           "--config", "c.json"], "--stats and --config"),
         (["ingest", "--runs", "r.jsonl", "--output", "r.jsonl"], "--output and --runs"),
+        (["filter", "--pool", "p.jsonl", "--stages", "stopword", "--output", "o.jsonl",
+          "--stats", "o.jsonl"], "--output and --stats"),
+        (["filter", "--pool", "p.jsonl", "--output", "o3.jsonl",
+          "--stats", "p.jsonl.header.json"], "--stats and --pool"),
+        # file flags a run would otherwise ignore, and so list as files it used
+        (["ingest", "--runs", "r.jsonl", "--validate-only", "--output", "o.jsonl"], None),
+        (["inject", "--pool", "q.jsonl", "--ratio", "1", "--junk-source", "j.jsonl",
+          "--output", "o.jsonl"], None),
+        (["scaling-law", "--crossings", "x.csv", "--method", "epoch", "--configs", "m.json",
+          "--output", "o.json"], None),
     ])
     def test_every_output_flag_is_checked_before_reading(self, tmp_path, capsys, monkeypatch,
                                                          argv, flags):
-        monkeypatch.chdir(tmp_path)  # none of the named files exists: nothing is read
+        # only p.jsonl and its header exist, so a command that read a file would exit 1
+        monkeypatch.chdir(tmp_path)
+        write_documents(tmp_path / "p.jsonl", [make_document("d0", "the cat and the dog")])
+        (tmp_path / "p.jsonl.header.json").write_text('{"label": "p"}', encoding="utf-8")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         assert dispatch(argv) == 2
-        assert capsys.readouterr().err.startswith(f"usage error: {flags} name the same file ")
+        err = capsys.readouterr().err
+        if flags:
+            assert err.startswith(f"usage error: {flags} name the same file ")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_config_file_merging_flags_win(self, tmp_path, docs_file):
         cfg = tmp_path / "cfg.json"
@@ -278,6 +297,19 @@ class TestPoolPipeline:
             digests.append(manifest["config_digest"])
         # same path, different contents: different digests; same contents: same digest
         assert digests[0] != digests[1] and digests[0] == digests[2]
+
+    def test_manifest_digest_hashes_effective_settings(self, tmp_path, docs_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}), encoding="utf-8")
+        out = tmp_path / "pool.jsonl"
+        digests = []
+        for extra in (["--seed", "5"], ["--config", str(cfg)], ["--seed", "6"]):
+            assert dispatch(["sample", "--input", str(docs_file), "--target-tokens", "600",
+                             "--output", str(out)] + extra) == 0
+            manifest = json.loads((tmp_path / "pool.jsonl.manifest.json").read_text())
+            digests.append(manifest["config_digest"])
+        # a seed from --config is the same setting as that seed given as a flag
+        assert digests[0] == digests[1] != digests[2]
 
 
 class TestRunAnalysis:
@@ -678,6 +710,13 @@ def filter_pool_with_header(tmp_path, **fields):
             "--output", str(tmp_path / "f.jsonl")]
 
 
+def scaling_law_with(tmp_path, *flags):
+    """scaling-law on crossings that fit a law, with ``flags`` added."""
+    write_crossings_csv(tmp_path / "x.csv", planted_threshold_world())
+    return ["scaling-law", "--crossings", str(tmp_path / "x.csv"), *flags,
+            "--output", str(tmp_path / "e.json")]
+
+
 # Each builder gets (tmp_path, docs_file) and returns argv for one malformed input.
 MALFORMED_INPUTS = {
     "config-invalid-json": lambda t, docs: [
@@ -788,6 +827,16 @@ MALFORMED_INPUTS = {
     "judge-endpoint-invalid-ipv6": lambda t, docs: [
         "judge", "--qa", write_text(t, "qa.jsonl", QA_LINE), "--pool", docs,
         "--endpoint", "http://[::1", "--output", str(t / "j.jsonl")],
+    "scaling-law-ratio-zero": lambda t, docs: scaling_law_with(t, "--ratio", "0"),
+    "scaling-law-ratio-negative": lambda t, docs: scaling_law_with(t, "--ratio", "-5"),
+    "scaling-law-ratio-nan": lambda t, docs: scaling_law_with(t, "--ratio", "nan"),
+    "scaling-law-epochs-nan": lambda t, docs: scaling_law_with(
+        t, "--method", "epoch", "--epochs", "nan"),
+    "scaling-law-epochs-underflow": lambda t, docs: scaling_law_with(  # compute is 0.0
+        t, "--method", "epoch", "--epochs", "1e-300"),
+    "inject-ratio-above-bound": lambda t, docs: [
+        "inject", "--pool", docs, "--kind", "random_strings", "--ratio", "1e9",
+        "--output", str(t / "i.jsonl")],
     "filter-repetition-threshold-above-one": lambda t, docs: [
         "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
         write_text(t, "c.json", '{"repetition_thresholds": {"dup_5gram": 7.5}}')],
@@ -842,6 +891,112 @@ def test_malformed_pool_header_error_names_header(tmp_path, docs_file, capsys, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'pool.jsonl.header.json'}: ")
     assert err.count("\n") == 1
+
+
+def write_manifest_inputs(tmp_path, docs_file, runs_file):
+    """Every input file a MANIFEST_CASES command line names, in ``tmp_path``."""
+    world = planted_threshold_world()
+    write_crossings_csv(tmp_path / "crossings.csv", world)
+    files = {
+        "docs.jsonl": docs_file.read_text(encoding="utf-8"),
+        "junk.jsonl": docs_file.read_text(encoding="utf-8").replace('"doc-', '"junk-'),
+        "runs.jsonl": runs_file.read_text(encoding="utf-8"),
+        "law.json": json.dumps(LAW),
+        "slice.json": '{"position_losses": [1.0, 2.0], "context_length": 2}',
+        "qa.jsonl": QA_LINE + "\n",
+        "seed4.json": '{"seed": 4}',
+        "seed5.json": '{"seed": 5}',
+        "tpp.json": '{"method": "tpp"}',
+        "models.json": json.dumps([asdict(c) for c in world.configs]),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+
+
+SAMPLE = ["sample", "--input", "docs.jsonl", "--target-tokens", "300", "--output", "out.jsonl"]
+INJECT = ["inject", "--pool", "docs.jsonl", "--ratio", "0.5", "--output", "out.jsonl"]
+SCALING_LAW = ["scaling-law", "--crossings", "crossings.csv", "--output", "out.json"]
+JUDGE = ["judge", "--mock", "--qa", "qa.jsonl", "--pool", "docs.jsonl", "--output", "out.jsonl"]
+
+# argv (run in the directory of write_manifest_inputs), then the manifest's
+# expected inputs, outputs and seeds.
+MANIFEST_CASES = {
+    "sample": (SAMPLE + ["--seed", "3"], ["docs.jsonl"], ["out.jsonl"], {"seed": 3}),
+    "sample-config-seed": (
+        SAMPLE + ["--config", "seed5.json"], ["docs.jsonl", "seed5.json"], ["out.jsonl"],
+        {"seed": 5}),
+    "filter": (["filter", "--pool", "docs.jsonl", "--output", "out.jsonl"],
+               ["docs.jsonl"], ["out.jsonl"], {}),
+    "filter-stats": (
+        ["filter", "--pool", "docs.jsonl", "--output", "out.jsonl", "--stats", "stats.csv"],
+        ["docs.jsonl"], ["out.jsonl", "stats.csv"], {}),
+    "inject": (INJECT + ["--seed", "2"], ["docs.jsonl"], ["out.jsonl"], {"seed": 2}),
+    "inject-shuffled": (
+        INJECT + ["--kind", "shuffled_docs", "--junk-source", "junk.jsonl", "--seed", "2"],
+        ["docs.jsonl", "junk.jsonl"], ["out.jsonl"], {"seed": 2}),
+    "inject-config-seed": (
+        INJECT + ["--config", "seed4.json"], ["docs.jsonl", "seed4.json"], ["out.jsonl"],
+        {"seed": 4}),
+    "ingest": (["ingest", "--runs", "runs.jsonl", "--output", "out.jsonl"],
+               ["runs.jsonl"], ["out.jsonl"], {}),
+    "report": (["report", "--runs", "runs.jsonl", "--output", "out.csv"],
+               ["runs.jsonl"], ["out.csv"], {}),
+    "pareto": (["pareto", "--runs", "runs.jsonl", "--output", "out.csv"],
+               ["runs.jsonl"], ["out.csv"], {}),
+    "crossing": (
+        ["crossing", "--runs", "runs.jsonl", "--pool-label", "cc", "--filtered-label", "rw",
+         "--output", "out.csv"], ["runs.jsonl"], ["out.csv"], {}),
+    "scaling-law": (SCALING_LAW, ["crossings.csv"], ["out.json"], {}),
+    "scaling-law-points-configs-config": (
+        SCALING_LAW + ["--points-csv", "points.csv", "--configs", "models.json",
+                       "--config", "tpp.json"],
+        ["crossings.csv", "models.json", "tpp.json"], ["out.json", "points.csv"], {}),
+    "extrapolate": (["extrapolate", "--law", "law.json", "--pool-tokens", "1e12",
+                     "--output", "out.json"], ["law.json"], ["out.json"], {}),
+    "slice-loss": (["slice-loss", "--slice", "slice.json", "--t", "1", "--output", "out.csv"],
+                   ["slice.json"], ["out.csv"], {}),
+    "verify-theory": (["verify-theory", "--filter-fact", "--trials", "1", "--seed", "4",
+                       "--output", "out.jsonl"], [], ["out.jsonl"], {"seed": 4}),
+    "judge": (JUDGE, ["docs.jsonl", "qa.jsonl"], ["out.jsonl"], {}),
+    "judge-aggregate": (JUDGE + ["--aggregate", "agg.csv"], ["docs.jsonl", "qa.jsonl"],
+                        ["agg.csv", "out.jsonl"], {}),
+}
+
+
+def run_manifest_case(tmp_path, docs_file, runs_file, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_manifest_inputs(tmp_path, docs_file, runs_file)
+    argv = MANIFEST_CASES[case][0]
+    assert dispatch(argv) == 0
+    return json.loads(Path(argv[argv.index("--output") + 1] + ".manifest.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_lists_files_and_seeds(tmp_path, docs_file, runs_file, monkeypatch, case):
+    _, inputs, outputs, seeds = MANIFEST_CASES[case]
+    manifest = run_manifest_case(tmp_path, docs_file, runs_file, monkeypatch, case)
+    assert manifest["inputs"] == inputs
+    assert manifest["outputs"] == outputs
+    assert manifest["seeds"] == seeds
+    assert manifest["tool_version"] == poollab.__version__
+
+
+def test_failed_verification_still_writes_manifest(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_filter_fact_trial", lambda seed: {"pass": False})
+    out = tmp_path / "v.jsonl"
+    assert dispatch(["verify-theory", "--filter-fact", "--trials", "1", "--seed", "3",
+                     "--output", str(out)]) == 1
+    manifest = json.loads((tmp_path / "v.jsonl.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out)] and manifest["seeds"] == {"seed": 3}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_hashes_each_input(tmp_path, docs_file, runs_file, monkeypatch, case):
+    manifest = run_manifest_case(tmp_path, docs_file, runs_file, monkeypatch, case)
+    assert manifest["input_sha256"] == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for path in MANIFEST_CASES[case][1]
+    }
 
 
 def run_python(code):
