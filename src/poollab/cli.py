@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -384,6 +385,17 @@ def cmd_crossing(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _warn_in_one_line(fit: Callable, *fit_args):
+    """``fit(*fit_args)``, printing each warning it raises as one ``warning: ...`` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return fit(*fit_args)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
 def cmd_scaling_law(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     method = opt(args, config, "method", "tpp", str)
@@ -413,9 +425,10 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
                 configs = [ModelConfig(**o) for o in read_json(args.configs)]
             except TypeError as exc:
                 raise ValidationError(f"{args.configs}: malformed model configs: {exc}") from exc
-        law = fit_threshold_tokens_per_param(quads, configs, ratio)
+        law = _warn_in_one_line(fit_threshold_tokens_per_param, quads, configs, ratio)
     else:
-        law = fit_threshold_epoch_constraint(quads, opt(args, config, "epochs", 4.0, float))
+        n_epochs = opt(args, config, "epochs", 4.0, float)
+        law = _warn_in_one_line(fit_threshold_epoch_constraint, quads, n_epochs)
 
     law_json = {
         **asdict(law),
@@ -452,7 +465,7 @@ def cmd_slice_loss(args: argparse.Namespace) -> int:
         slc = EvalSlice(losses, int(obj.get("context_length", len(losses))))
     except KeyError as exc:
         raise ValidationError(f"{args.slice}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{args.slice}: malformed slice: {exc}") from exc
     ts = parse_value("--t", args.t, lambda v: [int(t) for t in v.split(",")])
     columns = ("t", "mean_loss")

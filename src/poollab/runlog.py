@@ -58,8 +58,11 @@ def non_embedding_params(cfg: ModelConfig) -> int:
     return cfg.layers * per_layer + (2 * cfg.layers + 1) * cfg.hidden_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalPoint:
+    """One checkpoint's losses.  Slotted, since a run log holds tens of
+    thousands; ``vars()`` of a point therefore raises ``TypeError``."""
+
     tokens_seen: int
     losses: dict[str, float]
     benchmarks: dict[str, float] | None = None
@@ -202,16 +205,35 @@ def record_to_dict(record: RunRecord) -> dict:
     }
 
 
-def record_from_dict(obj: dict) -> RunRecord:
+def _model_config(fields: dict, models: dict[tuple, ModelConfig] | None) -> ModelConfig:
+    """``ModelConfig(**fields)``, or the one already in ``models`` for equal fields.
+
+    Only configs whose values are all exact ``int`` or ``str`` are shared:
+    neither type compares equal to the other or to a ``bool``, and both
+    hash.  A float key would merge ``0.0`` with ``-0.0``, which are
+    written differently.
+    """
+    if (models is None or type(fields) is not dict
+            or not all(type(v) is int or type(v) is str for v in fields.values())):
+        return ModelConfig(**fields)
+    key = tuple(sorted(fields.items()))
+    model = models.get(key)
+    if model is None:
+        model = models[key] = ModelConfig(**fields)
+    return model
+
+
+def record_from_dict(obj: dict, models: dict[tuple, ModelConfig] | None = None) -> RunRecord:
     """The record of one parsed JSON object; raises ValidationError if malformed,
     or KeyError for a missing key, which the JSONL reader names.
 
     When every loss of the record is already a float, the parsed
     ``losses`` dicts are used as they are; otherwise each is converted
-    to ``{str(set): float(loss)}``.
+    to ``{str(set): float(loss)}``.  Records parsed with one ``models``
+    dict share one :class:`ModelConfig` per distinct config.
     """
     try:
-        model = ModelConfig(**obj["model"])
+        model = _model_config(obj["model"], models)
         points = obj["eval_points"]
         losses = [p["losses"] for p in points]
         if any(type(v) is not float for point_losses in losses for v in point_losses.values()):
@@ -236,14 +258,19 @@ def record_from_dict(obj: dict) -> RunRecord:
             weight_decay=float(obj.get("weight_decay", 0.1)),
             learning_rate=float(obj.get("learning_rate", 5e-3)),
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed run record: {exc}") from exc
 
 
 def parse_run_log(path: str | Path) -> tuple[list[RunRecord], list[LineError]]:
-    """Parse a JSONL run log, collecting malformed lines with line numbers."""
+    """Parse a JSONL run log, collecting malformed lines with line numbers.
+
+    Records with equal model configs share one :class:`ModelConfig`.
+    """
     errors: list[LineError] = []
-    return list(read_jsonl(path, record_from_dict, errors)), errors
+    models: dict[tuple, ModelConfig] = {}
+    records = list(read_jsonl(path, lambda obj: record_from_dict(obj, models), errors))
+    return records, errors
 
 
 def load_run_log(path: str | Path) -> list[RunRecord]:
@@ -257,7 +284,8 @@ def load_run_log(path: str | Path) -> list[RunRecord]:
 
 
 def write_run_log(path: str | Path, records: Iterable[RunRecord]) -> None:
-    write_lines(path, (json.dumps(record_to_dict(r), sort_keys=True) for r in records))
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
+    write_lines(path, (encode(record_to_dict(r)) for r in records))
 
 
 def bundled_model_configs() -> list[ModelConfig]:

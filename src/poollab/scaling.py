@@ -158,8 +158,24 @@ def _asymptote_grid(loss_min: float, c_hi: float, losses: np.ndarray) -> np.ndar
         if math.isfinite(three_point) and 0.0 <= three_point <= c_hi:
             parts.append(np.array([three_point]))
 
-    grid = np.unique(np.concatenate(parts))
-    return np.clip(grid, 0.0, c_hi)
+    return np.clip(_sorted_unique(np.concatenate(parts)), 0.0, c_hi)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D float array without NaN, sorting ``values`` in place.
+
+    This is ``np.unique``'s own algorithm for such arrays (an in-place
+    sort, then each value unequal to its predecessor), so the result is
+    the same bit for bit, ±0.0 included; calling it would import
+    ``numpy.ma`` for its masked-array check.
+    """
+    import numpy as np
+
+    values.sort()
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _grid_sse(grid: np.ndarray, losses: np.ndarray, design: np.ndarray, solve: np.ndarray,
@@ -491,7 +507,7 @@ class ThresholdLaw:
             )
         except KeyError as exc:
             raise ValidationError(f"threshold law is missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed threshold law: {exc}") from exc
 
 

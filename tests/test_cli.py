@@ -28,6 +28,7 @@ from poollab import (
 )
 from poollab.cli import CROSSING_COLUMNS, dispatch
 from poollab.io import write_rows
+from poollab.runlog import record_to_dict
 
 from worldgen import curve_run, planted_threshold_world
 
@@ -710,6 +711,12 @@ def filter_pool_with_header(tmp_path, **fields):
             "--output", str(tmp_path / "f.jsonl")]
 
 
+def run_log_line_with(name, raw):
+    """One JSON run record whose ``name`` value is the JSON text ``raw``."""
+    obj = record_to_dict(curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.3, 3.0, tokens_grid=[2, 4]))
+    return json.dumps({**obj, name: None}).replace(f'"{name}": null', f'"{name}": {raw}') + "\n"
+
+
 def scaling_law_with(tmp_path, *flags):
     """scaling-law on crossings that fit a law, with ``flags`` added."""
     write_crossings_csv(tmp_path / "x.csv", planted_threshold_world())
@@ -837,6 +844,17 @@ MALFORMED_INPUTS = {
     "inject-ratio-above-bound": lambda t, docs: [
         "inject", "--pool", docs, "--kind", "random_strings", "--ratio", "1e9",
         "--output", str(t / "i.jsonl")],
+    "run-log-train-tokens-overflow": lambda t, docs: [
+        "ingest", "--runs", write_text(t, "r.jsonl", run_log_line_with("train_tokens", "1e400")),
+        "--validate-only"],
+    "law-alpha-overflow": lambda t, docs: [
+        "extrapolate", "--law",
+        write_text(t, "law.json", json.dumps({**LAW, "alpha": 10**400})),
+        "--pool-tokens", "1e12"],
+    "slice-context-length-overflow": lambda t, docs: [
+        "slice-loss", "--slice",
+        write_text(t, "s.json", '{"position_losses": [1.0], "context_length": 1e400}'),
+        "--t", "1"],
     "filter-repetition-threshold-above-one": lambda t, docs: [
         "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
         write_text(t, "c.json", '{"repetition_thresholds": {"dup_5gram": 7.5}}')],
@@ -1124,6 +1142,30 @@ def test_extrapolate_child_loads_only_scaling_and_runlog(tmp_path):
     assert {"poollab.scaling", "poollab.runlog"} <= loaded
     unused = {f"poollab.{m}" for m in ("corpus", "filters", "injection", "theory", "factuality")}
     assert not unused & loaded
+
+
+def test_crossing_child_loads_no_numpy_ma(runs_file, tmp_path):
+    proc = run_cli_child("crossing", "--runs", str(runs_file), "--pool-label", "cc",
+                         "--filtered-label", "rw", "--output", str(tmp_path / "x.csv"),
+                         options=["-X", "importtime"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "numpy" in loaded and "numpy.ma" not in loaded
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "tpp", "--ratio", "1e30"],
+    ["--method", "epoch", "--epochs", "1e30"],
+])
+def test_threshold_law_warnings_are_one_line_each(tmp_path, flags):
+    # every model is excluded from the law, so three warnings precede the error
+    proc = run_cli_child(*scaling_law_with(tmp_path, *flags))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["warning"] * 3 + ["error"]
+    assert all(line.startswith("warning: model ") for line in lines[:3])
+    assert not any(".py:" in line for line in lines)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 from dataclasses import asdict
 
 import pytest
@@ -22,6 +24,7 @@ from poollab import (
     slice_loss,
     write_run_log,
 )
+from poollab.cli import dispatch
 from poollab.io import LineError
 from poollab.runlog import point_loss, record_to_dict
 
@@ -269,6 +272,15 @@ class TestValidation:
             )
 
 
+def write_log_of_models(tmp_path, *models):
+    """A run log with one record per model-config dict; returns (path, its text)."""
+    text = "".join(json.dumps({**record_to_dict(record(label=f"r{i}")), "model": m},
+                              sort_keys=True) + "\n" for i, m in enumerate(models))
+    path = tmp_path / "runs.jsonl"
+    path.write_text(text, encoding="utf-8")
+    return path, text
+
+
 class TestSerialization:
     def test_round_trip_field_exact(self, tmp_path):
         records = [
@@ -418,3 +430,83 @@ class TestSerialization:
         path = tmp_path / "runs.jsonl"
         write_run_log(path, records)
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("field", ["train_tokens", "pool_tokens", "batch_tokens"])
+    def test_integer_overflow_is_a_line_error(self, tmp_path, field):
+        path, text = write_log_of_models(tmp_path, asdict(TINY))
+        value = getattr(record(), field)
+        path.write_text(text.replace(f'"{field}": {value}', f'"{field}": 1e400'),
+                        encoding="utf-8")
+        records, errors = parse_run_log(path)
+        assert records == [] and [e.lineno for e in errors] == [1]
+        assert errors[0].message == (
+            "malformed run record: cannot convert float infinity to integer")
+
+
+class TestEvalPointContract:
+    """``EvalPoint`` is slotted; everything but ``vars()`` behaves as before."""
+
+    POINT = EvalPoint(tokens_seen=10, losses={"c4": 3.0}, benchmarks={"arc": 0.4})
+
+    def test_pickle_round_trip(self):
+        assert pickle.loads(pickle.dumps(self.POINT)) == self.POINT
+
+    def test_dataclass_functions(self):
+        assert [f.name for f in dataclasses.fields(EvalPoint)] == [
+            "tokens_seen", "losses", "benchmarks"]
+        assert asdict(self.POINT) == {
+            "tokens_seen": 10, "losses": {"c4": 3.0}, "benchmarks": {"arc": 0.4}}
+        moved = dataclasses.replace(self.POINT, tokens_seen=20)
+        assert moved == EvalPoint(20, {"c4": 3.0}, {"arc": 0.4}) and moved != self.POINT
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.POINT.tokens_seen = 20
+
+    def test_equality_and_repr(self):
+        twin = EvalPoint(tokens_seen=10, losses={"c4": 3.0}, benchmarks={"arc": 0.4})
+        assert twin == self.POINT and twin is not self.POINT
+        assert repr(twin) == (
+            "EvalPoint(tokens_seen=10, losses={'c4': 3.0}, benchmarks={'arc': 0.4})")
+
+    def test_no_instance_dict(self):
+        with pytest.raises(TypeError):
+            vars(self.POINT)
+
+
+class TestModelConfigSharing:
+    def test_equal_configs_are_one_object(self, tmp_path):
+        path, _ = write_log_of_models(tmp_path, asdict(TINY), asdict(TINY),
+                                      dict(reversed(asdict(TINY).items())))
+        a, b, c = load_run_log(path)
+        assert a.model == TINY and a.model is b.model is c.model
+
+    @pytest.mark.parametrize("field,value,twin", [
+        ("vocab_size", 1000, 1000.0),
+        ("layers", 1, True),
+        ("vocab_size", 0.0, -0.0),
+    ])
+    def test_configs_differing_in_type_or_sign_stay_apart(self, tmp_path, field, value, twin):
+        path, text = write_log_of_models(tmp_path, {**asdict(TINY), field: value},
+                                         {**asdict(TINY), field: twin})
+        a, b = load_run_log(path)
+        assert a.model is not b.model
+        assert type(getattr(b.model, field)) is type(twin)
+        out = tmp_path / "out.jsonl"
+        assert dispatch(["ingest", "--runs", str(path), "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == text
+
+    def test_unhashable_value_is_accepted_unshared(self, tmp_path):
+        path, _ = write_log_of_models(tmp_path, {**asdict(TINY), "name": ["tiny"]},
+                                      {**asdict(TINY), "name": ["tiny"]})
+        a, b = load_run_log(path)
+        assert a.model == b.model and a.model is not b.model
+
+    def test_invalid_config_rejected_on_every_line(self, tmp_path):
+        bad = {**asdict(TINY), "hidden_dim": 100}
+        path, _ = write_log_of_models(tmp_path, bad, asdict(TINY), bad)
+        records, errors = parse_run_log(path)
+        assert [r.model for r in records] == [TINY]
+        assert [e.lineno for e in errors] == [1, 3]
+        assert errors[0].message == errors[1].message
+        assert "hidden_dim 100 != heads*head_dim 128" in errors[0].message

@@ -30,6 +30,7 @@ from poollab.scaling import (
     _golden_section_min,
     _loss_curve,
     _loglog_regression,
+    _sorted_unique,
 )
 
 from worldgen import bisect_root, curve_run, planted_threshold_world, qeval
@@ -180,6 +181,19 @@ def power_law_points(draw):
             step = draw(st.integers(min_value=2, max_value=4))
             losses = [losses[i - i % step] for i in range(len(losses))]
     return list(zip(tokens, losses))
+
+
+class TestSortedUnique:
+    # few distinct values, ±0.0 among them, so that most values repeat
+    repeating = st.lists(st.floats(allow_nan=False), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from([*pool, 0.0, -0.0]), max_size=800))
+
+    @given(st.one_of(st.lists(st.floats(allow_nan=False), max_size=60), repeating))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique_bit_for_bit(self, values):
+        array = np.array(values, dtype=float)
+        expected = np.unique(array)
+        assert _sorted_unique(array).tobytes() == expected.tobytes()
 
 
 class TestFitPowerLaw:
