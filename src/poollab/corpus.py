@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -61,25 +61,19 @@ class Pool:
     """An ordered collection of documents with a recorded sampling seed.
 
     ``documents`` is stored as a tuple, whatever sequence it was built
-    from, so a pool's membership cannot change in place after ``__post_init__``
-    has checked ``total_tokens``; use ``replace_documents`` to get a new
-    pool.
+    from, so a pool's membership cannot change in place after
+    ``__post_init__`` has summed it into ``total_tokens``, which is not a
+    constructor argument; use ``replace_documents`` to get a new pool.
     """
 
     documents: tuple[Document, ...] = ()
-    total_tokens: int = 0
+    total_tokens: int = field(init=False)
     seed: int = 0
     label: str = ""
 
     def __post_init__(self) -> None:
         self.documents = tuple(self.documents)
-        expected = sum(d.token_count for d in self.documents)
-        if self.total_tokens == 0 and self.documents:
-            self.total_tokens = expected
-        elif self.total_tokens != expected:
-            raise ValidationError(
-                f"pool total_tokens {self.total_tokens} != sum of member counts {expected}"
-            )
+        self.total_tokens = sum(d.token_count for d in self.documents)
         ids = [d.id for d in self.documents]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"pool {self.label!r} contains duplicate document ids")
@@ -104,7 +98,6 @@ class Pool:
         """New pool with the same seed but different membership."""
         return Pool(
             documents=tuple(documents),
-            total_tokens=sum(d.token_count for d in documents),
             seed=self.seed,
             label=self.label if label is None else label,
         )
@@ -144,7 +137,7 @@ def sample_pool(
             f"stream exhausted at {total} tokens before reaching target {target_tokens}",
             achieved_tokens=total,
         )
-    return Pool(documents=chosen, total_tokens=total, seed=seed, label=label)
+    return Pool(documents=chosen, seed=seed, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +185,23 @@ def read_pool(path: str | Path) -> Pool:
     equal the recount of the documents.
     """
     docs = list(read_documents(path))
-    total = sum(d.token_count for d in docs)
-    label, seed = Path(path).stem, 0
     hp = header_path(path)
-    if hp.exists():
-        header = read_json(hp)
-        if not isinstance(header, dict):
-            raise ValidationError(f"{hp}: pool header must be a JSON object")
-        for key, kind in _HEADER_TYPES.items():
-            if key in header and type(header[key]) is not kind:
-                raise ValidationError(
-                    f"{hp}: header {key} must be {kind.__name__}, got {header[key]!r}"
-                )
-        label = header.get("label", label)
-        seed = header.get("seed", seed)
-        if header.get("counter_name", COUNTER_NAME) != COUNTER_NAME:
+    header = read_json(hp) if hp.exists() else {}
+    if not isinstance(header, dict):
+        raise ValidationError(f"{hp}: pool header must be a JSON object")
+    for key, kind in _HEADER_TYPES.items():
+        if key in header and type(header[key]) is not kind:
             raise ValidationError(
-                f"{hp}: pool was counted under counter {header['counter_name']!r}; "
-                f"poollab counts {COUNTER_NAME!r} runs only"
+                f"{hp}: header {key} must be {kind.__name__}, got {header[key]!r}"
             )
-        if header.get("total_tokens", total) != total:
-            raise ValidationError(
-                f"{hp}: header total_tokens {header['total_tokens']} != recount {total}"
-            )
-    return Pool(documents=docs, total_tokens=total, seed=seed, label=label)
+    if header.get("counter_name", COUNTER_NAME) != COUNTER_NAME:
+        raise ValidationError(
+            f"{hp}: pool was counted under counter {header['counter_name']!r}; "
+            f"poollab counts {COUNTER_NAME!r} runs only"
+        )
+    pool = Pool(docs, seed=header.get("seed", 0), label=header.get("label", Path(path).stem))
+    if header.get("total_tokens", pool.total_tokens) != pool.total_tokens:
+        raise ValidationError(
+            f"{hp}: header total_tokens {header['total_tokens']} != recount {pool.total_tokens}"
+        )
+    return pool

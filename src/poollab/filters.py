@@ -22,7 +22,7 @@ from operator import sub
 from typing import Callable, Sequence
 
 from .corpus import WORD_RE, Document, Pool
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 
 #: The stop words of the Gopher recipe (Rae et al. 2021, App. A).
 DEFAULT_STOPWORDS = frozenset(("the", "be", "to", "of", "and", "that", "have", "with"))
@@ -104,14 +104,15 @@ def profile(name: str) -> FilterConfig:
 
 @dataclass(frozen=True)
 class FilterOutcome:
+    """One document's verdict: the rules it failed and the scores they judged."""
+
     doc_id: str
-    kept: bool
     failed_rules: tuple[str, ...] = ()
     scores: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.kept != (len(self.failed_rules) == 0):
-            raise ValidationError("kept must hold exactly when failed_rules is empty")
+    @property
+    def kept(self) -> bool:
+        return not self.failed_rules
 
 
 @dataclass(frozen=True)
@@ -179,11 +180,9 @@ def stopword_filter(doc: Document, cfg: FilterConfig) -> FilterOutcome:
         count = len(DEFAULT_STOPWORDS.intersection(tokens))
     else:
         count = sum(1 for t in tokens if t in DEFAULT_STOPWORDS)
-    kept = count >= cfg.stopword_min_count
     return FilterOutcome(
         doc_id=doc.id,
-        kept=kept,
-        failed_rules=() if kept else ("stopword",),
+        failed_rules=() if count >= cfg.stopword_min_count else ("stopword",),
         scores={"stopword_count": float(count)},
     )
 
@@ -310,18 +309,16 @@ def repetition_filter(doc: Document, cfg: FilterConfig) -> FilterOutcome:
     failed = tuple(
         name for name, frac in fractions.items() if frac > cfg.repetition_thresholds[name]
     )
-    return FilterOutcome(doc_id=doc.id, kept=not failed, failed_rules=failed, scores=fractions)
+    return FilterOutcome(doc_id=doc.id, failed_rules=failed, scores=fractions)
 
 
 def english_filter(doc: Document, scorer: DocumentScorer, threshold: float) -> FilterOutcome:
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"english threshold must be in [0,1], got {threshold}")
     score = scorer.score(doc.text)
-    kept = score >= threshold
     return FilterOutcome(
         doc_id=doc.id,
-        kept=kept,
-        failed_rules=() if kept else ("english",),
+        failed_rules=() if score >= threshold else ("english",),
         scores={"english": score},
     )
 
@@ -374,33 +371,6 @@ class PipelineStage:
     apply: Callable[[Pool, int], Pool]
 
 
-def _per_document_stage(name: str, outcome_fn: Callable[[Document], FilterOutcome]) -> PipelineStage:
-    def apply(pool: Pool, threads: int) -> Pool:
-        return pool.replace_documents([doc for doc in pool.documents if outcome_fn(doc).kept])
-
-    return PipelineStage(name=name, apply=apply)
-
-
-def english_stage(scorer: DocumentScorer, threshold: float) -> PipelineStage:
-    return _per_document_stage("english", lambda d: english_filter(d, scorer, threshold))
-
-
-def repetition_stage(cfg: FilterConfig) -> PipelineStage:
-    return _per_document_stage("repetition", lambda d: repetition_filter(d, cfg))
-
-
-def stopword_stage(cfg: FilterConfig) -> PipelineStage:
-    return _per_document_stage("stopword", lambda d: stopword_filter(d, cfg))
-
-
-def dedup_stage() -> PipelineStage:
-    return PipelineStage(name="dedup", apply=lambda pool, _: exact_dedup(pool))
-
-
-def quality_stage(scorer: DocumentScorer, keep_fraction: float) -> PipelineStage:
-    return PipelineStage("quality", lambda pool, _: quality_filter(pool, scorer, keep_fraction))
-
-
 #: Stage lineups for the two composite filters: the heuristic-cleaning
 #: lineup, and that plus dedup + quality-classifier cut.
 REFINEDWEB_STAGES = ("english", "repetition", "stopword")
@@ -421,20 +391,27 @@ def build_stages(
     """
     scorer = scorer or builtin_english_scorer()
     scorer = DocumentScorer(name=scorer.name, score=cache(scorer.score))
-    factories: dict[str, Callable[[], PipelineStage]] = {
-        "english": lambda: english_stage(scorer, cfg.english_threshold),
-        "repetition": lambda: repetition_stage(cfg),
-        "stopword": lambda: stopword_stage(cfg),
-        "dedup": dedup_stage,
-        "quality": lambda: quality_stage(scorer, cfg.quality_keep_fraction),
+
+    def per_document(outcome: Callable[[Document], FilterOutcome]) -> Callable[[Pool, int], Pool]:
+        def apply(pool: Pool, threads: int) -> Pool:
+            return pool.replace_documents([doc for doc in pool.documents if outcome(doc).kept])
+
+        return apply
+
+    applies: dict[str, Callable[[Pool, int], Pool]] = {
+        "english": per_document(lambda d: english_filter(d, scorer, cfg.english_threshold)),
+        "repetition": per_document(lambda d: repetition_filter(d, cfg)),
+        "stopword": per_document(lambda d: stopword_filter(d, cfg)),
+        "dedup": lambda pool, _: exact_dedup(pool),
+        "quality": lambda pool, _: quality_filter(pool, scorer, cfg.quality_keep_fraction),
     }
-    stages = []
+    stages: list[PipelineStage] = []
     for name in names:
-        if name not in factories:
-            raise ConfigError(f"unknown stage {name!r}; available: {sorted(factories)}")
+        if name not in applies:
+            raise ConfigError(f"unknown stage {name!r}; available: {sorted(applies)}")
         if any(stage.name == name for stage in stages):
             raise ConfigError(f"stage {name!r} is listed twice")
-        stages.append(factories[name]())
+        stages.append(PipelineStage(name, applies[name]))
     return stages
 
 
@@ -453,9 +430,12 @@ STATS_COLUMNS = (
 @dataclass
 class PipelineResult:
     pool: Pool
-    stage_order: list[str]
     per_stage: list[tuple[str, FilterStats]]
     cumulative: FilterStats
+
+    @property
+    def stage_order(self) -> list[str]:
+        return [name for name, _ in self.per_stage]
 
     def stats_rows(self) -> list[dict[str, object]]:
         """Rows for the stats CSV, one per stage plus a cumulative row."""
@@ -480,7 +460,6 @@ def run_pipeline(pool: Pool, stages: Sequence[PipelineStage], threads: int = 1) 
         current = next_pool
     return PipelineResult(
         pool=current,
-        stage_order=[s.name for s in stages],
         per_stage=per_stage,
         cumulative=FilterStats.from_pools(pool, current),
     )

@@ -175,9 +175,4 @@ def inject(pool: Pool, spec: InjectionSpec, junk_source: Iterable[Document]) -> 
     rng.shuffle(combined)
     kind_word = "random" if spec.kind is JunkKind.RANDOM_STRINGS else "shuffled"
     label = f"{pool.label}+{spec.ratio * 100:g}% {kind_word}"
-    return Pool(
-        documents=combined,
-        total_tokens=pool.total_tokens + junk_tokens,
-        seed=spec.seed,
-        label=label,
-    )
+    return Pool(documents=combined, seed=spec.seed, label=label)

@@ -80,6 +80,8 @@ class RunRecord:
     learning_rate: float = 5e-3
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dataset_label, str):  # report sorts on it
+            raise ValidationError(f"dataset_label must be a string, got {self.dataset_label!r}")
         if not self.eval_points:
             raise ValidationError(f"{self.dataset_label}: record has no eval points")
         seen = [p.tokens_seen for p in self.eval_points]
@@ -103,14 +105,20 @@ def compute_flops(record: RunRecord) -> float:
     """Training compute under the 6 * tokens * params approximation."""
     if record.train_tokens <= 0:
         raise ValidationError("train_tokens must be positive")
-    return 6.0 * record.train_tokens * record.model.total_params
+    try:
+        return 6.0 * record.train_tokens * record.model.total_params
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValidationError(f"{record.dataset_label}: training compute overflows: {exc}") from exc
 
 
 def epochs(record: RunRecord) -> float:
     """Passes over the pool: train_tokens / pool_tokens."""
     if record.pool_tokens <= 0:
         raise ValidationError("pool_tokens must be positive")
-    return record.train_tokens / record.pool_tokens
+    try:
+        return record.train_tokens / record.pool_tokens
+    except OverflowError as exc:
+        raise ValidationError(f"{record.dataset_label}: epoch count overflows: {exc}") from exc
 
 
 def point_loss(point: EvalPoint, eval_sets: Sequence[str]) -> float:
@@ -169,8 +177,8 @@ class EvalSlice:
                 f"position_losses length {len(self.position_losses)} != "
                 f"context_length {self.context_length}"
             )
-        if any(v < 0 for v in self.position_losses):
-            raise ValidationError("position losses must be non-negative")
+        if not all(0 <= v < math.inf for v in self.position_losses):  # NaN fails too
+            raise ValidationError("position losses must be finite and non-negative")
 
 
 def slice_loss(slc: EvalSlice, t: int) -> float:

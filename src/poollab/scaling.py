@@ -235,7 +235,10 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
 
     if len(points) < 3:
         raise FitError(f"power-law fit needs >= 3 points, got {len(points)}")
-    n = np.array([p[0] for p in points], dtype=float)
+    try:
+        n = np.array([p[0] for p in points], dtype=float)
+    except OverflowError as exc:  # an int beyond the float range
+        raise FitError("token counts must be finite and positive") from exc
     losses = np.array([p[1] for p in points], dtype=float)
     if not np.all(np.isfinite(n) & (n > 0)):
         raise FitError("token counts must be finite and positive")
@@ -495,9 +498,13 @@ class ThresholdLaw:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "ThresholdLaw":
-        """Inverse of ``dataclasses.asdict``; keys other than the fields are ignored."""
+        """Inverse of ``dataclasses.asdict``; keys other than the fields are ignored.
+
+        ``alpha`` and ``beta`` must be finite, since they are all that
+        :meth:`predict_compute` reads.
+        """
         try:
-            return cls(
+            law = cls(
                 method=str(obj["method"]),
                 parameter=float(obj["parameter"]),
                 points=tuple(ThresholdPoint(**p) for p in obj["points"]),
@@ -509,6 +516,11 @@ class ThresholdLaw:
             raise ValidationError(f"threshold law is missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed threshold law: {exc}") from exc
+        if not (math.isfinite(law.alpha) and math.isfinite(law.beta)):
+            raise ValidationError(
+                f"threshold law alpha and beta must be finite, got {law.alpha!r} and {law.beta!r}"
+            )
+        return law
 
 
 def extrapolate_compute(law: ThresholdLaw, pool_tokens: float) -> float:

@@ -1,20 +1,26 @@
+import argparse
 import builtins
+import contextlib
 import csv
 import dis
+import functools
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import textwrap
 import types
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poollab
 import poollab.cli as cli
@@ -858,6 +864,29 @@ MALFORMED_INPUTS = {
     "filter-repetition-threshold-above-one": lambda t, docs: [
         "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
         write_text(t, "c.json", '{"repetition_thresholds": {"dup_5gram": 7.5}}')],
+    "run-log-label-an-int": lambda t, docs: [
+        "ingest", "--runs", write_text(t, "r.jsonl", run_log_line_with("dataset_label", '"a"')
+                                       + run_log_line_with("dataset_label", "5")),
+        "--validate-only"],
+    "report-run-log-label-a-list": lambda t, docs: [
+        "report", "--runs", write_text(t, "r.jsonl", run_log_line_with("dataset_label", '"a"')
+                                       + run_log_line_with("dataset_label", "[1]")),
+        "--output", str(t / "r.csv")],
+    "slice-position-loss-nan": lambda t, docs: [
+        "slice-loss", "--slice", write_text(t, "s.json", '{"position_losses": [NaN, 1.0]}'),
+        "--t", "1"],
+    "slice-position-loss-infinity": lambda t, docs: [
+        "slice-loss", "--slice", write_text(t, "s.json", '{"position_losses": [1.0, Infinity]}'),
+        "--t", "2"],
+    "report-train-tokens-beyond-float": lambda t, docs: [
+        "report", "--runs", write_text(t, "r.jsonl", run_log_line_with("train_tokens", "9" * 400)),
+        "--output", str(t / "r.csv")],
+    "pareto-train-tokens-beyond-float": lambda t, docs: [
+        "pareto", "--runs", write_text(t, "r.jsonl", run_log_line_with("train_tokens", "9" * 400)),
+        "--output", str(t / "r.csv")],
+    "law-alpha-nan": lambda t, docs: [
+        "extrapolate", "--law", write_text(t, "law.json", json.dumps({**LAW, "alpha": math.nan})),
+        "--pool-tokens", "1e12"],
 }
 
 
@@ -1015,6 +1044,164 @@ def test_manifest_hashes_each_input(tmp_path, docs_file, runs_file, monkeypatch,
         path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
         for path in MANIFEST_CASES[case][1]
     }
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: random flags and files through dispatch, in-process.
+# ---------------------------------------------------------------------------
+
+#: Values for flags that take no file: edge numbers, wrong types, lists and choices.
+FUZZ_VALUES = ("0", "-1", "1", "2", "0.5", "1e400", "-1e400", "nan", "inf", "1e-300", "abc", "",
+               "english,dedup,quality", "english,english", "quality,bogus", "tpp", "epoch",
+               "random_strings", "shuffled_docs", "gopher", "cc", "rw", "1,2", "val")
+#: ``--endpoint`` values that fail before any connection is attempted.
+FUZZ_ENDPOINTS = ("http://[::1", "ftp://judge", "not a url", "")
+#: Keys the fuzzer's JSON objects use: those the readers look up, and one they do not.
+FUZZ_KEYS = ("id", "text", "source", "dataset_label", "model", "eval_points", "tokens_seen",
+             "losses", "benchmarks", "train_tokens", "pool_tokens", "position_losses",
+             "context_length", "method", "parameter", "points", "alpha", "beta", "r2",
+             "subject", "question", "answer", "keywords", "stages", "seed", "label",
+             "total_tokens", "counter_name", "repetition_thresholds", "other")
+FUZZ_NUMBERS = st.sampled_from(
+    [0, -1, 0.5, 2**63, 10**400, -(10**400), 1e308, 5e-324, math.nan, math.inf, -math.inf])
+FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 100) | FUZZ_NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(FUZZ_KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+#: The flags that name a file, as they are spelled on the command line.
+PATH_FLAGS = {"--" + flag.replace("_", "-") for flag in cli.INPUT_FLAGS + cli.OUTPUT_FLAGS}
+
+
+@functools.cache
+def fuzz_files():
+    """The files the MANIFEST_CASES command lines read, by name, with a pool header."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        docs = [make_document(f"doc-{i}", f"the cat and dog {i} sat with the hat")
+                for i in range(40)]
+        write_documents(tmp_path / "docs.jsonl", docs)
+        # no total_tokens, so a changed text reaches the filters
+        (tmp_path / "docs.jsonl.header.json").write_text(
+            '{"label": "docs", "seed": 0, "counter_name": "whitespace"}', encoding="utf-8")
+        runs = [curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.3, 3.0, tokens_grid=[2, 4, 8]),
+                curve_run("rw", CONFIG_15M, 1_000, 1e-9, 0.5, 3.5, tokens_grid=[2, 4, 8])]
+        write_run_log(tmp_path / "runs.jsonl", runs)
+        write_manifest_inputs(tmp_path, tmp_path / "docs.jsonl", tmp_path / "runs.jsonl")
+        return {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
+
+
+@st.composite
+def mutated_json(draw, value):
+    """``value`` with one nested value, or the whole, replaced: a number most
+    often by an edge number, anything by a random JSON value."""
+    if isinstance(value, (dict, list)) and value and draw(st.sampled_from([True] * 3 + [False])):
+        keys = list(value) if isinstance(value, dict) else list(range(len(value)))
+        key = draw(st.sampled_from(keys))
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[key] = draw(mutated_json(value[key]))
+        return copy
+    if type(value) in (int, float) and draw(st.booleans()):
+        return draw(FUZZ_NUMBERS)
+    return draw(FUZZ_JSON)
+
+
+@st.composite
+def fuzz_inputs(draw, targets):
+    """The valid files with one line of one of ``targets`` changed, and a copy
+    of one file cut short."""
+    files = dict(fuzz_files())
+    name = draw(st.sampled_from(targets))
+    lines = files[name].splitlines()
+    index = draw(st.integers(0, len(lines) - 1))
+    if name.endswith(".csv"):
+        cells = lines[index].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(FUZZ_VALUES))
+        lines[index] = ",".join(cells)
+    elif name.endswith(".jsonl"):
+        lines[index] = json.dumps(draw(mutated_json(json.loads(lines[index]))))
+    else:
+        lines = [json.dumps(draw(mutated_json(json.loads(files[name]))))]
+    files[name] = "\n".join(lines) + "\n"
+    cut = draw(st.sampled_from(sorted(files)))
+    files["cut-" + cut] = files[cut][:draw(st.integers(0, len(files[cut])))]
+    return files
+
+
+def subcommand_actions():
+    """Each subcommand's optional actions, by subcommand name."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in sub._actions if a.option_strings and a.dest != "help"]
+            for name, sub in subparsers.choices.items()}
+
+
+FUZZ_ACTIONS = subcommand_actions()
+
+
+@st.composite
+def random_argv(draw, names):
+    """A subcommand with a random subset of its flags, each with a random value."""
+    command = draw(st.sampled_from(sorted(FUZZ_ACTIONS)))
+    argv = [command]
+    for action in FUZZ_ACTIONS[command]:
+        if not draw(st.sampled_from([True] * 3 + [False] if action.required else [True, False])):
+            continue
+        argv.append(action.option_strings[-1])
+        if action.nargs == 0:
+            continue
+        if action.dest in cli.INPUT_FLAGS + cli.OUTPUT_FLAGS:
+            argv.append(draw(st.sampled_from(names)))
+        elif action.dest == "endpoint":
+            argv.append(draw(st.sampled_from(FUZZ_ENDPOINTS)))
+        elif action.type is None:
+            argv.append(draw(st.sampled_from(FUZZ_VALUES) | st.text(max_size=4)))
+        else:  # a typed flag, such as --trials, gets no number larger than 2
+            argv.append(draw(st.sampled_from(FUZZ_VALUES)))
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_command_lines_exit_cleanly(data):
+    # Each command line is a MANIFEST_CASES one with one of its inputs
+    # changed, a MALFORMED_INPUTS one, or random flags; either of the first
+    # two may have one argument replaced.
+    kind = data.draw(st.sampled_from(["valid", "malformed", "random"]))
+    targets = sorted(fuzz_files())
+    if kind == "valid":
+        argv, inputs, _, _ = MANIFEST_CASES[data.draw(st.sampled_from(sorted(MANIFEST_CASES)))]
+        targets = [n for n in targets if n.removesuffix(".header.json") in inputs] or targets
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        files = data.draw(fuzz_inputs(targets))
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        names = (*(str(tmp_path / n) for n in [*files, "missing.jsonl"]), tmp)
+        if kind == "valid":
+            argv = [str(tmp_path / a) if flag in PATH_FLAGS else a
+                    for flag, a in zip([""] + argv, argv)]
+        elif kind == "malformed":
+            case = data.draw(st.sampled_from(sorted(MALFORMED_INPUTS)))
+            argv = MALFORMED_INPUTS[case](tmp_path, str(tmp_path / "docs.jsonl"))
+        else:
+            argv = data.draw(random_argv(names))
+        if kind != "random" and data.draw(st.sampled_from([True] + [False] * 3)):
+            argv[data.draw(st.integers(0, len(argv) - 1))] = data.draw(
+                st.sampled_from(FUZZ_VALUES + names))
+        # a rank-necessity trial takes over a second; c01 runs it
+        argv = ["--filter-fact" if arg == "--prop1" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a relative output, such as a replaced "--output 1,2", lands here
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 def run_python(code):

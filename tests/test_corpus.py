@@ -5,10 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from poollab import (
     DocumentSource,
+    InjectionSpec,
+    JunkKind,
     Pool,
     StreamExhaustedError,
     ValidationError,
+    build_vocab,
+    inject,
     make_document,
+    random_junk_stream,
     read_documents,
     read_pool,
     sample_pool,
@@ -116,9 +121,19 @@ class TestPoolInvariants:
         }
         assert read_pool(tmp_path / "p.jsonl") == pool
 
-    def test_total_must_match_members(self, ten_token_docs):
-        with pytest.raises(ValidationError):
-            Pool(documents=ten_token_docs[:2], total_tokens=5)
+    def test_total_is_derived_from_members(self, tmp_path, ten_token_docs):
+        def members_total(pool):
+            return sum(d.token_count for d in pool.documents)
+
+        pool = sample_pool(ten_token_docs, 95, seed=3, label="p")
+        write_pool(tmp_path / "p.jsonl", pool)
+        injected = inject(pool, InjectionSpec(JunkKind.RANDOM_STRINGS, 0.5, seed=1),
+                          random_junk_stream(pool, build_vocab(0), seed=1))
+        for derived in (pool, read_pool(tmp_path / "p.jsonl"),
+                        pool.replace_documents(list(pool.documents[:3])), injected):
+            assert derived.total_tokens == members_total(derived) > 0
+        with pytest.raises(TypeError):
+            Pool(documents=ten_token_docs[:2], total_tokens=20)
 
     def test_duplicate_ids_rejected(self, ten_token_docs):
         with pytest.raises(ValidationError):

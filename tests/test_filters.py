@@ -9,7 +9,9 @@ from poollab import (
     ConfigError,
     DocumentScorer,
     FilterConfig,
+    FilterOutcome,
     FilterStats,
+    PipelineStage,
     Pool,
     builtin_english_scorer,
     build_stages,
@@ -27,11 +29,6 @@ from poollab.filters import (
     DCLM_STAGES,
     GOPHER_REPETITION_THRESHOLDS,
     REPETITION_GRANULARITIES,
-    dedup_stage,
-    english_stage,
-    quality_stage,
-    repetition_stage,
-    stopword_stage,
 )
 
 import oracle_recount
@@ -96,6 +93,22 @@ class TestStopwordFilter:
         repeated = doc("the the the")
         assert stopword_filter(repeated, FilterConfig()).kept
         assert not stopword_filter(repeated, FilterConfig(stopword_distinct=True)).kept
+
+
+class TestFilterOutcome:
+    @given(st.text(alphabet="the cat a xqzv\n", max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_kept_exactly_when_no_rule_failed(self, text):
+        d, cfg = doc(text), FilterConfig()
+        for out in (stopword_filter(d, cfg), repetition_filter(d, cfg),
+                    english_filter(d, builtin_english_scorer(), cfg.english_threshold)):
+            assert out.kept == (not out.failed_rules)
+
+    def test_kept_is_not_an_argument(self):
+        assert not FilterOutcome("d", failed_rules=("stopword",)).kept
+        assert FilterOutcome("d").kept
+        with pytest.raises(TypeError):
+            FilterOutcome("d", kept=True)
 
 
 class TestRepetitionFractions:
@@ -372,12 +385,19 @@ class TestPipeline:
         assert sorted(scored) == sorted({d.text for d in docs})
 
         plain = builtin_english_scorer()
+
+        def kept_by(outcome):
+            return lambda pool, _: pool.replace_documents(
+                [d for d in pool.documents if outcome(d).kept])
+
         uncached = run_pipeline(pool, [
-            english_stage(plain, cfg.english_threshold),
-            repetition_stage(cfg),
-            stopword_stage(cfg),
-            dedup_stage(),
-            quality_stage(plain, cfg.quality_keep_fraction),
+            PipelineStage("english", kept_by(
+                lambda d: english_filter(d, plain, cfg.english_threshold))),
+            PipelineStage("repetition", kept_by(lambda d: repetition_filter(d, cfg))),
+            PipelineStage("stopword", kept_by(lambda d: stopword_filter(d, cfg))),
+            PipelineStage("dedup", lambda pool, _: exact_dedup(pool)),
+            PipelineStage("quality", lambda pool, _: quality_filter(
+                pool, plain, cfg.quality_keep_fraction)),
         ])
         assert cached.stats_rows() == uncached.stats_rows()
         assert cached.pool.documents == uncached.pool.documents

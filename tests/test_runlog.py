@@ -77,6 +77,10 @@ class TestComputeFlops:
         with pytest.raises(ValidationError):
             compute_flops(bad)
 
+    def test_count_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="cc: training compute overflows"):
+            compute_flops(record(train_tokens=10**400))
+
 
 class TestEpochs:
     def test_single_epoch(self):
@@ -91,6 +95,10 @@ class TestEpochs:
     def test_zero_pool_rejected(self):
         with pytest.raises(ValidationError):
             epochs(record(pool_tokens=0))
+
+    def test_count_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="cc: epoch count overflows"):
+            epochs(record(train_tokens=10**400, pool_tokens=1))
 
 
 class TestBestEval:
@@ -224,8 +232,18 @@ class TestEvalSlice:
         with pytest.raises(ValidationError):
             EvalSlice(position_losses=(1.0,), context_length=2)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_losses_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            EvalSlice(position_losses=(1.0, bad), context_length=2)
+
 
 class TestValidation:
+    @pytest.mark.parametrize("label", [5, None, ["a"]])
+    def test_label_must_be_a_string(self, label):
+        with pytest.raises(ValidationError, match="dataset_label must be a string"):
+            record(label=label)
+
     def test_unsorted_eval_points(self):
         with pytest.raises(ValidationError, match="sorted"):
             RunRecord(

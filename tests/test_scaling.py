@@ -222,6 +222,7 @@ class TestFitPowerLaw:
         [-10.0, 10.0, 100.0, 1000.0],
         [10.0, 100.0, 1000.0, math.inf],
         [math.nan, 10.0, 100.0, 1000.0],
+        [10, 100, 1000, 10**400],  # an int beyond the float range
     ])
     def test_tokens_must_be_finite_and_positive(self, tokens):
         points = [(x, loss) for x, loss in zip(tokens, [4.0, 3.0, 2.5, 2.2])]
@@ -627,3 +628,7 @@ class TestThresholdLaws:
                 {"method": "m", "parameter": 1.0, "points": [{"x": 1}],
                  "alpha": 1.0, "beta": 1.0, "r2": 1.0}
             )
+        for alpha, beta in [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)]:
+            with pytest.raises(ValidationError, match="alpha and beta must be finite"):
+                ThresholdLaw.from_dict({"method": "m", "parameter": 1.0, "points": [],
+                                        "alpha": alpha, "beta": beta, "r2": 1.0})
