@@ -29,8 +29,8 @@ _EXPORTS = {
     ), "errors"),
     **dict.fromkeys((
         "DocumentScorer", "FilterConfig", "FilterOutcome", "FilterStats", "PipelineResult",
-        "PipelineStage", "builtin_english_scorer", "build_stages", "english_filter",
-        "exact_dedup", "profile", "quality_filter", "repetition_filter",
+        "PipelineStage", "STATS_COLUMNS", "builtin_english_scorer", "build_stages",
+        "english_filter", "exact_dedup", "profile", "quality_filter", "repetition_filter",
         "repetition_fractions", "run_pipeline", "stopword_filter",
     ), "filters"),
     **dict.fromkeys((
@@ -40,21 +40,24 @@ _EXPORTS = {
     **dict.fromkeys((
         "EvalPoint", "EvalSlice", "ModelConfig", "RunRecord", "best_achievable", "best_eval",
         "bundled_model_configs", "compute_flops", "epochs", "load_run_log",
-        "non_embedding_params", "parse_run_log", "slice_loss", "write_run_log",
+        "non_embedding_params", "parse_run_log", "read_model_configs", "slice_loss",
+        "write_run_log",
     ), "runlog"),
     **dict.fromkeys((
         "CrossingPoint", "FrontierPoint", "PowerLawFit", "QuadFit", "ThresholdLaw",
-        "crossing_point", "extrapolate_compute", "fit_crossing_quadratic", "fit_power_law",
-        "fit_threshold_epoch_constraint", "fit_threshold_tokens_per_param", "pareto_frontier",
+        "ThresholdPoint", "crossing_point", "extrapolate_compute", "fit_crossing_quadratic",
+        "fit_power_law", "fit_threshold_epoch_constraint", "fit_threshold_tokens_per_param",
+        "pareto_frontier",
     ), "scaling"),
     **dict.fromkeys((
         "FilterFn", "SimilarityDataset", "TaskSpec", "analytic_min_loss", "empirical_min_loss",
         "kl_improvement_bruteforce", "kl_improvement_closed_form", "predict_conditional",
-        "random_orthogonal_spec",
+        "random_orthogonal_spec", "run_filter_fact_trial", "run_rank_necessity_trial",
     ), "theory"),
     **dict.fromkeys((
-        "JudgeClient", "Judgement", "QAItem", "Verdict", "aggregate_judgements",
-        "judge_documents", "keyword_match", "mock_judge_client",
+        "JudgeClient", "JudgeRun", "Judgement", "QAItem", "VERDICT_COLUMNS", "Verdict",
+        "aggregate_judgements", "judge_documents", "keyword_match", "mock_judge_client",
+        "read_qa_items", "write_judgements",
     ), "factuality"),
 }
 

@@ -24,14 +24,16 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import __version__
-from .errors import ConfigError, PoolLabError, ValidationError
+from . import _EXPORTS, __version__
+from .errors import ConfigError, FitError, PoolLabError, ValidationError
 from .io import (
     csv_cell, field_names, read_json, read_rows, sha256_file, write_json, write_lines, write_rows,
 )
 
 #: The library modules each subcommand's handler uses.  :func:`dispatch`
-#: imports only these, so a child running one subcommand compiles no other.
+#: imports only these, so a child running one subcommand compiles no other,
+#: and binds the names ``poollab._EXPORTS`` maps to them; a handler called
+#: other than through :func:`dispatch` needs them bound first.
 COMMAND_MODULES = {
     "sample": ("corpus",),
     "filter": ("corpus", "filters"),
@@ -47,34 +49,6 @@ COMMAND_MODULES = {
     "judge": ("corpus", "factuality"),
 }
 
-#: The names the handlers take from each library module.  They enter this
-#: module's namespace when :func:`dispatch` runs a subcommand that lists
-#: the module, or on the first ``poollab.cli.<name>`` lookup; a handler
-#: called other than through :func:`dispatch` needs them bound first.
-MODULE_NAMES = {
-    "corpus": ("read_documents", "read_pool", "sample_pool", "write_pool"),
-    "filters": ("build_stages", "profile", "run_pipeline", "STATS_COLUMNS"),
-    "injection": (
-        "InjectionSpec", "JunkKind", "build_vocab", "inject", "random_junk_stream",
-        "shuffled_junk_stream",
-    ),
-    "runlog": (
-        "EvalSlice", "ModelConfig", "best_eval", "bundled_model_configs", "compute_flops",
-        "epochs", "load_run_log", "parse_run_log", "slice_loss", "write_run_log",
-    ),
-    "scaling": (
-        "CrossingPoint", "FrontierPoint", "ThresholdLaw", "ThresholdPoint", "crossing_point",
-        "extrapolate_compute", "fit_crossing_quadratic", "fit_threshold_epoch_constraint",
-        "fit_threshold_tokens_per_param", "pareto_frontier",
-    ),
-    "theory": ("run_filter_fact_trial", "run_rank_necessity_trial"),
-    "factuality": (
-        "JudgeClient", "JudgeRun", "VERDICT_COLUMNS", "Verdict", "aggregate_judgements",
-        "judge_documents", "keyword_match", "mock_judge_client", "read_qa_items",
-        "write_judgements",
-    ),
-}
-
 #: ``--profile`` and ``--kind`` choices: ``sorted(filters.PROFILES)`` and the
 #: ``injection.JunkKind`` values, spelled out so that building the parser
 #: imports neither module.
@@ -83,7 +57,7 @@ KIND_CHOICES = ("random_strings", "shuffled_docs")
 
 
 def _bind_module(module: str) -> None:
-    """Import ``poollab.<module>`` and bind its :data:`MODULE_NAMES` here.
+    """Import ``poollab.<module>`` and bind here each name ``_EXPORTS`` maps to it.
 
     A name already bound is left alone, so a replacement installed with
     ``setattr(poollab.cli, name, ...)`` stays the object the handlers call.
@@ -92,17 +66,16 @@ def _bind_module(module: str) -> None:
     __import__(qualified)  # not importlib.import_module: -X importtime reports this path
     source = sys.modules[qualified]
     namespace = globals()
-    for name in MODULE_NAMES[module]:
-        if name not in namespace:
+    for name, home in _EXPORTS.items():
+        if home == module and name not in namespace:
             namespace[name] = getattr(source, name)
 
 
 def __getattr__(name: str):
-    for module, names in MODULE_NAMES.items():
-        if name in names:
-            _bind_module(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_module(_EXPORTS[name])
+    return globals()[name]
 
 
 EXIT_OK = 0
@@ -408,48 +381,41 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
         by_model.setdefault(cp.model_params, []).append(cp)
     quads = {}
     for model_params, cell in sorted(by_model.items()):
-        finite = [c for c in cell if not c.never]
-        if len(finite) < 3:
-            print(
-                f"warning: model {model_params}: only {len(finite)} finite crossings, skipped",
-                file=sys.stderr,
-            )
-            continue
-        quads[model_params] = fit_crossing_quadratic(cell)
+        try:
+            quads[model_params] = fit_crossing_quadratic(cell)
+        except FitError as exc:  # the model is left out of the law
+            print(f"warning: model {model_params}: {exc}", file=sys.stderr)
 
     if method == "tpp":
         ratio = opt(args, config, "ratio", 600.0, float)
-        configs = bundled_model_configs()
-        if args.configs:
-            try:
-                configs = [ModelConfig(**o) for o in read_json(args.configs)]
-            except TypeError as exc:
-                raise ValidationError(f"{args.configs}: malformed model configs: {exc}") from exc
+        configs = read_model_configs(args.configs) if args.configs else bundled_model_configs()
         law = _warn_in_one_line(fit_threshold_tokens_per_param, quads, configs, ratio)
     else:
         n_epochs = opt(args, config, "epochs", 4.0, float)
         law = _warn_in_one_line(fit_threshold_epoch_constraint, quads, n_epochs)
 
+    compute = extrapolate_compute(law, REFERENCE_POOL_TOKENS)
     law_json = {
         **asdict(law),
         "quadratics": {str(m): list(q.coeffs) for m, q in sorted(quads.items())},
-        "extrapolation": {
-            "pool_tokens": REFERENCE_POOL_TOKENS,
-            "compute": extrapolate_compute(law, REFERENCE_POOL_TOKENS),
-        },
+        "extrapolation": {"pool_tokens": REFERENCE_POOL_TOKENS, "compute": compute},
     }
     write_json(args.output, law_json)
     if args.points_csv:
         write_rows(args.points_csv, field_names(ThresholdPoint), law.points)
     print(
         f"{law.method}: compute = {law.alpha:.6g} * pool^{law.beta:.6g} "
-        f"(r2={law.r2:.6f}), 240T-token compute {law.predict_compute(REFERENCE_POOL_TOKENS):.6g}"
+        f"(r2={law.r2:.6f}), 240T-token compute {compute:.6g}"
     )
     return EXIT_OK
 
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
-    law = ThresholdLaw.from_dict(read_json(args.law))
+    obj = read_json(args.law)
+    try:
+        law = ThresholdLaw.from_dict(obj)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.law}: {exc}") from exc
     pool_tokens = parse_value("--pool-tokens", args.pool_tokens, float)
     compute = extrapolate_compute(law, pool_tokens)
     print(repr(compute))

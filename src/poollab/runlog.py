@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .io import LineError, read_jsonl, write_lines
+from .io import LineError, read_json, read_jsonl, write_lines
 
 DEFAULT_BATCH_TOKENS = 2**19
 DEFAULT_CONTEXT_LENGTH = 1024
@@ -85,6 +85,12 @@ class RunRecord:
         if not self.eval_points:
             raise ValidationError(f"{self.dataset_label}: record has no eval points")
         seen = [p.tokens_seen for p in self.eval_points]
+        if not {int}.issuperset(map(type, seen)):  # a NaN or a bool passes the checks below
+            for s in seen:
+                if type(s) is not int and not (type(s) is float and math.isfinite(s)):
+                    raise ValidationError(
+                        f"{self.dataset_label}: tokens_seen must be a finite number, got {s!r}"
+                    )
         if seen != sorted(seen):
             raise ValidationError(f"{self.dataset_label}: eval_points not sorted by tokens_seen")
         if not all(0 < v < math.inf for p in self.eval_points for v in p.losses.values()):
@@ -296,7 +302,20 @@ def write_run_log(path: str | Path, records: Iterable[RunRecord]) -> None:
     write_lines(path, (encode(record_to_dict(r)) for r in records))
 
 
+def read_model_configs(path: str | Path) -> list[ModelConfig]:
+    """The model configurations of a JSON list of objects holding :class:`ModelConfig`'s fields.
+
+    Raises ValidationError naming ``path`` if the file is not such a list.
+    """
+    data = read_json(path)
+    if not isinstance(data, list):
+        raise ValidationError(f"{path}: malformed model configs: expected a JSON list")
+    try:
+        return [ModelConfig(**obj) for obj in data]
+    except (TypeError, ValidationError) as exc:
+        raise ValidationError(f"{path}: malformed model configs: {exc}") from exc
+
+
 def bundled_model_configs() -> list[ModelConfig]:
     """The five reference model configurations shipped with the package."""
-    data = resources.files("poollab.data").joinpath("model_configs.json").read_text("utf-8")
-    return [ModelConfig(**obj) for obj in json.loads(data)]
+    return read_model_configs(resources.files("poollab.data") / "model_configs.json")

@@ -151,7 +151,9 @@ def _asymptote_grid(loss_min: float, c_hi: float, losses: np.ndarray) -> np.ndar
     n_log = min(600, max(2, int(decades * 24)))
     parts.append(loss_min - np.geomspace(loss_min, gap_floor, n_log))
 
-    first, middle, last = losses[0], losses[len(losses) // 2], losses[-1]
+    # Python floats: the same IEEE results as numpy scalars, but an overflow
+    # gives inf or nan silently, which the isfinite check below drops.
+    first, middle, last = float(losses[0]), float(losses[len(losses) // 2]), float(losses[-1])
     denom = 2.0 * middle - first - last
     if denom != 0.0:
         three_point = (middle * middle - first * last) / denom
@@ -229,7 +231,8 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     Raises:
         FitError: fewer than 3 points, an N that is not finite and
             positive, N not strictly increasing, non-positive or
-            non-finite losses, or a non-decaying loss sequence.
+            non-finite losses, a non-decaying loss sequence, or a fitted
+            scale ``a`` beyond the float range.
     """
     import numpy as np
 
@@ -284,7 +287,11 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     if b <= 0:
         raise FitError("fitted exponent is not positive; losses are not decaying")
     r2 = 1.0 - sse / sst if sst > 0 else 1.0
-    return PowerLawFit(a=float(np.exp(intercept)), b=b, c=best_c, r2=r2, n_points=len(points))
+    with np.errstate(over="ignore"):  # not math.exp, which can differ in the last bit
+        a = float(np.exp(intercept))
+    if not math.isfinite(a):
+        raise FitError(f"fitted scale a = exp({intercept!r}) is not finite")
+    return PowerLawFit(a=a, b=b, c=best_c, r2=r2, n_points=len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +535,12 @@ def extrapolate_compute(law: ThresholdLaw, pool_tokens: float) -> float:
     if not (math.isfinite(pool_tokens) and pool_tokens > 0):
         raise ValidationError(f"pool_tokens must be positive and finite, got {pool_tokens!r}")
     try:
-        return law.predict_compute(pool_tokens)
-    except OverflowError as exc:
-        raise ValidationError(f"compute at pool_tokens {pool_tokens!r} overflows") from exc
+        compute = law.predict_compute(pool_tokens)
+    except OverflowError:  # from pool_tokens**beta; alpha * a finite power overflows to inf
+        compute = math.inf
+    if not math.isfinite(compute):
+        raise ValidationError(f"compute at pool_tokens {pool_tokens!r} overflows")
+    return compute
 
 
 def _fit_threshold_points(
@@ -565,7 +575,7 @@ def _fit_threshold_points(
 def fit_threshold_tokens_per_param(
     quads: Mapping[int, QuadFit],
     configs: Sequence[ModelConfig],
-    ratio: float = 600.0,
+    ratio: float,
 ) -> ThresholdLaw:
     """Threshold law from a fixed training-tokens-per-non-embedding-parameter ratio.
 
@@ -600,7 +610,7 @@ def fit_threshold_tokens_per_param(
 
 def fit_threshold_epoch_constraint(
     quads: Mapping[int, QuadFit],
-    epochs: float = 4.0,
+    epochs: float,
 ) -> ThresholdLaw:
     """Threshold law from a fixed epoch count.
 

@@ -507,6 +507,25 @@ class TestScalingLawCli:
         saved = json.loads(extrap_json.read_text())
         assert saved == {"pool_tokens": 240e12, "compute": printed}
 
+    def test_model_with_too_few_finite_crossings_is_skipped(self, tmp_path, capsys):
+        world = planted_threshold_world()
+        crossings = tmp_path / "crossings.csv"
+        write_crossings_csv(crossings, world)
+        argv = ["scaling-law", "--crossings", str(crossings), "--output"]
+        assert dispatch(argv + [str(tmp_path / "law.json")]) == 0
+        with open(crossings, "a", encoding="utf-8") as fh:  # one finite crossing of three
+            fh.write("12345,1000,NEVER,NEVER,False,False\n"
+                     "12345,2000,NEVER,NEVER,False,False\n"
+                     "12345,4000,8000.0,2.0,False,False\n")
+        capsys.readouterr()
+        assert dispatch(argv + [str(tmp_path / "skipped.json")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: model 12345: need >= 3 finite crossings, got 1 "
+            "(never at pool sizes: [1000, 2000])"
+        ]
+        law = json.loads((tmp_path / "law.json").read_text(encoding="utf-8"))
+        assert json.loads((tmp_path / "skipped.json").read_text(encoding="utf-8")) == law
+
     def test_manifest_lists_config_files(self, tmp_path):
         world = planted_threshold_world()
         crossings = tmp_path / "crossings.csv"
@@ -717,10 +736,28 @@ def filter_pool_with_header(tmp_path, **fields):
             "--output", str(tmp_path / "f.jsonl")]
 
 
-def run_log_line_with(name, raw):
-    """One JSON run record whose ``name`` value is the JSON text ``raw``."""
+def run_log_line_with(name, raw, at_first_point=False):
+    """One JSON run record whose ``name`` value, or that of its first eval
+    point, is the JSON text ``raw``."""
     obj = record_to_dict(curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.3, 3.0, tokens_grid=[2, 4]))
-    return json.dumps({**obj, name: None}).replace(f'"{name}": null', f'"{name}": {raw}') + "\n"
+    (obj["eval_points"][0] if at_first_point else obj)[name] = None
+    return json.dumps(obj).replace(f'"{name}": null', f'"{name}": {raw}') + "\n"
+
+
+def run_log_with_tokens_seen(tmp_path, raw):
+    """A one-record run log whose first eval point's ``tokens_seen`` is the JSON text ``raw``."""
+    return write_text(tmp_path, "r.jsonl", run_log_line_with("tokens_seen", raw, True))
+
+
+def crossing_with_huge_first_loss(tmp_path, grid, target):
+    """crossing on a log whose first cc loss is 1e308; the other cc losses,
+    3 + 2*N**-0.3, stay above the rw best ``target``, so the cell is extrapolated."""
+    cc = record_to_dict(curve_run("cc", CONFIG_15M, 10**6, 2.0, 0.3, 3.0, tokens_grid=grid))
+    cc["eval_points"][0]["losses"]["avg"] = 1e308
+    rw = record_to_dict(curve_run("rw", CONFIG_15M, 10**6, 1e-9, 0.5, target, tokens_grid=grid))
+    runs = write_text(tmp_path, "r.jsonl", "".join(json.dumps(r) + "\n" for r in (cc, rw)))
+    return ["crossing", "--runs", runs, "--pool-label", "cc", "--filtered-label", "rw",
+            "--output", str(tmp_path / "x.csv")]
 
 
 def scaling_law_with(tmp_path, *flags):
@@ -887,6 +924,26 @@ MALFORMED_INPUTS = {
     "law-alpha-nan": lambda t, docs: [
         "extrapolate", "--law", write_text(t, "law.json", json.dumps({**LAW, "alpha": math.nan})),
         "--pool-tokens", "1e12"],
+    "law-compute-overflows": lambda t, docs: [  # 1e300 * 1e12**1.5 is inf
+        "extrapolate", "--law", write_text(t, "law.json", json.dumps({**LAW, "alpha": 1e300})),
+        "--pool-tokens", "1e12", "--output", str(t / "e.json")],
+    "crossing-fit-scale-overflows": lambda t, docs: crossing_with_huge_first_loss(
+        t, [1000, 2000, 4000, 8000], 3.1),
+    "report-tokens-seen-nan": lambda t, docs: [
+        "report", "--runs", run_log_with_tokens_seen(t, "NaN"), "--output", str(t / "r.csv")],
+    "report-tokens-seen-a-bool": lambda t, docs: [
+        "report", "--runs", run_log_with_tokens_seen(t, "true"), "--output", str(t / "r.csv")],
+    "pareto-tokens-seen-nan": lambda t, docs: [
+        "pareto", "--runs", run_log_with_tokens_seen(t, "NaN"), "--output", str(t / "r.csv")],
+    "pareto-tokens-seen-a-bool": lambda t, docs: [
+        "pareto", "--runs", run_log_with_tokens_seen(t, "true"), "--output", str(t / "r.csv")],
+    "scaling-law-configs-not-a-list": lambda t, docs: scaling_law_with(
+        t, "--configs", write_text(t, "models.json", json.dumps(asdict(CONFIG_15M)))),
+    "scaling-law-configs-bad-shape": lambda t, docs: scaling_law_with(
+        t, "--configs", write_text(t, "models.json", json.dumps([
+            {**asdict(CONFIG_15M), "heads": 3}]))),
+    "scaling-law-configs-missing-field": lambda t, docs: scaling_law_with(
+        t, "--configs", write_text(t, "models.json", json.dumps([{"name": "15M"}]))),
 }
 
 
@@ -937,6 +994,22 @@ def test_malformed_pool_header_error_names_header(tmp_path, docs_file, capsys, c
     assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'pool.jsonl.header.json'}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case,name", [
+    ("law-invalid-json", "law.json"),
+    ("law-without-method", "law.json"),
+    ("law-alpha-nan", "law.json"),
+    ("law-alpha-overflow", "law.json"),
+    ("scaling-law-configs-not-a-list", "models.json"),
+    ("scaling-law-configs-bad-shape", "models.json"),
+    ("scaling-law-configs-missing-field", "models.json"),
+])
+def test_malformed_file_error_names_path(tmp_path, docs_file, capsys, case, name):
+    assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: ")
     assert err.count("\n") == 1
 
 
@@ -1224,6 +1297,7 @@ def test_package_exports_resolve():
     for name, module in exports.items():
         source = getattr(importlib.import_module(f"poollab.{module}"), name)
         assert getattr(poollab, name) is source, f"poollab.{name}"
+        assert getattr(cli, name) is source, f"poollab.cli.{name}"
     assert set(exports) <= set(dir(poollab))
 
 
@@ -1246,9 +1320,8 @@ def handler_globals(handler):
 def test_handlers_read_only_names_of_their_commands_modules():
     # a handler runs in a fresh child with only COMMAND_MODULES[command]
     # bound, so a name from any other module would be a NameError there
-    table = {name: module for module, names in cli.MODULE_NAMES.items() for name in names}
-    for name, module in table.items():
-        assert hasattr(importlib.import_module(f"poollab.{module}"), name), name
+    at_import = set(run_python("import poollab.cli as cli; print(*vars(cli))").split())
+    table = {name: module for name, module in poollab._EXPORTS.items() if name not in at_import}
     handlers = {
         name.removeprefix("cmd_").replace("_", "-"): fn
         for name, fn in vars(cli).items() if name.startswith("cmd_")
@@ -1256,7 +1329,7 @@ def test_handlers_read_only_names_of_their_commands_modules():
     assert handlers.keys() == cli.COMMAND_MODULES.keys()
     for command, handler in handlers.items():
         names = handler_globals(handler)
-        unresolved = names - table.keys() - vars(builtins).keys() - vars(cli).keys()
+        unresolved = names - table.keys() - vars(builtins).keys() - at_import
         assert not unresolved, f"{command}: {sorted(unresolved)}"
         modules = {table[n] for n in names if n in table}
         assert modules <= set(cli.COMMAND_MODULES[command]), command
@@ -1353,6 +1426,17 @@ def test_threshold_law_warnings_are_one_line_each(tmp_path, flags):
     assert [line.split(":")[0] for line in lines] == ["warning"] * 3 + ["error"]
     assert all(line.startswith("warning: model ") for line in lines[:3])
     assert not any(".py:" in line for line in lines)
+
+
+@pytest.mark.parametrize("grid,target,code", [
+    ([2, 4, 8, 16, 32, 64], 3.5, 0),  # the three-point asymptote overflows: a NEVER cell
+    ([1000, 2000, 4000, 8000], 3.1, 1),  # the fitted scale overflows too
+])
+def test_crossing_near_float_max_prints_no_numpy_warning(tmp_path, grid, target, code):
+    proc = run_cli_child(*crossing_with_huge_first_loss(tmp_path, grid, target))
+    assert proc.returncode == code, proc.stderr
+    assert not any(".py:" in line for line in proc.stderr.splitlines()), proc.stderr
+    assert proc.stderr.count("\n") == code
 
 
 @pytest.mark.parametrize("argv", [

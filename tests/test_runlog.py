@@ -275,6 +275,24 @@ class TestValidation:
             )
         assert str(exc.value) == f"cc: {kind} loss at tokens_seen=50"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False, "20"])
+    def test_tokens_seen_must_be_a_finite_number(self, bad):
+        # NaN and bools pass the sortedness and train_tokens checks
+        with pytest.raises(ValidationError) as exc:
+            RunRecord(
+                dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=10,
+                eval_points=(EvalPoint(tokens_seen=bad, losses={"c4": 3.0}),
+                             EvalPoint(tokens_seen=80, losses={"c4": 2.9})),
+            )
+        assert str(exc.value) == f"cc: tokens_seen must be a finite number, got {bad!r}"
+
+    def test_float_tokens_seen_still_accepted(self):
+        points = (EvalPoint(tokens_seen=20.0, losses={"c4": 3.0}),
+                  EvalPoint(tokens_seen=80, losses={"c4": 2.9}))
+        rec = RunRecord(dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=10,
+                        eval_points=points)
+        assert rec.eval_points == points
+
     def test_train_tokens_below_last_eval(self):
         with pytest.raises(ValidationError, match="train_tokens"):
             RunRecord(

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -233,6 +233,15 @@ class TestFitPowerLaw:
     def test_losses_must_be_finite(self, bad):
         with pytest.raises(FitError, match="losses must be finite"):
             fit_power_law([(10.0, bad), (100.0, 3.0), (1000.0, 2.5), (10000.0, 2.2)])
+
+    def test_scale_beyond_float_range_raises_without_numpy_warnings(self):
+        # log(L - c) at the first point is about 709, so exp(intercept) overflows
+        tokens = [1000.0, 2000.0, 4000.0, 8000.0]
+        points = [(tokens[0], 1e308)] + [(x, 3.0 + 2.0 * x**-0.3) for x in tokens[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match=r"fitted scale a = exp\(.*\) is not finite"):
+                fit_power_law(points)
 
     def test_recovers_saturating_curve(self):
         n = np.logspace(2, 6, 12)
@@ -599,6 +608,8 @@ class TestThresholdLaws:
         assert law.beta > 1.0
         with pytest.raises(ValidationError, match="overflows"):
             extrapolate_compute(law, 1e300)
+        with pytest.raises(ValidationError, match="overflows"):  # alpha * pool**beta is inf
+            extrapolate_compute(replace(law, alpha=1e300), 1e12)
 
     def test_shared_quadratic_is_degenerate(self):
         # every model at the same pool size leaves the law's slope undetermined
