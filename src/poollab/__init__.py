@@ -44,10 +44,10 @@ _EXPORTS = {
         "write_run_log",
     ), "runlog"),
     **dict.fromkeys((
-        "CrossingPoint", "FrontierPoint", "PowerLawFit", "QuadFit", "ThresholdLaw",
-        "ThresholdPoint", "crossing_point", "extrapolate_compute", "fit_crossing_quadratic",
-        "fit_power_law", "fit_threshold_epoch_constraint", "fit_threshold_tokens_per_param",
-        "pareto_frontier",
+        "CrossingPoint", "FrontierPoint", "PendingCrossing", "PowerLawFit", "QuadFit",
+        "ThresholdLaw", "ThresholdPoint", "crossing_point", "extrapolate_compute", "fit_crossing",
+        "fit_crossing_quadratic", "fit_power_law", "fit_threshold_epoch_constraint",
+        "fit_threshold_tokens_per_param", "pareto_frontier", "reduce_crossings",
     ), "scaling"),
     **dict.fromkeys((
         "FilterFn", "SimilarityDataset", "TaskSpec", "analytic_min_loss", "empirical_min_loss",

@@ -328,31 +328,12 @@ def cmd_pareto(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _group_by_cell(records: Sequence[RunRecord]) -> dict[tuple[int, int], list[RunRecord]]:
-    """Records keyed by (model total params, pool tokens), in log order within each cell."""
-    cells: dict[tuple[int, int], list[RunRecord]] = {}
-    for record in records:
-        cells.setdefault((record.model.total_params, record.pool_tokens), []).append(record)
-    return cells
-
-
 def cmd_crossing(args: argparse.Namespace) -> int:
-    records = load_run_log(args.runs)
     eval_sets = args.eval_sets.split(",") if args.eval_sets else None
-    pool_runs = [r for r in records if r.dataset_label == args.pool_label]
-    filtered_runs = [r for r in records if r.dataset_label == args.filtered_label]
-    if not pool_runs or not filtered_runs:
-        raise ValidationError(
-            f"need runs for both labels {args.pool_label!r} and {args.filtered_label!r}"
-        )
-    pool_cells, filtered_cells = _group_by_cell(pool_runs), _group_by_cell(filtered_runs)
-    cells = sorted(pool_cells.keys() & filtered_cells.keys())
-    if not cells:
-        raise ValidationError("no (model size, pool size) cell is present for both labels")
-    crossings = [
-        crossing_point(pool_cells[cell], filtered_cells[cell], *cell, eval_sets)
-        for cell in cells
-    ]
+    # No name here holds the log, so it is freed before numpy loads for the fits.
+    cells = reduce_crossings(load_run_log(args.runs), args.pool_label, args.filtered_label,
+                             eval_sets)
+    crossings = [fit_crossing(cell) for cell in cells]
     write_rows(args.output, CROSSING_COLUMNS, crossings)
     print(f"computed {len(crossings)} crossing cells -> {args.output}")
     return EXIT_OK
@@ -377,7 +358,8 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
     if method == "epoch" and args.configs:
         raise UsageError("--configs is read only by --method tpp")
     by_model: dict[int, list[CrossingPoint]] = {}
-    for cp in read_rows(args.crossings, CrossingPoint):
+    # a repeated cell is an error: weighting or dropping either row would hide a corrupt file
+    for cp in read_rows(args.crossings, CrossingPoint, unique=("model_params", "pool_tokens")):
         by_model.setdefault(cp.model_params, []).append(cp)
     quads = {}
     for model_params, cell in sorted(by_model.items()):

@@ -134,10 +134,15 @@ _PARSERS = {
 }
 
 
-def read_rows(path: str | Path, cls: type[T]) -> list[T]:
-    """Read a :func:`write_rows` CSV into ``cls`` instances; other columns are ignored."""
+def read_rows(path: str | Path, cls: type[T], unique: Sequence[str] = ()) -> list[T]:
+    """Read a :func:`write_rows` CSV into ``cls`` instances; other columns are ignored.
+
+    A row whose values of the ``unique`` fields equal an earlier row's
+    raises ValidationError naming both lines.
+    """
     parsers = [(f.name, _PARSERS[f.type]) for f in fields(cls)]
     out = []
+    first_line: dict[tuple, int] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -153,6 +158,13 @@ def read_rows(path: str | Path, cls: type[T]) -> list[T]:
                         raise ValidationError(
                             f"{path}: line {reader.line_num}: column {name!r}: {exc}"
                         ) from exc
+                if unique:
+                    key = tuple(values[name] for name in unique)
+                    if key in first_line:
+                        shown = ", ".join(f"{name}={v}" for name, v in zip(unique, key))
+                        raise ValidationError(f"{path}: line {reader.line_num} repeats {shown} "
+                                              f"of line {first_line[key]}")
+                    first_line[key] = reader.line_num
                 out.append(cls(**values))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

@@ -19,6 +19,7 @@ All fits are deterministic: identical inputs give identical coefficients.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -27,6 +28,8 @@ from .errors import FitError, NoRootError, ValidationError
 from .runlog import ModelConfig, RunRecord, best_achievable, point_losses
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 #: Crossings needing more epochs than this are flagged as unreliable
@@ -89,12 +92,20 @@ class PowerLawFit:
         return self.c + self.a * n ** (-self.b)
 
     def solve_for(self, target: float) -> float:
-        """Tokens where the fitted curve reaches ``target`` (requires target > c)."""
+        """Tokens where the fitted curve reaches ``target`` (requires target > c).
+
+        Raises FitError if it never does, or only beyond the float range.
+        """
         if target <= self.c:
             raise FitError(
                 f"target {target} is at or below the fitted asymptote {self.c}; never reached"
             )
-        return (self.a / (target - self.c)) ** (1.0 / self.b)
+        try:
+            return (self.a / (target - self.c)) ** (1.0 / self.b)
+        except OverflowError:
+            raise FitError(
+                f"the fitted curve reaches target {target} only beyond the float range"
+            ) from None
 
 
 def _loglog_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
@@ -340,22 +351,40 @@ def _loss_curve(
     return sorted(by_tokens.items())
 
 
-def crossing_point(
+@dataclass(frozen=True, slots=True)
+class PendingCrossing:
+    """A cell whose crossing must be extrapolated, detached from its run records.
+
+    ``tokens`` and ``losses`` are the pool's loss curve as flat float
+    buffers.  An int ``tokens_seen`` beyond the float range is stored as
+    ``inf``, which :func:`fit_power_law` rejects just as it rejects the int.
+    """
+
+    model_params: int
+    pool_tokens: int
+    target: float
+    tokens: array
+    losses: array
+
+
+def _reduce_cell(
     pool_runs: Sequence[RunRecord],
     filtered_runs: Sequence[RunRecord],
     model_params: int,
     pool_tokens: int,
     eval_sets: Sequence[str] | None = None,
-) -> CrossingPoint:
-    """Estimate the minimal winning token count for one (model, pool) cell.
+) -> CrossingPoint | PendingCrossing:
+    """The reduce phase of :func:`crossing_point`, in pure Python.
 
-    The filtered target is the best loss over ``filtered_runs``.  If any
-    pool eval point already beats it, the smallest such tokens_seen is
-    returned as an observed crossing.  Otherwise the pool curve is
-    extrapolated with :func:`fit_power_law`: a finite answer comes from
-    inverting the fitted law, and an asymptote at or above the target
-    means the crossing never happens.
+    Makes every check on the cell's records, then computes the filtered
+    target and the pool curve.  An observed cell comes back as its final
+    :class:`CrossingPoint`, any other as a :class:`PendingCrossing`.
+    Nothing returned refers to the records or to an object the JSON
+    parser made: each such object that survives keeps its memory arena
+    from being reused once the records are freed.
     """
+    from array import array  # imported here, so that pareto and scaling-law do not load it
+
     if not pool_runs or not filtered_runs:
         raise ValidationError("crossing_point requires non-empty pool and filtered runs")
     for record in list(pool_runs) + list(filtered_runs):
@@ -369,39 +398,107 @@ def crossing_point(
                 f"record {record.dataset_label!r} has pool_tokens "
                 f"{record.pool_tokens}, expected {pool_tokens}"
             )
+    if not 0 < pool_tokens <= sys.float_info.max:  # the crossing's epoch count divides by it
+        raise ValidationError(
+            f"crossing for cell (model_params={model_params}, pool_tokens={pool_tokens}): "
+            f"pool_tokens must be positive and within the float range"
+        )
     sets = list(eval_sets) if eval_sets else sorted(pool_runs[0].eval_points[0].losses)
     target = best_achievable(filtered_runs, sets)
     curve = _loss_curve(pool_runs, sets)
+    tokens, losses = array("d"), array("d", [loss for _, loss in curve])
+    for n, _ in curve:
+        try:
+            tokens.append(n)
+        except OverflowError:  # an int beyond the float range
+            tokens.append(math.inf)
+    model_params, pool_tokens = model_params + 0, pool_tokens + 0  # not the parser's ints
 
-    winning = [tokens for tokens, loss in curve if loss < target]
-    if winning:
-        return CrossingPoint(
-            model_params=model_params,
-            pool_tokens=pool_tokens,
-            crossing_tokens=float(min(winning)),
-            observed=True,
-        )
+    for n, loss in zip(tokens, losses):
+        if loss < target:  # the curve is sorted, so n is the smallest winning tokens_seen
+            if n == math.inf:
+                raise ValidationError(
+                    f"crossing for cell (model_params={model_params}, pool_tokens={pool_tokens}): "
+                    f"the first winning tokens_seen is beyond the float range"
+                )
+            return CrossingPoint(model_params, pool_tokens, n, observed=True)
+    return PendingCrossing(model_params, pool_tokens, target, tokens, losses)
 
+
+def _group_by_cell(records: Sequence[RunRecord]) -> dict[tuple[int, int], list[RunRecord]]:
+    """Records keyed by (model total params, pool tokens), in log order within each cell."""
+    cells: dict[tuple[int, int], list[RunRecord]] = {}
+    for record in records:
+        cells.setdefault((record.model.total_params, record.pool_tokens), []).append(record)
+    return cells
+
+
+def reduce_crossings(
+    records: Sequence[RunRecord],
+    pool_label: str,
+    filtered_label: str,
+    eval_sets: Sequence[str] | None = None,
+) -> list[CrossingPoint | PendingCrossing]:
+    """The reduce phase of every cell that has runs of both labels, in sorted cell order.
+
+    Each cell is checked and reduced as :func:`crossing_point` would,
+    without numpy, so a check failing in any cell is raised before any
+    fit runs.  The result holds nothing of ``records``: given a log that
+    no caller keeps, as in ``reduce_crossings(load_run_log(path), ...)``,
+    the log is freed when this returns, and numpy and the fits of
+    :func:`fit_crossing` reuse its memory.
+    """
+    pool_runs = [r for r in records if r.dataset_label == pool_label]
+    filtered_runs = [r for r in records if r.dataset_label == filtered_label]
+    if not pool_runs or not filtered_runs:
+        raise ValidationError(f"need runs for both labels {pool_label!r} and {filtered_label!r}")
+    pool_cells, filtered_cells = _group_by_cell(pool_runs), _group_by_cell(filtered_runs)
+    cells = sorted(pool_cells.keys() & filtered_cells.keys())
+    if not cells:
+        raise ValidationError("no (model size, pool size) cell is present for both labels")
+    return [
+        _reduce_cell(pool_cells[cell], filtered_cells[cell], *cell, eval_sets) for cell in cells
+    ]
+
+
+def fit_crossing(cell: CrossingPoint | PendingCrossing) -> CrossingPoint:
+    """The fit phase of :func:`crossing_point`; a CrossingPoint is returned as it is.
+
+    A pending cell's pool curve is extrapolated with :func:`fit_power_law`:
+    a finite answer comes from inverting the fitted law, and an asymptote
+    at or above the target means the crossing never happens.
+    """
+    if isinstance(cell, CrossingPoint):
+        return cell
     try:
-        fit = fit_power_law(curve)
+        fit = fit_power_law(list(zip(cell.tokens, cell.losses)))
+        crossing_tokens = fit.solve_for(cell.target) if fit.c < cell.target else None
     except FitError as exc:
         raise FitError(
-            f"crossing fit for cell (model_params={model_params}, "
-            f"pool_tokens={pool_tokens}): {exc}"
+            f"crossing fit for cell (model_params={cell.model_params}, "
+            f"pool_tokens={cell.pool_tokens}): {exc}"
         ) from exc
-    if fit.c < target:
-        return CrossingPoint(
-            model_params=model_params,
-            pool_tokens=pool_tokens,
-            crossing_tokens=fit.solve_for(target),
-            observed=False,
-        )
-    return CrossingPoint(
-        model_params=model_params,
-        pool_tokens=pool_tokens,
-        crossing_tokens=None,
-        observed=False,
-    )
+    return CrossingPoint(cell.model_params, cell.pool_tokens, crossing_tokens, observed=False)
+
+
+def crossing_point(
+    pool_runs: Sequence[RunRecord],
+    filtered_runs: Sequence[RunRecord],
+    model_params: int,
+    pool_tokens: int,
+    eval_sets: Sequence[str] | None = None,
+) -> CrossingPoint:
+    """Estimate the minimal winning token count for one (model, pool) cell.
+
+    The filtered target is the best loss over ``filtered_runs``.  If any
+    pool eval point already beats it, the smallest such tokens_seen is
+    returned as an observed crossing.  Otherwise the pool curve is
+    extrapolated with :func:`fit_power_law`.  This is :func:`fit_crossing`
+    of the cell's reduce phase; :func:`reduce_crossings` runs that phase on
+    every cell of a log, so that the log can be freed before any fit.
+    """
+    return fit_crossing(_reduce_cell(pool_runs, filtered_runs, model_params, pool_tokens,
+                                     eval_sets))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +548,12 @@ class QuadFit:
 
 
 def fit_crossing_quadratic(crossings: Sequence[CrossingPoint]) -> QuadFit:
-    """Least-squares quadratic through one model size's finite crossings."""
+    """Least-squares quadratic through one model size's finite crossings.
+
+    Raises FitError unless the finite crossings lie at 3 or more distinct
+    pool sizes, and ValidationError for a non-positive pool or crossing
+    token count.
+    """
     import numpy as np
 
     finite = [c for c in crossings if not c.never]
@@ -464,7 +566,17 @@ def fit_crossing_quadratic(crossings: Sequence[CrossingPoint]) -> QuadFit:
     sizes = {c.model_params for c in finite}
     if len(sizes) > 1:
         raise ValidationError(f"crossings span multiple model sizes: {sorted(sizes)}")
-    x = np.log10([c.pool_tokens for c in finite])
+    for c in finite:  # both are fitted in log space
+        if not (0 < c.pool_tokens <= sys.float_info.max and 0 < c.crossing_tokens < math.inf):
+            raise ValidationError(
+                f"model {c.model_params}: crossing at pool_tokens {c.pool_tokens} has "
+                f"crossing_tokens {c.crossing_tokens!r}; both must be > 0 and within the "
+                f"float range"
+            )
+    pools = sorted({c.pool_tokens for c in finite})
+    if len(pools) < 3:  # a quadratic through fewer distinct x values is not determined
+        raise FitError(f"need finite crossings at >= 3 distinct pool sizes, got {pools}")
+    x = np.log10([float(c.pool_tokens) for c in finite])  # an int past int64 has no log10
     y = np.log10([c.crossing_tokens for c in finite])
     coeffs = np.polyfit(x, y, 2)
     residuals = y - np.polyval(coeffs, x)

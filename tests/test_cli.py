@@ -457,6 +457,79 @@ class TestRunAnalysis:
             "token counts must be finite and positive\n"
         )
 
+    @pytest.mark.parametrize("last_loss,error", [
+        (1.0, "crossing for cell (model_params=15009920, pool_tokens=1000): "
+              "the first winning tokens_seen is beyond the float range"),
+        (3.5, "crossing fit for cell (model_params=15009920, pool_tokens=1000): "
+              "token counts must be finite and positive"),
+    ], ids=["observed", "extrapolated"])
+    def test_tokens_seen_beyond_float_range_exits_one(self, tmp_path, capfd, last_loss, error):
+        assert dispatch(crossing_with_tokens_beyond_float(tmp_path, last_loss)) == 1
+        assert capfd.readouterr().err == f"error: {error}\n"
+
+    def test_every_cell_is_checked_before_any_fit(self, tmp_path, capsys):
+        # the first cell's pool curve rises, so its fit fails; the second
+        # cell's filtered run lacks the pool's eval set, which its checks find
+        grid = [2, 4, 8, 16]
+        records = [
+            curve_run("cc", CONFIG_15M, 1_000, -1.0, 0.5, 3.0, tokens_grid=grid),
+            curve_run("rw", CONFIG_15M, 1_000, 1e-9, 0.5, 2.0, tokens_grid=grid),
+            curve_run("cc", CONFIG_15M, 2_000, 2.0, 0.3, 3.0, tokens_grid=grid),
+            curve_run("rw", CONFIG_15M, 2_000, 1e-9, 0.5, 3.5, tokens_grid=grid),
+        ]
+        argv = ["crossing", "--runs", str(tmp_path / "runs.jsonl"), "--pool-label", "cc",
+                "--filtered-label", "rw", "--output", str(tmp_path / "x.csv")]
+        write_run_log(tmp_path / "runs.jsonl", records)
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: crossing fit for cell (model_params=15009920, pool_tokens=1000): "
+            "losses are not decaying; cannot fit a decreasing power law\n"
+        )
+        records[3] = curve_run("rw", CONFIG_15M, 2_000, 1e-9, 0.5, 3.5, tokens_grid=grid,
+                               eval_set="other")
+        write_run_log(tmp_path / "runs.jsonl", records)
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: eval point at tokens_seen=2 missing sets ['avg']\n"
+        )
+
+    def test_fits_run_after_the_run_log_is_freed(self, tmp_path):
+        # a probe on the fit phase's fit_power_law counts, at each fit, the
+        # run records and eval points still alive in a fresh interpreter, and
+        # notes whether numpy is loaded yet
+        grid = [2, 4, 8, 16, 32, 64]
+        cc_curves = {  # (a, b, c) against the rw best of 3.5
+            (CONFIG_15M, 1_000): (2.0, 0.3, 3.0),  # extrapolated
+            (CONFIG_15M, 3_000): (2.0, 0.3, 1.0),  # observed
+            (CONFIG_80M, 1_000): (2.0, 0.3, 3.6),  # never
+        }
+        records = [curve_run("cc", cfg, pool, *abc, tokens_grid=grid)
+                   for (cfg, pool), abc in cc_curves.items()]
+        records += [curve_run("rw", cfg, pool, 1e-9, 0.5, 3.5, tokens_grid=grid)
+                    for cfg, pool in cc_curves]
+        runs, out = tmp_path / "runs.jsonl", tmp_path / "x.csv"
+        write_run_log(runs, records)
+        code = textwrap.dedent(f"""\
+            import gc, sys
+            import poollab.cli as cli, poollab.scaling as scaling
+            from poollab.runlog import EvalPoint, RunRecord
+            fit_power_law, alive = scaling.fit_power_law, []
+            def probe(points):
+                gc.collect()
+                records = sum(isinstance(o, (RunRecord, EvalPoint)) for o in gc.get_objects())
+                alive.append((records, "numpy" in sys.modules))
+                return fit_power_law(points)
+            scaling.fit_power_law = probe
+            code = cli.dispatch(["crossing", "--runs", {str(runs)!r}, "--pool-label", "cc",
+                                 "--filtered-label", "rw", "--output", {str(out)!r}])
+            print(code, alive)
+        """)
+        assert run_python(code).splitlines()[-1] == "0 [(0, False), (0, True)]"
+        rows = read_csv_rows(out)
+        assert sorted((row["observed"], row["crossing_tokens"] == "NEVER") for row in rows) == [
+            ("False", False), ("False", True), ("True", False)
+        ]
+
 
 def write_crossings_csv(path, world):
     fields = ["model_params", "pool_tokens", "crossing_tokens", "epochs_at_cross",
@@ -525,6 +598,17 @@ class TestScalingLawCli:
         ]
         law = json.loads((tmp_path / "law.json").read_text(encoding="utf-8"))
         assert json.loads((tmp_path / "skipped.json").read_text(encoding="utf-8")) == law
+
+    def test_repeated_cell_exits_one_naming_both_lines(self, tmp_path, capsys):
+        argv = crossings_with_repeated_cell(tmp_path)
+        lines = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()
+        model_params, pool_tokens = lines[2].split(",")[:2]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'x.csv'}: line {len(lines)} repeats "
+            f"model_params={model_params}, pool_tokens={pool_tokens} of line 3\n"
+        )
+        assert not (tmp_path / "e.json").exists()
 
     def test_manifest_lists_config_files(self, tmp_path):
         world = planted_threshold_world()
@@ -760,6 +844,51 @@ def crossing_with_huge_first_loss(tmp_path, grid, target):
             "--output", str(tmp_path / "x.csv")]
 
 
+def crossing_with_tokens_beyond_float(tmp_path, last_loss):
+    """crossing on a log whose cc losses 5.0, 4.0 and ``last_loss`` are at
+    tokens_seen 10, 20 and 10**400, against an rw best of 3.0."""
+    cc = record_to_dict(curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.3, 3.0, tokens_grid=[10, 20]))
+    cc["eval_points"] = [{"tokens_seen": n, "losses": {"avg": loss}}
+                         for n, loss in [(10, 5.0), (20, 4.0), (10**400, last_loss)]]
+    cc["train_tokens"] = 10**400
+    rw = record_to_dict(curve_run("rw", CONFIG_15M, 1_000, 1e-9, 0.5, 3.0, tokens_grid=[10, 20]))
+    runs = write_text(tmp_path, "r.jsonl", "".join(json.dumps(r) + "\n" for r in (cc, rw)))
+    return ["crossing", "--runs", runs, "--pool-label", "cc", "--filtered-label", "rw",
+            "--output", str(tmp_path / "x.csv")]
+
+
+def crossing_beyond_float_range(tmp_path):
+    """crossing on a log whose nearly flat cc curve 3 + 2*N**-0.005 is fitted
+    with an asymptote just below the rw best of 3.0001, so that the fitted
+    curve reaches it only beyond the float range."""
+    grid = [2, 4, 8, 16, 32, 64]
+    records = [curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.005, 3.0, tokens_grid=grid),
+               curve_run("rw", CONFIG_15M, 1_000, 1e-9, 0.5, 3.0001, tokens_grid=grid)]
+    write_run_log(tmp_path / "r.jsonl", records)
+    return ["crossing", "--runs", str(tmp_path / "r.jsonl"), "--pool-label", "cc",
+            "--filtered-label", "rw", "--output", str(tmp_path / "x.csv")]
+
+
+def crossing_with_pool_tokens(tmp_path, pool_tokens):
+    """crossing on a log whose one cell has ``pool_tokens``."""
+    grid = [2, 4, 8, 16, 32, 64]
+    records = [curve_run("cc", CONFIG_15M, pool_tokens, 2.0, 0.3, 1.0, tokens_grid=grid),
+               curve_run("rw", CONFIG_15M, pool_tokens, 1e-9, 0.5, 3.5, tokens_grid=grid)]
+    write_run_log(tmp_path / "r.jsonl", records)
+    return ["crossing", "--runs", str(tmp_path / "r.jsonl"), "--pool-label", "cc",
+            "--filtered-label", "rw", "--output", str(tmp_path / "x.csv")]
+
+
+def crossings_with_repeated_cell(tmp_path):
+    """scaling-law on the planted world's crossings with the second data row
+    repeated as the last line."""
+    write_crossings_csv(tmp_path / "x.csv", planted_threshold_world())
+    lines = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    write_text(tmp_path, "x.csv", "".join(lines + [lines[2]]))
+    return ["scaling-law", "--crossings", str(tmp_path / "x.csv"), "--method", "epoch",
+            "--output", str(tmp_path / "e.json")]
+
+
 def scaling_law_with(tmp_path, *flags):
     """scaling-law on crossings that fit a law, with ``flags`` added."""
     write_crossings_csv(tmp_path / "x.csv", planted_threshold_world())
@@ -944,6 +1073,19 @@ MALFORMED_INPUTS = {
             {**asdict(CONFIG_15M), "heads": 3}]))),
     "scaling-law-configs-missing-field": lambda t, docs: scaling_law_with(
         t, "--configs", write_text(t, "models.json", json.dumps([{"name": "15M"}]))),
+    "crossing-observed-tokens-beyond-float": lambda t, docs: crossing_with_tokens_beyond_float(
+        t, 1.0),
+    "crossing-extrapolated-tokens-beyond-float": lambda t, docs: (
+        crossing_with_tokens_beyond_float(t, 3.5)),
+    "crossings-repeated-cell": lambda t, docs: crossings_with_repeated_cell(t),
+    "crossing-beyond-float-range": lambda t, docs: crossing_beyond_float_range(t),
+    "crossing-pool-tokens-zero": lambda t, docs: crossing_with_pool_tokens(t, 0),
+    "crossing-pool-tokens-beyond-float": lambda t, docs: crossing_with_pool_tokens(t, 10**400),
+    "crossings-pool-tokens-zero": lambda t, docs: [
+        "scaling-law", "--crossings", write_text(t, "x.csv", CROSSINGS_HEADER + "".join(
+            f"1000,{pool},{crossing},1.0,True,False\n"
+            for pool, crossing in [(0, 5.0), (10, 50.0), (100, 900.0)])),
+        "--method", "epoch", "--output", str(t / "e.json")],
 }
 
 
@@ -1182,16 +1324,25 @@ def mutated_json(draw, value):
 
 @st.composite
 def fuzz_inputs(draw, targets):
-    """The valid files with one line of one of ``targets`` changed, and a copy
-    of one file cut short."""
+    """The valid files with one line of one of ``targets`` changed (or, in a
+    CSV, a row repeated or a row copied at another row's pool size), and a
+    copy of one file cut short."""
     files = dict(fuzz_files())
     name = draw(st.sampled_from(targets))
     lines = files[name].splitlines()
     index = draw(st.integers(0, len(lines) - 1))
     if name.endswith(".csv"):
         cells = lines[index].split(",")
-        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(FUZZ_VALUES))
-        lines[index] = ",".join(cells)
+        edit = draw(st.sampled_from(["cell", "row", "pool"])) if index else "cell"
+        if edit == "row":  # a repeated (model_params, pool_tokens) cell
+            lines.append(lines[index])
+        elif edit == "pool":  # another row moved to this row's pool size
+            other = lines[draw(st.integers(1, len(lines) - 1))].split(",")
+            other[1] = cells[1]
+            lines.append(",".join(other))
+        else:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(FUZZ_VALUES))
+            lines[index] = ",".join(cells)
     elif name.endswith(".jsonl"):
         lines[index] = json.dumps(draw(mutated_json(json.loads(lines[index]))))
     else:
@@ -1240,7 +1391,8 @@ def random_argv(draw, names):
 def test_fuzzed_command_lines_exit_cleanly(data):
     # Each command line is a MANIFEST_CASES one with one of its inputs
     # changed, a MALFORMED_INPUTS one, or random flags; either of the first
-    # two may have one argument replaced.
+    # two may have one argument replaced.  No stderr line may come from a
+    # warning's source location.
     kind = data.draw(st.sampled_from(["valid", "malformed", "random"]))
     targets = sorted(fuzz_files())
     if kind == "valid":
@@ -1275,6 +1427,7 @@ def test_fuzzed_command_lines_exit_cleanly(data):
             os.chdir(cwd)
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        assert not any(".py:" in line for line in err.getvalue().splitlines()), err.getvalue()
 
 
 def run_python(code):

@@ -46,6 +46,19 @@ def test_malformed_rows_rejected(tmp_path, header, row, match):
         read_rows(path, CrossingPoint)
 
 
+def test_repeated_unique_fields_name_both_lines(tmp_path):
+    path = tmp_path / "rows.csv"
+    # a quoted cell spans lines 3 and 4, so line 2's key is repeated on line 6
+    path.write_text("model_params,pool_tokens,crossing_tokens,observed\n"
+                    "1,2,NEVER,False\n1,\"3\n\",NEVER,False\n2,2,5.0,True\n1,2.0,NEVER,False\n",
+                    encoding="utf-8")
+    assert len(read_rows(path, CrossingPoint)) == 4
+    with pytest.raises(ValidationError, match=(
+        f"^{path}: line 6 repeats model_params=1, pool_tokens=2 of line 2$"
+    )):
+        read_rows(path, CrossingPoint, unique=("model_params", "pool_tokens"))
+
+
 def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops", encoding="utf-8")

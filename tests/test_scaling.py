@@ -11,17 +11,20 @@ from poollab import (
     FitError,
     FrontierPoint,
     ModelConfig,
+    PendingCrossing,
     ValidationError,
     crossing_point,
     extrapolate_compute,
+    fit_crossing,
     fit_crossing_quadratic,
     fit_power_law,
     fit_threshold_epoch_constraint,
     fit_threshold_tokens_per_param,
     pareto_frontier,
+    reduce_crossings,
 )
 from poollab.io import read_json, write_json
-from poollab.runlog import EvalPoint, RunRecord, point_loss
+from poollab.runlog import EvalPoint, RunRecord, best_achievable, point_loss
 from poollab.scaling import (
     PowerLawFit,
     QuadFit,
@@ -30,6 +33,7 @@ from poollab.scaling import (
     _golden_section_min,
     _loss_curve,
     _loglog_regression,
+    _reduce_cell,
     _sorted_unique,
 )
 
@@ -370,6 +374,16 @@ class TestCrossingPoint:
                                            r"pool_tokens=1000\): losses are not decaying"):
             crossing_point(pool, filtered, TINY.total_params, 1000)
 
+    def test_crossing_beyond_float_range_names_the_cell(self):
+        # a nearly flat pool curve whose asymptote sits just below the target
+        grid = [2, 4, 8, 16, 32, 64]
+        pool = [curve_run("cc", TINY, 1000, 2.0, 0.005, 3.0, tokens_grid=grid)]
+        filtered = [curve_run("rw", TINY, 1000, 1e-9, 0.5, 3.0001, tokens_grid=grid)]
+        with pytest.raises(FitError, match=r"^crossing fit for cell \(model_params=1000000, "
+                                           r"pool_tokens=1000\): the fitted curve reaches "
+                                           r"target .* only beyond the float range$"):
+            crossing_point(pool, filtered, TINY.total_params, 1000)
+
     def test_extreme_epoch_flag(self):
         cp = CrossingPoint(
             model_params=1, pool_tokens=1000, crossing_tokens=130_000.0, observed=False
@@ -414,6 +428,151 @@ class TestLossCurve:
                         eval_points=points)
         with pytest.raises(ValidationError, match=r"tokens_seen=3 missing sets \['b'\]"):
             _loss_curve([run], ["a", "b"])
+
+
+def reference_crossing_point(pool_runs, filtered_runs, model_params, pool_tokens, eval_sets=None):
+    """``crossing_point`` as one function, as it was before it was split into
+    a reduce and a fit phase."""
+    if not pool_runs or not filtered_runs:
+        raise ValidationError("crossing_point requires non-empty pool and filtered runs")
+    for record in list(pool_runs) + list(filtered_runs):
+        if record.model.total_params != model_params:
+            raise ValidationError(
+                f"record {record.dataset_label!r} has model size "
+                f"{record.model.total_params}, expected {model_params}"
+            )
+        if record.pool_tokens != pool_tokens:
+            raise ValidationError(
+                f"record {record.dataset_label!r} has pool_tokens "
+                f"{record.pool_tokens}, expected {pool_tokens}"
+            )
+    sets = list(eval_sets) if eval_sets else sorted(pool_runs[0].eval_points[0].losses)
+    target = best_achievable(filtered_runs, sets)
+    curve = _loss_curve(pool_runs, sets)
+    winning = [tokens for tokens, loss in curve if loss < target]
+    if winning:
+        return CrossingPoint(model_params, pool_tokens, float(min(winning)), observed=True)
+    try:
+        fit = fit_power_law(curve)
+    except FitError as exc:
+        raise FitError(
+            f"crossing fit for cell (model_params={model_params}, "
+            f"pool_tokens={pool_tokens}): {exc}"
+        ) from exc
+    if fit.c < target:  # PowerLawFit.solve_for as it was, letting an OverflowError escape
+        crossing = (fit.a / (target - fit.c)) ** (1.0 / fit.b)
+        return CrossingPoint(model_params, pool_tokens, crossing, observed=False)
+    return CrossingPoint(model_params, pool_tokens, None, observed=False)
+
+
+@st.composite
+def crossing_cells(draw):
+    """One cell's pool and filtered runs: decaying, flat or rising curves over
+    colliding token grids that may start at 0, some points without set "b",
+    and now and then a record of another pool size."""
+    def runs(label, count):
+        out = []
+        for _ in range(count):
+            seen = sorted(draw(st.lists(st.integers(0, 64), min_size=1, max_size=7)))
+            a, b, c = (draw(st.floats(-0.4, 3.0)), draw(st.floats(0.05, 1.5)),
+                       draw(st.floats(0.5, 4.0)))
+            with_b = draw(st.sampled_from([True] * 7 + [False]))
+            points = tuple(
+                EvalPoint(n, {"a": c + a * (n + 1) ** -b + draw(st.floats(0.0, 0.05)),
+                              **({"b": draw(st.floats(0.5, 9.0))} if with_b else {})})
+                for n in seen
+            )
+            pool = draw(st.sampled_from([1000] * 15 + [2000]))
+            out.append(RunRecord(dataset_label=label, model=TINY, train_tokens=seen[-1],
+                                 pool_tokens=pool, eval_points=points))
+        return out
+
+    eval_sets = draw(st.sampled_from([None, ["a"], ["a", "b"]]))
+    return runs("cc", draw(st.integers(1, 3))), runs("rw", draw(st.integers(1, 2))), eval_sets
+
+
+class TestCrossingPhases:
+    @given(crossing_cells())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_unsplit_function(self, case):
+        pool, filtered, eval_sets = case
+        args = (pool, filtered, TINY.total_params, 1000, eval_sets)
+        try:
+            expected = reference_crossing_point(*args)
+        except OverflowError:  # a crossing beyond the float range escaped the unsplit function
+            with pytest.raises(FitError, match=r"^crossing fit for cell .* beyond the float range"):
+                fit_crossing(_reduce_cell(*args))
+        except (FitError, ValidationError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                fit_crossing(_reduce_cell(*args))
+            assert str(raised.value) == str(exc)
+        else:
+            assert fit_crossing(_reduce_cell(*args)) == expected
+            assert crossing_point(*args) == expected
+
+    def test_reduced_cell_holds_no_record_object(self):
+        # large cell ints, so that equal values are not the interpreter's cached small ints
+        model_params, pool_tokens = 10**12, 10**15
+        grid = [2, 4, 8, 16, 32, 64]
+        model = replace(TINY, total_params=model_params)
+        pool = [curve_run("cc", model, pool_tokens, 2.0, 0.3, 3.0, tokens_grid=grid)]
+        filtered = [curve_run("rw", model, pool_tokens, 1e-9, 0.5, 3.5, tokens_grid=grid)]
+        pending = _reduce_cell(pool, filtered, model.total_params, pool[0].pool_tokens)
+        assert isinstance(pending, PendingCrossing)
+        assert pending.model_params == model_params and pending.pool_tokens == pool_tokens
+        assert pending.model_params is not model.total_params
+        assert pending.pool_tokens is not pool[0].pool_tokens
+        assert list(pending.tokens) == grid and pending.target == best_achievable(filtered)
+        assert fit_crossing(pending) == crossing_point(pool, filtered, model_params, pool_tokens)
+
+    def test_reduce_crossings_takes_each_cell_of_both_labels_in_order(self):
+        grid = [2, 4, 8, 16, 32, 64]
+        cc_curves = {(10**6, 3000): (2.0, 0.3, 1.0), (10**6, 1000): (2.0, 0.3, 3.0),
+                     (10**7, 1000): (2.0, 0.3, 3.6), (10**7, 2000): (2.0, 0.3, 3.0)}
+        models = {n: replace(TINY, total_params=n) for n in (10**6, 10**7)}
+        runs = {(label, cell): curve_run(label, models[cell[0]], cell[1], *curve, tokens_grid=grid)
+                for cell, abc in cc_curves.items()
+                for label, curve in [("cc", abc), ("rw", (1e-9, 0.5, 3.5))]}
+        del runs["rw", (10**7, 2000)]  # a cell without filtered runs is left out
+        reduced = reduce_crossings(list(runs.values())[::-1], "cc", "rw")
+        cells = sorted(cc_curves)[:-1]
+        assert [fit_crossing(cell) for cell in reduced] == [
+            crossing_point([runs["cc", cell]], [runs["rw", cell]], *cell) for cell in cells
+        ]
+        with pytest.raises(ValidationError, match="need runs for both labels 'cc' and 'web'"):
+            reduce_crossings(list(runs.values()), "cc", "web")
+
+    def test_observed_cell_is_final(self):
+        grid = [2, 4, 8, 16]
+        pool = [curve_run("cc", TINY, 1000, 1.0, 0.5, 2.0, tokens_grid=grid)]
+        filtered = [curve_run("rw", TINY, 1000, 1e-9, 0.5, 4.0, tokens_grid=grid)]
+        cp = _reduce_cell(pool, filtered, TINY.total_params, 1000)
+        assert cp == CrossingPoint(TINY.total_params, 1000, 2.0, observed=True)
+        assert fit_crossing(cp) is cp
+
+    def beyond_float_cell(self, last_loss):
+        points = tuple(EvalPoint(n, {"avg": loss})
+                       for n, loss in [(10, 5.0), (20, 4.0), (10**400, last_loss)])
+        pool = [RunRecord(dataset_label="cc", model=TINY, train_tokens=10**400,
+                          pool_tokens=1000, eval_points=points)]
+        filtered = [curve_run("rw", TINY, 1000, 1e-9, 0.5, 3.0, tokens_grid=[10, 20])]
+        return pool, filtered
+
+    def test_observed_tokens_beyond_float_range_name_the_cell(self):
+        with pytest.raises(ValidationError, match=(
+            r"^crossing for cell \(model_params=1000000, pool_tokens=1000\): "
+            r"the first winning tokens_seen is beyond the float range$"
+        )):
+            _reduce_cell(*self.beyond_float_cell(1.0), TINY.total_params, 1000)
+
+    def test_extrapolated_tokens_beyond_float_range_fail_the_fit(self):
+        args = (*self.beyond_float_cell(3.5), TINY.total_params, 1000)
+        message = (r"^crossing fit for cell \(model_params=1000000, pool_tokens=1000\): "
+                   r"token counts must be finite and positive$")
+        with pytest.raises(FitError, match=message):
+            fit_crossing(_reduce_cell(*args))
+        with pytest.raises(FitError, match=message):
+            reference_crossing_point(*args)
 
 
 class TestCrossingQuadratic:
@@ -471,6 +630,31 @@ class TestCrossingQuadratic:
                           crossing_tokens=None, observed=False)
         ]
         with pytest.raises(FitError, match="10000000000"):
+            fit_crossing_quadratic(crossings)
+
+    def test_needs_three_distinct_pool_sizes(self):
+        # two crossings at one pool size leave the quadratic undetermined
+        crossings = [CrossingPoint(model_params=10**9, pool_tokens=pool,
+                                   crossing_tokens=crossing, observed=False)
+                     for pool, crossing in [(1000, 4000.0), (1000, 5000.0), (2000, 9000.0)]]
+        with pytest.raises(FitError, match=r"^need finite crossings at >= 3 distinct pool "
+                                           r"sizes, got \[1000, 2000\]$"):
+            fit_crossing_quadratic(crossings)
+
+    def test_pool_sizes_past_int64_are_fitted(self):
+        crossings = [CrossingPoint(model_params=10**9, pool_tokens=10**k,
+                                   crossing_tokens=10.0 ** (2 * k), observed=True)
+                     for k in (19, 20, 21)]
+        assert fit_crossing_quadratic(crossings).coeffs[1] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("pool,crossing", [(0, 5.0), (-10, 5.0), (10**400, 5.0), (10, 0.0),
+                                               (10, math.inf)])
+    def test_non_positive_or_overflowing_tokens_rejected(self, pool, crossing):
+        crossings = self.reference_crossings() + [
+            CrossingPoint(model_params=10**9, pool_tokens=pool, crossing_tokens=crossing,
+                          observed=True)
+        ]
+        with pytest.raises(ValidationError, match="both must be > 0 and within the float range"):
             fit_crossing_quadratic(crossings)
 
     def test_mixed_model_sizes_rejected(self):
