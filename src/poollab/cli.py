@@ -30,52 +30,25 @@ from .io import (
     csv_cell, field_names, read_json, read_rows, sha256_file, write_json, write_lines, write_rows,
 )
 
-#: The library modules each subcommand's handler uses.  :func:`dispatch`
-#: imports only these, so a child running one subcommand compiles no other,
-#: and binds the names ``poollab._EXPORTS`` maps to them; a handler called
-#: other than through :func:`dispatch` needs them bound first.
-COMMAND_MODULES = {
-    "sample": ("corpus",),
-    "filter": ("corpus", "filters"),
-    "inject": ("corpus", "injection"),
-    "ingest": ("runlog",),
-    "report": ("runlog",),
-    "pareto": ("runlog", "scaling"),
-    "crossing": ("runlog", "scaling"),
-    "scaling-law": ("runlog", "scaling"),
-    "extrapolate": ("scaling",),
-    "slice-loss": ("runlog",),
-    "verify-theory": ("theory",),
-    "judge": ("corpus", "factuality"),
-}
-
 #: ``--profile`` and ``--kind`` choices: ``sorted(filters.PROFILES)`` and the
 #: ``injection.JunkKind`` values, spelled out so that building the parser
 #: imports neither module.
 PROFILE_CHOICES = ("gopher", "permissive")
 KIND_CHOICES = ("random_strings", "shuffled_docs")
 
-
-def _bind_module(module: str) -> None:
-    """Import ``poollab.<module>`` and bind here each name ``_EXPORTS`` maps to it.
-
-    A name already bound is left alone, so a replacement installed with
-    ``setattr(poollab.cli, name, ...)`` stays the object the handlers call.
-    """
-    qualified = f"{__package__}.{module}"
-    __import__(qualified)  # not importlib.import_module: -X importtime reports this path
-    source = sys.modules[qualified]
-    namespace = globals()
-    for name, home in _EXPORTS.items():
-        if home == module and name not in namespace:
-            namespace[name] = getattr(source, name)
+#: This module.  The handlers read every library name as ``lib.<name>``,
+#: so a child running one subcommand imports only the modules whose names
+#: its handler touches, and a name replaced with ``setattr(poollab.cli,
+#: name, ...)`` is the object the handlers call.
+lib = sys.modules[__name__]
 
 
 def __getattr__(name: str):
+    """An exported name, imported from its module on first use and bound here."""
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_module(_EXPORTS[name])
-    return globals()[name]
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 EXIT_OK = 0
@@ -163,6 +136,13 @@ def _comma_list(value: str) -> list[str]:
     return [item for item in value.split(",") if item]
 
 
+def _reject_unread(args: argparse.Namespace, flags: Sequence[str], setting: str) -> None:
+    """Raise UsageError if ``args`` sets one of ``flags``; a run with ``setting`` reads none."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} is not read with {setting}")
+
+
 def _token_count(value: object) -> int:
     return int(float(value))  # accepts "2000" and "1e6"
 
@@ -227,15 +207,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
     seed = opt(args, config, "seed", 0, int)
     target = parse_value("--target-tokens", args.target_tokens, _token_count)
     label = opt(args, config, "label", Path(args.output).stem, str)
-    pool = sample_pool(read_documents(args.input), target, seed, label=label)
-    write_pool(args.output, pool)
+    pool = lib.sample_pool(lib.read_documents(args.input), target, seed, label=label)
+    lib.write_pool(args.output, pool)
     print(f"sampled {len(pool)} docs, {pool.total_tokens} tokens -> {args.output}")
     return EXIT_OK
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    base = profile(opt(args, config, "profile", "gopher", str))
+    base = lib.profile(opt(args, config, "profile", "gopher", str))
     kinds = {"english_threshold": float, "quality_keep_fraction": float,
              "stopword_min_count": int, "stopword_distinct": bool}
     thresholds = opt(args, config, "repetition_thresholds", {}, _number_map)
@@ -248,10 +228,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
     threads = opt(args, config, "threads", 1, int)  # checked; every stage runs on one thread
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
-    result = run_pipeline(read_pool(args.pool), build_stages(stage_names, cfg), threads)
-    write_pool(args.output, result.pool)
+    result = lib.run_pipeline(lib.read_pool(args.pool), lib.build_stages(stage_names, cfg),
+                              threads)
+    lib.write_pool(args.output, result.pool)
     if args.stats:
-        write_rows(args.stats, STATS_COLUMNS, result.stats_rows())
+        write_rows(args.stats, lib.STATS_COLUMNS, result.stats_rows())
     print(
         f"filtered {result.cumulative.docs_in} -> {result.cumulative.docs_kept} docs "
         f"(token retention {result.cumulative.retention_tokens:.4f}) via {stage_names}"
@@ -262,18 +243,18 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def cmd_inject(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = opt(args, config, "seed", 0, int)
-    kind = opt(args, config, "kind", JunkKind.RANDOM_STRINGS.value, JunkKind)
-    if (kind is JunkKind.SHUFFLED_DOCS) != bool(args.junk_source):
+    kind = opt(args, config, "kind", lib.JunkKind.RANDOM_STRINGS.value, lib.JunkKind)
+    if (kind is lib.JunkKind.SHUFFLED_DOCS) != bool(args.junk_source):
         raise UsageError("--junk-source is read by --kind shuffled_docs only, which needs it")
-    spec = InjectionSpec(kind=kind, ratio=args.ratio, seed=seed)
-    pool = read_pool(args.pool)
-    if kind is JunkKind.SHUFFLED_DOCS:
-        source = shuffled_junk_stream(read_documents(args.junk_source), seed)
+    spec = lib.InjectionSpec(kind=kind, ratio=args.ratio, seed=seed)
+    pool = lib.read_pool(args.pool)
+    if kind is lib.JunkKind.SHUFFLED_DOCS:
+        source = lib.shuffled_junk_stream(lib.read_documents(args.junk_source), seed)
     else:
         vocab_seed = opt(args, config, "vocab_seed", seed, int)
-        source = random_junk_stream(pool, build_vocab(vocab_seed), seed)
-    injected = inject(pool, spec, source)
-    write_pool(args.output, injected)
+        source = lib.random_junk_stream(pool, lib.build_vocab(vocab_seed), seed)
+    injected = lib.inject(pool, spec, source)
+    lib.write_pool(args.output, injected)
     print(
         f"injected to {injected.total_tokens} tokens "
         f"({len(injected)} docs), label {injected.label!r}"
@@ -284,7 +265,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     if args.validate_only == bool(args.output):
         raise UsageError("give exactly one of --output and --validate-only")
-    records, errors = parse_run_log(args.runs)
+    records, errors = lib.parse_run_log(args.runs)
     for err in errors:
         print(f"{args.runs}: line {err.lineno}: {err.message}", file=sys.stderr)
     if errors:
@@ -292,7 +273,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.validate_only:
         print(f"validated {len(records)} records from {args.runs}")
         return EXIT_OK
-    write_run_log(args.output, records)
+    lib.write_run_log(args.output, records)
     print(f"ingested {len(records)} records -> {args.output}")
     return EXIT_OK
 
@@ -301,9 +282,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = [
         dict(zip(REPORT_COLUMNS, (
             f"{r.dataset_label}#{i}", r.dataset_label, r.model.name, r.model.total_params,
-            r.pool_tokens, r.train_tokens, epochs(r), compute_flops(r), best_eval(r),
+            r.pool_tokens, r.train_tokens, lib.epochs(r), lib.compute_flops(r), lib.best_eval(r),
         )))
-        for i, r in enumerate(load_run_log(args.runs))
+        for i, r in enumerate(lib.load_run_log(args.runs))
     ]
     rows.sort(key=lambda row: (row["dataset_label"], row["model_params"], row["train_tokens"]))
     write_rows(args.output, REPORT_COLUMNS, rows)
@@ -312,28 +293,27 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_pareto(args: argparse.Namespace) -> int:
-    records = load_run_log(args.runs)
+    records = lib.load_run_log(args.runs)
     points = [
-        FrontierPoint(
-            compute=compute_flops(record),
-            loss=best_eval(record),
+        lib.FrontierPoint(
+            compute=lib.compute_flops(record),
+            loss=lib.best_eval(record),
             dataset_label=record.dataset_label,
             record_ref=f"{record.dataset_label}#{i}",
         )
         for i, record in enumerate(records)
     ]
-    frontier = pareto_frontier(points)
-    write_rows(args.output, field_names(FrontierPoint), frontier)
+    frontier = lib.pareto_frontier(points)
+    write_rows(args.output, field_names(lib.FrontierPoint), frontier)
     print(f"frontier has {len(frontier)} of {len(points)} points -> {args.output}")
     return EXIT_OK
 
 
 def cmd_crossing(args: argparse.Namespace) -> int:
-    eval_sets = args.eval_sets.split(",") if args.eval_sets else None
     # No name here holds the log, so it is freed before numpy loads for the fits.
-    cells = reduce_crossings(load_run_log(args.runs), args.pool_label, args.filtered_label,
-                             eval_sets)
-    crossings = [fit_crossing(cell) for cell in cells]
+    cells = lib.reduce_crossings(lib.load_run_log(args.runs), args.pool_label,
+                                 args.filtered_label, _comma_list(args.eval_sets or ""))
+    crossings = [lib.fit_crossing(cell) for cell in cells]
     write_rows(args.output, CROSSING_COLUMNS, crossings)
     print(f"computed {len(crossings)} crossing cells -> {args.output}")
     return EXIT_OK
@@ -355,28 +335,29 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
     method = opt(args, config, "method", "tpp", str)
     if method not in ("tpp", "epoch"):
         raise UsageError(f"--method must be tpp or epoch, got {method!r}")
-    if method == "epoch" and args.configs:
-        raise UsageError("--configs is read only by --method tpp")
-    by_model: dict[int, list[CrossingPoint]] = {}
+    _reject_unread(args, ("epochs",) if method == "tpp" else ("ratio", "configs"),
+                   f"--method {method}")
+    by_model: dict[int, list[lib.CrossingPoint]] = {}
     # a repeated cell is an error: weighting or dropping either row would hide a corrupt file
-    for cp in read_rows(args.crossings, CrossingPoint, unique=("model_params", "pool_tokens")):
+    for cp in read_rows(args.crossings, lib.CrossingPoint, ("model_params", "pool_tokens")):
         by_model.setdefault(cp.model_params, []).append(cp)
     quads = {}
     for model_params, cell in sorted(by_model.items()):
         try:
-            quads[model_params] = fit_crossing_quadratic(cell)
+            quads[model_params] = lib.fit_crossing_quadratic(cell)
         except FitError as exc:  # the model is left out of the law
             print(f"warning: model {model_params}: {exc}", file=sys.stderr)
 
     if method == "tpp":
         ratio = opt(args, config, "ratio", 600.0, float)
-        configs = read_model_configs(args.configs) if args.configs else bundled_model_configs()
-        law = _warn_in_one_line(fit_threshold_tokens_per_param, quads, configs, ratio)
+        configs = (lib.read_model_configs(args.configs) if args.configs
+                   else lib.bundled_model_configs())
+        law = _warn_in_one_line(lib.fit_threshold_tokens_per_param, quads, configs, ratio)
     else:
         n_epochs = opt(args, config, "epochs", 4.0, float)
-        law = _warn_in_one_line(fit_threshold_epoch_constraint, quads, n_epochs)
+        law = _warn_in_one_line(lib.fit_threshold_epoch_constraint, quads, n_epochs)
 
-    compute = extrapolate_compute(law, REFERENCE_POOL_TOKENS)
+    compute = lib.extrapolate_compute(law, REFERENCE_POOL_TOKENS)
     law_json = {
         **asdict(law),
         "quadratics": {str(m): list(q.coeffs) for m, q in sorted(quads.items())},
@@ -384,7 +365,7 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
     }
     write_json(args.output, law_json)
     if args.points_csv:
-        write_rows(args.points_csv, field_names(ThresholdPoint), law.points)
+        write_rows(args.points_csv, field_names(lib.ThresholdPoint), law.points)
     print(
         f"{law.method}: compute = {law.alpha:.6g} * pool^{law.beta:.6g} "
         f"(r2={law.r2:.6f}), 240T-token compute {compute:.6g}"
@@ -395,11 +376,11 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
 def cmd_extrapolate(args: argparse.Namespace) -> int:
     obj = read_json(args.law)
     try:
-        law = ThresholdLaw.from_dict(obj)
+        law = lib.ThresholdLaw.from_dict(obj)
     except ValidationError as exc:
         raise ValidationError(f"{args.law}: {exc}") from exc
     pool_tokens = parse_value("--pool-tokens", args.pool_tokens, float)
-    compute = extrapolate_compute(law, pool_tokens)
+    compute = lib.extrapolate_compute(law, pool_tokens)
     print(repr(compute))
     if args.output:
         write_json(args.output, {"pool_tokens": pool_tokens, "compute": compute})
@@ -410,14 +391,14 @@ def cmd_slice_loss(args: argparse.Namespace) -> int:
     obj = read_json(args.slice)
     try:
         losses = tuple(float(v) for v in obj["position_losses"])
-        slc = EvalSlice(losses, int(obj.get("context_length", len(losses))))
+        slc = lib.EvalSlice(losses, int(obj.get("context_length", len(losses))))
     except KeyError as exc:
         raise ValidationError(f"{args.slice}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{args.slice}: malformed slice: {exc}") from exc
     ts = parse_value("--t", args.t, lambda v: [int(t) for t in v.split(",")])
     columns = ("t", "mean_loss")
-    rows = [dict(zip(columns, (t, slice_loss(slc, t)))) for t in ts]
+    rows = [dict(zip(columns, (t, lib.slice_loss(slc, t)))) for t in ts]
     if args.output:
         write_rows(args.output, columns, rows)
     else:
@@ -435,10 +416,10 @@ def cmd_verify_theory(args: argparse.Namespace) -> int:
     verdicts = []
     if args.prop1:
         for i in range(args.trials):
-            verdicts.append({"check": "rank_necessity", **run_rank_necessity_trial(seed + i)})
+            verdicts.append({"check": "rank_necessity", **lib.run_rank_necessity_trial(seed + i)})
     if args.filter_fact:
         for i in range(args.trials):
-            verdicts.append({"check": "filter_improvement", **run_filter_fact_trial(seed + i)})
+            verdicts.append({"check": "filter_improvement", **lib.run_filter_fact_trial(seed + i)})
     all_pass = all(v["pass"] for v in verdicts)
     passed = sum(v["pass"] for v in verdicts)
     summary = {"trials": len(verdicts), "passed": passed, "pass": all_pass}
@@ -449,7 +430,7 @@ def cmd_verify_theory(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_DOMAIN_ERROR
 
 
-def _heuristic_mock_classifier() -> Callable[[str, str, str], Verdict]:
+def _heuristic_mock_classifier() -> Callable[[str, str, str], lib.Verdict]:
     """The ``judge --mock`` classifier, with substring tests on lowercased text.
 
     Support if the document contains every answer word longer than 2
@@ -460,7 +441,7 @@ def _heuristic_mock_classifier() -> Callable[[str, str, str], Verdict]:
     """
     qa_words: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
 
-    def classify(doc_text: str, question: str, answer: str) -> Verdict:
+    def classify(doc_text: str, question: str, answer: str) -> lib.Verdict:
         text = doc_text.lower()
         words = qa_words.get((question, answer))
         if words is None:
@@ -470,10 +451,10 @@ def _heuristic_mock_classifier() -> Callable[[str, str, str], Verdict]:
             )
         answer_words, question_words = words
         if answer_words and all(w in text for w in answer_words):
-            return Verdict.SUPPORT
+            return lib.Verdict.SUPPORT
         if any(w in text for w in question_words):
-            return Verdict.RELATED
-        return Verdict.UNRELATED
+            return lib.Verdict.RELATED
+        return lib.Verdict.UNRELATED
 
     return classify
 
@@ -483,25 +464,26 @@ def cmd_judge(args: argparse.Namespace) -> int:
     if not args.mock and not args.endpoint:
         raise UsageError("choose --mock or --endpoint <url>")
     if args.mock:
-        client = mock_judge_client(_heuristic_mock_classifier())
+        _reject_unread(args, ("endpoint", "model_name", "timeout", "max_concurrency"), "--mock")
+        client = lib.mock_judge_client(_heuristic_mock_classifier())
     else:
-        client = JudgeClient(
+        client = lib.JudgeClient(
             endpoint=args.endpoint,
             model_name=opt(args, config, "model_name", "judge", str),
             timeout=opt(args, config, "timeout", 30.0, float),
             max_concurrency=opt(args, config, "max_concurrency", 4, int),
         )
-    qa_items = read_qa_items(args.qa)
-    pool = read_pool(args.pool)
-    combined = JudgeRun(judgements=[], failures=[])
+    qa_items = lib.read_qa_items(args.qa)
+    pool = lib.read_pool(args.pool)
+    combined = lib.JudgeRun(judgements=[], failures=[])
     for qa in qa_items:
-        run = judge_documents(keyword_match(pool, qa), qa, client)
+        run = lib.judge_documents(lib.keyword_match(pool, qa), qa, client)
         combined.judgements.extend(run.judgements)
         combined.failures.extend(run.failures)
-    write_judgements(args.output, combined)
+    lib.write_judgements(args.output, combined)
     if args.aggregate:
-        rows = aggregate_judgements(combined.judgements, qa_items)
-        write_rows(args.aggregate, ["subject"] + VERDICT_COLUMNS, rows)
+        rows = lib.aggregate_judgements(combined.judgements, qa_items)
+        write_rows(args.aggregate, ["subject"] + lib.VERDICT_COLUMNS, rows)
     print(
         f"judged {len(combined.judgements)} documents "
         f"({len(combined.failures)} failures) across {len(qa_items)} QA items"
@@ -662,8 +644,6 @@ def dispatch(argv: Sequence[str]) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    for module in COMMAND_MODULES[args.command]:
-        _bind_module(module)
     try:
         _check_outputs_are_not_inputs(args)
         code = args.func(args)
@@ -673,10 +653,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PoolLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
-    except OSError as exc:
+    except (PoolLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
 

@@ -74,7 +74,7 @@ def read_jsonl(
                 if not line:
                     continue
                 item = parse(json.loads(line))
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the limit
                 reason = f"invalid JSON: {exc}"
             except KeyError as exc:
                 reason = f"missing key {exc}"
@@ -168,6 +168,9 @@ def read_rows(path: str | Path, cls: type[T], unique: Sequence[str] = ()) -> lis
                 out.append(cls(**values))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    except csv.Error as exc:  # such as a cell longer than the csv module's field limit
+        # the DictReader's line_num is not updated by a row that fails; its reader's is
+        raise ValidationError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
     return out
 
 
@@ -190,5 +193,5 @@ def read_json(path: str | Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or undecodable bytes
+        except (ValueError, RecursionError) as exc:  # bad JSON or bytes, or nested too deep
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc

@@ -148,16 +148,21 @@ def point_losses(points: Sequence[EvalPoint], eval_sets: Sequence[str]) -> list[
         raise
 
 
-def best_eval(record: RunRecord, eval_sets: Sequence[str] | None = None) -> float:
-    """Best-checkpoint loss: min over eval points of the mean across sets.
-
-    ``eval_sets`` defaults to every set present at the first eval point;
-    each point must carry all requested sets.
-    """
+def eval_set_names(record: RunRecord, eval_sets: Sequence[str] | None = None) -> list[str]:
+    """The sets a loss is the mean over: ``eval_sets``, or by default every
+    set present at ``record``'s first eval point.  Each set is named once."""
     sets = list(eval_sets) if eval_sets else sorted(record.eval_points[0].losses)
     if not sets:
         raise ValidationError("record has no eval sets")
-    return min(point_losses(record.eval_points, sets))
+    if len(set(sets)) < len(sets):
+        raise ValidationError(f"eval sets {sets} name a set more than once")
+    return sets
+
+
+def best_eval(record: RunRecord, eval_sets: Sequence[str] | None = None) -> float:
+    """Best-checkpoint loss: min over eval points of the mean across
+    :func:`eval_set_names`; each point must carry all of them."""
+    return min(point_losses(record.eval_points, eval_set_names(record, eval_sets)))
 
 
 def best_achievable(records: Sequence[RunRecord], eval_sets: Sequence[str] | None = None) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import FitError, NoRootError, ValidationError
-from .runlog import ModelConfig, RunRecord, best_achievable, point_losses
+from .runlog import ModelConfig, RunRecord, best_achievable, eval_set_names, point_losses
 
 if TYPE_CHECKING:
     from array import array
@@ -403,7 +403,7 @@ def _reduce_cell(
             f"crossing for cell (model_params={model_params}, pool_tokens={pool_tokens}): "
             f"pool_tokens must be positive and within the float range"
         )
-    sets = list(eval_sets) if eval_sets else sorted(pool_runs[0].eval_points[0].losses)
+    sets = eval_set_names(pool_runs[0], eval_sets)
     target = best_achievable(filtered_runs, sets)
     curve = _loss_curve(pool_runs, sets)
     tokens, losses = array("d"), array("d", [loss for _, loss in curve])

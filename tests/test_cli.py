@@ -1,4 +1,5 @@
 import argparse
+import ast
 import builtins
 import contextlib
 import csv
@@ -11,6 +12,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -216,6 +218,14 @@ class TestPoolPipeline:
           "--output", "o.jsonl"], None),
         (["scaling-law", "--crossings", "x.csv", "--method", "epoch", "--configs", "m.json",
           "--output", "o.json"], None),
+        # value flags the resolved method or judge mode would ignore
+        (["scaling-law", "--crossings", "x.csv", "--method", "epoch", "--ratio", "5",
+          "--output", "o.json"], None),
+        (["scaling-law", "--crossings", "x.csv", "--epochs", "4", "--output", "o.json"], None),
+        *[(["judge", "--mock", flag, value, "--qa", "q.jsonl", "--pool", "p.jsonl",
+            "--output", "o.jsonl"], None)
+          for flag, value in [("--endpoint", "http://127.0.0.1:9"), ("--model-name", "m"),
+                              ("--timeout", "5"), ("--max-concurrency", "2")]],
     ])
     def test_every_output_flag_is_checked_before_reading(self, tmp_path, capsys, monkeypatch,
                                                          argv, flags):
@@ -368,6 +378,16 @@ class TestRunAnalysis:
         expected = (2.0 / 0.5) ** (1.0 / 0.3)
         assert float(rows[0]["crossing_tokens"]) == pytest.approx(expected, rel=1e-5)
         assert rows[0]["observed"] == "False"
+
+    def test_eval_sets_flag_skips_empty_names(self, tmp_path, runs_file):
+        outputs = set()
+        for i, sets in enumerate(["avg", "avg,", ",avg,"]):
+            out = tmp_path / f"x{i}.csv"
+            assert dispatch(["crossing", "--runs", str(runs_file), "--pool-label", "cc",
+                             "--filtered-label", "rw", "--eval-sets", sets,
+                             "--output", str(out)]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
 
     def test_crossing_csv_groups_interleaved_cells(self, tmp_path):
         # each cc cell is split over two records; records of all cells and of
@@ -610,6 +630,23 @@ class TestScalingLawCli:
         )
         assert not (tmp_path / "e.json").exists()
 
+    @pytest.mark.parametrize("flags,flag,method", [
+        (["--method", "epoch", "--ratio", "5"], "--ratio", "epoch"),
+        (["--method", "epoch", "--configs", "models.json"], "--configs", "epoch"),
+        (["--epochs", "4"], "--epochs", "tpp"),
+    ])
+    def test_flag_the_method_ignores_exits_two(self, tmp_path, capsys, flags, flag, method):
+        assert dispatch(scaling_law_with(tmp_path, *flags)) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: {flag} is not read with --method {method}\n"
+        assert not (tmp_path / "e.json").exists()
+
+    def test_config_keys_of_either_method_are_allowed(self, tmp_path):
+        # a shared config file may hold both methods' settings
+        config = write_text(tmp_path, "c.json", json.dumps({"ratio": 5.0, "epochs": 4.0}))
+        assert dispatch(scaling_law_with(tmp_path, "--method", "epoch", "--config", config)) == 0
+        assert dispatch(scaling_law_with(tmp_path, "--config", config)) == 0
+
     def test_manifest_lists_config_files(self, tmp_path):
         world = planted_threshold_world()
         crossings = tmp_path / "crossings.csv"
@@ -711,7 +748,7 @@ class TestJudgeCli:
         assert float(rows[0]["Support"]) >= 1.0
 
     def test_mock_classifier_follows_the_per_pair_rule(self):
-        Verdict = cli.Verdict  # also binds the factuality names the classifier reads
+        Verdict = poollab.Verdict
 
         def per_pair_verdict(doc_text, question, answer):  # the rule, with nothing shared
             text = doc_text.lower()
@@ -757,6 +794,21 @@ class TestJudgeCli:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()] and err.startswith("error: ")
         assert "timeout" in err and not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--endpoint", "http://127.0.0.1:9"), ("--model-name", "m"), ("--timeout", "5"),
+        ("--max-concurrency", "2"),
+    ])
+    def test_http_judge_flag_with_mock_exits_two(self, tmp_path, capsys, flag, value):
+        config = write_text(tmp_path, "c.json", json.dumps({"timeout": 5.0, "model_name": "m"}))
+        qa = write_text(tmp_path, "qa.jsonl", QA_LINE + "\n")
+        pool = tmp_path / "pool.jsonl"
+        write_documents(pool, [make_document("d0", "the")])
+        argv = ["judge", "--mock", "--qa", qa, "--pool", str(pool), "--config", config,
+                "--output", str(tmp_path / "o.jsonl")]
+        assert dispatch(argv + [flag, value]) == 2
+        assert capsys.readouterr().err == f"usage error: {flag} is not read with --mock\n"
+        assert dispatch(argv) == 0  # the same keys in a config file are allowed
 
     def test_requires_mock_or_endpoint(self, tmp_path):
         qa = tmp_path / "qa.jsonl"
@@ -887,6 +939,24 @@ def crossings_with_repeated_cell(tmp_path):
     write_text(tmp_path, "x.csv", "".join(lines + [lines[2]]))
     return ["scaling-law", "--crossings", str(tmp_path / "x.csv"), "--method", "epoch",
             "--output", str(tmp_path / "e.json")]
+
+
+#: A nesting depth past the JSON parser's recursion limit (1,000 by default), and a
+#: cell length past the csv module's field limit (131,072).
+DEEP, LONG = 2_000, 200_000
+DEEP_JSON = "[" * DEEP + "]" * DEEP
+LONG_CELL_CROSSINGS = CROSSINGS_HEADER + "1000,100," + "1" * LONG + ",1.0,False,False\n"
+
+
+def crossing_without_first_eval_sets(tmp_path):
+    """crossing on a log whose cc record has no eval sets at its first eval point."""
+    grid = [2, 4, 8]
+    cc = record_to_dict(curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.3, 3.0, tokens_grid=grid))
+    cc["eval_points"][0]["losses"] = {}
+    rw = record_to_dict(curve_run("rw", CONFIG_15M, 1_000, 1e-9, 0.5, 3.5, tokens_grid=grid))
+    runs = write_text(tmp_path, "r.jsonl", "".join(json.dumps(r) + "\n" for r in (cc, rw)))
+    return ["crossing", "--runs", runs, "--pool-label", "cc", "--filtered-label", "rw",
+            "--output", str(tmp_path / "x.csv")]
 
 
 def scaling_law_with(tmp_path, *flags):
@@ -1081,6 +1151,23 @@ MALFORMED_INPUTS = {
     "crossing-beyond-float-range": lambda t, docs: crossing_beyond_float_range(t),
     "crossing-pool-tokens-zero": lambda t, docs: crossing_with_pool_tokens(t, 0),
     "crossing-pool-tokens-beyond-float": lambda t, docs: crossing_with_pool_tokens(t, 10**400),
+    "run-log-nested-too-deep": lambda t, docs: [
+        "ingest", "--runs", write_text(t, "d.jsonl", run_log_line_with("dataset_label", '"a"')
+                                       + DEEP_JSON + "\n"), "--validate-only"],
+    "document-nested-too-deep": lambda t, docs: [
+        "sample", "--input", write_text(t, "d.jsonl", '{"id": "a", "text": "ok"}\n' + DEEP_JSON),
+        "--target-tokens", "1", "--output", str(t / "p.jsonl")],
+    "config-nested-too-deep": lambda t, docs: [
+        "sample", "--input", docs, "--target-tokens", "100",
+        "--config", write_text(t, "c.json", DEEP_JSON), "--output", str(t / "p.jsonl")],
+    "law-nested-too-deep": lambda t, docs: [
+        "extrapolate", "--law", write_text(t, "law.json", DEEP_JSON), "--pool-tokens", "1e12"],
+    "crossings-cell-too-long": lambda t, docs: [
+        "scaling-law", "--crossings", write_text(t, "x.csv", LONG_CELL_CROSSINGS),
+        "--output", str(t / "law.json")],
+    "crossing-eval-set-repeated": lambda t, docs: [
+        *crossing_with_pool_tokens(t, 1_000), "--eval-sets", "avg,avg"],
+    "crossing-pool-record-without-eval-sets": lambda t, docs: crossing_without_first_eval_sets(t),
     "crossings-pool-tokens-zero": lambda t, docs: [
         "scaling-law", "--crossings", write_text(t, "x.csv", CROSSINGS_HEADER + "".join(
             f"1000,{pool},{crossing},1.0,True,False\n"
@@ -1118,6 +1205,29 @@ def test_malformed_document_error_names_path_and_line(tmp_path, docs_file, capsy
 def test_missing_key_is_named(tmp_path, docs_file, capsys, case, reason):
     assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'd.jsonl'}: line 1: {reason}\n"
+
+
+@pytest.mark.parametrize("case,where", [
+    ("run-log-nested-too-deep", "d.jsonl: line 2"),
+    ("document-nested-too-deep", "d.jsonl: line 2"),
+    ("config-nested-too-deep", "c.json"),
+    ("law-nested-too-deep", "law.json"),
+])
+def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, where):
+    assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / where}: invalid JSON: maximum recursion depth exceeded" in err
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("case,error", [
+    ("crossings-cell-too-long", "{tmp}/x.csv: line 2: field larger than field limit (131072)"),
+    ("crossing-eval-set-repeated", "eval sets ['avg', 'avg'] name a set more than once"),
+    ("crossing-pool-record-without-eval-sets", "record has no eval sets"),
+])
+def test_malformed_input_error_line(tmp_path, docs_file, capsys, case, error):
+    assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
+    assert capsys.readouterr().err == f"error: {error.format(tmp=tmp_path)}\n"
 
 
 def test_undecodable_bytes_reported_by_path(tmp_path, docs_file, capsys):
@@ -1289,6 +1399,11 @@ FUZZ_JSON = st.recursive(
 PATH_FLAGS = {"--" + flag.replace("_", "-") for flag in cli.INPUT_FLAGS + cli.OUTPUT_FLAGS}
 
 
+def in_dir(path, argv):
+    """``argv`` with the value of each flag that names a file taken as relative to ``path``."""
+    return [str(path / a) if flag in PATH_FLAGS else a for flag, a in zip([""] + argv, argv)]
+
+
 @functools.cache
 def fuzz_files():
     """The files the MANIFEST_CASES command lines read, by name, with a pool header."""
@@ -1324,17 +1439,21 @@ def mutated_json(draw, value):
 
 @st.composite
 def fuzz_inputs(draw, targets):
-    """The valid files with one line of one of ``targets`` changed (or, in a
-    CSV, a row repeated or a row copied at another row's pool size), and a
-    copy of one file cut short."""
+    """The valid files with one line of one of ``targets`` changed (in JSON,
+    now and then nested too deep to parse; in a CSV, a cell made too long, a
+    row repeated or a row copied at another row's pool size), and a copy of
+    one file cut short."""
     files = dict(fuzz_files())
     name = draw(st.sampled_from(targets))
     lines = files[name].splitlines()
     index = draw(st.integers(0, len(lines) - 1))
     if name.endswith(".csv"):
         cells = lines[index].split(",")
-        edit = draw(st.sampled_from(["cell", "row", "pool"])) if index else "cell"
-        if edit == "row":  # a repeated (model_params, pool_tokens) cell
+        edit = draw(st.sampled_from(["cell", "long", "row", "pool"][:4 if index else 2]))
+        if edit == "long":
+            cells[draw(st.integers(0, len(cells) - 1))] = "1" * LONG
+            lines[index] = ",".join(cells)
+        elif edit == "row":  # a repeated (model_params, pool_tokens) cell
             lines.append(lines[index])
         elif edit == "pool":  # another row moved to this row's pool size
             other = lines[draw(st.integers(1, len(lines) - 1))].split(",")
@@ -1343,10 +1462,12 @@ def fuzz_inputs(draw, targets):
         else:
             cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(FUZZ_VALUES))
             lines[index] = ",".join(cells)
-    elif name.endswith(".jsonl"):
-        lines[index] = json.dumps(draw(mutated_json(json.loads(lines[index]))))
-    else:
-        lines = [json.dumps(draw(mutated_json(json.loads(files[name]))))]
+    else:  # a .jsonl line, or a whole .json file
+        if not name.endswith(".jsonl"):
+            lines, index = [files[name]], 0
+        text = json.dumps(draw(mutated_json(json.loads(lines[index]))))
+        depth = draw(st.sampled_from([0] * 3 + [DEEP]))
+        lines[index] = "[" * depth + text + "]" * depth
     files[name] = "\n".join(lines) + "\n"
     cut = draw(st.sampled_from(sorted(files)))
     files["cut-" + cut] = files[cut][:draw(st.integers(0, len(files[cut])))]
@@ -1405,8 +1526,7 @@ def test_fuzzed_command_lines_exit_cleanly(data):
             (tmp_path / name).write_text(text, encoding="utf-8")
         names = (*(str(tmp_path / n) for n in [*files, "missing.jsonl"]), tmp)
         if kind == "valid":
-            argv = [str(tmp_path / a) if flag in PATH_FLAGS else a
-                    for flag, a in zip([""] + argv, argv)]
+            argv = in_dir(tmp_path, argv)
         elif kind == "malformed":
             case = data.draw(st.sampled_from(sorted(MALFORMED_INPUTS)))
             argv = MALFORMED_INPUTS[case](tmp_path, str(tmp_path / "docs.jsonl"))
@@ -1470,22 +1590,19 @@ def handler_globals(handler):
     return names
 
 
-def test_handlers_read_only_names_of_their_commands_modules():
-    # a handler runs in a fresh child with only COMMAND_MODULES[command]
-    # bound, so a name from any other module would be a NameError there
+def test_handlers_read_library_names_through_lib():
+    # a fresh child binds in cli only what importing it binds, so a handler
+    # that read an exported name as a bare global would raise NameError there
     at_import = set(run_python("import poollab.cli as cli; print(*vars(cli))").split())
-    table = {name: module for name, module in poollab._EXPORTS.items() if name not in at_import}
-    handlers = {
-        name.removeprefix("cmd_").replace("_", "-"): fn
-        for name, fn in vars(cli).items() if name.startswith("cmd_")
-    }
-    assert handlers.keys() == cli.COMMAND_MODULES.keys()
-    for command, handler in handlers.items():
-        names = handler_globals(handler)
-        unresolved = names - table.keys() - vars(builtins).keys() - at_import
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        unresolved = handler_globals(sub.get_default("func")) - vars(builtins).keys() - at_import
         assert not unresolved, f"{command}: {sorted(unresolved)}"
-        modules = {table[n] for n in names if n in table}
-        assert modules <= set(cli.COMMAND_MODULES[command]), command
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "lib"}
+    assert read and not read - poollab._EXPORTS.keys(), sorted(read - poollab._EXPORTS.keys())
 
 
 def test_dispatch_keeps_a_replaced_name(monkeypatch, tmp_path, docs_file):
@@ -1545,16 +1662,34 @@ def run_cli_child(*argv, options=()):
                           capture_output=True, text=True, timeout=60)
 
 
-def test_extrapolate_child_loads_only_scaling_and_runlog(tmp_path):
-    law = write_text(tmp_path, "law.json", json.dumps(LAW))
-    proc = run_cli_child("extrapolate", "--law", law, "--pool-tokens", "1e12",
+def readme_command_modules():
+    """README's table of the library modules each subcommand loads, by subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| subcommand | modules |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    modules = {}
+    for row in table.splitlines():
+        commands, names = row.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            modules[command] = set(re.findall(r"`([^`]+)`", names))
+    return modules
+
+
+#: The only subcommands that may load numpy, as README says.
+NUMPY_COMMANDS = {"crossing", "scaling-law", "verify-theory"}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_ACTIONS))
+def test_child_loads_only_the_modules_readme_lists(tmp_path, docs_file, runs_file, command):
+    write_manifest_inputs(tmp_path, docs_file, runs_file)
+    proc = run_cli_child(*in_dir(tmp_path, MANIFEST_CASES[command][0]),
                          options=["-X", "importtime"])
     assert proc.returncode == 0, proc.stderr
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
-    assert {"poollab.scaling", "poollab.runlog"} <= loaded
-    unused = {f"poollab.{m}" for m in ("corpus", "filters", "injection", "theory", "factuality")}
-    assert not unused & loaded
+    expected = {"errors", "io", *readme_command_modules()[command]}
+    assert {m for m in loaded if m.startswith("poollab")} == {
+        "poollab", *(f"poollab.{m}" for m in expected)}
+    assert "numpy" not in loaded or command in NUMPY_COMMANDS
 
 
 def test_crossing_child_loads_no_numpy_ma(runs_file, tmp_path):

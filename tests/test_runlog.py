@@ -26,7 +26,7 @@ from poollab import (
 )
 from poollab.cli import dispatch
 from poollab.io import LineError
-from poollab.runlog import point_loss, record_to_dict
+from poollab.runlog import eval_set_names, point_loss, record_to_dict
 
 TINY = ModelConfig(
     name="tiny",
@@ -126,6 +126,27 @@ class TestBestEval:
         with pytest.raises(ValidationError) as exc:
             best_eval(record(eval_sets=("c4",)), ["c4", "fineweb"])
         assert str(exc.value) == "eval point at tokens_seen=1000000000 missing sets ['fineweb']"
+
+    def test_repeated_set_is_error(self):
+        r = RunRecord(dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=100,
+                      eval_points=(EvalPoint(tokens_seen=100, losses={"a": 3.0, "b": 6.0}),))
+        assert best_eval(r, ["a", "b"]) == 4.5
+        with pytest.raises(ValidationError) as exc:
+            best_eval(r, ["a", "a", "b"])  # a mean that counted "a" twice would be 4.0
+        assert str(exc.value) == "eval sets ['a', 'a', 'b'] name a set more than once"
+
+    def test_no_set_at_the_first_point_is_error(self):
+        r = RunRecord(dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=100,
+                      eval_points=(EvalPoint(tokens_seen=50, losses={}),
+                                   EvalPoint(tokens_seen=100, losses={"a": 2.0})))
+        with pytest.raises(ValidationError, match="^record has no eval sets$"):
+            best_eval(r)
+
+    def test_eval_set_names(self):
+        r = record(eval_sets=("c4", "avg"))
+        assert eval_set_names(r) == ["avg", "c4"]  # every set at the first point, sorted
+        assert eval_set_names(r, ["c4"]) == ["c4"]
+        assert eval_set_names(r, []) == ["avg", "c4"]
 
     def test_missing_set_at_a_later_point_names_that_point(self):
         r = RunRecord(

@@ -550,6 +550,19 @@ class TestCrossingPhases:
         assert cp == CrossingPoint(TINY.total_params, 1000, 2.0, observed=True)
         assert fit_crossing(cp) is cp
 
+    @pytest.mark.parametrize("eval_sets,message", [
+        (None, "record has no eval sets"),  # the pool record's first point has none
+        (["avg", "avg"], r"eval sets \['avg', 'avg'\] name a set more than once"),
+    ])
+    def test_eval_sets_follow_the_runlog_rule(self, eval_sets, message):
+        grid = [2, 4, 8, 16]
+        pool = [curve_run("cc", TINY, 1000, 2.0, 0.3, 3.0, tokens_grid=grid)]
+        if eval_sets is None:
+            pool[0].eval_points[0].losses.clear()
+        filtered = [curve_run("rw", TINY, 1000, 1e-9, 0.5, 3.5, tokens_grid=grid)]
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            _reduce_cell(pool, filtered, TINY.total_params, 1000, eval_sets)
+
     def beyond_float_cell(self, last_loss):
         points = tuple(EvalPoint(n, {"avg": loss})
                        for n, loss in [(10, 5.0), (20, 4.0), (10**400, last_loss)])
