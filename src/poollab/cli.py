@@ -463,16 +463,16 @@ def cmd_judge(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if not args.mock and not args.endpoint:
         raise UsageError("choose --mock or --endpoint <url>")
+    settings = ("model_name", "timeout", "max_concurrency")  # read only by an HTTP judge
     if args.mock:
-        _reject_unread(args, ("endpoint", "model_name", "timeout", "max_concurrency"), "--mock")
+        _reject_unread(args, ("endpoint", *settings), "--mock")
         client = lib.mock_judge_client(_heuristic_mock_classifier())
     else:
-        client = lib.JudgeClient(
-            endpoint=args.endpoint,
-            model_name=opt(args, config, "model_name", "judge", str),
-            timeout=opt(args, config, "timeout", 30.0, float),
-            max_concurrency=opt(args, config, "max_concurrency", 4, int),
-        )
+        defaults = {key: getattr(lib.JudgeClient, key) for key in settings}
+        client = lib.JudgeClient(endpoint=args.endpoint, **{
+            key: opt(args, config, key, default, type(default))
+            for key, default in defaults.items()
+        })
     qa_items = lib.read_qa_items(args.qa)
     pool = lib.read_pool(args.pool)
     combined = lib.JudgeRun(judgements=[], failures=[])

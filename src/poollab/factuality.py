@@ -36,6 +36,9 @@ class Verdict(str, Enum):
 
 VERDICT_COLUMNS = [v.value for v in Verdict]
 
+#: Tries per document before :func:`judge_documents` records it as a failure.
+MAX_ATTEMPTS = 3
+
 
 @dataclass(frozen=True)
 class QAItem:
@@ -145,15 +148,12 @@ class JudgeClient:
     model_name: str = "judge"
     timeout: float = 30.0
     max_concurrency: int = 4
-    max_attempts: int = 3
     backoff_base: float = 1.0
     classify: Callable[[str, str, str], Verdict] | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.timeout < math.inf:
             raise ValidationError(f"judge timeout must be a positive number, got {self.timeout}")
-        if self.max_attempts < 1:
-            raise ValidationError(f"judge max_attempts must be >= 1, got {self.max_attempts}")
         if not 0 <= self.backoff_base < math.inf:
             raise ValidationError(f"judge backoff_base must be >= 0, got {self.backoff_base}")
         if self.max_concurrency < 1:
@@ -216,7 +216,7 @@ def mock_judge_client(classify: Callable[[str, str, str], Verdict] | None = None
 def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -> JudgeRun:
     """Judge every document, bounding concurrency and isolating failures.
 
-    Each document gets up to ``client.max_attempts`` tries with
+    Each document gets up to ``MAX_ATTEMPTS`` tries with
     exponential backoff; a document whose attempts are exhausted becomes
     a failure entry while the rest of the batch proceeds.
     """
@@ -225,7 +225,7 @@ def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -
 
     def judge_one(doc: Document) -> Judgement | JudgeFailure:
         last_error = "no attempts made"
-        for attempt in range(client.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 verdict = client.classify(doc.text, qa.question, qa.answer)
                 if not isinstance(verdict, Verdict):
@@ -235,7 +235,7 @@ def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -
                 )
             except Exception as exc:  # transport or parse failure; retry
                 last_error = f"{type(exc).__name__}: {exc}"
-                if attempt + 1 < client.max_attempts and client.backoff_base > 0:
+                if attempt + 1 < MAX_ATTEMPTS and client.backoff_base > 0:
                     time.sleep(client.backoff_base * 2**attempt)
         return JudgeFailure(doc_id=doc.id, qa_id=qa_id, error=last_error)
 

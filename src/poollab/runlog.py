@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -42,6 +43,8 @@ class ModelConfig:
             )
         if self.total_params <= 0 or self.non_embedding_params <= 0:
             raise ValidationError(f"{self.name}: parameter counts must be positive")
+        if not self.total_params <= sys.float_info.max:  # so 6 * tokens * params is a float
+            raise ValidationError(f"{self.name}: total_params is beyond the float range")
         if self.non_embedding_params > self.total_params:
             raise ValidationError(f"{self.name}: non_embedding_params exceeds total_params")
 
@@ -100,31 +103,34 @@ class RunRecord:
                 f"{self.dataset_label}: {'non-positive' if v <= 0 else 'non-finite'} loss "
                 f"at tokens_seen={point.tokens_seen}"
             )
+        if seen[0] < 0:
+            raise ValidationError(f"{self.dataset_label}: tokens_seen must be non-negative")
         if self.train_tokens < seen[-1]:
             raise ValidationError(
                 f"{self.dataset_label}: train_tokens {self.train_tokens} < last eval "
                 f"tokens_seen {seen[-1]}"
             )
+        # Bounding train_tokens bounds every tokens_seen, so each count converts to a float.
+        if not self.train_tokens <= sys.float_info.max:
+            raise ValidationError(f"{self.dataset_label}: train_tokens is beyond the float range")
+        if not 0 < self.pool_tokens <= sys.float_info.max:
+            raise ValidationError(
+                f"{self.dataset_label}: pool_tokens must be positive and within the float range"
+            )
 
 
 def compute_flops(record: RunRecord) -> float:
     """Training compute under the 6 * tokens * params approximation."""
-    if record.train_tokens <= 0:
-        raise ValidationError("train_tokens must be positive")
-    try:
-        return 6.0 * record.train_tokens * record.model.total_params
-    except OverflowError as exc:  # an int beyond the float range
-        raise ValidationError(f"{record.dataset_label}: training compute overflows: {exc}") from exc
+    flops = 6.0 * record.train_tokens * record.model.total_params
+    if not 0 < flops < math.inf:
+        raise ValidationError(f"{record.dataset_label}: training compute must be positive "
+                              f"and finite, got {flops}")
+    return flops
 
 
 def epochs(record: RunRecord) -> float:
     """Passes over the pool: train_tokens / pool_tokens."""
-    if record.pool_tokens <= 0:
-        raise ValidationError("pool_tokens must be positive")
-    try:
-        return record.train_tokens / record.pool_tokens
-    except OverflowError as exc:
-        raise ValidationError(f"{record.dataset_label}: epoch count overflows: {exc}") from exc
+    return record.train_tokens / record.pool_tokens
 
 
 def point_loss(point: EvalPoint, eval_sets: Sequence[str]) -> float:

@@ -355,9 +355,7 @@ def _loss_curve(
 class PendingCrossing:
     """A cell whose crossing must be extrapolated, detached from its run records.
 
-    ``tokens`` and ``losses`` are the pool's loss curve as flat float
-    buffers.  An int ``tokens_seen`` beyond the float range is stored as
-    ``inf``, which :func:`fit_power_law` rejects just as it rejects the int.
+    ``tokens`` and ``losses`` are the pool's loss curve as flat float buffers.
     """
 
     model_params: int
@@ -398,29 +396,14 @@ def _reduce_cell(
                 f"record {record.dataset_label!r} has pool_tokens "
                 f"{record.pool_tokens}, expected {pool_tokens}"
             )
-    if not 0 < pool_tokens <= sys.float_info.max:  # the crossing's epoch count divides by it
-        raise ValidationError(
-            f"crossing for cell (model_params={model_params}, pool_tokens={pool_tokens}): "
-            f"pool_tokens must be positive and within the float range"
-        )
     sets = eval_set_names(pool_runs[0], eval_sets)
     target = best_achievable(filtered_runs, sets)
     curve = _loss_curve(pool_runs, sets)
-    tokens, losses = array("d"), array("d", [loss for _, loss in curve])
-    for n, _ in curve:
-        try:
-            tokens.append(n)
-        except OverflowError:  # an int beyond the float range
-            tokens.append(math.inf)
+    tokens, losses = array("d", [n for n, _ in curve]), array("d", [loss for _, loss in curve])
     model_params, pool_tokens = model_params + 0, pool_tokens + 0  # not the parser's ints
 
     for n, loss in zip(tokens, losses):
         if loss < target:  # the curve is sorted, so n is the smallest winning tokens_seen
-            if n == math.inf:
-                raise ValidationError(
-                    f"crossing for cell (model_params={model_params}, pool_tokens={pool_tokens}): "
-                    f"the first winning tokens_seen is beyond the float range"
-                )
             return CrossingPoint(model_params, pool_tokens, n, observed=True)
     return PendingCrossing(model_params, pool_tokens, target, tokens, losses)
 

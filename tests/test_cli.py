@@ -477,15 +477,15 @@ class TestRunAnalysis:
             "token counts must be finite and positive\n"
         )
 
-    @pytest.mark.parametrize("last_loss,error", [
-        (1.0, "crossing for cell (model_params=15009920, pool_tokens=1000): "
-              "the first winning tokens_seen is beyond the float range"),
-        (3.5, "crossing fit for cell (model_params=15009920, pool_tokens=1000): "
-              "token counts must be finite and positive"),
-    ], ids=["observed", "extrapolated"])
-    def test_tokens_seen_beyond_float_range_exits_one(self, tmp_path, capfd, last_loss, error):
-        assert dispatch(crossing_with_tokens_beyond_float(tmp_path, last_loss)) == 1
-        assert capfd.readouterr().err == f"error: {error}\n"
+    @pytest.mark.parametrize("last_loss", [1.0, 3.5], ids=["observed", "extrapolated"])
+    def test_tokens_seen_beyond_float_range_exits_one(self, tmp_path, capfd, last_loss):
+        # the record is rejected as the log is read, whether its cell would be observed or fitted
+        argv = crossing_with_tokens_beyond_float(tmp_path, last_loss)
+        assert dispatch(argv) == 1
+        assert capfd.readouterr().err == (
+            f"error: {argv[2]}: 1 malformed line(s): line 1: "
+            "cc: train_tokens is beyond the float range\n"
+        )
 
     def test_every_cell_is_checked_before_any_fit(self, tmp_path, capsys):
         # the first cell's pool curve rises, so its fit fails; the second
@@ -921,14 +921,24 @@ def crossing_beyond_float_range(tmp_path):
             "--filtered-label", "rw", "--output", str(tmp_path / "x.csv")]
 
 
+def observed_cell_log(tmp_path, edit=lambda cc: None, pool_tokens=1_000):
+    """A run log of one cell whose cc curve 1 + 2*N**-0.3 beats the rw best
+    of 3.5 at its first point, written as JSON objects after ``edit`` changes
+    the cc one, so that it can hold values a RunRecord rejects."""
+    grid = [2, 4, 8, 16, 32, 64]
+    cc, rw = (
+        {**record_to_dict(curve_run(label, CONFIG_15M, 1_000, *curve, tokens_grid=grid)),
+         "pool_tokens": pool_tokens}
+        for label, curve in [("cc", (2.0, 0.3, 1.0)), ("rw", (1e-9, 0.5, 3.5))]
+    )
+    edit(cc)
+    return write_text(tmp_path, "r.jsonl", "".join(json.dumps(r) + "\n" for r in (cc, rw)))
+
+
 def crossing_with_pool_tokens(tmp_path, pool_tokens):
     """crossing on a log whose one cell has ``pool_tokens``."""
-    grid = [2, 4, 8, 16, 32, 64]
-    records = [curve_run("cc", CONFIG_15M, pool_tokens, 2.0, 0.3, 1.0, tokens_grid=grid),
-               curve_run("rw", CONFIG_15M, pool_tokens, 1e-9, 0.5, 3.5, tokens_grid=grid)]
-    write_run_log(tmp_path / "r.jsonl", records)
-    return ["crossing", "--runs", str(tmp_path / "r.jsonl"), "--pool-label", "cc",
-            "--filtered-label", "rw", "--output", str(tmp_path / "x.csv")]
+    return ["crossing", "--runs", observed_cell_log(tmp_path, pool_tokens=pool_tokens),
+            "--pool-label", "cc", "--filtered-label", "rw", "--output", str(tmp_path / "x.csv")]
 
 
 def crossings_with_repeated_cell(tmp_path):
@@ -1120,6 +1130,12 @@ MALFORMED_INPUTS = {
     "pareto-train-tokens-beyond-float": lambda t, docs: [
         "pareto", "--runs", write_text(t, "r.jsonl", run_log_line_with("train_tokens", "9" * 400)),
         "--output", str(t / "r.csv")],
+    "report-compute-overflows": lambda t, docs: [  # 6 * 1e305 * 15,009,920 is inf
+        "report", "--runs", write_text(t, "r.jsonl", run_log_line_with("train_tokens", 10**305)),
+        "--output", str(t / "r.csv")],
+    "pareto-compute-overflows": lambda t, docs: [
+        "pareto", "--runs", write_text(t, "r.jsonl", run_log_line_with("train_tokens", 10**305)),
+        "--output", str(t / "r.csv")],
     "law-alpha-nan": lambda t, docs: [
         "extrapolate", "--law", write_text(t, "law.json", json.dumps({**LAW, "alpha": math.nan})),
         "--pool-tokens", "1e12"],
@@ -1224,10 +1240,45 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
     ("crossings-cell-too-long", "{tmp}/x.csv: line 2: field larger than field limit (131072)"),
     ("crossing-eval-set-repeated", "eval sets ['avg', 'avg'] name a set more than once"),
     ("crossing-pool-record-without-eval-sets", "record has no eval sets"),
+    ("report-compute-overflows", "cc: training compute must be positive and finite, got inf"),
+    ("pareto-compute-overflows", "cc: training compute must be positive and finite, got inf"),
 ])
 def test_malformed_input_error_line(tmp_path, docs_file, capsys, case, error):
     assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
     assert capsys.readouterr().err == f"error: {error.format(tmp=tmp_path)}\n"
+
+
+#: Edits that break the run-log rule in the cc record, with the message naming each.
+BAD_RECORDS = {
+    "pool-tokens-zero": (lambda cc: cc.update(pool_tokens=0),
+                         "cc: pool_tokens must be positive and within the float range"),
+    "tokens-seen-negative": (lambda cc: cc["eval_points"][0].update(tokens_seen=-5),
+                             "cc: tokens_seen must be non-negative"),
+    "train-tokens-beyond-float": (lambda cc: cc.update(train_tokens=10**400),
+                                  "cc: train_tokens is beyond the float range"),
+    "total-params-beyond-float": (lambda cc: cc["model"].update(total_params=10**400),
+                                  "15M: total_params is beyond the float range"),
+}
+
+#: Each command that reads a run log, on the log at ``runs``.
+RUN_LOG_READERS = {
+    "ingest": lambda runs, out: ["ingest", "--runs", runs, "--validate-only"],
+    "report": lambda runs, out: ["report", "--runs", runs, "--output", out],
+    "pareto": lambda runs, out: ["pareto", "--runs", runs, "--output", out],
+    "crossing": lambda runs, out: ["crossing", "--runs", runs, "--pool-label", "cc",
+                                   "--filtered-label", "rw", "--output", out],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(RUN_LOG_READERS))
+@pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
+def test_every_reader_rejects_a_bad_record_alike(tmp_path, capsys, bad, reader):
+    edit, message = BAD_RECORDS[bad]
+    out = str(tmp_path / "out.csv")
+    assert dispatch(RUN_LOG_READERS[reader](observed_cell_log(tmp_path, edit), out)) == 1
+    err = capsys.readouterr().err
+    assert f"line 1: {message}\n" in err and "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: ") and not Path(out).exists()
 
 
 def test_undecodable_bytes_reported_by_path(tmp_path, docs_file, capsys):
@@ -1439,13 +1490,23 @@ def mutated_json(draw, value):
 
 @st.composite
 def fuzz_inputs(draw, targets):
-    """The valid files with one line of one of ``targets`` changed (in JSON,
-    now and then nested too deep to parse; in a CSV, a cell made too long, a
-    row repeated or a row copied at another row's pool size), and a copy of
-    one file cut short."""
+    """The valid files with one line of one of ``targets``, if any, changed
+    (in JSON, now and then nested too deep to parse; in a CSV, a cell made too
+    long, a row repeated or a row copied at another row's pool size), and a
+    copy of one file cut short."""
     files = dict(fuzz_files())
-    name = draw(st.sampled_from(targets))
-    lines = files[name].splitlines()
+    if targets:
+        name = draw(st.sampled_from(targets))
+        files[name] = draw(mutated_file(name, files[name]))
+    cut = draw(st.sampled_from(sorted(files)))
+    files["cut-" + cut] = files[cut][:draw(st.integers(0, len(files[cut])))]
+    return files
+
+
+@st.composite
+def mutated_file(draw, name, text):
+    """``text``, the file ``name``, with one line changed as :func:`fuzz_inputs` says."""
+    lines = text.splitlines()
     index = draw(st.integers(0, len(lines) - 1))
     if name.endswith(".csv"):
         cells = lines[index].split(",")
@@ -1464,14 +1525,11 @@ def fuzz_inputs(draw, targets):
             lines[index] = ",".join(cells)
     else:  # a .jsonl line, or a whole .json file
         if not name.endswith(".jsonl"):
-            lines, index = [files[name]], 0
-        text = json.dumps(draw(mutated_json(json.loads(lines[index]))))
+            lines, index = [text], 0
+        value = json.dumps(draw(mutated_json(json.loads(lines[index]))))
         depth = draw(st.sampled_from([0] * 3 + [DEEP]))
-        lines[index] = "[" * depth + text + "]" * depth
-    files[name] = "\n".join(lines) + "\n"
-    cut = draw(st.sampled_from(sorted(files)))
-    files["cut-" + cut] = files[cut][:draw(st.integers(0, len(files[cut])))]
-    return files
+        lines[index] = "[" * depth + value + "]" * depth
+    return "\n".join(lines) + "\n"
 
 
 def subcommand_actions():
@@ -1518,7 +1576,7 @@ def test_fuzzed_command_lines_exit_cleanly(data):
     targets = sorted(fuzz_files())
     if kind == "valid":
         argv, inputs, _, _ = MANIFEST_CASES[data.draw(st.sampled_from(sorted(MANIFEST_CASES)))]
-        targets = [n for n in targets if n.removesuffix(".header.json") in inputs] or targets
+        targets = [n for n in targets if n.removesuffix(".header.json") in inputs]
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
         files = data.draw(fuzz_inputs(targets))

@@ -19,7 +19,9 @@ from poollab import (
     mock_judge_client,
 )
 from poollab.errors import JudgeError
-from poollab.factuality import Judgement, parse_verdict, read_qa_items, render_prompt
+from poollab.factuality import (
+    MAX_ATTEMPTS, Judgement, parse_verdict, read_qa_items, render_prompt,
+)
 
 
 def pool_of(*texts):
@@ -248,7 +250,7 @@ class TestHttpClient:
 
     def test_malformed_payload_is_failure(self, judge_server):
         judge_server.reply = (200, {"unexpected": True})
-        client = JudgeClient(endpoint=judge_server.url, max_attempts=3, backoff_base=0.0)
+        client = JudgeClient(endpoint=judge_server.url, backoff_base=0.0)
         run = judge_documents(pool_of("pulsar").documents, QA, client)
         assert run.judgements == [] and len(run.failures) == 1
         assert len(judge_server.requests) == 3
@@ -259,7 +261,7 @@ class TestHttpClient:
     ])
     def test_bad_reply_is_one_failure_after_all_attempts(self, judge_server, reply):
         judge_server.reply = reply
-        client = JudgeClient(endpoint=judge_server.url, max_attempts=3, backoff_base=0.0)
+        client = JudgeClient(endpoint=judge_server.url, backoff_base=0.0)
         run = judge_documents(pool_of("pulsar").documents, QA, client)
         assert run.judgements == [] and len(run.failures) == 1
         assert len(judge_server.requests) == 3
@@ -271,7 +273,6 @@ class TestHttpClient:
             ("timeout", -1.0),
             ("timeout", float("nan")),
             ("timeout", float("inf")),
-            ("max_attempts", 0),
             ("backoff_base", -0.5),
             ("max_concurrency", 0),
         ],
@@ -279,6 +280,11 @@ class TestHttpClient:
     def test_nonsense_retry_settings_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
             JudgeClient(endpoint="http://127.0.0.1:9/", **{name: value})
+
+    def test_attempts_are_a_constant_not_a_setting(self):
+        assert MAX_ATTEMPTS == 3
+        with pytest.raises(TypeError, match="max_attempts"):
+            JudgeClient(endpoint="http://127.0.0.1:9/", max_attempts=3)
 
     @pytest.mark.parametrize("endpoint", ["file:///dev/null", "ftp://judge.invalid/", "judge"])
     def test_non_http_endpoint_rejected(self, endpoint):

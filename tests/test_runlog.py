@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pickle
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -78,8 +79,18 @@ class TestComputeFlops:
             compute_flops(bad)
 
     def test_count_beyond_float_range_rejected(self):
-        with pytest.raises(ValidationError, match="cc: training compute overflows"):
-            compute_flops(record(train_tokens=10**400))
+        # each count is checked when the record is built, before any product is taken
+        with pytest.raises(ValidationError, match="^cc: train_tokens is beyond the float range$"):
+            record(train_tokens=10**400)
+        with pytest.raises(ValidationError,
+                           match="^tiny: total_params is beyond the float range$"):
+            dataclasses.replace(TINY, total_params=10**400)
+
+    def test_product_beyond_float_range_rejected(self):
+        # both counts are floats, but 6 * 1e305 * 1e9 is not
+        with pytest.raises(ValidationError, match=(
+                r"^cc: training compute must be positive and finite, got inf$")):
+            compute_flops(record(train_tokens=10**305))
 
 
 class TestEpochs:
@@ -93,12 +104,21 @@ class TestEpochs:
         assert epochs(record(train_tokens=81_500_000_000)) == pytest.approx(121.6, abs=0.05)
 
     def test_zero_pool_rejected(self):
-        with pytest.raises(ValidationError):
-            epochs(record(pool_tokens=0))
+        with pytest.raises(ValidationError, match=(
+                "^cc: pool_tokens must be positive and within the float range$")):
+            record(pool_tokens=0)
 
     def test_count_beyond_float_range_rejected(self):
-        with pytest.raises(ValidationError, match="cc: epoch count overflows"):
-            epochs(record(train_tokens=10**400, pool_tokens=1))
+        with pytest.raises(ValidationError, match="^cc: train_tokens is beyond the float range$"):
+            record(train_tokens=10**400, pool_tokens=1)
+        with pytest.raises(ValidationError, match=(
+                "^cc: pool_tokens must be positive and within the float range$")):
+            record(pool_tokens=10**400)
+
+    def test_largest_counts_in_float_range_accepted(self):
+        largest = int(sys.float_info.max)
+        assert epochs(record(train_tokens=largest, pool_tokens=1)) == sys.float_info.max
+        assert epochs(record(train_tokens=largest, pool_tokens=largest)) == 1.0
 
 
 class TestBestEval:
@@ -313,6 +333,17 @@ class TestValidation:
         rec = RunRecord(dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=10,
                         eval_points=points)
         assert rec.eval_points == points
+
+    @pytest.mark.parametrize("first", [-5, -0.5, -(10**400)])
+    def test_tokens_seen_must_be_non_negative(self, first):
+        # the points are sorted, so the first one bounds them all
+        with pytest.raises(ValidationError) as exc:
+            RunRecord(
+                dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=10,
+                eval_points=(EvalPoint(tokens_seen=first, losses={"c4": 3.0}),
+                             EvalPoint(tokens_seen=80, losses={"c4": 2.9})),
+            )
+        assert str(exc.value) == "cc: tokens_seen must be non-negative"
 
     def test_train_tokens_below_last_eval(self):
         with pytest.raises(ValidationError, match="train_tokens"):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import asdict, replace
 
@@ -563,29 +564,29 @@ class TestCrossingPhases:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             _reduce_cell(pool, filtered, TINY.total_params, 1000, eval_sets)
 
-    def beyond_float_cell(self, last_loss):
+    def last_tokens_cell(self, last_tokens, last_loss):
+        """A cell whose pool losses 5.0, 4.0 and ``last_loss`` are at
+        tokens_seen 10, 20 and ``last_tokens``, against a filtered best of 3.0."""
         points = tuple(EvalPoint(n, {"avg": loss})
-                       for n, loss in [(10, 5.0), (20, 4.0), (10**400, last_loss)])
-        pool = [RunRecord(dataset_label="cc", model=TINY, train_tokens=10**400,
+                       for n, loss in [(10, 5.0), (20, 4.0), (last_tokens, last_loss)])
+        pool = [RunRecord(dataset_label="cc", model=TINY, train_tokens=last_tokens,
                           pool_tokens=1000, eval_points=points)]
         filtered = [curve_run("rw", TINY, 1000, 1e-9, 0.5, 3.0, tokens_grid=[10, 20])]
         return pool, filtered
 
     def test_observed_tokens_beyond_float_range_name_the_cell(self):
-        with pytest.raises(ValidationError, match=(
-            r"^crossing for cell \(model_params=1000000, pool_tokens=1000\): "
-            r"the first winning tokens_seen is beyond the float range$"
-        )):
-            _reduce_cell(*self.beyond_float_cell(1.0), TINY.total_params, 1000)
+        # the record rejects the count, so no cell holds it
+        with pytest.raises(ValidationError, match="^cc: train_tokens is beyond the float range$"):
+            self.last_tokens_cell(10**400, 1.0)
+        largest = int(sys.float_info.max)
+        cp = _reduce_cell(*self.last_tokens_cell(largest, 1.0), TINY.total_params, 1000)
+        assert cp == CrossingPoint(TINY.total_params, 1000, sys.float_info.max, observed=True)
 
     def test_extrapolated_tokens_beyond_float_range_fail_the_fit(self):
-        args = (*self.beyond_float_cell(3.5), TINY.total_params, 1000)
-        message = (r"^crossing fit for cell \(model_params=1000000, pool_tokens=1000\): "
-                   r"token counts must be finite and positive$")
-        with pytest.raises(FitError, match=message):
-            fit_crossing(_reduce_cell(*args))
-        with pytest.raises(FitError, match=message):
-            reference_crossing_point(*args)
+        with pytest.raises(ValidationError, match="^cc: train_tokens is beyond the float range$"):
+            self.last_tokens_cell(10**400, 3.5)
+        args = (*self.last_tokens_cell(40, 3.5), TINY.total_params, 1000)
+        assert fit_crossing(_reduce_cell(*args)) == reference_crossing_point(*args)
 
 
 class TestCrossingQuadratic:
