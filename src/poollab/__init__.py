@@ -28,10 +28,10 @@ _EXPORTS = {
         "ValidationError",
     ), "errors"),
     **dict.fromkeys((
-        "DocumentScorer", "FilterConfig", "FilterOutcome", "FilterStats", "PipelineResult",
-        "PipelineStage", "STATS_COLUMNS", "builtin_english_scorer", "build_stages",
-        "english_filter", "exact_dedup", "profile", "quality_filter", "repetition_filter",
-        "repetition_fractions", "run_pipeline", "stopword_filter",
+        "DocumentScorer", "FilterConfig", "FilterStats", "PipelineResult", "PipelineStage",
+        "STATS_COLUMNS", "builtin_english_scorer", "build_stages", "english_filter",
+        "exact_dedup", "profile", "quality_filter", "repetition_filter", "repetition_fractions",
+        "run_pipeline", "stopword_filter",
     ), "filters"),
     **dict.fromkeys((
         "InjectionSpec", "JunkKind", "JunkVocab", "build_vocab", "gen_random_document",

@@ -94,13 +94,9 @@ class Pool:
                 index.setdefault(word, []).append(position)
         return index
 
-    def replace_documents(self, documents: list[Document], label: str | None = None) -> "Pool":
-        """New pool with the same seed but different membership."""
-        return Pool(
-            documents=tuple(documents),
-            seed=self.seed,
-            label=self.label if label is None else label,
-        )
+    def replace_documents(self, documents: list[Document]) -> "Pool":
+        """New pool with the same seed and label but different membership."""
+        return Pool(documents=tuple(documents), seed=self.seed, label=self.label)
 
 
 def sample_pool(

@@ -6,6 +6,9 @@ exact deduplication, and a score-ranked quality cut.  Every stage runs
 on the calling thread: the per-document filters are pure Python and
 hold the interpreter lock, so worker threads cannot speed them up.
 
+A :class:`FilterConfig` is checked when built and cannot change after.
+A per-document filter returns the rules a document failed; none: kept.
+
 Boundary convention: a fraction exactly equal to its threshold is kept.
 """
 
@@ -15,11 +18,12 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from importlib import resources
 from operator import sub
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .corpus import WORD_RE, Document, Pool
 from .errors import ConfigError
@@ -56,15 +60,17 @@ class DocumentScorer:
     score: Callable[[str], float]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterConfig:
+    """Filter thresholds; all 11 repetition ones, as a read-only copy."""
+
     english_threshold: float = 0.5
     stopword_min_count: int = 2
     # Count the total across the list by default; set True to require
     # `stopword_min_count` *distinct* stop words instead.
     stopword_distinct: bool = False
-    repetition_thresholds: dict[str, float] = field(
-        default_factory=lambda: dict(GOPHER_REPETITION_THRESHOLDS)
+    repetition_thresholds: Mapping[str, float] = field(
+        default_factory=lambda: GOPHER_REPETITION_THRESHOLDS
     )
     quality_keep_fraction: float = 0.16
 
@@ -73,15 +79,20 @@ class FilterConfig:
             raise ConfigError(f"english_threshold must be in [0,1], got {self.english_threshold}")
         if self.stopword_min_count < 0:
             raise ConfigError("stopword_min_count must be >= 0")
-        for name, thr in self.repetition_thresholds.items():
+        thresholds = MappingProxyType(dict(self.repetition_thresholds))
+        for name, thr in thresholds.items():
             if name not in REPETITION_GRANULARITIES:
                 raise ConfigError(f"unknown repetition threshold {name!r}")
             if not 0.0 <= thr <= 1.0:
                 raise ConfigError(f"repetition threshold {name} must be in [0,1], got {thr}")
+        missing = [name for name in REPETITION_GRANULARITIES if name not in thresholds]
+        if missing:
+            raise ConfigError(f"repetition_thresholds missing granularities: {missing}")
         if not 0.0 < self.quality_keep_fraction <= 1.0:
             raise ConfigError(
                 f"quality_keep_fraction must be in (0,1], got {self.quality_keep_fraction}"
             )
+        object.__setattr__(self, "repetition_thresholds", thresholds)
 
 
 #: Named threshold profiles selectable via the CLI --profile flag.
@@ -98,21 +109,7 @@ PROFILES: dict[str, FilterConfig] = {
 def profile(name: str) -> FilterConfig:
     if name not in PROFILES:
         raise ConfigError(f"unknown profile {name!r}; available: {sorted(PROFILES)}")
-    cfg = PROFILES[name]
-    return replace(cfg, repetition_thresholds=dict(cfg.repetition_thresholds))
-
-
-@dataclass(frozen=True)
-class FilterOutcome:
-    """One document's verdict: the rules it failed and the scores they judged."""
-
-    doc_id: str
-    failed_rules: tuple[str, ...] = ()
-    scores: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def kept(self) -> bool:
-        return not self.failed_rules
+    return PROFILES[name]
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,7 @@ def builtin_english_scorer() -> DocumentScorer:
 # Per-document filters.
 # ---------------------------------------------------------------------------
 
-def stopword_filter(doc: Document, cfg: FilterConfig) -> FilterOutcome:
+def stopword_filter(doc: Document, cfg: FilterConfig) -> tuple[str, ...]:
     """Keep documents with enough whole-word stop-word occurrences.
 
     Matching is case-insensitive on ``\\w+`` tokens; by default the count
@@ -180,11 +177,7 @@ def stopword_filter(doc: Document, cfg: FilterConfig) -> FilterOutcome:
         count = len(DEFAULT_STOPWORDS.intersection(tokens))
     else:
         count = sum(1 for t in tokens if t in DEFAULT_STOPWORDS)
-    return FilterOutcome(
-        doc_id=doc.id,
-        failed_rules=() if count >= cfg.stopword_min_count else ("stopword",),
-        scores={"stopword_count": float(count)},
-    )
+    return () if count >= cfg.stopword_min_count else ("stopword",)
 
 
 def _dedup_fraction(items: list[str]) -> float:
@@ -300,27 +293,16 @@ def _top_fraction(
     return max(_covered_fraction(spans, text_len) for spans in occurrences.values())
 
 
-def repetition_filter(doc: Document, cfg: FilterConfig) -> FilterOutcome:
+def repetition_filter(doc: Document, cfg: FilterConfig) -> tuple[str, ...]:
     """Keep documents whose repetition fractions all stay at or below threshold."""
+    thresholds = cfg.repetition_thresholds
     fractions = repetition_fractions(doc)
-    missing = [name for name in fractions if name not in cfg.repetition_thresholds]
-    if missing:
-        raise ConfigError(f"repetition_thresholds missing granularities: {missing}")
-    failed = tuple(
-        name for name, frac in fractions.items() if frac > cfg.repetition_thresholds[name]
-    )
-    return FilterOutcome(doc_id=doc.id, failed_rules=failed, scores=fractions)
+    return tuple(name for name, frac in fractions.items() if frac > thresholds[name])
 
 
-def english_filter(doc: Document, scorer: DocumentScorer, threshold: float) -> FilterOutcome:
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"english threshold must be in [0,1], got {threshold}")
-    score = scorer.score(doc.text)
-    return FilterOutcome(
-        doc_id=doc.id,
-        failed_rules=() if score >= threshold else ("english",),
-        scores={"english": score},
-    )
+def english_filter(doc: Document, scorer: DocumentScorer, cfg: FilterConfig) -> tuple[str, ...]:
+    """Keep documents whose score reaches ``cfg.english_threshold``."""
+    return () if scorer.score(doc.text) >= cfg.english_threshold else ("english",)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +322,15 @@ def exact_dedup(pool: Pool) -> Pool:
     return pool.replace_documents(kept)
 
 
-def quality_filter(pool: Pool, scorer: DocumentScorer, keep_fraction: float) -> Pool:
-    """Keep the ceil(keep_fraction * docs) highest-scoring documents.
+def quality_filter(pool: Pool, scorer: DocumentScorer, cfg: FilterConfig) -> Pool:
+    """Keep the ceil(cfg.quality_keep_fraction * docs) highest-scoring documents.
 
     Score ties at the cut are broken by ascending doc id; survivors keep
     their original pool order.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ConfigError(f"keep_fraction must be in (0,1], got {keep_fraction}")
     if not pool.documents:
         return pool.replace_documents([])
-    n_keep = math.ceil(keep_fraction * len(pool.documents))
+    n_keep = math.ceil(cfg.quality_keep_fraction * len(pool.documents))
     ranked = sorted(
         pool.documents, key=lambda d: (-scorer.score(d.text), d.id)
     )
@@ -392,18 +372,18 @@ def build_stages(
     scorer = scorer or builtin_english_scorer()
     scorer = DocumentScorer(name=scorer.name, score=cache(scorer.score))
 
-    def per_document(outcome: Callable[[Document], FilterOutcome]) -> Callable[[Pool, int], Pool]:
+    def per_document(failed: Callable[[Document], tuple[str, ...]]) -> Callable[[Pool, int], Pool]:
         def apply(pool: Pool, threads: int) -> Pool:
-            return pool.replace_documents([doc for doc in pool.documents if outcome(doc).kept])
+            return pool.replace_documents([doc for doc in pool.documents if not failed(doc)])
 
         return apply
 
     applies: dict[str, Callable[[Pool, int], Pool]] = {
-        "english": per_document(lambda d: english_filter(d, scorer, cfg.english_threshold)),
+        "english": per_document(lambda d: english_filter(d, scorer, cfg)),
         "repetition": per_document(lambda d: repetition_filter(d, cfg)),
         "stopword": per_document(lambda d: stopword_filter(d, cfg)),
         "dedup": lambda pool, _: exact_dedup(pool),
-        "quality": lambda pool, _: quality_filter(pool, scorer, cfg.quality_keep_fraction),
+        "quality": lambda pool, _: quality_filter(pool, scorer, cfg),
     }
     stages: list[PipelineStage] = []
     for name in names:

@@ -230,7 +230,7 @@ def record_to_dict(record: RunRecord) -> dict:
     }
 
 
-def _model_config(fields: dict, models: dict[tuple, ModelConfig] | None) -> ModelConfig:
+def _model_config(fields: dict, models: dict[tuple, ModelConfig]) -> ModelConfig:
     """``ModelConfig(**fields)``, or the one already in ``models`` for equal fields.
 
     Only configs whose values are all exact ``int`` or ``str`` are shared:
@@ -238,8 +238,7 @@ def _model_config(fields: dict, models: dict[tuple, ModelConfig] | None) -> Mode
     hash.  A float key would merge ``0.0`` with ``-0.0``, which are
     written differently.
     """
-    if (models is None or type(fields) is not dict
-            or not all(type(v) is int or type(v) is str for v in fields.values())):
+    if type(fields) is not dict or not all(type(v) in (int, str) for v in fields.values()):
         return ModelConfig(**fields)
     key = tuple(sorted(fields.items()))
     model = models.get(key)
@@ -248,7 +247,15 @@ def _model_config(fields: dict, models: dict[tuple, ModelConfig] | None) -> Mode
     return model
 
 
-def record_from_dict(obj: dict, models: dict[tuple, ModelConfig] | None = None) -> RunRecord:
+def _token_count(key: str, value: float | str) -> int:
+    """``int(value)``; a float count must be integral (``1e6`` is, ``1.9`` is not)."""
+    count = int(value)
+    if type(value) is float and count != value:
+        raise ValidationError(f"malformed run record: {key} must be a whole number, got {value}")
+    return count
+
+
+def record_from_dict(obj: dict, models: dict[tuple, ModelConfig]) -> RunRecord:
     """The record of one parsed JSON object; raises ValidationError if malformed,
     or KeyError for a missing key, which the JSONL reader names.
 
@@ -276,10 +283,11 @@ def record_from_dict(obj: dict, models: dict[tuple, ModelConfig] | None = None) 
         return RunRecord(
             dataset_label=obj["dataset_label"],
             model=model,
-            train_tokens=int(obj["train_tokens"]),
-            pool_tokens=int(obj["pool_tokens"]),
+            train_tokens=_token_count("train_tokens", obj["train_tokens"]),
+            pool_tokens=_token_count("pool_tokens", obj["pool_tokens"]),
             eval_points=eval_points,
-            batch_tokens=int(obj.get("batch_tokens", DEFAULT_BATCH_TOKENS)),
+            batch_tokens=_token_count("batch_tokens",
+                                      obj.get("batch_tokens", DEFAULT_BATCH_TOKENS)),
             weight_decay=float(obj.get("weight_decay", 0.1)),
             learning_rate=float(obj.get("learning_rate", 5e-3)),
         )

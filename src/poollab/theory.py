@@ -269,8 +269,10 @@ class SimilarityDataset:
         if not self.examples:
             raise ValidationError("dataset must contain at least one example")
         for x_id, _ in self.examples:
-            if self.weights.get(x_id, 0.0) < 0:
-                raise ValidationError(f"negative weight for {x_id!r}")
+            weight = self.weights.get(x_id, 0.0)
+            if not 0.0 <= weight < math.inf:  # NaN fails too
+                raise ValidationError(f"weight for {x_id!r} must be finite and non-negative, "
+                                      f"got {weight}")
         if all(self.weights.get(x_id, 0.0) == 0.0 for x_id, _ in self.examples):
             raise ValidationError("at least one example needs positive weight")
 
@@ -295,8 +297,6 @@ def predict_conditional(data: SimilarityDataset) -> dict[Hashable, float]:
         w = data.weights.get(x_id, 0.0)
         total += w
         by_label[y_label] = by_label.get(y_label, 0.0) + w
-    if total <= 0.0:
-        raise ValidationError("all weights are zero; predictor undefined")
     return {y: w / total for y, w in by_label.items()}
 
 

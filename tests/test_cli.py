@@ -1099,6 +1099,9 @@ MALFORMED_INPUTS = {
     "run-log-train-tokens-overflow": lambda t, docs: [
         "ingest", "--runs", write_text(t, "r.jsonl", run_log_line_with("train_tokens", "1e400")),
         "--validate-only"],
+    "run-log-pool-tokens-fractional": lambda t, docs: [
+        "ingest", "--runs", write_text(t, "r.jsonl", run_log_line_with("pool_tokens", "1.9")),
+        "--validate-only"],
     "law-alpha-overflow": lambda t, docs: [
         "extrapolate", "--law",
         write_text(t, "law.json", json.dumps({**LAW, "alpha": 10**400})),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -9,7 +10,6 @@ from poollab import (
     ConfigError,
     DocumentScorer,
     FilterConfig,
-    FilterOutcome,
     FilterStats,
     PipelineStage,
     Pool,
@@ -27,7 +27,7 @@ from poollab import (
 )
 from poollab.filters import (
     DCLM_STAGES,
-    GOPHER_REPETITION_THRESHOLDS,
+    PROFILES,
     REPETITION_GRANULARITIES,
 )
 
@@ -73,42 +73,45 @@ def oracle_ngram_fractions(text: str, n: int) -> tuple[float, float]:
 
 class TestStopwordFilter:
     def test_hand_count_kept(self):
-        # the x2 + and x1 = 3 >= 2
-        out = stopword_filter(doc("the cat and the hat"), FilterConfig())
-        assert out.kept and out.scores["stopword_count"] == 3.0
+        # the x2 + and x1 = 3 >= 2, kept at the boundary count 3 and dropped above it
+        text = doc("the cat and the hat")
+        assert stopword_filter(text, FilterConfig()) == ()
+        assert stopword_filter(text, FilterConfig(stopword_min_count=3)) == ()
+        assert stopword_filter(text, FilterConfig(stopword_min_count=4)) == ("stopword",)
 
     def test_empty_dropped(self):
-        out = stopword_filter(doc(""), FilterConfig())
-        assert not out.kept and out.failed_rules == ("stopword",)
+        assert stopword_filter(doc(""), FilterConfig()) == ("stopword",)
 
     def test_no_list_words_dropped(self):
-        assert not stopword_filter(doc("zebra quantum flux"), FilterConfig()).kept
+        assert stopword_filter(doc("zebra quantum flux"), FilterConfig())
 
     def test_case_insensitive_whole_word(self):
-        assert stopword_filter(doc("The THE"), FilterConfig()).kept
+        assert not stopword_filter(doc("The THE"), FilterConfig())
         # "them"/"theory" must not count as "the"
-        assert not stopword_filter(doc("them theory others"), FilterConfig()).kept
+        assert stopword_filter(doc("them theory others"), FilterConfig())
 
     def test_total_versus_distinct_switch(self):
         repeated = doc("the the the")
-        assert stopword_filter(repeated, FilterConfig()).kept
-        assert not stopword_filter(repeated, FilterConfig(stopword_distinct=True)).kept
+        assert not stopword_filter(repeated, FilterConfig())
+        assert stopword_filter(repeated, FilterConfig(stopword_distinct=True))
 
 
-class TestFilterOutcome:
+class TestVerdicts:
     @given(st.text(alphabet="the cat a xqzv\n", max_size=60))
     @settings(max_examples=80, deadline=None)
-    def test_kept_exactly_when_no_rule_failed(self, text):
+    def test_verdict_is_the_failed_rules(self, text):
+        # each filter names only its own rules, and a stage keeps a
+        # document exactly when it names none
         d, cfg = doc(text), FilterConfig()
-        for out in (stopword_filter(d, cfg), repetition_filter(d, cfg),
-                    english_filter(d, builtin_english_scorer(), cfg.english_threshold)):
-            assert out.kept == (not out.failed_rules)
-
-    def test_kept_is_not_an_argument(self):
-        assert not FilterOutcome("d", failed_rules=("stopword",)).kept
-        assert FilterOutcome("d").kept
-        with pytest.raises(TypeError):
-            FilterOutcome("d", kept=True)
+        verdicts = {
+            "stopword": (stopword_filter(d, cfg), {"stopword"}),
+            "repetition": (repetition_filter(d, cfg), set(REPETITION_GRANULARITIES)),
+            "english": (english_filter(d, builtin_english_scorer(), cfg), {"english"}),
+        }
+        for name, (failed, rules) in verdicts.items():
+            assert type(failed) is tuple and set(failed) <= rules
+            kept = run_pipeline(Pool(documents=[d]), build_stages([name], cfg)).pool
+            assert len(kept) == (not failed)
 
 
 class TestRepetitionFractions:
@@ -225,65 +228,83 @@ class TestRepetitionFractions:
             assert 0.0 <= value <= 1.0
 
 
+def with_threshold(cfg, name, value):
+    """``cfg`` with repetition threshold ``name`` set to ``value``."""
+    return dataclasses.replace(cfg, repetition_thresholds={**cfg.repetition_thresholds, name: value})
+
+
 class TestRepetitionFilter:
     def test_zero_fractions_kept(self):
         # a single word has no n-grams and no duplicate segments
-        out = repetition_filter(doc("hello"), FilterConfig())
-        assert out.kept
-        assert all(v == 0.0 for v in out.scores.values())
+        assert all(v == 0.0 for v in repetition_fractions(doc("hello")).values())
+        # so even all-zero thresholds keep it
+        zero = FilterConfig(repetition_thresholds=dict.fromkeys(REPETITION_GRANULARITIES, 0.0))
+        assert repetition_filter(doc("hello"), zero) == ()
 
     def test_varied_text_passes_default_thresholds(self):
         words = [f"unique{i:02d}" for i in range(60)]
-        assert repetition_filter(doc(" ".join(words)), FilterConfig()).kept
+        assert repetition_filter(doc(" ".join(words)), FilterConfig()) == ()
 
     def test_duplicate_lines_dropped_and_named(self):
-        out = repetition_filter(doc("a\na\na"), FilterConfig())
-        assert not out.kept
-        assert "duplicate_line" in out.failed_rules
+        assert "duplicate_line" in repetition_filter(doc("a\na\na"), FilterConfig())
 
     def test_boundary_equal_is_kept(self):
         # isolate duplicate_line: every other rule is vacuous at 1.0
-        cfg = profile("permissive")
-        cfg.repetition_thresholds["duplicate_line"] = 0.5
+        permissive = profile("permissive")
         assert repetition_fractions(doc("same\nsame"))["duplicate_line"] == 0.5
-        assert repetition_filter(doc("same\nsame"), cfg).kept
-        cfg.repetition_thresholds["duplicate_line"] = 0.49
-        assert not repetition_filter(doc("same\nsame"), cfg).kept
+        cfg = with_threshold(permissive, "duplicate_line", 0.5)
+        assert repetition_filter(doc("same\nsame"), cfg) == ()
+        cfg = with_threshold(permissive, "duplicate_line", 0.49)
+        assert repetition_filter(doc("same\nsame"), cfg) == ("duplicate_line",)
 
     def test_missing_threshold_is_config_error(self):
-        cfg = FilterConfig()
-        del cfg.repetition_thresholds["dup_7gram"]
+        # a partial map is rejected when the config is built, not when a
+        # document first reaches the repetition stage
+        partial = dict(FilterConfig().repetition_thresholds)
+        del partial["dup_7gram"]
+        with pytest.raises(ConfigError, match=r"missing granularities: \['dup_7gram'\]"):
+            FilterConfig(repetition_thresholds=partial)
         with pytest.raises(ConfigError, match="dup_7gram"):
-            repetition_filter(doc("a b"), cfg)
+            dataclasses.replace(FilterConfig(), repetition_thresholds=partial)
+
+
+def english(threshold):
+    return FilterConfig(english_threshold=threshold)
 
 
 class TestEnglishFilter:
     def test_all_stopwords_scores_high(self):
-        out = english_filter(doc("the of and that have"), builtin_english_scorer(), 0.5)
-        assert out.scores["english"] >= 0.9
-        assert out.kept
+        text = doc("the of and that have")
+        assert builtin_english_scorer().score(text.text) >= 0.9
+        assert english_filter(text, builtin_english_scorer(), english(0.5)) == ()
 
     def test_gibberish_scores_zero(self):
-        out = english_filter(doc("xqzv bnlp wrtk"), builtin_english_scorer(), 0.1)
-        assert out.scores["english"] == 0.0
-        assert not out.kept
+        text = doc("xqzv bnlp wrtk")
+        assert builtin_english_scorer().score(text.text) == 0.0
+        assert english_filter(text, builtin_english_scorer(), english(0.1)) == ("english",)
 
     def test_zero_threshold_keeps_everything(self):
-        assert english_filter(doc("xqzv"), builtin_english_scorer(), 0.0).kept
-        assert english_filter(doc(""), builtin_english_scorer(), 0.0).kept
+        assert english_filter(doc("xqzv"), builtin_english_scorer(), english(0.0)) == ()
+        assert english_filter(doc(""), builtin_english_scorer(), english(0.0)) == ()
 
     def test_punctuation_stripped_for_lookup(self):
-        out = english_filter(doc("The cat, quite often, sat."), builtin_english_scorer(), 0.5)
-        assert out.scores["english"] == 1.0
+        text = doc("The cat, quite often, sat.")
+        assert builtin_english_scorer().score(text.text) == 1.0
+        # a score equal to the threshold is kept
+        assert english_filter(text, builtin_english_scorer(), english(1.0)) == ()
 
     @given(st.lists(st.sampled_from("the of and xqzv bnlp wrtk".split()), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_threshold_monotonicity(self, words):
         d = doc(" ".join(words))
         scorer = builtin_english_scorer()
-        kept = [english_filter(d, scorer, t).kept for t in (0.0, 0.3, 0.6, 0.9)]
+        kept = [not english_filter(d, scorer, english(t)) for t in (0.0, 0.3, 0.6, 0.9)]
         # once dropped at some threshold, stays dropped at higher ones
         assert kept == sorted(kept, reverse=True)
+
+
+def quality(keep_fraction):
+    return FilterConfig(quality_keep_fraction=keep_fraction)
 
 
 class TestDedupAndQuality:
@@ -300,35 +321,35 @@ class TestDedupAndQuality:
         assert [d.id for d in exact_dedup(pool).documents] == ["a"]
 
     def test_quality_identity_at_one(self, small_pool):
-        out = quality_filter(small_pool, builtin_english_scorer(), 1.0)
+        out = quality_filter(small_pool, builtin_english_scorer(), quality(1.0))
         assert out.documents == small_pool.documents
 
     def test_quality_top_k_by_score(self):
         scores = {f"d{i}": i / 10 for i in range(10)}
         scorer = DocumentScorer("table", lambda text: scores[text])
         pool = Pool(documents=[doc(f"d{i}", doc_id=f"d{i}") for i in range(10)])
-        out = quality_filter(pool, scorer, 0.2)
+        out = quality_filter(pool, scorer, quality(0.2))
         assert sorted(d.id for d in out.documents) == ["d8", "d9"]
 
     def test_quality_tie_break_lower_id(self):
         scorer = DocumentScorer("const", lambda text: 0.5)
         pool = Pool(documents=[doc("t", "b"), doc("t2", "a"), doc("t3", "c")])
-        out = quality_filter(pool, scorer, 1 / 3)
+        out = quality_filter(pool, scorer, quality(1 / 3))
         assert [d.id for d in out.documents] == ["a"]
 
     def test_quality_size_is_ceil(self, small_pool):
-        out = quality_filter(small_pool, builtin_english_scorer(), 0.26)
+        out = quality_filter(small_pool, builtin_english_scorer(), quality(0.26))
         assert len(out) == math.ceil(0.26 * len(small_pool))
 
     def test_quality_preserves_order(self):
         scores = {"x1": 0.9, "x2": 0.1, "x3": 0.8}
         scorer = DocumentScorer("table", lambda text: scores[text])
         pool = Pool(documents=[doc("x1", "x1"), doc("x2", "x2"), doc("x3", "x3")])
-        out = quality_filter(pool, scorer, 2 / 3)
+        out = quality_filter(pool, scorer, quality(2 / 3))
         assert [d.id for d in out.documents] == ["x1", "x3"]
 
     def test_quality_empty_pool(self):
-        out = quality_filter(Pool(documents=[]), builtin_english_scorer(), 0.5)
+        out = quality_filter(Pool(documents=[]), builtin_english_scorer(), quality(0.5))
         assert len(out) == 0
 
 
@@ -386,18 +407,16 @@ class TestPipeline:
 
         plain = builtin_english_scorer()
 
-        def kept_by(outcome):
+        def kept_by(failed):
             return lambda pool, _: pool.replace_documents(
-                [d for d in pool.documents if outcome(d).kept])
+                [d for d in pool.documents if not failed(d)])
 
         uncached = run_pipeline(pool, [
-            PipelineStage("english", kept_by(
-                lambda d: english_filter(d, plain, cfg.english_threshold))),
+            PipelineStage("english", kept_by(lambda d: english_filter(d, plain, cfg))),
             PipelineStage("repetition", kept_by(lambda d: repetition_filter(d, cfg))),
             PipelineStage("stopword", kept_by(lambda d: stopword_filter(d, cfg))),
             PipelineStage("dedup", lambda pool, _: exact_dedup(pool)),
-            PipelineStage("quality", lambda pool, _: quality_filter(
-                pool, plain, cfg.quality_keep_fraction)),
+            PipelineStage("quality", lambda pool, _: quality_filter(pool, plain, cfg)),
         ])
         assert cached.stats_rows() == uncached.stats_rows()
         assert cached.pool.documents == uncached.pool.documents
@@ -438,11 +457,31 @@ class TestConfig:
             cfg = profile(name)
             assert set(cfg.repetition_thresholds) == set(REPETITION_GRANULARITIES)
 
-    def test_profile_copies_are_independent(self):
-        a = profile("gopher")
-        a.repetition_thresholds["duplicate_line"] = 0.0
-        assert profile("gopher").repetition_thresholds["duplicate_line"] == \
-            GOPHER_REPETITION_THRESHOLDS["duplicate_line"]
+    def test_profiles_are_shared_and_read_only(self):
+        # profile() hands out the one PROFILES entry, which no caller can change
+        cfg = profile("gopher")
+        assert cfg is PROFILES["gopher"] and cfg == FilterConfig()
+        with pytest.raises(TypeError):
+            cfg.repetition_thresholds["duplicate_line"] = 0.0
+        assert profile("gopher") == FilterConfig()
+
+    def test_config_cannot_be_changed(self):
+        # no field or threshold can be set after the checks have passed
+        cfg = FilterConfig()
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+        with pytest.raises(TypeError):
+            cfg.repetition_thresholds["duplicate_line"] = -1.0
+        with pytest.raises(TypeError):
+            del cfg.repetition_thresholds["dup_7gram"]
+        assert cfg == FilterConfig()
+
+    def test_thresholds_are_copied_when_built(self):
+        thresholds = dict(FilterConfig().repetition_thresholds)
+        cfg = FilterConfig(repetition_thresholds=thresholds)
+        thresholds["duplicate_line"] = -1.0  # the caller's dict, not the config's
+        assert cfg.repetition_thresholds["duplicate_line"] == 0.30
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError):
@@ -457,6 +496,10 @@ class TestConfig:
             FilterConfig(english_threshold=1.5)
         with pytest.raises(ConfigError):
             FilterConfig(quality_keep_fraction=0.0)
+        with pytest.raises(ConfigError):
+            FilterConfig(stopword_min_count=-3)
+        with pytest.raises(ConfigError, match="duplicate_line"):
+            with_threshold(FilterConfig(), "duplicate_line", -1.0)
 
     def test_stats_retention_math(self):
         stats = FilterStats(docs_in=4, docs_kept=1, tokens_in=40, tokens_kept=9)

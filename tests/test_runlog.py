@@ -530,6 +530,29 @@ class TestSerialization:
         assert errors[0].message == (
             "malformed run record: cannot convert float infinity to integer")
 
+    @pytest.mark.parametrize("field", ["train_tokens", "pool_tokens", "batch_tokens"])
+    def test_fractional_count_is_a_line_error(self, tmp_path, field):
+        # int() would truncate 1.9 to 1 and describe a run that is not the logged one
+        path, text = write_log_of_models(tmp_path, asdict(TINY))
+        value = getattr(record(), field)
+        path.write_text(text.replace(f'"{field}": {value}', f'"{field}": {value}.5'),
+                        encoding="utf-8")
+        records, errors = parse_run_log(path)
+        assert records == [] and errors == [
+            LineError(1, f"malformed run record: {field} must be a whole number, got {value}.5")]
+
+    @pytest.mark.parametrize("field", ["train_tokens", "pool_tokens", "batch_tokens"])
+    @pytest.mark.parametrize("spelling", ["{:.1f}", "{:.5e}"])
+    def test_integral_float_count_is_stored_as_an_int(self, tmp_path, field, spelling):
+        path, text = write_log_of_models(tmp_path, asdict(TINY))
+        value = getattr(record(), field)
+        written = spelling.format(value)
+        assert float(written) == value
+        path.write_text(text.replace(f'"{field}": {value}', f'"{field}": {written}'),
+                        encoding="utf-8")
+        (rec,) = load_run_log(path)
+        assert type(getattr(rec, field)) is int and rec == record(label="r0")
+
 
 class TestEvalPointContract:
     """``EvalPoint`` is slotted; everything but ``vars()`` behaves as before."""

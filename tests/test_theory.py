@@ -225,6 +225,14 @@ class TestPredictConditional:
         with pytest.raises(ValidationError):
             predict_conditional(data)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, bad):
+        # a NaN weight would make every predicted probability NaN
+        data = SimilarityDataset(examples=[("a", "A"), ("b", "B")], weights={"a": bad, "b": 1.0})
+        with pytest.raises(ValidationError,
+                           match=f"^weight for 'a' must be finite and non-negative, got {bad}$"):
+            predict_conditional(data)
+
     @given(
         labels=st.lists(st.sampled_from("ABC"), min_size=1, max_size=12),
         scale=st.floats(min_value=0.01, max_value=100.0),
