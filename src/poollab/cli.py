@@ -144,7 +144,12 @@ def _reject_unread(args: argparse.Namespace, flags: Sequence[str], setting: str)
 
 
 def _token_count(value: object) -> int:
-    return int(float(value))  # accepts "2000" and "1e6"
+    """A whole number of tokens: accepts "2000" and "1e6", rejects "2000.7"."""
+    number = float(value)
+    count = int(number)
+    if count != number:
+        raise ValueError("expected a whole number")
+    return count
 
 
 def _number_map(value: dict) -> dict[str, float]:
@@ -440,6 +445,7 @@ def _heuristic_mock_classifier() -> Callable[[str, str, str], lib.Verdict]:
     holding a lowercased copy of each.
     """
     qa_words: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
+    support, related, unrelated = lib.Verdict.SUPPORT, lib.Verdict.RELATED, lib.Verdict.UNRELATED
 
     def classify(doc_text: str, question: str, answer: str) -> lib.Verdict:
         text = doc_text.lower()
@@ -450,11 +456,16 @@ def _heuristic_mock_classifier() -> Callable[[str, str, str], lib.Verdict]:
                 [w for w in question.lower().split() if len(w) > 3],
             )
         answer_words, question_words = words
-        if answer_words and all(w in text for w in answer_words):
-            return lib.Verdict.SUPPORT
-        if any(w in text for w in question_words):
-            return lib.Verdict.RELATED
-        return lib.Verdict.UNRELATED
+        if answer_words:
+            for w in answer_words:
+                if w not in text:
+                    break
+            else:
+                return support
+        for w in question_words:
+            if w in text:
+                return related
+        return unrelated
 
     return classify
 

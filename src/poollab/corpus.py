@@ -91,7 +91,11 @@ class Pool:
         index: dict[str, list[int]] = {}
         for position, doc in enumerate(self.documents):
             for word in set(WORD_RE.findall(doc.text.lower())):
-                index.setdefault(word, []).append(position)
+                postings = index.get(word)
+                if postings is None:
+                    index[word] = [position]
+                else:
+                    postings.append(position)
         return index
 
     def replace_documents(self, documents: list[Document]) -> "Pool":

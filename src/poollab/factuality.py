@@ -19,6 +19,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -63,7 +65,7 @@ class QAItem:
         return f"{self.subject}:{digest}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Judgement:
     doc_id: str
     qa_id: str
@@ -71,7 +73,7 @@ class Judgement:
     raw_response: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JudgeFailure:
     doc_id: str
     qa_id: str
@@ -222,22 +224,21 @@ def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -
     """
 
     qa_id = qa.qa_id  # a sha256 of the question; hashed once per call, not per document
+    classify, question, answer = client.classify, qa.question, qa.answer
 
     def judge_one(doc: Document) -> Judgement | JudgeFailure:
         last_error = "no attempts made"
         for attempt in range(MAX_ATTEMPTS):
             try:
-                verdict = client.classify(doc.text, qa.question, qa.answer)
+                verdict = classify(doc.text, question, answer)
                 if not isinstance(verdict, Verdict):
                     verdict = parse_verdict(str(verdict))
-                return Judgement(
-                    doc_id=doc.id, qa_id=qa_id, verdict=verdict, raw_response=verdict.value
-                )
+                return Judgement(doc.id, qa_id, verdict, verdict.value)
             except Exception as exc:  # transport or parse failure; retry
                 last_error = f"{type(exc).__name__}: {exc}"
                 if attempt + 1 < MAX_ATTEMPTS and client.backoff_base > 0:
                     time.sleep(client.backoff_base * 2**attempt)
-        return JudgeFailure(doc_id=doc.id, qa_id=qa_id, error=last_error)
+        return JudgeFailure(doc.id, qa_id, last_error)
 
     if client.max_concurrency > 1:
         from concurrent.futures import ThreadPoolExecutor  # only this path starts threads
@@ -292,9 +293,29 @@ def _qa_item(obj: dict) -> QAItem:
 
 
 def read_qa_items(path: str | Path) -> list[QAItem]:
-    return list(read_jsonl(path, _qa_item))
+    """The QA items of a JSONL file.  Two items with one ``qa_id`` (subject
+    and question) are rejected, naming both lines: the judgements could
+    not tell them apart, and each would be credited with both's."""
+    return list(read_jsonl(path, _qa_item, key=lambda qa: f"qa_id={qa.qa_id}"))
+
+
+#: A judgements line, as ``json.dumps`` writes the fields in declaration order.
+_JUDGEMENT_LINE = '{"doc_id": %s, "qa_id": %s, "verdict": %s, "raw_response": %s}'
+_FAILURE_LINE = '{"doc_id": %s, "qa_id": %s, "error": %s}'
 
 
 def write_judgements(path: str | Path, run: JudgeRun) -> None:
-    """One JSON object of fields (``vars``: no deep copies) per line: judgements, then failures."""
-    write_lines(path, (json.dumps(vars(entry)) for entry in [*run.judgements, *run.failures]))
+    """One JSON object of fields per line: judgements, then failures.
+
+    Each field is quoted by ``encode_basestring_ascii``, the escaper
+    ``json.dumps`` calls on a string, so a line has the bytes of
+    ``json.dumps`` of the fields; a field that is not a string raises
+    ``TypeError``.  Lines are streamed, not listed.
+    """
+    quote = encode_basestring_ascii
+    write_lines(path, chain(
+        (_JUDGEMENT_LINE % (quote(j.doc_id), quote(j.qa_id), quote(j.verdict),
+                            quote(j.raw_response)) for j in run.judgements),
+        (_FAILURE_LINE % (quote(f.doc_id), quote(f.qa_id), quote(f.error))
+         for f in run.failures),
+    ))

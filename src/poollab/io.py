@@ -59,14 +59,19 @@ class LineError:
 
 
 def read_jsonl(
-    path: str | Path, parse: Callable[[Any], T], errors: list[LineError] | None = None
+    path: str | Path,
+    parse: Callable[[Any], T],
+    errors: list[LineError] | None = None,
+    key: Callable[[T], str] | None = None,
 ) -> Iterator[T]:
     """``parse`` of each non-blank line's JSON value, lazily.
 
-    A line that is not UTF-8 JSON, or that ``parse`` rejects, raises
+    A line that is not UTF-8 JSON, that ``parse`` rejects, or whose
+    item's ``key`` equals an earlier item's, raises
     ``ValidationError("<path>: line <n>: <reason>")``, or is appended to
     ``errors`` and skipped when that list is given.
     """
+    first_line: dict[str, int] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -74,6 +79,11 @@ def read_jsonl(
                 if not line:
                     continue
                 item = parse(json.loads(line))
+                if key is not None:
+                    name = key(item)
+                    first = first_line.setdefault(name, lineno)
+                    if first != lineno:
+                        raise ValidationError(f"repeats {name} of line {first}")
             except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the limit
                 reason = f"invalid JSON: {exc}"
             except KeyError as exc:

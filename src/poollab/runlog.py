@@ -247,12 +247,16 @@ def _model_config(fields: dict, models: dict[tuple, ModelConfig]) -> ModelConfig
     return model
 
 
-def _token_count(key: str, value: float | str) -> int:
-    """``int(value)``; a float count must be integral (``1e6`` is, ``1.9`` is not)."""
-    count = int(value)
-    if type(value) is float and count != value:
-        raise ValidationError(f"malformed run record: {key} must be a whole number, got {value}")
-    return count
+def _token_count(key: str, value: object) -> int:
+    """A count is an int or an integral float (``1e6`` is, ``1.9`` is not), as an int;
+    a bool, a string or any other value is not a count."""
+    if type(value) is int:
+        return value
+    if type(value) is float:
+        count = int(value)  # raises for inf or nan
+        if count == value:
+            return count
+    raise ValidationError(f"malformed run record: {key} must be a whole number, got {value!r}")
 
 
 def record_from_dict(obj: dict, models: dict[tuple, ModelConfig]) -> RunRecord:

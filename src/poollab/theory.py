@@ -268,13 +268,17 @@ class SimilarityDataset:
     def validate(self) -> None:
         if not self.examples:
             raise ValidationError("dataset must contain at least one example")
+        total = 0.0  # summed as predict_conditional sums it
         for x_id, _ in self.examples:
             weight = self.weights.get(x_id, 0.0)
             if not 0.0 <= weight < math.inf:  # NaN fails too
                 raise ValidationError(f"weight for {x_id!r} must be finite and non-negative, "
                                       f"got {weight}")
-        if all(self.weights.get(x_id, 0.0) == 0.0 for x_id, _ in self.examples):
+            total += weight
+        if total == 0.0:
             raise ValidationError("at least one example needs positive weight")
+        if total == math.inf:
+            raise ValidationError("the weights sum to inf, beyond the float range")
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,16 @@ class TestPoolPipeline:
                              "--output", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_whole_target_in_exponent_form_accepted(self, tmp_path, docs_file):
+        pools = []
+        for spelling in ("1500", "1.5e3", "1500.0"):
+            out = tmp_path / spelling / "p.jsonl"
+            out.parent.mkdir()
+            assert dispatch(["sample", "--input", str(docs_file), "--target-tokens", spelling,
+                             "--seed", "11", "--output", str(out)]) == 0
+            pools.append(out.read_bytes())
+        assert pools[0] == pools[1] == pools[2]
+
     def test_filter_threads_do_not_change_stats(self, tmp_path, docs_file):
         pool = tmp_path / "pool.jsonl"
         dispatch(["sample", "--input", str(docs_file), "--target-tokens", "2000",
@@ -997,6 +1007,8 @@ MALFORMED_INPUTS = {
         "sample", "--input", docs, "--target-tokens", "inf", "--output", str(t / "p.jsonl")],
     "target-tokens-nan": lambda t, docs: [
         "sample", "--input", docs, "--target-tokens", "nan", "--output", str(t / "p.jsonl")],
+    "target-tokens-fractional": lambda t, docs: [
+        "sample", "--input", docs, "--target-tokens", "2000.7", "--output", str(t / "p.jsonl")],
     "pool-tokens-abc": lambda t, docs: [
         "extrapolate", "--law", write_text(t, "law.json", json.dumps(LAW)),
         "--pool-tokens", "abc"],
@@ -1048,6 +1060,9 @@ MALFORMED_INPUTS = {
         "filter", "--pool", write_bytes(t, "d.jsonl", NOT_UTF8), "--output", str(t / "f.jsonl")],
     "run-log-not-utf8": lambda t, docs: [
         "ingest", "--runs", write_bytes(t, "d.jsonl", NOT_UTF8), "--validate-only"],
+    "qa-repeated-question": lambda t, docs: [
+        "judge", "--mock", "--pool", docs, "--output", str(t / "j.jsonl"), "--qa",
+        write_text(t, "qa.jsonl", QA_LINE + "\n" + QA_LINE.replace('"a"', '"b"') + "\n")],
     "qa-not-utf8": lambda t, docs: [
         "judge", "--mock", "--pool", docs, "--output", str(t / "j.jsonl"),
         "--qa", write_bytes(t, "d.jsonl", QA_LINE.encode() + b"\n" + NOT_UTF8.splitlines()[1])],
@@ -1098,6 +1113,16 @@ MALFORMED_INPUTS = {
         "--output", str(t / "i.jsonl")],
     "run-log-train-tokens-overflow": lambda t, docs: [
         "ingest", "--runs", write_text(t, "r.jsonl", run_log_line_with("train_tokens", "1e400")),
+        "--validate-only"],
+    "run-log-train-tokens-a-string": lambda t, docs: [
+        "ingest", "--runs",
+        write_text(t, "r.jsonl", run_log_line_with("train_tokens", '"17131332"')),
+        "--validate-only"],
+    "run-log-pool-tokens-a-bool": lambda t, docs: [
+        "ingest", "--runs", write_text(t, "r.jsonl", run_log_line_with("pool_tokens", "true")),
+        "--validate-only"],
+    "run-log-batch-tokens-a-string": lambda t, docs: [
+        "ingest", "--runs", write_text(t, "r.jsonl", run_log_line_with("batch_tokens", '"7"')),
         "--validate-only"],
     "run-log-pool-tokens-fractional": lambda t, docs: [
         "ingest", "--runs", write_text(t, "r.jsonl", run_log_line_with("pool_tokens", "1.9")),
@@ -1241,6 +1266,8 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
 
 @pytest.mark.parametrize("case,error", [
     ("crossings-cell-too-long", "{tmp}/x.csv: line 2: field larger than field limit (131072)"),
+    ("qa-repeated-question", "{tmp}/qa.jsonl: line 2: repeats qa_id=s:8e35c2cd of line 1"),
+    ("target-tokens-fractional", "--target-tokens: invalid value '2000.7' (expected a whole number)"),
     ("crossing-eval-set-repeated", "eval sets ['avg', 'avg'] name a set more than once"),
     ("crossing-pool-record-without-eval-sets", "record has no eval sets"),
     ("report-compute-overflows", "cc: training compute must be positive and finite, got inf"),

@@ -20,6 +20,7 @@ from poollab import (
     write_documents,
     write_pool,
 )
+from poollab.corpus import WORD_RE
 
 
 def token_count(text):
@@ -180,6 +181,16 @@ class TestJsonl:
         assert (tmp_path / "after.jsonl.header.json").read_bytes() == (
             tmp_path / "before.jsonl.header.json"
         ).read_bytes()
+
+    @given(st.lists(st.text(alphabet="aAbB é_7-\n", max_size=30), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_word_index_equals_setdefault_construction(self, texts):
+        pool = Pool(documents=[make_document(f"d{i}", t) for i, t in enumerate(texts)])
+        reference: dict[str, list[int]] = {}
+        for position, doc in enumerate(pool.documents):
+            for word in set(WORD_RE.findall(doc.text.lower())):
+                reference.setdefault(word, []).append(position)
+        assert pool.word_index == reference
 
     def test_malformed_line_names_lineno(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -18,9 +20,11 @@ from poollab import (
     make_document,
     mock_judge_client,
 )
+from poollab.corpus import DocumentSource
 from poollab.errors import JudgeError
 from poollab.factuality import (
-    MAX_ATTEMPTS, Judgement, parse_verdict, read_qa_items, render_prompt,
+    MAX_ATTEMPTS, JudgeFailure, Judgement, JudgeRun, parse_verdict, read_qa_items,
+    render_prompt, write_judgements,
 )
 
 
@@ -367,6 +371,19 @@ class TestQaIo:
         with pytest.raises(ValidationError, match="line 1"):
             read_qa_items(path)
 
+    def test_repeated_qa_id_rejected_naming_both_lines(self, tmp_path):
+        # one qa_id for both: aggregate_judgements would credit each item with both's judgements
+        item = {"subject": "s", "question": "q", "answer": "a", "keywords": ["pulsar"]}
+        path = tmp_path / "qa.jsonl"
+        lines = [item, {**item, "subject": "t"}, {**item, "question": "r"}, {**item, "answer": "b"}]
+        rows = [json.dumps(line) for line in lines]
+        rows.insert(3, "")  # line 4 is blank
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        qa_id = QAItem("s", "q", "a", ("pulsar",)).qa_id
+        message = f"{path}: line 5: repeats qa_id={qa_id} of line 1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read_qa_items(path)
+
     @pytest.mark.parametrize("field,value", [
         ("keywords", "pulsar"),  # a string, not a list of keywords
         ("keywords", [1]),
@@ -378,3 +395,90 @@ class TestQaIo:
         path.write_text("\n" + json.dumps({**item, field: value}) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=re.escape(f"{path}: line 2: ") + f".*{field}"):
             read_qa_items(path)
+
+
+# Quotes, backslashes, control characters, DEL, non-ASCII, line separators,
+# astral characters and lone surrogates: everything the escaper treats specially.
+SPECIAL_CHARS = ['"', "\\", "/", "\x00", "\x08", "\x1f", "\x7f", "\t", "\n", "\r", "é",
+                 "\u2028", "\U0001f600", "\ud800", "\udfff"]
+fields_text = st.text(
+    alphabet=st.one_of(st.sampled_from(SPECIAL_CHARS), st.characters(exclude_categories=())),
+    max_size=12,
+)
+judgement_records = st.builds(Judgement, fields_text, fields_text, st.sampled_from(Verdict),
+                              fields_text)
+failure_records = st.builds(JudgeFailure, fields_text, fields_text, fields_text)
+
+
+def dumps_of_fields(entry):
+    """``json.dumps`` of ``entry``'s fields in declaration order, as the writer once wrote it."""
+    return json.dumps({f.name: getattr(entry, f.name) for f in dataclasses.fields(entry)})
+
+
+class TestWriteJudgements:
+    @given(st.lists(judgement_records, max_size=6), st.lists(failure_records, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_each_line_is_json_dumps_of_the_fields(self, tmp_path_factory, judgements, failures):
+        path = tmp_path_factory.mktemp("judged") / "j.jsonl"
+        write_judgements(path, JudgeRun(judgements=judgements, failures=failures))
+        expected = "".join(dumps_of_fields(e) + "\n" for e in [*judgements, *failures])
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_every_verdict_written_by_value(self, tmp_path):
+        judgements = [Judgement("d", "q", v, v.value) for v in Verdict]
+        path = tmp_path / "j.jsonl"
+        write_judgements(path, JudgeRun(judgements=judgements, failures=[]))
+        assert [json.loads(line)["verdict"] for line in path.read_text().splitlines()] == [
+            v.value for v in Verdict]
+
+    @pytest.mark.parametrize("value", [5, 1.5, None, True, ["d"], b"d", DocumentSource.POOL])
+    @pytest.mark.parametrize("make", [
+        lambda v: Judgement(v, "q", Verdict.SUPPORT, "Support"),
+        lambda v: Judgement("d", v, Verdict.SUPPORT, "Support"),
+        lambda v: Judgement("d", "q", v, "Support"),
+        lambda v: Judgement("d", "q", Verdict.SUPPORT, v),
+        lambda v: JudgeFailure(v, "q", "boom"),
+        lambda v: JudgeFailure("d", "q", v),
+    ])
+    def test_non_string_field_raises_or_matches_json_dumps(self, tmp_path, make, value):
+        entry = make(value)
+        run = (JudgeRun([entry], []) if isinstance(entry, Judgement) else JudgeRun([], [entry]))
+        path = tmp_path / "j.jsonl"
+        try:
+            write_judgements(path, run)
+        except TypeError:
+            assert list(tmp_path.iterdir()) == []  # no partial file, no temporary left
+        else:
+            assert path.read_text(encoding="utf-8") == dumps_of_fields(entry) + "\n"
+
+
+@pytest.mark.parametrize("entry", [
+    Judgement(doc_id="d1", qa_id="s:0a1b2c3d", verdict=Verdict.RELATED, raw_response="Related"),
+    JudgeFailure(doc_id="d1", qa_id="s:0a1b2c3d", error="JudgeError: no"),
+], ids=["Judgement", "JudgeFailure"])
+class TestJudgementContract:
+    """``Judgement`` and ``JudgeFailure`` are slotted; all but ``vars()`` behaves as before."""
+
+    def test_pickle_round_trip(self, entry):
+        assert pickle.loads(pickle.dumps(entry)) == entry
+
+    def test_dataclass_functions(self, entry):
+        values = dataclasses.asdict(entry)
+        assert list(values) == [f.name for f in dataclasses.fields(entry)]
+        assert values["doc_id"] == "d1" and values["qa_id"] == "s:0a1b2c3d"
+        moved = dataclasses.replace(entry, doc_id="d2")
+        assert moved == type(entry)(**{**values, "doc_id": "d2"}) and moved != entry
+
+    def test_frozen(self, entry):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.doc_id = "d2"
+
+    def test_equality_and_repr(self, entry):
+        twin = type(entry)(**dataclasses.asdict(entry))
+        assert twin == entry and twin is not entry
+        shown = ", ".join(f"{name}={value!r}" for name, value in dataclasses.asdict(entry).items())
+        assert repr(twin) == f"{type(entry).__name__}({shown})"
+
+    def test_no_instance_dict(self, entry):
+        with pytest.raises(TypeError):
+            vars(entry)

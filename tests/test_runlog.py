@@ -541,6 +541,22 @@ class TestSerialization:
         assert records == [] and errors == [
             LineError(1, f"malformed run record: {field} must be a whole number, got {value}.5")]
 
+    @pytest.mark.parametrize("field,raw,shown", [
+        ("train_tokens", '"1048576"', "'1048576'"),
+        ("pool_tokens", "true", "True"),
+        ("batch_tokens", '"524288"', "'524288'"),
+        ("pool_tokens", "null", "None"),
+    ])
+    def test_count_that_is_not_a_number_is_a_line_error(self, tmp_path, field, raw, shown):
+        # int() would read the string "1048576" as 1048576 and true as 1
+        path, text = write_log_of_models(tmp_path, asdict(TINY))
+        value = getattr(record(), field)
+        path.write_text(text.replace(f'"{field}": {value}', f'"{field}": {raw}'),
+                        encoding="utf-8")
+        records, errors = parse_run_log(path)
+        assert records == [] and errors == [
+            LineError(1, f"malformed run record: {field} must be a whole number, got {shown}")]
+
     @pytest.mark.parametrize("field", ["train_tokens", "pool_tokens", "batch_tokens"])
     @pytest.mark.parametrize("spelling", ["{:.1f}", "{:.5e}"])
     def test_integral_float_count_is_stored_as_an_int(self, tmp_path, field, spelling):

@@ -233,6 +233,19 @@ class TestPredictConditional:
                            match=f"^weight for 'a' must be finite and non-negative, got {bad}$"):
             predict_conditional(data)
 
+    def test_weight_total_beyond_float_range_rejected(self):
+        # each weight is finite, but their sum is inf and would give {'A': nan, 'B': 0.0}
+        data = SimilarityDataset(examples=[("a", "A"), ("b", "A"), ("c", "B")],
+                                 weights={"a": 1e308, "b": 1e308, "c": 1.0})
+        with pytest.raises(ValidationError,
+                           match="^the weights sum to inf, beyond the float range$"):
+            predict_conditional(data)
+
+    def test_finite_weight_total_near_float_max_accepted(self):
+        data = SimilarityDataset(examples=[("a", "A"), ("b", "B")],
+                                 weights={"a": 1e308, "b": 7e307})
+        assert predict_conditional(data) == {"A": 1e308 / 1.7e308, "B": 7e307 / 1.7e308}
+
     @given(
         labels=st.lists(st.sampled_from("ABC"), min_size=1, max_size=12),
         scale=st.floats(min_value=0.01, max_value=100.0),
