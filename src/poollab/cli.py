@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 from . import _EXPORTS, __version__
 from .errors import ConfigError, FitError, PoolLabError, ValidationError
 from .io import (
-    csv_cell, field_names, read_json, read_rows, sha256_file, write_json, write_lines, write_rows,
+    csv_cell, field_names, flag, number, numbers, read_fields, read_json, read_rows, sha256_file,
+    string, whole, whole_text, write_json, write_lines, write_rows,
 )
 
 #: ``--profile`` and ``--kind`` choices: ``sorted(filters.PROFILES)`` and the
@@ -100,34 +101,13 @@ def parse_value(name: str, value: object, kind: Callable):
         raise ValidationError(f"{name}: invalid value {value!r} ({exc})") from exc
 
 
-#: The JSON types a ``--config`` value may take for each plain ``opt`` kind.
-#: A JSON ``true`` is a Python int, so bools are rejected for other kinds.
-_CONFIG_TYPES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-}
-
-
-def opt(args: argparse.Namespace, config: dict, key: str, default, kind: Callable | None = None):
-    """Flag value if given, else config-file value, else default; ``kind`` converts it.
-
-    A config value for a ``bool``, ``int``, ``float`` or ``str`` key must
-    already have that JSON type: it is checked, not coerced.  The value
-    returned is also stored on ``args``, so the manifest records the
-    setting the run used.
-    """
+def opt(args: argparse.Namespace, config: dict, key: str, default, kind: Callable):
+    """Flag value if given, else config-file value read by ``kind`` (a type-rule
+    function of :mod:`poollab.io`), else default.  The value is also stored on
+    ``args``, so the manifest records the setting the run used."""
     value = getattr(args, key, None)
-    if value is None and key in config:
-        value = config[key]
-        if kind in _CONFIG_TYPES:
-            types, expected = _CONFIG_TYPES[kind]
-            if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
-                raise ValidationError(f"{key}: config value {value!r} is not {expected}")
-    elif value is None:
-        value = default
-    value = value if kind is None else parse_value(key, value, kind)
+    if value is None:
+        value = kind(key, config[key]) if key in config else default
     setattr(args, key, value)
     return value
 
@@ -141,22 +121,6 @@ def _reject_unread(args: argparse.Namespace, flags: Sequence[str], setting: str)
     for flag in flags:
         if getattr(args, flag) is not None:
             raise UsageError(f"--{flag.replace('_', '-')} is not read with {setting}")
-
-
-def _token_count(value: object) -> int:
-    """A whole number of tokens: accepts "2000" and "1e6", rejects "2000.7"."""
-    number = float(value)
-    count = int(number)
-    if count != number:
-        raise ValueError("expected a whole number")
-    return count
-
-
-def _number_map(value: dict) -> dict[str, float]:
-    """A JSON object of numbers, as floats; ``true`` is not a number."""
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value.values()):
-        raise ValueError("expected an object of numbers")
-    return {k: float(v) for k, v in value.items()}
 
 
 #: The flags that name files a run reads, and those that name files it writes.
@@ -209,9 +173,9 @@ def write_manifest(args: argparse.Namespace) -> None:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    seed = opt(args, config, "seed", 0, int)
-    target = parse_value("--target-tokens", args.target_tokens, _token_count)
-    label = opt(args, config, "label", Path(args.output).stem, str)
+    seed = opt(args, config, "seed", 0, whole)
+    target = whole_text("--target-tokens", args.target_tokens)
+    label = opt(args, config, "label", Path(args.output).stem, string)
     pool = lib.sample_pool(lib.read_documents(args.input), target, seed, label=label)
     lib.write_pool(args.output, pool)
     print(f"sampled {len(pool)} docs, {pool.total_tokens} tokens -> {args.output}")
@@ -220,17 +184,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    base = lib.profile(opt(args, config, "profile", "gopher", str))
-    kinds = {"english_threshold": float, "quality_keep_fraction": float,
-             "stopword_min_count": int, "stopword_distinct": bool}
-    thresholds = opt(args, config, "repetition_thresholds", {}, _number_map)
+    base = lib.profile(opt(args, config, "profile", "gopher", string))
+    kinds = {"english_threshold": number, "quality_keep_fraction": number,
+             "stopword_min_count": whole, "stopword_distinct": flag}
+    thresholds = opt(args, config, "repetition_thresholds", {}, numbers)
     cfg = replace(  # a new config, so FilterConfig.__post_init__ checks the merged values
         base, repetition_thresholds={**base.repetition_thresholds, **thresholds},
         **{key: opt(args, config, key, getattr(base, key), kind) for key, kind in kinds.items()},
     )
 
-    stage_names = opt(args, config, "stages", "english,repetition,stopword", _comma_list)
-    threads = opt(args, config, "threads", 1, int)  # checked; every stage runs on one thread
+    stage_names = _comma_list(opt(args, config, "stages", "english,repetition,stopword", string))
+    threads = opt(args, config, "threads", 1, whole)  # checked; every stage runs on one thread
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     result = lib.run_pipeline(lib.read_pool(args.pool), lib.build_stages(stage_names, cfg),
@@ -247,8 +211,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 def cmd_inject(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    seed = opt(args, config, "seed", 0, int)
-    kind = opt(args, config, "kind", lib.JunkKind.RANDOM_STRINGS.value, lib.JunkKind)
+    seed = opt(args, config, "seed", 0, whole)
+    kind = opt(args, config, "kind", lib.JunkKind.RANDOM_STRINGS.value, string)
+    kind = parse_value("kind", kind, lib.JunkKind)
     if (kind is lib.JunkKind.SHUFFLED_DOCS) != bool(args.junk_source):
         raise UsageError("--junk-source is read by --kind shuffled_docs only, which needs it")
     spec = lib.InjectionSpec(kind=kind, ratio=args.ratio, seed=seed)
@@ -256,7 +221,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     if kind is lib.JunkKind.SHUFFLED_DOCS:
         source = lib.shuffled_junk_stream(lib.read_documents(args.junk_source), seed)
     else:
-        vocab_seed = opt(args, config, "vocab_seed", seed, int)
+        vocab_seed = opt(args, config, "vocab_seed", seed, whole)
         source = lib.random_junk_stream(pool, lib.build_vocab(vocab_seed), seed)
     injected = lib.inject(pool, spec, source)
     lib.write_pool(args.output, injected)
@@ -337,7 +302,7 @@ def _warn_in_one_line(fit: Callable, *fit_args):
 
 def cmd_scaling_law(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    method = opt(args, config, "method", "tpp", str)
+    method = opt(args, config, "method", "tpp", string)
     if method not in ("tpp", "epoch"):
         raise UsageError(f"--method must be tpp or epoch, got {method!r}")
     _reject_unread(args, ("epochs",) if method == "tpp" else ("ratio", "configs"),
@@ -354,12 +319,12 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
             print(f"warning: model {model_params}: {exc}", file=sys.stderr)
 
     if method == "tpp":
-        ratio = opt(args, config, "ratio", 600.0, float)
+        ratio = opt(args, config, "ratio", 600.0, number)
         configs = (lib.read_model_configs(args.configs) if args.configs
                    else lib.bundled_model_configs())
         law = _warn_in_one_line(lib.fit_threshold_tokens_per_param, quads, configs, ratio)
     else:
-        n_epochs = opt(args, config, "epochs", 4.0, float)
+        n_epochs = opt(args, config, "epochs", 4.0, number)
         law = _warn_in_one_line(lib.fit_threshold_epoch_constraint, quads, n_epochs)
 
     compute = lib.extrapolate_compute(law, REFERENCE_POOL_TOKENS)
@@ -395,12 +360,14 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
 def cmd_slice_loss(args: argparse.Namespace) -> int:
     obj = read_json(args.slice)
     try:
-        losses = tuple(float(v) for v in obj["position_losses"])
-        slc = lib.EvalSlice(losses, int(obj.get("context_length", len(losses))))
+        fields = read_fields(obj, {"context_length": whole})
+        losses = tuple(number(f"position_losses[{i}]", v)
+                       for i, v in enumerate(fields["position_losses"]))
+        slc = lib.EvalSlice(losses, fields.get("context_length", len(losses)))
     except KeyError as exc:
         raise ValidationError(f"{args.slice}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{args.slice}: malformed slice: {exc}") from exc
+    except (TypeError, ValidationError) as exc:  # TypeError: position_losses is not a list
+        raise ValidationError(f"{args.slice}: {exc}") from exc
     ts = parse_value("--t", args.t, lambda v: [int(t) for t in v.split(",")])
     columns = ("t", "mean_loss")
     rows = [dict(zip(columns, (t, lib.slice_loss(slc, t)))) for t in ts]
@@ -474,15 +441,14 @@ def cmd_judge(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if not args.mock and not args.endpoint:
         raise UsageError("choose --mock or --endpoint <url>")
-    settings = ("model_name", "timeout", "max_concurrency")  # read only by an HTTP judge
+    settings = {"model_name": string, "timeout": number, "max_concurrency": whole}  # HTTP only
     if args.mock:
         _reject_unread(args, ("endpoint", *settings), "--mock")
         client = lib.mock_judge_client(_heuristic_mock_classifier())
     else:
-        defaults = {key: getattr(lib.JudgeClient, key) for key in settings}
         client = lib.JudgeClient(endpoint=args.endpoint, **{
-            key: opt(args, config, key, default, type(default))
-            for key, default in defaults.items()
+            key: opt(args, config, key, getattr(lib.JudgeClient, key), kind)
+            for key, kind in settings.items()
         })
     qa_items = lib.read_qa_items(args.qa)
     pool = lib.read_pool(args.pool)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import StreamExhaustedError, ValidationError
-from .io import read_json, read_jsonl, write_json, write_lines
+from .io import read_fields, read_json, read_jsonl, string, whole, write_json, write_lines
 
 #: A word, as the stop-word filter and the keyword matcher count them.
 WORD_RE = re.compile(r"\w+")
@@ -45,8 +45,8 @@ class Document:
 #: *ratios* stay comparable.  Pool headers record this name for it.
 COUNTER_NAME = "whitespace"
 
-#: The type each pool-header field must have (``type(v) is`` keeps bools out of ints).
-_HEADER_TYPES = {"label": str, "seed": int, "total_tokens": int, "counter_name": str}
+#: The kind of each pool-header field.
+_HEADER_FIELDS = {"label": string, "seed": whole, "total_tokens": whole, "counter_name": string}
 
 
 def make_document(
@@ -180,20 +180,17 @@ def write_pool(path: str | Path, pool: Pool) -> None:
 def read_pool(path: str | Path) -> Pool:
     """Read a pool written by :func:`write_pool`; header is optional.
 
-    Each header field present must have its type in ``_HEADER_TYPES``;
+    Each header field present is read by its kind in ``_HEADER_FIELDS``;
     ``counter_name`` must be ``COUNTER_NAME`` and ``total_tokens`` must
     equal the recount of the documents.
     """
     docs = list(read_documents(path))
     hp = header_path(path)
     header = read_json(hp) if hp.exists() else {}
-    if not isinstance(header, dict):
-        raise ValidationError(f"{hp}: pool header must be a JSON object")
-    for key, kind in _HEADER_TYPES.items():
-        if key in header and type(header[key]) is not kind:
-            raise ValidationError(
-                f"{hp}: header {key} must be {kind.__name__}, got {header[key]!r}"
-            )
+    try:
+        header = read_fields(header, _HEADER_FIELDS)
+    except ValidationError as exc:
+        raise ValidationError(f"{hp}: {exc}") from exc
     if header.get("counter_name", COUNTER_NAME) != COUNTER_NAME:
         raise ValidationError(
             f"{hp}: pool was counted under counter {header['counter_name']!r}; "

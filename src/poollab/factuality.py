@@ -139,6 +139,8 @@ def keyword_match(pool: Pool, qa: QAItem) -> list[Document]:
     patterns = [
         re.compile(rf"\b{re.escape(kw)}\b") for kw in qa.keywords if not WORD_RE.fullmatch(kw)
     ]
+    if not patterns:  # the index decided every keyword
+        return candidates
     return [doc for doc in candidates if all(p.search(doc.text.lower()) for p in patterns)]
 
 
@@ -287,8 +289,9 @@ def aggregate_judgements(
 
 def _qa_item(obj: dict) -> QAItem:
     keywords = obj["keywords"]
-    if not isinstance(keywords, list):  # tuple("pulsar") would split it into letters
-        raise ValidationError(f"keywords must be a list, got {keywords!r}")
+    # a string would split into letters, and "" or " " matches every document (r"\b\b" does)
+    if not isinstance(keywords, list) or any(type(kw) is str and not kw.strip() for kw in keywords):
+        raise ValidationError(f"keywords must be a list of non-blank strings, got {keywords!r}")
     return QAItem(obj["subject"], obj["question"], obj["answer"], tuple(keywords))
 
 

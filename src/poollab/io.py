@@ -7,6 +7,11 @@ shortest representation that round-trips exactly), bools with ``str``.
 Rows are written from objects or mappings, one column per attribute or
 key, and read back into dataclasses by their field types.
 
+JSON values are read by one type rule, one function per kind
+(:func:`string`, :func:`flag`, :func:`number`, :func:`whole`), each
+raising ``"<field> must be <kind>, got <value!r>"``.  A format's kinds
+are its dataclass's field annotations (:func:`field_kinds`).
+
 Pretty JSON: indent 2, sorted keys, trailing newline.
 
 Each file is written to a sibling ``<path>.<pid>.tmp`` that replaces
@@ -20,10 +25,11 @@ import hashlib
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
 from .errors import ValidationError
 
@@ -98,6 +104,80 @@ def read_jsonl(
             errors.append(LineError(lineno, reason))
 
 
+def _reject(name: str, kind: str, value: object) -> NoReturn:
+    raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def string(name: str, value: object) -> str:
+    """A JSON string."""
+    return value if type(value) is str else _reject(name, "a string", value)
+
+
+def flag(name: str, value: object) -> bool:
+    """``true`` or ``false``."""
+    return value if type(value) is bool else _reject(name, "true or false", value)
+
+
+def number(name: str, value: object) -> float:
+    """A JSON int or float, as a float; a bool is not a number, nor is an int too
+    large for a float.  NaN and the infinities are numbers; a format's checks decide."""
+    if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    _reject(name, "a number", value)
+
+
+def whole(name: str, value: object) -> int:
+    """A JSON int, or a float with an integral value (``1e6`` is, ``1.9`` is not), as an int."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    _reject(name, "a whole number", value)
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def whole_text(name: str, text: str) -> int:
+    """:func:`whole` of a number written as text: ``"2000"`` and ``"1e6"`` are
+    whole, ``"2000.7"`` is not.  Digits are read by ``int``, so they stay exact."""
+    try:
+        return int(text)
+    except ValueError:
+        value = _float(text)
+    return int(value) if value.is_integer() else _reject(name, "a whole number", text)
+
+
+def numbers(name: str, value: object) -> dict[str, float]:
+    """A JSON object of :func:`number` values, each named ``<name>[<key>!r]``;
+    ``value`` itself if every value is already a float."""
+    if type(value) is not dict:
+        _reject(name, "an object of numbers", value)
+    if all(type(v) is float for v in value.values()):
+        return value
+    return {key: number(f"{name}[{key!r}]", v) for key, v in value.items()}
+
+
+def read_fields(obj: object, kinds: Mapping[str, Callable[[str, Any], Any]]) -> dict:
+    """A copy of the JSON object ``obj`` with each field of ``kinds`` (name ->
+    type-rule function) that it holds read by its kind; other keys are copied."""
+    if type(obj) is not dict:
+        raise ValidationError(f"expected a JSON object, got {obj!r}")
+    return {**obj, **{key: kind(key, obj[key]) for key, kind in kinds.items() if key in obj}}
+
+
+#: The kind of a JSON value by the annotation string of the dataclass field it fills.
+_KINDS = {"str": string, "bool": flag, "int": whole, "float": number}
+
+
+def field_kinds(cls: type) -> dict[str, Callable[[str, Any], Any]]:
+    """The kind of each field of the dataclass ``cls`` annotated ``str``, ``bool``,
+    ``int`` or ``float``, for :func:`read_fields`; other fields are left out."""
+    return {f.name: _KINDS[f.type] for f in fields(cls) if f.type in _KINDS}
+
+
 def csv_cell(value: object) -> str:
     if value is None:
         return NEVER
@@ -123,25 +203,18 @@ def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[object])
                 writer.writerow([csv_cell(getattr(row, name)) for name in columns])
 
 
-def _parse_float(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {cell!r}")
-    return value
+def _parse_float(name: str, cell: str) -> float | None:
+    value = None if cell == NEVER else _float(cell)
+    return value if value is None or math.isfinite(value) else _reject(
+        name, f"a finite number or {NEVER}", cell)
 
 
-def _parse_bool(cell: str) -> bool:
-    if cell not in ("True", "False"):
-        raise ValueError(f"expected True or False, got {cell!r}")
-    return cell == "True"
+def _parse_bool(name: str, cell: str) -> bool:
+    return cell == "True" if cell in ("True", "False") else _reject(name, "True or False", cell)
 
 
 # Keyed by the field annotation strings of the dataclasses read back from CSV.
-_PARSERS = {
-    "int": lambda cell: int(float(cell)),
-    "float | None": lambda cell: None if cell == NEVER else _parse_float(cell),
-    "bool": _parse_bool,
-}
+_PARSERS = {"int": whole_text, "float | None": _parse_float, "bool": _parse_bool}
 
 
 def read_rows(path: str | Path, cls: type[T], unique: Sequence[str] = ()) -> list[T]:
@@ -155,19 +228,15 @@ def read_rows(path: str | Path, cls: type[T], unique: Sequence[str] = ()) -> lis
     first_line: dict[tuple, int] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")  # a short row's missing cells are empty
             missing = [name for name, _ in parsers if name not in (reader.fieldnames or ())]
             if missing:
                 raise ValidationError(f"{path}: missing column(s) {missing}")
             for row in reader:
-                values = {}
-                for name, parse in parsers:
-                    try:
-                        values[name] = parse(row[name])
-                    except (TypeError, ValueError, OverflowError) as exc:
-                        raise ValidationError(
-                            f"{path}: line {reader.line_num}: column {name!r}: {exc}"
-                        ) from exc
+                try:
+                    values = {name: parse(name, row[name]) for name, parse in parsers}
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
                 if unique:
                     key = tuple(values[name] for name in unique)
                     if key in first_line:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .io import LineError, read_json, read_jsonl, write_lines
+from .io import LineError, field_kinds, numbers, read_fields, read_json, read_jsonl, write_lines
 
 DEFAULT_BATCH_TOKENS = 2**19
 DEFAULT_CONTEXT_LENGTH = 1024
@@ -230,73 +230,52 @@ def record_to_dict(record: RunRecord) -> dict:
     }
 
 
-def _model_config(fields: dict, models: dict[tuple, ModelConfig]) -> ModelConfig:
-    """``ModelConfig(**fields)``, or the one already in ``models`` for equal fields.
+#: The kind of each JSON field of a model config and of a run record.
+_MODEL_FIELDS, _RECORD_FIELDS = field_kinds(ModelConfig), field_kinds(RunRecord)
+_DEFAULTED_FIELDS = ("batch_tokens", "weight_decay", "learning_rate")  # a record may omit these
 
-    Only configs whose values are all exact ``int`` or ``str`` are shared:
-    neither type compares equal to the other or to a ``bool``, and both
-    hash.  A float key would merge ``0.0`` with ``-0.0``, which are
-    written differently.
+
+def _model_config(fields: object, models: dict[tuple, ModelConfig]) -> ModelConfig:
+    """The config of the JSON object ``fields``, or the one already in ``models`` for equal fields.
+
+    A config of exact ``int`` and ``str`` values (neither equals the other or a ``bool``) is
+    looked up as it is and read only if new; any other is read first, so ``1000.0`` is ``1000``.
     """
     if type(fields) is not dict or not all(type(v) in (int, str) for v in fields.values()):
-        return ModelConfig(**fields)
+        fields = read_fields(fields, _MODEL_FIELDS)
     key = tuple(sorted(fields.items()))
     model = models.get(key)
     if model is None:
-        model = models[key] = ModelConfig(**fields)
+        model = models[key] = ModelConfig(**read_fields(fields, _MODEL_FIELDS))
     return model
-
-
-def _token_count(key: str, value: object) -> int:
-    """A count is an int or an integral float (``1e6`` is, ``1.9`` is not), as an int;
-    a bool, a string or any other value is not a count."""
-    if type(value) is int:
-        return value
-    if type(value) is float:
-        count = int(value)  # raises for inf or nan
-        if count == value:
-            return count
-    raise ValidationError(f"malformed run record: {key} must be a whole number, got {value!r}")
 
 
 def record_from_dict(obj: dict, models: dict[tuple, ModelConfig]) -> RunRecord:
     """The record of one parsed JSON object; raises ValidationError if malformed,
     or KeyError for a missing key, which the JSONL reader names.
 
-    When every loss of the record is already a float, the parsed
-    ``losses`` dicts are used as they are; otherwise each is converted
-    to ``{str(set): float(loss)}``.  Records parsed with one ``models``
-    dict share one :class:`ModelConfig` per distinct config.
+    The parsed ``losses`` dicts are used as they are if every loss is a
+    float, else read by :func:`~poollab.io.numbers`, as ``benchmarks`` are.
+    Records parsed with one ``models`` dict share one :class:`ModelConfig`.
     """
+    fields = read_fields(obj, _RECORD_FIELDS)
     try:
-        model = _model_config(obj["model"], models)
-        points = obj["eval_points"]
+        model = _model_config(fields["model"], models)
+        points = fields["eval_points"]
         losses = [p["losses"] for p in points]
         if any(type(v) is not float for point_losses in losses for v in point_losses.values()):
-            losses = [{str(k): float(v) for k, v in p.items()} for p in losses]
+            losses = [numbers("losses", point_losses) for point_losses in losses]
         eval_points = tuple([
-            EvalPoint(
-                p["tokens_seen"],
-                point_losses,
-                {str(k): float(v) for k, v in p["benchmarks"].items()}
-                if p.get("benchmarks")
-                else None,
-            )
+            EvalPoint(p["tokens_seen"], point_losses,
+                      numbers("benchmarks", p["benchmarks"]) if p.get("benchmarks") else None)
             for p, point_losses in zip(points, losses)
         ])
-        return RunRecord(
-            dataset_label=obj["dataset_label"],
-            model=model,
-            train_tokens=_token_count("train_tokens", obj["train_tokens"]),
-            pool_tokens=_token_count("pool_tokens", obj["pool_tokens"]),
-            eval_points=eval_points,
-            batch_tokens=_token_count("batch_tokens",
-                                      obj.get("batch_tokens", DEFAULT_BATCH_TOKENS)),
-            weight_decay=float(obj.get("weight_decay", 0.1)),
-            learning_rate=float(obj.get("learning_rate", 5e-3)),
-        )
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError) as exc:
         raise ValidationError(f"malformed run record: {exc}") from exc
+    return RunRecord(
+        dataset_label=fields["dataset_label"], model=model, train_tokens=fields["train_tokens"],
+        pool_tokens=fields["pool_tokens"], eval_points=eval_points,
+        **{key: fields[key] for key in _DEFAULTED_FIELDS if key in fields})
 
 
 def parse_run_log(path: str | Path) -> tuple[list[RunRecord], list[LineError]]:
@@ -334,7 +313,7 @@ def read_model_configs(path: str | Path) -> list[ModelConfig]:
     if not isinstance(data, list):
         raise ValidationError(f"{path}: malformed model configs: expected a JSON list")
     try:
-        return [ModelConfig(**obj) for obj in data]
+        return [ModelConfig(**read_fields(obj, _MODEL_FIELDS)) for obj in data]
     except (TypeError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed model configs: {exc}") from exc
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import FitError, NoRootError, ValidationError
+from .io import field_kinds, read_fields
 from .runlog import ModelConfig, RunRecord, best_achievable, eval_set_names, point_losses
 
 if TYPE_CHECKING:
@@ -602,27 +603,29 @@ class ThresholdLaw:
     def from_dict(cls, obj: Mapping) -> "ThresholdLaw":
         """Inverse of ``dataclasses.asdict``; keys other than the fields are ignored.
 
-        ``alpha`` and ``beta`` must be finite, since they are all that
+        ``points`` must hold at least 3 points, as every fitted law does,
+        and ``alpha`` and ``beta`` must be finite, since they are all that
         :meth:`predict_compute` reads.
         """
+        fields = read_fields(obj, _LAW_FIELDS)
         try:
-            law = cls(
-                method=str(obj["method"]),
-                parameter=float(obj["parameter"]),
-                points=tuple(ThresholdPoint(**p) for p in obj["points"]),
-                alpha=float(obj["alpha"]),
-                beta=float(obj["beta"]),
-                r2=float(obj["r2"]),
-            )
+            law = cls(**{key: fields[key] for key in _LAW_FIELDS}, points=tuple(
+                ThresholdPoint(**read_fields(p, _POINT_FIELDS)) for p in obj["points"]))
         except KeyError as exc:
             raise ValidationError(f"threshold law is missing {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+        except TypeError as exc:  # points is not a list, or a point's fields are not its fields
             raise ValidationError(f"malformed threshold law: {exc}") from exc
+        if len(law.points) < 3:
+            raise ValidationError(f"threshold law needs >= 3 points, got {len(law.points)}")
         if not (math.isfinite(law.alpha) and math.isfinite(law.beta)):
             raise ValidationError(
                 f"threshold law alpha and beta must be finite, got {law.alpha!r} and {law.beta!r}"
             )
         return law
+
+
+#: The kind of each JSON field of a threshold law and of its points.
+_POINT_FIELDS, _LAW_FIELDS = field_kinds(ThresholdPoint), field_kinds(ThresholdLaw)
 
 
 def extrapolate_compute(law: ThresholdLaw, pool_tokens: float) -> float:

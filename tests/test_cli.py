@@ -276,7 +276,7 @@ class TestPoolPipeline:
         ("stopword_distinct", "false"),  # bool("false") would be True
         ("stopword_distinct", 0),
         ("stopword_min_count", True),  # a JSON true is not an integer
-        ("stopword_min_count", 5.0),
+        ("stopword_min_count", 5.5),
         ("stopword_min_count", "5"),
         ("english_threshold", "0.5"),
         ("english_threshold", False),
@@ -289,7 +289,8 @@ class TestPoolPipeline:
         code, out = self.filter_with_config(tmp_path, {key: value})
         assert code == 1 and not out.exists()
         err = capsys.readouterr().err
-        assert err.splitlines() == [err.strip()] and err.startswith(f"error: {key}: ")
+        assert err.splitlines() == [err.strip()]
+        assert re.match(rf"error: {key}(\['\w+'\])? must be .*, got ", err), err
 
     def test_config_label_must_be_a_string(self, tmp_path, docs_file, capsys):
         # a label of 5 would be written to a pool header that no command can read
@@ -297,14 +298,15 @@ class TestPoolPipeline:
         assert dispatch(["sample", "--input", str(docs_file), "--target-tokens", "100",
                          "--config", write_text(tmp_path, "c.json", '{"label": 5}'),
                          "--output", str(out)]) == 1
-        assert capsys.readouterr().err == "error: label: config value 5 is not a string\n"
+        assert capsys.readouterr().err == "error: label must be a string, got 5\n"
         assert not out.exists()
 
     def test_config_values_of_matching_json_type_apply(self, tmp_path):
         kept = {}
         for distinct in (False, True):
             code, out = self.filter_with_config(tmp_path, {
-                "stopword_min_count": 5, "stopword_distinct": distinct,
+                "stopword_min_count": 5.0,  # an integral float for an int key
+                "stopword_distinct": distinct,
                 "english_threshold": 0,  # an int for a float key
                 "quality_keep_fraction": 1.0, "profile": "gopher",
             })
@@ -831,8 +833,10 @@ class TestJudgeCli:
 
 
 CROSSINGS_HEADER = "model_params,pool_tokens,crossing_tokens,epochs_at_cross,observed,extreme_epochs\n"
-LAW = {"method": "tokens_per_param", "parameter": 600.0, "points": [],
-       "alpha": 2.0, "beta": 1.5, "r2": 1.0}
+LAW = {"method": "tokens_per_param", "parameter": 600.0, "alpha": 2.0, "beta": 1.5, "r2": 1.0,
+       "points": [{"model_params": 10**i, "pool_tokens": 10.0**(i + 2),
+                   "crossing_tokens": 10.0**(i + 3), "compute": 6 * 10.0**(2 * i + 3)}
+                  for i in (7, 8, 9)]}
 
 
 def write_text(tmp_path, name, text):
@@ -888,6 +892,32 @@ def run_log_line_with(name, raw, at_first_point=False):
     obj = record_to_dict(curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.3, 3.0, tokens_grid=[2, 4]))
     (obj["eval_points"][0] if at_first_point else obj)[name] = None
     return json.dumps(obj).replace(f'"{name}": null', f'"{name}": {raw}') + "\n"
+
+
+def ingest_record_with(tmp_path, edit):
+    """ingest --validate-only of a one-record run log changed by ``edit``."""
+    obj = record_to_dict(curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.3, 3.0, tokens_grid=[2, 4]))
+    edit(obj)
+    return ["ingest", "--runs", write_text(tmp_path, "r.jsonl", json.dumps(obj) + "\n"),
+            "--validate-only"]
+
+
+def extrapolate_law_with(tmp_path, **fields):
+    """extrapolate of LAW with ``fields`` replaced."""
+    return ["extrapolate", "--law", write_text(tmp_path, "law.json", json.dumps({**LAW, **fields})),
+            "--pool-tokens", "1e12"]
+
+
+def slice_loss_of(tmp_path, text):
+    """slice-loss at t=1 of the slice JSON ``text``."""
+    return ["slice-loss", "--slice", write_text(tmp_path, "s.json", text), "--t", "1"]
+
+
+def judge_keywords(tmp_path, docs, keywords):
+    """judge --mock of the pool ``docs`` with one QA item of ``keywords``."""
+    line = json.dumps({"subject": "s", "question": "q?", "answer": "a", "keywords": keywords})
+    return ["judge", "--mock", "--pool", docs, "--output", str(tmp_path / "j.jsonl"),
+            "--qa", write_text(tmp_path, "qa.jsonl", line + "\n")]
 
 
 def run_log_with_tokens_seen(tmp_path, raw):
@@ -984,6 +1014,95 @@ def scaling_law_with(tmp_path, *flags):
     write_crossings_csv(tmp_path / "x.csv", planted_threshold_world())
     return ["scaling-law", "--crossings", str(tmp_path / "x.csv"), *flags,
             "--output", str(tmp_path / "e.json")]
+
+
+#: A field of another JSON kind than its format's: argv (built as for
+#: MALFORMED_INPUTS, which holds these too) and the error naming the field.
+MISTYPED_FIELDS = {
+    "run-log-weight-decay-a-string": (
+        lambda t, docs: ingest_record_with(t, lambda r: r.update(weight_decay="nan")),
+        "r.jsonl: line 1: weight_decay must be a number, got 'nan'"),
+    "run-log-learning-rate-a-bool": (
+        lambda t, docs: ingest_record_with(t, lambda r: r.update(learning_rate=True)),
+        "r.jsonl: line 1: learning_rate must be a number, got True"),
+    "run-log-model-layers-a-bool": (
+        lambda t, docs: ingest_record_with(t, lambda r: r["model"].update(layers=True)),
+        "r.jsonl: line 1: layers must be a whole number, got True"),
+    "run-log-model-vocab-size-a-string": (
+        lambda t, docs: ingest_record_with(t, lambda r: r["model"].update(vocab_size="50432")),
+        "r.jsonl: line 1: vocab_size must be a whole number, got '50432'"),
+    "run-log-model-name-an-int": (
+        lambda t, docs: ingest_record_with(t, lambda r: r["model"].update(name=15)),
+        "r.jsonl: line 1: name must be a string, got 15"),
+    "run-log-loss-a-string": (
+        lambda t, docs: ingest_record_with(t, lambda r: r["eval_points"][0].update(
+            losses={"avg": "6.3"})),
+        "r.jsonl: line 1: losses['avg'] must be a number, got '6.3'"),
+    "run-log-loss-a-bool": (
+        lambda t, docs: ingest_record_with(t, lambda r: r["eval_points"][1].update(
+            losses={"avg": True})),
+        "r.jsonl: line 1: losses['avg'] must be a number, got True"),
+    "run-log-benchmark-null": (
+        lambda t, docs: ingest_record_with(t, lambda r: r["eval_points"][0].update(
+            benchmarks={"arc": None})),
+        "r.jsonl: line 1: benchmarks['arc'] must be a number, got None"),
+    "scaling-law-configs-name-an-int": (
+        lambda t, docs: scaling_law_with(t, "--configs", write_text(t, "models.json", json.dumps(
+            [{**asdict(CONFIG_15M), "name": 5}]))),
+        "models.json: malformed model configs: name must be a string, got 5"),
+    "scaling-law-configs-heads-fractional": (
+        lambda t, docs: scaling_law_with(t, "--configs", write_text(t, "models.json", json.dumps(
+            [{**asdict(CONFIG_15M), "heads": 6.5}]))),
+        "models.json: malformed model configs: heads must be a whole number, got 6.5"),
+    "crossings-model-params-fractional": (
+        lambda t, docs: ["scaling-law", "--output", str(t / "law.json"), "--crossings",
+                         write_text(t, "x.csv", CROSSINGS_HEADER
+                                    + "15009920.9,1000000,NEVER,NEVER,False,False\n")],
+        "x.csv: line 2: model_params must be a whole number, got '15009920.9'"),
+    "law-parameter-a-string": (lambda t, docs: extrapolate_law_with(t, parameter="20"),
+                               "law.json: parameter must be a number, got '20'"),
+    "law-alpha-a-string": (lambda t, docs: extrapolate_law_with(t, alpha="1e3"),
+                           "law.json: alpha must be a number, got '1e3'"),
+    "law-beta-a-bool": (lambda t, docs: extrapolate_law_with(t, beta=True),
+                        "law.json: beta must be a number, got True"),
+    "law-r2-a-string": (lambda t, docs: extrapolate_law_with(t, r2="nan"),
+                        "law.json: r2 must be a number, got 'nan'"),
+    "law-method-an-int": (lambda t, docs: extrapolate_law_with(t, method=5),
+                          "law.json: method must be a string, got 5"),
+    "law-points-empty": (lambda t, docs: extrapolate_law_with(t, points=[]),
+                         "law.json: threshold law needs >= 3 points, got 0"),
+    "law-point-compute-null": (
+        lambda t, docs: extrapolate_law_with(t, points=[{**LAW["points"][0], "compute": None}]),
+        "law.json: compute must be a number, got None"),
+    "slice-context-length-a-string": (
+        lambda t, docs: slice_loss_of(t, '{"position_losses": [1.0], "context_length": "1"}'),
+        "s.json: context_length must be a whole number, got '1'"),
+    "slice-context-length-fractional": (
+        lambda t, docs: slice_loss_of(t, '{"position_losses": [1.0], "context_length": 1.9}'),
+        "s.json: context_length must be a whole number, got 1.9"),
+    "slice-position-loss-a-string": (
+        lambda t, docs: slice_loss_of(t, '{"position_losses": [1.0, "3.0", true, 1.9]}'),
+        "s.json: position_losses[1] must be a number, got '3.0'"),
+    "slice-position-loss-a-bool": (
+        lambda t, docs: slice_loss_of(t, '{"position_losses": [true]}'),
+        "s.json: position_losses[0] must be a number, got True"),
+    "qa-keyword-empty": (lambda t, docs: judge_keywords(t, docs, ["pulsar", ""]),
+                         "qa.jsonl: line 1: keywords must be a list of non-blank strings, "
+                         "got ['pulsar', '']"),
+    "qa-keyword-blank": (lambda t, docs: judge_keywords(t, docs, [" "]),
+                         "qa.jsonl: line 1: keywords must be a list of non-blank strings, "
+                         "got [' ']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+def test_mistyped_field_error_names_path_and_field(tmp_path, docs_file, capsys, case):
+    builder, message = MISTYPED_FIELDS[case]
+    assert dispatch(builder(tmp_path, str(docs_file))) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        err.splitlines()[-1]]
+    assert f"{tmp_path}/{message}\n" in err, err
 
 
 # Each builder gets (tmp_path, docs_file) and returns argv for one malformed input.
@@ -1217,6 +1336,7 @@ MALFORMED_INPUTS = {
             f"1000,{pool},{crossing},1.0,True,False\n"
             for pool, crossing in [(0, 5.0), (10, 50.0), (100, 900.0)])),
         "--method", "epoch", "--output", str(t / "e.json")],
+    **{case: builder for case, (builder, _) in MISTYPED_FIELDS.items()},
 }
 
 
@@ -1267,7 +1387,7 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
 @pytest.mark.parametrize("case,error", [
     ("crossings-cell-too-long", "{tmp}/x.csv: line 2: field larger than field limit (131072)"),
     ("qa-repeated-question", "{tmp}/qa.jsonl: line 2: repeats qa_id=s:8e35c2cd of line 1"),
-    ("target-tokens-fractional", "--target-tokens: invalid value '2000.7' (expected a whole number)"),
+    ("target-tokens-fractional", "--target-tokens must be a whole number, got '2000.7'"),
     ("crossing-eval-set-repeated", "eval sets ['avg', 'avg'] name a set more than once"),
     ("crossing-pool-record-without-eval-sets", "record has no eval sets"),
     ("report-compute-overflows", "cc: training compute must be positive and finite, got inf"),
@@ -1464,10 +1584,13 @@ FUZZ_VALUES = ("0", "-1", "1", "2", "0.5", "1e400", "-1e400", "nan", "inf", "1e-
 FUZZ_ENDPOINTS = ("http://[::1", "ftp://judge", "not a url", "")
 #: Keys the fuzzer's JSON objects use: those the readers look up, and one they do not.
 FUZZ_KEYS = ("id", "text", "source", "dataset_label", "model", "eval_points", "tokens_seen",
-             "losses", "benchmarks", "train_tokens", "pool_tokens", "position_losses",
-             "context_length", "method", "parameter", "points", "alpha", "beta", "r2",
-             "subject", "question", "answer", "keywords", "stages", "seed", "label",
-             "total_tokens", "counter_name", "repetition_thresholds", "other")
+             "losses", "benchmarks", "train_tokens", "pool_tokens", "batch_tokens",
+             "weight_decay", "learning_rate", "name", "hidden_dim", "layers", "heads",
+             "head_dim", "ffn_dim", "vocab_size", "total_params", "non_embedding_params",
+             "position_losses", "context_length", "method", "parameter", "points", "alpha",
+             "beta", "r2", "model_params", "crossing_tokens", "compute", "subject", "question",
+             "answer", "keywords", "stages", "seed", "label", "total_tokens", "counter_name",
+             "repetition_thresholds", "other")
 FUZZ_NUMBERS = st.sampled_from(
     [0, -1, 0.5, 2**63, 10**400, -(10**400), 1e308, 5e-324, math.nan, math.inf, -math.inf])
 FUZZ_JSON = st.recursive(
@@ -1503,10 +1626,16 @@ def fuzz_files():
         return {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
 
 
+def other_kinds(number):
+    """A JSON number's string form, ``true`` and ``null``: values of other kinds."""
+    return st.sampled_from([str(number), True, None])
+
+
 @st.composite
 def mutated_json(draw, value):
     """``value`` with one nested value, or the whole, replaced: a number most
-    often by an edge number, anything by a random JSON value."""
+    often by an edge number or a value of another kind, anything by a random
+    JSON value."""
     if isinstance(value, (dict, list)) and value and draw(st.sampled_from([True] * 3 + [False])):
         keys = list(value) if isinstance(value, dict) else list(range(len(value)))
         key = draw(st.sampled_from(keys))
@@ -1514,8 +1643,64 @@ def mutated_json(draw, value):
         copy[key] = draw(mutated_json(value[key]))
         return copy
     if type(value) in (int, float) and draw(st.booleans()):
-        return draw(FUZZ_NUMBERS)
+        return draw(FUZZ_NUMBERS | other_kinds(value))
     return draw(FUZZ_JSON)
+
+
+def number_paths(value, path=()):
+    """The key path of each number (not a bool) in the JSON value ``value``."""
+    if type(value) in (int, float):
+        return [path]
+    if not isinstance(value, (dict, list)):
+        return []
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    return [p for key, item in items for p in number_paths(item, (*path, key))]
+
+
+def replaced_at(value, path, new):
+    """``value`` with the value at the key path ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replaced_at(value[path[0]], path[1:], new)
+    return copy
+
+
+def read_json_files(argv, inputs):
+    """The JSON files a MANIFEST_CASES command reads: its inputs, and the
+    header of the file it reads as a pool."""
+    names = [*inputs, *([argv[argv.index("--pool") + 1] + ".header.json"]
+                        if "--pool" in argv else [])]
+    return [name for name in names if name.endswith((".json", ".jsonl"))]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_json_number_of_another_kind_exits_one(data):
+    # Every JSON number a command reads has a kind; its string form, true or
+    # null in its place is a line or file error: exit 1, one error: line.
+    files = dict(fuzz_files())
+    targets = [(case, name, index)
+               for case, (argv, inputs, _, _) in sorted(MANIFEST_CASES.items())
+               for name in read_json_files(argv, inputs)
+               for index, line in enumerate(files[name].splitlines())
+               if number_paths(json.loads(line))]
+    case, name, index = data.draw(st.sampled_from(targets))
+    lines = files[name].splitlines()
+    value = json.loads(lines[index])
+    path = data.draw(st.sampled_from(number_paths(value)))
+    number = functools.reduce(lambda v, key: v[key], path, value)
+    lines[index] = json.dumps(replaced_at(value, path, data.draw(other_kinds(number))))
+    files[name] = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, text in files.items():
+            (Path(tmp) / file_name).write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = dispatch(in_dir(Path(tmp), MANIFEST_CASES[case][0]))
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    assert code == 1 and len(errors) == 1, (case, name, lines[index], err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @st.composite

@@ -1,12 +1,22 @@
 import ast
+import math
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poollab
-from poollab import CrossingPoint, ValidationError
+from poollab import (
+    CrossingPoint, DocumentSource, EvalPoint, ModelConfig, Pool, RunRecord, ThresholdLaw,
+    ThresholdPoint, ValidationError, bundled_model_configs, load_run_log, make_document,
+    read_model_configs, read_pool, write_pool, write_run_log,
+)
+from poollab.cli import CROSSING_COLUMNS
 from poollab.io import (
-    LineError, csv_cell, field_names, read_json, read_jsonl, read_rows, write_lines, write_rows
+    LineError, csv_cell, field_kinds, field_names, flag, number, numbers, read_fields, read_json,
+    read_jsonl, read_rows, string, whole, whole_text, write_json, write_lines, write_rows,
 )
 
 CROSSINGS = [
@@ -180,3 +190,171 @@ def test_write_check_sees_each_way_of_writing():
     parsed = lambda src: ast.parse(src, mode="eval").body  # noqa: E731
     assert all(_writes_a_file(parsed(src)) for src in calls)
     assert not any(_writes_a_file(parsed(src)) for src in reads)
+
+
+# ---------------------------------------------------------------------------
+# The type rule.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value, as_number, as_whole", [
+    (1e6, 1e6, 1_000_000),
+    (1.9, 1.9, "a whole number, got 1.9"),
+    (7, 7.0, 7),
+    (-0.0, -0.0, 0),
+    (True, "a number, got True", "a whole number, got True"),
+    ("1", "a number, got '1'", "a whole number, got '1'"),
+    (None, "a number, got None", "a whole number, got None"),
+    (2**63, 9.223372036854776e18, 2**63),
+    (10**400, f"a number, got {10**400}", 10**400),
+    (math.inf, math.inf, "a whole number, got inf"),
+])
+def test_number_and_whole_number(value, as_number, as_whole):
+    for read, expected in ((number, as_number), (whole, as_whole)):
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError, match=rf"^x must be {re.escape(expected)}$"):
+                read("x", value)
+        else:
+            got = read("x", value)
+            assert got == expected and type(got) is type(expected)
+
+
+def test_nan_is_a_number_but_not_a_whole_number():
+    # a format's range decides about NaN, as RunRecord does for losses
+    assert math.isnan(number("x", math.nan))
+    with pytest.raises(ValidationError, match="^x must be a whole number, got nan$"):
+        whole("x", math.nan)
+
+
+@pytest.mark.parametrize("read, good, bad, kind", [
+    (string, "s", 5, "a string"),
+    (flag, False, 0, "true or false"),
+])
+def test_string_and_flag(read, good, bad, kind):
+    assert read("x", good) is good
+    with pytest.raises(ValidationError, match=f"^x must be {kind}, got {bad!r}$"):
+        read("x", bad)
+
+
+@pytest.mark.parametrize("text, count", [
+    ("2000", 2000), ("1e6", 10**6), ("2.0", 2), (str(2**53 + 1), 2**53 + 1),
+    ("2000.7", None), ("abc", None), ("inf", None), ("nan", None), ("", None),
+])
+def test_whole_text(text, count):
+    if count is None:
+        with pytest.raises(ValidationError, match=f"^n must be a whole number, got {text!r}$"):
+            whole_text("n", text)
+    else:
+        assert whole_text("n", text) == count
+
+
+def test_numbers_name_the_key():
+    scores = {"a": 1.5, "b": 2}
+    assert numbers("losses", scores) == {"a": 1.5, "b": 2.0}
+    floats = {"a": 1.5}
+    assert numbers("losses", floats) is floats
+    with pytest.raises(ValidationError, match=r"^losses\['b'\] must be a number, got '2'$"):
+        numbers("losses", {"a": 1.5, "b": "2"})
+    with pytest.raises(ValidationError, match=r"^losses must be an object of numbers, got \[\]$"):
+        numbers("losses", [])
+
+
+def test_read_fields_checks_declared_keys_and_copies_the_rest():
+    kinds = field_kinds(ThresholdPoint)
+    assert {k: v.__name__ for k, v in kinds.items()} == {
+        "model_params": "whole", "pool_tokens": "number", "crossing_tokens": "number",
+        "compute": "number"}
+    obj = {"model_params": 1e3, "pool_tokens": 2, "other": [1]}
+    assert read_fields(obj, kinds) == {"model_params": 1000, "pool_tokens": 2.0, "other": [1]}
+    with pytest.raises(ValidationError, match="^compute must be a number, got 'x'$"):
+        read_fields({"compute": "x"}, kinds)
+    with pytest.raises(ValidationError, match=r"^expected a JSON object, got \[1\]$"):
+        read_fields([1], kinds)
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("15009920.9", "model_params must be a whole number, got '15009920.9'"),
+    ("true", "model_params must be a whole number, got 'true'"),
+])
+def test_csv_int_cell_is_a_whole_number(tmp_path, cell, message):
+    path = tmp_path / "x.csv"
+    path.write_text(f"model_params,pool_tokens,crossing_tokens,observed\n{cell},2,NEVER,False\n",
+                    encoding="utf-8")
+    with pytest.raises(ValidationError) as caught:
+        read_rows(path, CrossingPoint)
+    assert str(caught.value) == f"{path}: line 2: {message}"
+
+
+# ---------------------------------------------------------------------------
+# Every format: write -> read -> write is byte-identical.
+# ---------------------------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+counts = st.integers(1, 2**70)
+names = st.text(max_size=6)
+
+
+@st.composite
+def run_records(draw):
+    model = draw(st.sampled_from(bundled_model_configs()))
+    seen = sorted(draw(st.lists(st.integers(0, 2**60) | st.floats(0, 1e18), min_size=1,
+                                max_size=4)))
+    points = tuple(
+        EvalPoint(tokens_seen, draw(st.dictionaries(names, positive, min_size=1, max_size=2)),
+                  draw(st.none() | st.dictionaries(names, finite, max_size=2)))
+        for tokens_seen in seen
+    )
+    return RunRecord(dataset_label=draw(names), model=model,
+                     train_tokens=draw(st.integers(math.ceil(seen[-1]), 2**62)),
+                     pool_tokens=draw(counts), eval_points=points,
+                     batch_tokens=draw(counts), weight_decay=draw(finite),
+                     learning_rate=draw(finite))
+
+
+threshold_laws = st.builds(
+    ThresholdLaw, method=names, parameter=finite, alpha=finite, beta=finite,
+    r2=st.floats(allow_infinity=False),
+    points=st.lists(st.builds(ThresholdPoint, model_params=counts, pool_tokens=finite,
+                              crossing_tokens=finite, compute=finite),
+                    min_size=3, max_size=4).map(tuple))
+crossings = st.builds(CrossingPoint, model_params=counts, pool_tokens=counts,
+                      crossing_tokens=st.none() | finite, observed=st.booleans())
+documents = st.builds(make_document, st.uuids().map(str), st.text(max_size=30),
+                      st.sampled_from(list(DocumentSource)))
+
+
+def rewritten(path, write, read):
+    """The bytes of ``path`` after ``write`` of what ``read`` gives back."""
+    before = path.read_bytes()
+    write(path, read(path))
+    return before, path.read_bytes()
+
+
+@given(records=st.lists(run_records(), max_size=3), laws=threshold_laws,
+       cells=st.lists(crossings, max_size=4), docs=st.lists(documents, max_size=4),
+       seed=st.integers(-(2**63), 2**63), label=names)
+@settings(max_examples=60, deadline=None)
+def test_each_format_round_trips_byte_identically(tmp_path_factory, records, laws, cells, docs,
+                                                  seed, label):
+    tmp = tmp_path_factory.mktemp("round-trip")
+    configs = tmp / "models.json"
+    write_json(configs, [asdict(c) for c in bundled_model_configs()])
+    write_run_log(tmp / "runs.jsonl", records)
+    write_json(tmp / "law.json", asdict(laws))
+    write_rows(tmp / "x.csv", CROSSING_COLUMNS, cells)
+    write_pool(tmp / "pool.jsonl", Pool(docs, seed=seed, label=label))
+    for path, write, read in [
+        (tmp / "runs.jsonl", write_run_log, load_run_log),
+        (configs, lambda p, cs: write_json(p, [asdict(c) for c in cs]), read_model_configs),
+        (tmp / "law.json", lambda p, law: write_json(p, asdict(law)),
+         lambda p: ThresholdLaw.from_dict(read_json(p))),
+        (tmp / "x.csv", lambda p, rows: write_rows(p, CROSSING_COLUMNS, rows),
+         lambda p: read_rows(p, CrossingPoint)),
+    ]:
+        before, after = rewritten(path, write, read)
+        assert after == before, path.name
+    header = tmp / "pool.jsonl.header.json"
+    pool_bytes, header_bytes = (tmp / "pool.jsonl").read_bytes(), header.read_bytes()
+    write_pool(tmp / "pool.jsonl", read_pool(tmp / "pool.jsonl"))
+    assert (tmp / "pool.jsonl").read_bytes() == pool_bytes and header.read_bytes() == header_bytes

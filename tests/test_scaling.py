@@ -837,7 +837,9 @@ class TestThresholdLaws:
                 {"method": "m", "parameter": 1.0, "points": [{"x": 1}],
                  "alpha": 1.0, "beta": 1.0, "r2": 1.0}
             )
+        points = [{"model_params": 10**i, "pool_tokens": 1e9, "crossing_tokens": 1e10,
+                   "compute": 6e19} for i in (7, 8, 9)]
         for alpha, beta in [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)]:
             with pytest.raises(ValidationError, match="alpha and beta must be finite"):
-                ThresholdLaw.from_dict({"method": "m", "parameter": 1.0, "points": [],
+                ThresholdLaw.from_dict({"method": "m", "parameter": 1.0, "points": points,
                                         "alpha": alpha, "beta": beta, "r2": 1.0})
