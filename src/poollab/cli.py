@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 from . import _EXPORTS, __version__
 from .errors import ConfigError, FitError, PoolLabError, ValidationError
 from .io import (
-    csv_cell, field_names, flag, number, numbers, read_fields, read_json, read_rows, sha256_file,
-    string, whole, whole_text, write_json, write_lines, write_rows,
+    csv_cell, field_kinds, field_names, number, numbers, read_fields, read_json, read_rows,
+    sha256_file, string, whole, whole_text, write_json, write_lines, write_rows,
 )
 
 #: ``--profile`` and ``--kind`` choices: ``sorted(filters.PROFILES)`` and the
@@ -84,13 +84,9 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    obj = read_json(path)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return obj
+def _load_config(path: str | None, kinds: dict[str, Callable]) -> dict:
+    """The ``--config`` object, each key of ``kinds`` read by its kind; ``{}`` without one."""
+    return read_json(path, lambda obj: read_fields(obj, kinds)) if path else {}
 
 
 def parse_value(name: str, value: object, kind: Callable):
@@ -101,13 +97,12 @@ def parse_value(name: str, value: object, kind: Callable):
         raise ValidationError(f"{name}: invalid value {value!r} ({exc})") from exc
 
 
-def opt(args: argparse.Namespace, config: dict, key: str, default, kind: Callable):
-    """Flag value if given, else config-file value read by ``kind`` (a type-rule
-    function of :mod:`poollab.io`), else default.  The value is also stored on
-    ``args``, so the manifest records the setting the run used."""
+def opt(args: argparse.Namespace, config: dict, key: str, default):
+    """Flag value if given, else ``config`` value, else default.  The value is also
+    stored on ``args``, so the manifest records the setting the run used."""
     value = getattr(args, key, None)
     if value is None:
-        value = kind(key, config[key]) if key in config else default
+        value = config.get(key, default)
     setattr(args, key, value)
     return value
 
@@ -172,10 +167,10 @@ def write_manifest(args: argparse.Namespace) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    seed = opt(args, config, "seed", 0, whole)
+    config = _load_config(args.config, {"seed": whole, "label": string})
+    seed = opt(args, config, "seed", 0)
     target = whole_text("--target-tokens", args.target_tokens)
-    label = opt(args, config, "label", Path(args.output).stem, string)
+    label = opt(args, config, "label", Path(args.output).stem)
     pool = lib.sample_pool(lib.read_documents(args.input), target, seed, label=label)
     lib.write_pool(args.output, pool)
     print(f"sampled {len(pool)} docs, {pool.total_tokens} tokens -> {args.output}")
@@ -183,18 +178,18 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    base = lib.profile(opt(args, config, "profile", "gopher", string))
-    kinds = {"english_threshold": number, "quality_keep_fraction": number,
-             "stopword_min_count": whole, "stopword_distinct": flag}
-    thresholds = opt(args, config, "repetition_thresholds", {}, numbers)
+    settings = field_kinds(lib.FilterConfig)  # all but repetition_thresholds, a mapping
+    config = _load_config(args.config, {**settings, "profile": string, "stages": string,
+                                        "threads": whole, "repetition_thresholds": numbers})
+    base = lib.profile(opt(args, config, "profile", "gopher"))
+    thresholds = opt(args, config, "repetition_thresholds", {})
     cfg = replace(  # a new config, so FilterConfig.__post_init__ checks the merged values
         base, repetition_thresholds={**base.repetition_thresholds, **thresholds},
-        **{key: opt(args, config, key, getattr(base, key), kind) for key, kind in kinds.items()},
+        **{key: opt(args, config, key, getattr(base, key)) for key in settings},
     )
 
-    stage_names = _comma_list(opt(args, config, "stages", "english,repetition,stopword", string))
-    threads = opt(args, config, "threads", 1, whole)  # checked; every stage runs on one thread
+    stage_names = _comma_list(opt(args, config, "stages", "english,repetition,stopword"))
+    threads = opt(args, config, "threads", 1)  # checked; every stage runs on one thread
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     result = lib.run_pipeline(lib.read_pool(args.pool), lib.build_stages(stage_names, cfg),
@@ -210,9 +205,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    seed = opt(args, config, "seed", 0, whole)
-    kind = opt(args, config, "kind", lib.JunkKind.RANDOM_STRINGS.value, string)
+    config = _load_config(args.config, {"seed": whole, "kind": string, "vocab_seed": whole})
+    seed = opt(args, config, "seed", 0)
+    kind = opt(args, config, "kind", lib.JunkKind.RANDOM_STRINGS.value)
     kind = parse_value("kind", kind, lib.JunkKind)
     if (kind is lib.JunkKind.SHUFFLED_DOCS) != bool(args.junk_source):
         raise UsageError("--junk-source is read by --kind shuffled_docs only, which needs it")
@@ -221,7 +216,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     if kind is lib.JunkKind.SHUFFLED_DOCS:
         source = lib.shuffled_junk_stream(lib.read_documents(args.junk_source), seed)
     else:
-        vocab_seed = opt(args, config, "vocab_seed", seed, whole)
+        vocab_seed = opt(args, config, "vocab_seed", seed)
         source = lib.random_junk_stream(pool, lib.build_vocab(vocab_seed), seed)
     injected = lib.inject(pool, spec, source)
     lib.write_pool(args.output, injected)
@@ -301,8 +296,8 @@ def _warn_in_one_line(fit: Callable, *fit_args):
 
 
 def cmd_scaling_law(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    method = opt(args, config, "method", "tpp", string)
+    config = _load_config(args.config, {"method": string, "ratio": number, "epochs": number})
+    method = opt(args, config, "method", "tpp")
     if method not in ("tpp", "epoch"):
         raise UsageError(f"--method must be tpp or epoch, got {method!r}")
     _reject_unread(args, ("epochs",) if method == "tpp" else ("ratio", "configs"),
@@ -319,12 +314,12 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
             print(f"warning: model {model_params}: {exc}", file=sys.stderr)
 
     if method == "tpp":
-        ratio = opt(args, config, "ratio", 600.0, number)
+        ratio = opt(args, config, "ratio", 600.0)
         configs = (lib.read_model_configs(args.configs) if args.configs
                    else lib.bundled_model_configs())
         law = _warn_in_one_line(lib.fit_threshold_tokens_per_param, quads, configs, ratio)
     else:
-        n_epochs = opt(args, config, "epochs", 4.0, number)
+        n_epochs = opt(args, config, "epochs", 4.0)
         law = _warn_in_one_line(lib.fit_threshold_epoch_constraint, quads, n_epochs)
 
     compute = lib.extrapolate_compute(law, REFERENCE_POOL_TOKENS)
@@ -344,11 +339,7 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
 
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
-    obj = read_json(args.law)
-    try:
-        law = lib.ThresholdLaw.from_dict(obj)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.law}: {exc}") from exc
+    law = read_json(args.law, lib.ThresholdLaw.from_dict)
     pool_tokens = parse_value("--pool-tokens", args.pool_tokens, float)
     compute = lib.extrapolate_compute(law, pool_tokens)
     print(repr(compute))
@@ -358,16 +349,7 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
 
 
 def cmd_slice_loss(args: argparse.Namespace) -> int:
-    obj = read_json(args.slice)
-    try:
-        fields = read_fields(obj, {"context_length": whole})
-        losses = tuple(number(f"position_losses[{i}]", v)
-                       for i, v in enumerate(fields["position_losses"]))
-        slc = lib.EvalSlice(losses, fields.get("context_length", len(losses)))
-    except KeyError as exc:
-        raise ValidationError(f"{args.slice}: missing key {exc}") from exc
-    except (TypeError, ValidationError) as exc:  # TypeError: position_losses is not a list
-        raise ValidationError(f"{args.slice}: {exc}") from exc
+    slc = read_json(args.slice, lib.EvalSlice.from_dict)
     ts = parse_value("--t", args.t, lambda v: [int(t) for t in v.split(",")])
     columns = ("t", "mean_loss")
     rows = [dict(zip(columns, (t, lib.slice_loss(slc, t)))) for t in ts]
@@ -438,17 +420,16 @@ def _heuristic_mock_classifier() -> Callable[[str, str, str], lib.Verdict]:
 
 
 def cmd_judge(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    settings = {"model_name": string, "timeout": number, "max_concurrency": whole}  # HTTP only
+    config = _load_config(args.config, settings)
     if not args.mock and not args.endpoint:
         raise UsageError("choose --mock or --endpoint <url>")
-    settings = {"model_name": string, "timeout": number, "max_concurrency": whole}  # HTTP only
     if args.mock:
         _reject_unread(args, ("endpoint", *settings), "--mock")
         client = lib.mock_judge_client(_heuristic_mock_classifier())
     else:
         client = lib.JudgeClient(endpoint=args.endpoint, **{
-            key: opt(args, config, key, getattr(lib.JudgeClient, key), kind)
-            for key, kind in settings.items()
+            key: opt(args, config, key, getattr(lib.JudgeClient, key)) for key in settings
         })
     qa_items = lib.read_qa_items(args.qa)
     pool = lib.read_pool(args.pool)

@@ -186,11 +186,7 @@ def read_pool(path: str | Path) -> Pool:
     """
     docs = list(read_documents(path))
     hp = header_path(path)
-    header = read_json(hp) if hp.exists() else {}
-    try:
-        header = read_fields(header, _HEADER_FIELDS)
-    except ValidationError as exc:
-        raise ValidationError(f"{hp}: {exc}") from exc
+    header = read_json(hp, lambda obj: read_fields(obj, _HEADER_FIELDS)) if hp.exists() else {}
     if header.get("counter_name", COUNTER_NAME) != COUNTER_NAME:
         raise ValidationError(
             f"{hp}: pool was counted under counter {header['counter_name']!r}; "

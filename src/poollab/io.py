@@ -1,6 +1,7 @@
 """The text formats poollab's artifacts share, and the one way files are written.
 
-JSONL: UTF-8, one JSON value per line, blank lines skipped.
+JSONL: UTF-8, one JSON value per line, blank lines skipped.  Its reader and
+the whole-file JSON reader report a rejection as ``<path>[: line <n>]: <reason>``.
 
 CSV cells: ``None`` is written as ``NEVER``, floats with ``repr`` (the
 shortest representation that round-trips exactly), bools with ``str``.
@@ -46,9 +47,11 @@ def _replacing(path: str | Path, newline: str | None = None) -> Iterator[IO[str]
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:  # KeyboardInterrupt too: never leave a partial artifact
+    except BaseException as exc:  # KeyboardInterrupt too: never leave a partial artifact
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the user's file instead
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -56,6 +59,19 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Each line followed by a newline."""
     with _replacing(path) as fh:
         fh.writelines(line + "\n" for line in lines)
+
+
+#: What decoding or parsing a bad JSON value raises: :func:`_reason` says why.
+_REJECTIONS = (KeyError, TypeError, ValueError, ValidationError, RecursionError)
+
+
+def _reason(exc: BaseException) -> str:
+    """Why a JSON value was rejected, for a reader to put after its path (and line)."""
+    if isinstance(exc, (json.JSONDecodeError, RecursionError)):  # or nested past the limit
+        return f"invalid JSON: {exc}"
+    if isinstance(exc, KeyError):
+        return f"missing key {exc}"
+    return str(exc)
 
 
 @dataclass
@@ -90,18 +106,12 @@ def read_jsonl(
                     first = first_line.setdefault(name, lineno)
                     if first != lineno:
                         raise ValidationError(f"repeats {name} of line {first}")
-            except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the limit
-                reason = f"invalid JSON: {exc}"
-            except KeyError as exc:
-                reason = f"missing key {exc}"
-            except (TypeError, ValueError, ValidationError) as exc:
-                reason = str(exc)
+            except _REJECTIONS as exc:
+                if errors is None:
+                    raise ValidationError(f"{path}: line {lineno}: {_reason(exc)}") from exc
+                errors.append(LineError(lineno, _reason(exc)))
             else:
                 yield item
-                continue
-            if errors is None:
-                raise ValidationError(f"{path}: line {lineno}: {reason}")
-            errors.append(LineError(lineno, reason))
 
 
 def _reject(name: str, kind: str, value: object) -> NoReturn:
@@ -268,9 +278,15 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def read_json(path: str | Path) -> Any:
+def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:
+    """``parse`` of the file's JSON value; a file that is not UTF-8 JSON, or that ``parse``
+    rejects, raises ``ValidationError("<path>: <reason>")`` with :func:`read_jsonl`'s reasons."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            value = json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON or bytes, or nested too deep
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return parse(value)
+    except _REJECTIONS as exc:
+        raise ValidationError(f"{path}: {_reason(exc)}") from exc

@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .io import LineError, field_kinds, numbers, read_fields, read_json, read_jsonl, write_lines
+from .io import (LineError, field_kinds, number, numbers, read_fields, read_json, read_jsonl,
+                 write_lines)
 
 DEFAULT_BATCH_TOKENS = 2**19
 DEFAULT_CONTEXT_LENGTH = 1024
@@ -36,13 +37,16 @@ class ModelConfig:
     non_embedding_params: int
 
     def __post_init__(self) -> None:
+        for name in ("hidden_dim", "layers", "heads", "head_dim", "ffn_dim", "vocab_size",
+                     "total_params", "non_embedding_params"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValidationError(f"{self.name}: {name} must be positive, got {value!r}")
         if self.hidden_dim != self.heads * self.head_dim:
             raise ValidationError(
                 f"{self.name}: hidden_dim {self.hidden_dim} != heads*head_dim "
                 f"{self.heads * self.head_dim}"
             )
-        if self.total_params <= 0 or self.non_embedding_params <= 0:
-            raise ValidationError(f"{self.name}: parameter counts must be positive")
         if not self.total_params <= sys.float_info.max:  # so 6 * tokens * params is a float
             raise ValidationError(f"{self.name}: total_params is beyond the float range")
         if self.non_embedding_params > self.total_params:
@@ -55,8 +59,6 @@ def non_embedding_params(cfg: ModelConfig) -> int:
     Accounting: per layer 4*hidden^2 attention (QKVO) plus 3*hidden*ffn
     gated feed-forward, plus (2*layers + 1)*hidden normalization weights.
     """
-    if min(cfg.hidden_dim, cfg.layers, cfg.ffn_dim) <= 0:
-        raise ValidationError("all dims must be positive")
     per_layer = 4 * cfg.hidden_dim**2 + 3 * cfg.hidden_dim * cfg.ffn_dim
     return cfg.layers * per_layer + (2 * cfg.layers + 1) * cfg.hidden_dim
 
@@ -117,6 +119,11 @@ class RunRecord:
             raise ValidationError(
                 f"{self.dataset_label}: pool_tokens must be positive and within the float range"
             )
+        for name in ("weight_decay", "learning_rate"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails too: it would be written as non-JSON
+                raise ValidationError(f"{self.dataset_label}: {name} must be finite and "
+                                      f"non-negative, got {value!r}")
 
 
 def compute_flops(record: RunRecord) -> float:
@@ -196,6 +203,14 @@ class EvalSlice:
             )
         if not all(0 <= v < math.inf for v in self.position_losses):  # NaN fails too
             raise ValidationError("position losses must be finite and non-negative")
+
+    @classmethod
+    def from_dict(cls, obj: object) -> "EvalSlice":
+        """The slice of a JSON object; ``context_length`` defaults to the number of losses."""
+        fields = read_fields(obj, field_kinds(cls))
+        losses = tuple(number(f"position_losses[{i}]", v)
+                       for i, v in enumerate(fields["position_losses"]))
+        return cls(losses, fields.get("context_length", len(losses)))
 
 
 def slice_loss(slc: EvalSlice, t: int) -> float:
@@ -304,18 +319,15 @@ def write_run_log(path: str | Path, records: Iterable[RunRecord]) -> None:
     write_lines(path, (encode(record_to_dict(r)) for r in records))
 
 
-def read_model_configs(path: str | Path) -> list[ModelConfig]:
-    """The model configurations of a JSON list of objects holding :class:`ModelConfig`'s fields.
+def _model_configs(data: object) -> list[ModelConfig]:
+    if type(data) is not list:
+        raise ValidationError(f"expected a JSON list of model configs, got {data!r}")
+    return [ModelConfig(**read_fields(obj, _MODEL_FIELDS)) for obj in data]
 
-    Raises ValidationError naming ``path`` if the file is not such a list.
-    """
-    data = read_json(path)
-    if not isinstance(data, list):
-        raise ValidationError(f"{path}: malformed model configs: expected a JSON list")
-    try:
-        return [ModelConfig(**read_fields(obj, _MODEL_FIELDS)) for obj in data]
-    except (TypeError, ValidationError) as exc:
-        raise ValidationError(f"{path}: malformed model configs: {exc}") from exc
+
+def read_model_configs(path: str | Path) -> list[ModelConfig]:
+    """The model configurations of a JSON list of objects holding :class:`ModelConfig`'s fields."""
+    return read_json(path, _model_configs)
 
 
 def bundled_model_configs() -> list[ModelConfig]:

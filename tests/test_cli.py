@@ -290,15 +290,16 @@ class TestPoolPipeline:
         assert code == 1 and not out.exists()
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()]
-        assert re.match(rf"error: {key}(\['\w+'\])? must be .*, got ", err), err
+        path = re.escape(str(tmp_path / "c.json"))
+        assert re.match(rf"error: {path}: {key}(\['\w+'\])? must be .*, got ", err), err
 
     def test_config_label_must_be_a_string(self, tmp_path, docs_file, capsys):
         # a label of 5 would be written to a pool header that no command can read
         out = tmp_path / "pool.jsonl"
+        config = write_text(tmp_path, "c.json", '{"label": 5}')
         assert dispatch(["sample", "--input", str(docs_file), "--target-tokens", "100",
-                         "--config", write_text(tmp_path, "c.json", '{"label": 5}'),
-                         "--output", str(out)]) == 1
-        assert capsys.readouterr().err == "error: label must be a string, got 5\n"
+                         "--config", config, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: label must be a string, got 5\n"
         assert not out.exists()
 
     def test_config_values_of_matching_json_type_apply(self, tmp_path):
@@ -1016,8 +1017,8 @@ def scaling_law_with(tmp_path, *flags):
             "--output", str(tmp_path / "e.json")]
 
 
-#: A field of another JSON kind than its format's: argv (built as for
-#: MALFORMED_INPUTS, which holds these too) and the error naming the field.
+#: A field of another JSON kind than its format's, or out of its range: argv (built
+#: as for MALFORMED_INPUTS, which holds these too) and the error naming the field.
 MISTYPED_FIELDS = {
     "run-log-weight-decay-a-string": (
         lambda t, docs: ingest_record_with(t, lambda r: r.update(weight_decay="nan")),
@@ -1049,11 +1050,11 @@ MISTYPED_FIELDS = {
     "scaling-law-configs-name-an-int": (
         lambda t, docs: scaling_law_with(t, "--configs", write_text(t, "models.json", json.dumps(
             [{**asdict(CONFIG_15M), "name": 5}]))),
-        "models.json: malformed model configs: name must be a string, got 5"),
+        "models.json: name must be a string, got 5"),
     "scaling-law-configs-heads-fractional": (
         lambda t, docs: scaling_law_with(t, "--configs", write_text(t, "models.json", json.dumps(
             [{**asdict(CONFIG_15M), "heads": 6.5}]))),
-        "models.json: malformed model configs: heads must be a whole number, got 6.5"),
+        "models.json: heads must be a whole number, got 6.5"),
     "crossings-model-params-fractional": (
         lambda t, docs: ["scaling-law", "--output", str(t / "law.json"), "--crossings",
                          write_text(t, "x.csv", CROSSINGS_HEADER
@@ -1092,6 +1093,19 @@ MISTYPED_FIELDS = {
     "qa-keyword-blank": (lambda t, docs: judge_keywords(t, docs, [" "]),
                          "qa.jsonl: line 1: keywords must be a list of non-blank strings, "
                          "got [' ']"),
+    "run-log-weight-decay-nan": (
+        lambda t, docs: ingest_record_with(t, lambda r: r.update(weight_decay=math.nan)),
+        "r.jsonl: line 1: cc: weight_decay must be finite and non-negative, got nan"),
+    "run-log-learning-rate-minus-infinity": (
+        lambda t, docs: ingest_record_with(t, lambda r: r.update(learning_rate=-math.inf)),
+        "r.jsonl: line 1: cc: learning_rate must be finite and non-negative, got -inf"),
+    "run-log-model-layers-negative": (
+        lambda t, docs: ingest_record_with(t, lambda r: r["model"].update(layers=-3, ffn_dim=0)),
+        "r.jsonl: line 1: 15M: layers must be positive, got -3"),
+    "scaling-law-configs-ffn-dim-zero": (
+        lambda t, docs: scaling_law_with(t, "--configs", write_text(t, "models.json", json.dumps(
+            [{**asdict(CONFIG_15M), "ffn_dim": 0}]))),
+        "models.json: 15M: ffn_dim must be positive, got 0"),
 }
 
 
@@ -1464,6 +1478,66 @@ def test_malformed_file_error_names_path(tmp_path, docs_file, capsys, case, name
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / name}: ")
     assert err.count("\n") == 1
+
+
+#: Each whole-file JSON input: the file's name, and argv of a command that reads it
+#: from ``t`` (a pool header is read beside its pool).
+WHOLE_FILE_READERS = {
+    "config": ("c.json", lambda t, docs: [
+        "sample", "--input", docs, "--target-tokens", "100", "--config", str(t / "c.json"),
+        "--output", str(t / "p.jsonl")]),
+    "law": ("law.json", lambda t, docs: [
+        "extrapolate", "--law", str(t / "law.json"), "--pool-tokens", "1e12"]),
+    "slice": ("s.json", lambda t, docs: ["slice-loss", "--slice", str(t / "s.json"), "--t", "1"]),
+    "pool-header": ("pool.jsonl.header.json", lambda t, docs: filter_pool_with_header(t)),
+    "configs": ("models.json", lambda t, docs: scaling_law_with(
+        t, "--configs", str(t / "models.json"))),
+}
+
+#: (reader, what is wrong, file text, the reason the error gives).  A config and a
+#: pool header have no missing-key case: each of their keys is optional.
+BAD_WHOLE_FILES = [
+    *[(reader, "not-json", "{oops", "invalid JSON: Expecting property name enclosed in "
+                                    "double quotes: line 1 column 2 (char 1)")
+      for reader in WHOLE_FILE_READERS],
+    *[(reader, "not-an-object", "[1]", "expected a JSON object, got [1]")
+      for reader in ("config", "law", "slice", "pool-header")],
+    ("configs", "not-a-list", '{"name": "15M"}',
+     "expected a JSON list of model configs, got {'name': '15M'}"),
+    ("law", "missing-key", json.dumps({k: v for k, v in LAW.items() if k != "alpha"}),
+     "threshold law is missing 'alpha'"),
+    ("slice", "missing-key", '{"context_length": 1}', "missing key 'position_losses'"),
+    ("configs", "missing-key", '[{"name": "15M"}]',
+     "ModelConfig.__init__() missing 8 required positional arguments: 'hidden_dim', "),
+    ("config", "mistyped", '{"seed": "1"}', "seed must be a whole number, got '1'"),
+    ("law", "mistyped", json.dumps({**LAW, "alpha": "1e3"}), "alpha must be a number, got '1e3'"),
+    ("slice", "mistyped", '{"position_losses": [1.0], "context_length": "1"}',
+     "context_length must be a whole number, got '1'"),
+    ("pool-header", "mistyped", '{"seed": "0"}', "seed must be a whole number, got '0'"),
+    ("configs", "mistyped", json.dumps([{**asdict(CONFIG_15M), "heads": 6.5}]),
+     "heads must be a whole number, got 6.5"),
+]
+
+
+@pytest.mark.parametrize("reader, wrong, text, reason", BAD_WHOLE_FILES,
+                         ids=[f"{reader}-{wrong}" for reader, wrong, *_ in BAD_WHOLE_FILES])
+def test_whole_file_error_is_path_then_reason(tmp_path, docs_file, capsys, reader, wrong, text,
+                                              reason):
+    name, builder = WHOLE_FILE_READERS[reader]
+    argv = builder(tmp_path, str(docs_file))
+    write_text(tmp_path, name, text)
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: {reason}") and err.count("\n") == 1, err
+
+
+def test_write_error_names_the_output_not_its_temporary(tmp_path, docs_file, capsys):
+    stats = tmp_path / "nodir" / "s.csv"
+    assert dispatch(["filter", "--pool", str(docs_file), "--output", str(tmp_path / "f.jsonl"),
+                     "--stats", str(stats)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{stats}'\n"
+    assert ".tmp" not in err
 
 
 def write_manifest_inputs(tmp_path, docs_file, runs_file):

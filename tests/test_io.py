@@ -69,13 +69,6 @@ def test_repeated_unique_fields_name_both_lines(tmp_path):
         read_rows(path, CrossingPoint, unique=("model_params", "pool_tokens"))
 
 
-def test_invalid_json_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{oops", encoding="utf-8")
-    with pytest.raises(ValidationError, match="invalid JSON"):
-        read_json(path)
-
-
 def test_invalid_utf8_rows_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"model_params,pool_tokens,crossing_tokens,observed\n1,2,\xe9,True\n")
@@ -110,6 +103,22 @@ def test_jsonl_bad_line_names_path_line_and_reason(tmp_path, data, reason):
     with pytest.raises(ValidationError) as caught:
         list(read_jsonl(path, square))
     assert str(caught.value).startswith(f"{path}: line 3: {reason}")
+
+
+@pytest.mark.parametrize("data, reason", [
+    (b"{oops", "invalid JSON: "),
+    (b'{"m": 1}', "missing key 'n'"),
+    (b'"\xe9"', "invalid JSON: 'utf-8' codec can't decode byte 0xe9"),
+    (b'"x"', "expected an int, got 'x'"),
+    (b"[" * 2_000 + b"]" * 2_000, "invalid JSON: maximum recursion depth exceeded"),
+])
+def test_json_bad_file_names_path_and_reason(tmp_path, data, reason):
+    # a JSONL line's reasons, without its line number; bytes that are not UTF-8 are invalid JSON
+    path = tmp_path / "n.json"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError) as caught:
+        read_json(path, square)
+    assert str(caught.value).startswith(f"{path}: {reason}")
 
 
 def test_jsonl_collects_every_bad_line_when_given_a_list(tmp_path):
@@ -153,6 +162,17 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, error
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
 
+@pytest.mark.parametrize("target", ["nodir/out.json", "adir"])
+def test_write_error_names_the_path_not_its_temporary(tmp_path, target):
+    # a missing directory fails to open the temporary; a directory fails to be replaced
+    (tmp_path / "adir").mkdir()
+    path = tmp_path / target
+    with pytest.raises(OSError) as caught:
+        write_json(path, {})
+    assert caught.value.filename == str(path) and ".tmp" not in str(caught.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+
+
 def _writes_a_file(call: ast.Call) -> bool:
     """``open``/``.open`` in a write, append or create mode; ``.write_text``; ``.write_bytes``."""
     func = call.func
@@ -190,6 +210,41 @@ def test_write_check_sees_each_way_of_writing():
     parsed = lambda src: ast.parse(src, mode="eval").body  # noqa: E731
     assert all(_writes_a_file(parsed(src)) for src in calls)
     assert not any(_writes_a_file(parsed(src)) for src in reads)
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """``open`` or ``.open`` in any mode, ``json.load`` or ``json.loads``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    return isinstance(func, ast.Attribute) and (
+        func.attr == "open" or func.attr in ("load", "loads") and ast.unparse(func.value) == "json")
+
+
+#: Reads outside io.py that are not of a file: factuality parses an HTTP response body.
+NOT_FILE_READS = {("factuality.py", "json.load(response)")}
+
+
+def test_only_io_module_reads_files():
+    package = Path(poollab.__file__).parent
+    readers = [
+        f"{module.name}:{node.lineno}: {ast.unparse(node)}"
+        for module in sorted(package.glob("*.py"))
+        if module.name != "io.py"
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _reads_a_file(node)
+        and (module.name, ast.unparse(node)) not in NOT_FILE_READS
+    ]
+    assert readers == []
+
+
+def test_read_check_sees_each_way_of_reading():
+    calls = ["open(p)", 'open(p, "w")', 'p.open(encoding="utf-8")', "json.load(fh)",
+             "json.loads(line)"]
+    others = ["urlopen(request)", "pickle.load(fh)", "loads(s)", "p.load()", "p.read_text()"]
+    parsed = lambda src: ast.parse(src, mode="eval").body  # noqa: E731
+    assert all(_reads_a_file(parsed(src)) for src in calls)
+    assert not any(_reads_a_file(parsed(src)) for src in others)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +345,7 @@ def test_csv_int_cell_is_a_whole_number(tmp_path, cell, message):
 # ---------------------------------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0, allow_infinity=False)
 positive = st.floats(min_value=1e-300, max_value=1e300)
 counts = st.integers(1, 2**70)
 names = st.text(max_size=6)
@@ -308,8 +364,8 @@ def run_records(draw):
     return RunRecord(dataset_label=draw(names), model=model,
                      train_tokens=draw(st.integers(math.ceil(seen[-1]), 2**62)),
                      pool_tokens=draw(counts), eval_points=points,
-                     batch_tokens=draw(counts), weight_decay=draw(finite),
-                     learning_rate=draw(finite))
+                     batch_tokens=draw(counts), weight_decay=draw(non_negative),
+                     learning_rate=draw(non_negative))
 
 
 threshold_laws = st.builds(
@@ -348,7 +404,7 @@ def test_each_format_round_trips_byte_identically(tmp_path_factory, records, law
         (tmp / "runs.jsonl", write_run_log, load_run_log),
         (configs, lambda p, cs: write_json(p, [asdict(c) for c in cs]), read_model_configs),
         (tmp / "law.json", lambda p, law: write_json(p, asdict(law)),
-         lambda p: ThresholdLaw.from_dict(read_json(p))),
+         lambda p: read_json(p, ThresholdLaw.from_dict)),
         (tmp / "x.csv", lambda p, rows: write_rows(p, CROSSING_COLUMNS, rows),
          lambda p: read_rows(p, CrossingPoint)),
     ]:

@@ -232,13 +232,12 @@ class TestNonEmbeddingParams:
         )
         assert non_embedding_params(wider) > non_embedding_params(TINY)
 
-    def test_zero_layers_rejected_at_computation(self):
-        flat = ModelConfig(
-            name="flat", hidden_dim=128, layers=0, heads=8, head_dim=16,
-            ffn_dim=512, vocab_size=1000, total_params=1, non_embedding_params=1,
-        )
-        with pytest.raises(ValidationError):
-            non_embedding_params(flat)
+    @pytest.mark.parametrize("dim", ["hidden_dim", "layers", "heads", "head_dim", "ffn_dim",
+                                     "vocab_size"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_non_positive_dim_rejected_when_built(self, dim, value):
+        with pytest.raises(ValidationError, match=f"^tiny: {dim} must be positive, got {value}$"):
+            dataclasses.replace(TINY, **{dim: value})
 
     def test_bundled_configs_consistent(self):
         configs = bundled_model_configs()
@@ -351,6 +350,15 @@ class TestValidation:
                 dataset_label="cc", model=TINY, train_tokens=10, pool_tokens=10,
                 eval_points=(EvalPoint(tokens_seen=50, losses={"c4": 3.0}),),
             )
+
+    @pytest.mark.parametrize("name", ["weight_decay", "learning_rate"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_hyperparameter_must_be_finite_and_non_negative(self, name, bad):
+        # NaN and the infinities would be written back as the non-JSON tokens NaN and Infinity
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(record(), **{name: bad})
+        assert str(exc.value) == f"cc: {name} must be finite and non-negative, got {bad!r}"
+        assert getattr(dataclasses.replace(record(), **{name: 0.0}), name) == 0.0
 
     def test_model_shape_invariant(self):
         with pytest.raises(ValidationError, match="hidden_dim"):
@@ -612,7 +620,7 @@ class TestModelConfigSharing:
 
     @pytest.mark.parametrize("field,value,twin", [
         ("vocab_size", 1000, 1000.0),
-        ("vocab_size", 0, -0.0),
+        ("total_params", 1_000_000_000, 1e9),
     ])
     def test_configs_equal_as_whole_numbers_are_shared(self, tmp_path, field, value, twin):
         path, text = write_log_of_models(tmp_path, {**asdict(TINY), field: value},

@@ -827,7 +827,7 @@ class TestThresholdLaws:
         ):
             path = tmp_path / f"{law.method}.json"
             write_json(path, asdict(law))
-            assert ThresholdLaw.from_dict(read_json(path)) == law
+            assert read_json(path, ThresholdLaw.from_dict) == law
 
     def test_law_from_dict_rejects_malformed(self):
         with pytest.raises(ValidationError, match="missing 'method'"):
