@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 from . import _EXPORTS, __version__
 from .errors import ConfigError, FitError, PoolLabError, ValidationError
 from .io import (
-    csv_cell, field_kinds, field_names, number, numbers, read_fields, read_json, read_rows,
-    sha256_file, string, whole, whole_text, write_json, write_lines, write_rows,
+    csv_cell, field_kinds, field_names, number, number_text, numbers, read_fields, read_json,
+    read_rows, sha256_file, string, whole, whole_text, write_json, write_lines, write_rows,
 )
 
 #: ``--profile`` and ``--kind`` choices: ``sorted(filters.PROFILES)`` and the
@@ -87,14 +87,6 @@ class UsageError(Exception):
 def _load_config(path: str | None, kinds: dict[str, Callable]) -> dict:
     """The ``--config`` object, each key of ``kinds`` read by its kind; ``{}`` without one."""
     return read_json(path, lambda obj: read_fields(obj, kinds)) if path else {}
-
-
-def parse_value(name: str, value: object, kind: Callable):
-    """``kind(value)``, with a failed conversion reported as a domain error."""
-    try:
-        return kind(value)
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name}: invalid value {value!r} ({exc})") from exc
 
 
 def opt(args: argparse.Namespace, config: dict, key: str, default):
@@ -207,8 +199,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def cmd_inject(args: argparse.Namespace) -> int:
     config = _load_config(args.config, {"seed": whole, "kind": string, "vocab_seed": whole})
     seed = opt(args, config, "seed", 0)
-    kind = opt(args, config, "kind", lib.JunkKind.RANDOM_STRINGS.value)
-    kind = parse_value("kind", kind, lib.JunkKind)
+    kind = opt(args, config, "kind", KIND_CHOICES[0])
+    if kind not in KIND_CHOICES:
+        raise ValidationError(f"kind must be one of {', '.join(KIND_CHOICES)}, got {kind!r}")
+    kind = lib.JunkKind(kind)
     if (kind is lib.JunkKind.SHUFFLED_DOCS) != bool(args.junk_source):
         raise UsageError("--junk-source is read by --kind shuffled_docs only, which needs it")
     spec = lib.InjectionSpec(kind=kind, ratio=args.ratio, seed=seed)
@@ -340,7 +334,7 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
     law = read_json(args.law, lib.ThresholdLaw.from_dict)
-    pool_tokens = parse_value("--pool-tokens", args.pool_tokens, float)
+    pool_tokens = number_text("--pool-tokens", args.pool_tokens)
     compute = lib.extrapolate_compute(law, pool_tokens)
     print(repr(compute))
     if args.output:
@@ -350,7 +344,7 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
 
 def cmd_slice_loss(args: argparse.Namespace) -> int:
     slc = read_json(args.slice, lib.EvalSlice.from_dict)
-    ts = parse_value("--t", args.t, lambda v: [int(t) for t in v.split(",")])
+    ts = [whole_text("--t", t) for t in args.t.split(",")]
     columns = ("t", "mean_loss")
     rows = [dict(zip(columns, (t, lib.slice_loss(slc, t)))) for t in ts]
     if args.output:

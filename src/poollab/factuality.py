@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .corpus import WORD_RE, Document, Pool
 from .errors import JudgeError, ValidationError
-from .io import read_jsonl, write_lines
+from .io import read_jsonl, read_record, write_lines
 
 
 class Verdict(str, Enum):
@@ -287,19 +287,19 @@ def aggregate_judgements(
 # ---------------------------------------------------------------------------
 
 
-def _qa_item(obj: dict) -> QAItem:
-    keywords = obj["keywords"]
+def _keywords(name: str, value: object) -> tuple[str, ...]:
     # a string would split into letters, and "" or " " matches every document (r"\b\b" does)
-    if not isinstance(keywords, list) or any(type(kw) is str and not kw.strip() for kw in keywords):
-        raise ValidationError(f"keywords must be a list of non-blank strings, got {keywords!r}")
-    return QAItem(obj["subject"], obj["question"], obj["answer"], tuple(keywords))
+    if type(value) is not list or any(type(kw) is str and not kw.strip() for kw in value):
+        raise ValidationError(f"{name} must be a list of non-blank strings, got {value!r}")
+    return tuple(value)
 
 
 def read_qa_items(path: str | Path) -> list[QAItem]:
     """The QA items of a JSONL file.  Two items with one ``qa_id`` (subject
     and question) are rejected, naming both lines: the judgements could
     not tell them apart, and each would be credited with both's."""
-    return list(read_jsonl(path, _qa_item, key=lambda qa: f"qa_id={qa.qa_id}"))
+    return list(read_jsonl(path, lambda obj: read_record(QAItem, obj, keywords=_keywords),
+                           key=lambda qa: f"qa_id={qa.qa_id}"))
 
 
 #: A judgements line, as ``json.dumps`` writes the fields in declaration order.

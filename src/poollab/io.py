@@ -8,10 +8,11 @@ shortest representation that round-trips exactly), bools with ``str``.
 Rows are written from objects or mappings, one column per attribute or
 key, and read back into dataclasses by their field types.
 
-JSON values are read by one type rule, one function per kind
-(:func:`string`, :func:`flag`, :func:`number`, :func:`whole`), each
-raising ``"<field> must be <kind>, got <value!r>"``.  A format's kinds
-are its dataclass's field annotations (:func:`field_kinds`).
+JSON values are read by one type rule, one function per kind (:func:`string`,
+:func:`flag`, :func:`number`, :func:`whole`, :func:`items`), each raising
+``"<field> must be <kind>, got <value!r>"``.  A JSON object fills a dataclass
+by :func:`read_record`: fields without a default are required, and each field's
+kind is its annotation (:func:`field_kinds`) unless the reader names another.
 
 Pretty JSON: indent 2, sorted keys, trailing newline.
 
@@ -28,7 +29,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
@@ -143,11 +145,17 @@ def whole(name: str, value: object) -> int:
     _reject(name, "a whole number", value)
 
 
-def _float(text: str) -> float:
+def items(name: str, value: object) -> list:
+    """A JSON array."""
+    return value if type(value) is list else _reject(name, "a list", value)
+
+
+def number_text(name: str, text: str, kind: str = "a number") -> float:
+    """:func:`number` of a number written as text, such as ``"1e12"``; else not ``kind``."""
     try:
         return float(text)
     except ValueError:
-        return math.nan
+        _reject(name, kind, text)
 
 
 def whole_text(name: str, text: str) -> int:
@@ -156,7 +164,7 @@ def whole_text(name: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        value = _float(text)
+        value = number_text(name, text, "a whole number")
     return int(value) if value.is_integer() else _reject(name, "a whole number", text)
 
 
@@ -184,8 +192,29 @@ _KINDS = {"str": string, "bool": flag, "int": whole, "float": number}
 
 def field_kinds(cls: type) -> dict[str, Callable[[str, Any], Any]]:
     """The kind of each field of the dataclass ``cls`` annotated ``str``, ``bool``,
-    ``int`` or ``float``, for :func:`read_fields`; other fields are left out."""
+    ``int`` or ``float``; other fields are left out."""
     return {f.name: _KINDS[f.type] for f in fields(cls) if f.type in _KINDS}
+
+
+@cache
+def _record_fields(cls: type) -> tuple[tuple[str, Callable | None, bool], ...]:
+    """``(name, kind by annotation or None, required)`` of each field of ``cls``."""
+    return tuple((f.name, _KINDS.get(f.type), f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def read_record(cls: type[T], obj: object, **kinds: Callable[[str, Any], Any]) -> T:
+    """The dataclass ``cls`` of the JSON object ``obj``, each field read by its kind in
+    ``kinds`` or else by its annotation; fields without a default are required."""
+    if type(obj) is not dict:
+        raise ValidationError(f"expected a JSON object, got {obj!r}")
+    values = {}
+    for name, kind, required in _record_fields(cls):
+        if name in obj:
+            values[name] = (kinds.get(name) or kind)(name, obj[name])
+        elif required:
+            raise ValidationError(f"missing key {name!r}")
+    return cls(**values)
 
 
 def csv_cell(value: object) -> str:
@@ -214,7 +243,7 @@ def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[object])
 
 
 def _parse_float(name: str, cell: str) -> float | None:
-    value = None if cell == NEVER else _float(cell)
+    value = None if cell == NEVER else number_text(name, cell, f"a finite number or {NEVER}")
     return value if value is None or math.isfinite(value) else _reject(
         name, f"a finite number or {NEVER}", cell)
 

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .io import (LineError, field_kinds, number, numbers, read_fields, read_json, read_jsonl,
-                 write_lines)
+from .io import (LineError, field_kinds, field_names, items, number, numbers, read_fields,
+                 read_json, read_jsonl, read_record, write_lines)
 
 DEFAULT_BATCH_TOKENS = 2**19
 DEFAULT_CONTEXT_LENGTH = 1024
@@ -207,7 +207,7 @@ class EvalSlice:
     @classmethod
     def from_dict(cls, obj: object) -> "EvalSlice":
         """The slice of a JSON object; ``context_length`` defaults to the number of losses."""
-        fields = read_fields(obj, field_kinds(cls))
+        fields = read_fields(obj, {**field_kinds(cls), "position_losses": items})
         losses = tuple(number(f"position_losses[{i}]", v)
                        for i, v in enumerate(fields["position_losses"]))
         return cls(losses, fields.get("context_length", len(losses)))
@@ -245,52 +245,40 @@ def record_to_dict(record: RunRecord) -> dict:
     }
 
 
-#: The kind of each JSON field of a model config and of a run record.
-_MODEL_FIELDS, _RECORD_FIELDS = field_kinds(ModelConfig), field_kinds(RunRecord)
-_DEFAULTED_FIELDS = ("batch_tokens", "weight_decay", "learning_rate")  # a record may omit these
+#: The fields a model config is read from, in declaration order.
+_MODEL_FIELDS = tuple(field_names(ModelConfig))
 
 
-def _model_config(fields: object, models: dict[tuple, ModelConfig]) -> ModelConfig:
-    """The config of the JSON object ``fields``, or the one already in ``models`` for equal fields.
+def _model_config(obj: object, models: dict[tuple, ModelConfig]) -> ModelConfig:
+    """The config of the JSON object ``obj``, or the one already in ``models`` for equal fields;
+    other keys are not read, so they do not split configs.
 
     A config of exact ``int`` and ``str`` values (neither equals the other or a ``bool``) is
     looked up as it is and read only if new; any other is read first, so ``1000.0`` is ``1000``.
     """
-    if type(fields) is not dict or not all(type(v) in (int, str) for v in fields.values()):
-        fields = read_fields(fields, _MODEL_FIELDS)
-    key = tuple(sorted(fields.items()))
-    model = models.get(key)
-    if model is None:
-        model = models[key] = ModelConfig(**read_fields(fields, _MODEL_FIELDS))
-    return model
+    # a list, not a map: tuple() of an iterator of unknown length is resized, and each such
+    # tuple freed joins a free list nothing draws from, pinning memory the freed log gives back
+    key = tuple([obj.get(name) for name in _MODEL_FIELDS]) if type(obj) is dict else ()
+    if all(type(v) is int or type(v) is str for v in key) and key in models:
+        return models[key]
+    model = read_record(ModelConfig, obj)
+    return models.setdefault(tuple(vars(model).values()), model)
 
 
-def record_from_dict(obj: dict, models: dict[tuple, ModelConfig]) -> RunRecord:
-    """The record of one parsed JSON object; raises ValidationError if malformed,
-    or KeyError for a missing key, which the JSONL reader names.
-
-    The parsed ``losses`` dicts are used as they are if every loss is a
-    float, else read by :func:`~poollab.io.numbers`, as ``benchmarks`` are.
-    Records parsed with one ``models`` dict share one :class:`ModelConfig`.
-    """
-    fields = read_fields(obj, _RECORD_FIELDS)
-    try:
-        model = _model_config(fields["model"], models)
-        points = fields["eval_points"]
-        losses = [p["losses"] for p in points]
-        if any(type(v) is not float for point_losses in losses for v in point_losses.values()):
-            losses = [numbers("losses", point_losses) for point_losses in losses]
-        eval_points = tuple([
-            EvalPoint(p["tokens_seen"], point_losses,
-                      numbers("benchmarks", p["benchmarks"]) if p.get("benchmarks") else None)
-            for p, point_losses in zip(points, losses)
-        ])
-    except (AttributeError, TypeError) as exc:
-        raise ValidationError(f"malformed run record: {exc}") from exc
-    return RunRecord(
-        dataset_label=fields["dataset_label"], model=model, train_tokens=fields["train_tokens"],
-        pool_tokens=fields["pool_tokens"], eval_points=eval_points,
-        **{key: fields[key] for key in _DEFAULTED_FIELDS if key in fields})
+def _eval_points(name: str, points: object) -> tuple[EvalPoint, ...]:
+    """The :class:`EvalPoint` of each object of the JSON list ``points``, built in bulk: the
+    parsed ``losses`` dicts are kept if every loss is a float, else read by ``numbers``."""
+    if not {dict}.issuperset(map(type, items(name, points))):
+        raise ValidationError(f"{name} must be a list of objects, got {points!r}")
+    losses = [p["losses"] for p in points]
+    if not {dict}.issuperset(map(type, losses)) or any(
+            type(v) is not float for point_losses in losses for v in point_losses.values()):
+        losses = [numbers("losses", point_losses) for point_losses in losses]
+    return tuple([
+        EvalPoint(p["tokens_seen"], point_losses,
+                  numbers("benchmarks", p["benchmarks"]) if p.get("benchmarks") else None)
+        for p, point_losses in zip(points, losses)
+    ])
 
 
 def parse_run_log(path: str | Path) -> tuple[list[RunRecord], list[LineError]]:
@@ -300,7 +288,8 @@ def parse_run_log(path: str | Path) -> tuple[list[RunRecord], list[LineError]]:
     """
     errors: list[LineError] = []
     models: dict[tuple, ModelConfig] = {}
-    records = list(read_jsonl(path, lambda obj: record_from_dict(obj, models), errors))
+    kinds = {"model": lambda _, obj: _model_config(obj, models), "eval_points": _eval_points}
+    records = list(read_jsonl(path, lambda obj: read_record(RunRecord, obj, **kinds), errors))
     return records, errors
 
 
@@ -319,15 +308,10 @@ def write_run_log(path: str | Path, records: Iterable[RunRecord]) -> None:
     write_lines(path, (encode(record_to_dict(r)) for r in records))
 
 
-def _model_configs(data: object) -> list[ModelConfig]:
-    if type(data) is not list:
-        raise ValidationError(f"expected a JSON list of model configs, got {data!r}")
-    return [ModelConfig(**read_fields(obj, _MODEL_FIELDS)) for obj in data]
-
-
 def read_model_configs(path: str | Path) -> list[ModelConfig]:
     """The model configurations of a JSON list of objects holding :class:`ModelConfig`'s fields."""
-    return read_json(path, _model_configs)
+    return read_json(path, lambda data: [read_record(ModelConfig, obj)
+                                         for obj in items("model configs", data)])
 
 
 def bundled_model_configs() -> list[ModelConfig]:

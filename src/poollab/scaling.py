@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import FitError, NoRootError, ValidationError
-from .io import field_kinds, read_fields
+from .io import items, read_record
 from .runlog import ModelConfig, RunRecord, best_achievable, eval_set_names, point_losses
 
 if TYPE_CHECKING:
@@ -600,21 +600,15 @@ class ThresholdLaw:
         return self.alpha * pool_tokens**self.beta
 
     @classmethod
-    def from_dict(cls, obj: Mapping) -> "ThresholdLaw":
+    def from_dict(cls, obj: object) -> "ThresholdLaw":
         """Inverse of ``dataclasses.asdict``; keys other than the fields are ignored.
 
         ``points`` must hold at least 3 points, as every fitted law does,
         and ``alpha`` and ``beta`` must be finite, since they are all that
         :meth:`predict_compute` reads.
         """
-        fields = read_fields(obj, _LAW_FIELDS)
-        try:
-            law = cls(**{key: fields[key] for key in _LAW_FIELDS}, points=tuple(
-                ThresholdPoint(**read_fields(p, _POINT_FIELDS)) for p in obj["points"]))
-        except KeyError as exc:
-            raise ValidationError(f"threshold law is missing {exc}") from exc
-        except TypeError as exc:  # points is not a list, or a point's fields are not its fields
-            raise ValidationError(f"malformed threshold law: {exc}") from exc
+        law = read_record(cls, obj, points=lambda name, value: tuple(
+            read_record(ThresholdPoint, p) for p in items(name, value)))
         if len(law.points) < 3:
             raise ValidationError(f"threshold law needs >= 3 points, got {len(law.points)}")
         if not (math.isfinite(law.alpha) and math.isfinite(law.beta)):
@@ -622,10 +616,6 @@ class ThresholdLaw:
                 f"threshold law alpha and beta must be finite, got {law.alpha!r} and {law.beta!r}"
             )
         return law
-
-
-#: The kind of each JSON field of a threshold law and of its points.
-_POINT_FIELDS, _LAW_FIELDS = field_kinds(ThresholdPoint), field_kinds(ThresholdLaw)
 
 
 def extrapolate_compute(law: ThresholdLaw, pool_tokens: float) -> float:

@@ -18,7 +18,7 @@ import sys
 import tempfile
 import textwrap
 import types
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,12 @@ from hypothesis import given, settings, strategies as st
 import poollab
 import poollab.cli as cli
 from poollab import (
+    EvalSlice,
+    ModelConfig,
+    QAItem,
+    RunRecord,
+    ThresholdLaw,
+    ThresholdPoint,
     bundled_model_configs,
     crossing_point,
     load_run_log,
@@ -903,10 +909,15 @@ def ingest_record_with(tmp_path, edit):
             "--validate-only"]
 
 
+def extrapolate_of(tmp_path, obj):
+    """extrapolate of the threshold law JSON value ``obj``."""
+    return ["extrapolate", "--law", write_text(tmp_path, "law.json", json.dumps(obj)),
+            "--pool-tokens", "1e12"]
+
+
 def extrapolate_law_with(tmp_path, **fields):
     """extrapolate of LAW with ``fields`` replaced."""
-    return ["extrapolate", "--law", write_text(tmp_path, "law.json", json.dumps({**LAW, **fields})),
-            "--pool-tokens", "1e12"]
+    return extrapolate_of(tmp_path, {**LAW, **fields})
 
 
 def slice_loss_of(tmp_path, text):
@@ -1106,7 +1117,31 @@ MISTYPED_FIELDS = {
         lambda t, docs: scaling_law_with(t, "--configs", write_text(t, "models.json", json.dumps(
             [{**asdict(CONFIG_15M), "ffn_dim": 0}]))),
         "models.json: 15M: ffn_dim must be positive, got 0"),
+    "run-log-eval-points-an-int": (
+        lambda t, docs: ingest_record_with(t, lambda r: r.update(eval_points=5)),
+        "r.jsonl: line 1: eval_points must be a list, got 5"),
+    "run-log-eval-point-an-int": (
+        lambda t, docs: ingest_record_with(t, lambda r: r.update(eval_points=[1])),
+        "r.jsonl: line 1: eval_points must be a list of objects, got [1]"),
+    "run-log-losses-a-list": (
+        lambda t, docs: ingest_record_with(t, lambda r: r["eval_points"][0].update(losses=[3.0])),
+        "r.jsonl: line 1: losses must be an object of numbers, got [3.0]"),
+    "law-points-an-int": (lambda t, docs: extrapolate_law_with(t, points=5),
+                          "law.json: points must be a list, got 5"),
+    "slice-position-losses-an-int": (lambda t, docs: slice_loss_of(t, '{"position_losses": 5}'),
+                                     "s.json: position_losses must be a list, got 5"),
 }
+
+
+@pytest.mark.parametrize("case, message", [
+    ("pool-tokens-abc", "--pool-tokens must be a number, got 'abc'"),
+    ("slice-t-not-integer", "--t must be a whole number, got 'a'"),
+    ("slice-t-empty-item", "--t must be a whole number, got ''"),
+    ("inject-config-kind-unknown", "kind must be one of random_strings, shuffled_docs, got 'zzz'"),
+])
+def test_text_value_error_names_setting_and_kind(tmp_path, docs_file, capsys, case, message):
+    assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
@@ -1148,6 +1183,11 @@ MALFORMED_INPUTS = {
     "slice-t-not-integer": lambda t, docs: [
         "slice-loss", "--slice",
         write_text(t, "s.json", '{"position_losses": [1.0], "context_length": 1}'), "--t", "a"],
+    "slice-t-empty-item": lambda t, docs: [
+        "slice-loss", "--slice", write_text(t, "s.json", '{"position_losses": [1.0]}'), "--t", "1,"],
+    "inject-config-kind-unknown": lambda t, docs: [
+        "inject", "--pool", docs, "--ratio", "0.5", "--config",
+        write_text(t, "c.json", '{"kind": "zzz"}'), "--output", str(t / "i.jsonl")],
     "config-stages-list": lambda t, docs: [
         "filter", "--pool", docs, "--config",
         write_text(t, "c.json", '{"stages": ["english"]}'), "--output", str(t / "f.jsonl")],
@@ -1503,12 +1543,11 @@ BAD_WHOLE_FILES = [
     *[(reader, "not-an-object", "[1]", "expected a JSON object, got [1]")
       for reader in ("config", "law", "slice", "pool-header")],
     ("configs", "not-a-list", '{"name": "15M"}',
-     "expected a JSON list of model configs, got {'name': '15M'}"),
+     "model configs must be a list, got {'name': '15M'}"),
     ("law", "missing-key", json.dumps({k: v for k, v in LAW.items() if k != "alpha"}),
-     "threshold law is missing 'alpha'"),
+     "missing key 'alpha'"),
     ("slice", "missing-key", '{"context_length": 1}', "missing key 'position_losses'"),
-    ("configs", "missing-key", '[{"name": "15M"}]',
-     "ModelConfig.__init__() missing 8 required positional arguments: 'hidden_dim', "),
+    ("configs", "missing-key", '[{"name": "15M"}]', "missing key 'hidden_dim'"),
     ("config", "mistyped", '{"seed": "1"}', "seed must be a whole number, got '1'"),
     ("law", "mistyped", json.dumps({**LAW, "alpha": "1e3"}), "alpha must be a number, got '1e3'"),
     ("slice", "mistyped", '{"position_losses": [1.0], "context_length": "1"}',
@@ -1529,6 +1568,61 @@ def test_whole_file_error_is_path_then_reason(tmp_path, docs_file, capsys, reade
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / name}: {reason}") and err.count("\n") == 1, err
+
+
+def report_of(tmp_path, obj):
+    """report of a run log whose one line is the JSON value ``obj``."""
+    return ["report", "--runs", write_text(tmp_path, "r.jsonl", json.dumps(obj) + "\n"),
+            "--output", str(tmp_path / "report.csv")]
+
+
+RUN_RECORD = record_to_dict(curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.3, 3.0, tokens_grid=[2, 4]))
+
+#: Each JSON record a command reads: its dataclass, a valid object of it, and argv of a
+#: command that reads the JSON value ``obj`` in the object's place (from ``t``, with the
+#: documents ``docs`` as a pool).
+RECORD_READERS = {
+    "model-config-in-configs": (ModelConfig, asdict(CONFIG_15M), lambda t, docs, obj: (
+        scaling_law_with(t, "--configs", write_text(t, "models.json", json.dumps(
+            [obj, *(asdict(c) for c in bundled_model_configs() if c != CONFIG_15M)]))))),
+    "model-config-in-run-log": (ModelConfig, asdict(CONFIG_15M), lambda t, docs, obj: (
+        report_of(t, {**RUN_RECORD, "model": obj}))),
+    "run-record": (RunRecord, RUN_RECORD, lambda t, docs, obj: report_of(t, obj)),
+    "threshold-law": (ThresholdLaw, LAW, lambda t, docs, obj: extrapolate_of(t, obj)),
+    "threshold-point": (ThresholdPoint, LAW["points"][0], lambda t, docs, obj: (
+        extrapolate_of(t, {**LAW, "points": [obj, *LAW["points"][1:]]}))),
+    "qa-item": (QAItem, json.loads(QA_LINE), lambda t, docs, obj: [
+        "judge", "--mock", "--pool", docs, "--output", str(t / "j.jsonl"),
+        "--qa", write_text(t, "qa.jsonl", json.dumps(obj) + "\n")]),
+    "eval-slice": (EvalSlice, {"position_losses": [1.0], "context_length": 1},
+                   lambda t, docs, obj: slice_loss_of(t, json.dumps(obj))),
+}
+
+#: (reader, field) for each field without a default of each reader's dataclass.
+REQUIRED_FIELDS = [(reader, f.name) for reader, (cls, _, _) in RECORD_READERS.items()
+                   for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+
+
+@pytest.mark.parametrize("reader, field", REQUIRED_FIELDS,
+                         ids=[f"{reader}-{field}" for reader, field in REQUIRED_FIELDS])
+def test_record_without_a_required_field_names_it(tmp_path, docs_file, capsys, reader, field):
+    _, valid, builder = RECORD_READERS[reader]
+    assert dispatch(builder(tmp_path, str(docs_file),
+                            {k: v for k, v in valid.items() if k != field})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"missing key '{field}'\n"), err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("reader", sorted(RECORD_READERS))
+def test_record_that_is_not_an_object_is_rejected(tmp_path, docs_file, capsys, reader):
+    _, valid, builder = RECORD_READERS[reader]
+    assert dispatch(builder(tmp_path, str(docs_file), valid)) == 0
+    capsys.readouterr()
+    assert dispatch(builder(tmp_path, str(docs_file), [1, 2])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("expected a JSON object, got [1, 2]\n"), err
+    assert err.count("\n") == 1, err
 
 
 def test_write_error_names_the_output_not_its_temporary(tmp_path, docs_file, capsys):
@@ -1854,13 +1948,19 @@ def random_argv(draw, names):
     return argv
 
 
+#: Pieces of the text Python gives a TypeError or AttributeError, such as
+#: ``ModelConfig.__init__() missing 8 required positional arguments``.
+PYTHON_TYPE_ERRORS = ("__init__()", "object is not", "object has no attribute", "indices must be")
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_command_lines_exit_cleanly(data):
     # Each command line is a MANIFEST_CASES one with one of its inputs
     # changed, a MALFORMED_INPUTS one, or random flags; either of the first
     # two may have one argument replaced.  No stderr line may come from a
-    # warning's source location.
+    # warning's source location, or hold Python's own text about a wrong type
+    # or a missing argument where a reader's reason belongs.
     kind = data.draw(st.sampled_from(["valid", "malformed", "random"]))
     targets = sorted(fuzz_files())
     if kind == "valid":
@@ -1894,7 +1994,8 @@ def test_fuzzed_command_lines_exit_cleanly(data):
             os.chdir(cwd)
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
-        assert not any(".py:" in line for line in err.getvalue().splitlines()), err.getvalue()
+        assert not any(".py:" in line or any(text in line for text in PYTHON_TYPE_ERRORS)
+                       for line in err.getvalue().splitlines()), err.getvalue()
 
 
 def run_python(code):

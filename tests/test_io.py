@@ -221,21 +221,33 @@ def _reads_a_file(call: ast.Call) -> bool:
         func.attr == "open" or func.attr in ("load", "loads") and ast.unparse(func.value) == "json")
 
 
+def _builds_from_read_fields(call: ast.Call) -> bool:
+    """``X(**read_fields(...))``: a record built by hand, where ``io.read_record``
+    would name a missing field and ignore the keys that are not fields."""
+    return any(keyword.arg is None and isinstance(keyword.value, ast.Call)
+               and ast.unparse(keyword.value.func).rpartition(".")[2] == "read_fields"
+               for keyword in call.keywords)
+
+
 #: Reads outside io.py that are not of a file: factuality parses an HTTP response body.
 NOT_FILE_READS = {("factuality.py", "json.load(response)")}
 
 
 def test_only_io_module_reads_files():
     package = Path(poollab.__file__).parent
-    readers = [
-        f"{module.name}:{node.lineno}: {ast.unparse(node)}"
+    calls = [
+        (module.name, node)
         for module in sorted(package.glob("*.py"))
-        if module.name != "io.py"
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and _reads_a_file(node)
-        and (module.name, ast.unparse(node)) not in NOT_FILE_READS
+        if isinstance(node, ast.Call)
+    ]
+    readers = [
+        f"{name}:{node.lineno}: {ast.unparse(node)}" for name, node in calls
+        if name != "io.py" and _reads_a_file(node)
+        and (name, ast.unparse(node)) not in NOT_FILE_READS
     ]
     assert readers == []
+    assert [f"{name}:{node.lineno}" for name, node in calls if _builds_from_read_fields(node)] == []
 
 
 def test_read_check_sees_each_way_of_reading():
@@ -245,6 +257,12 @@ def test_read_check_sees_each_way_of_reading():
     parsed = lambda src: ast.parse(src, mode="eval").body  # noqa: E731
     assert all(_reads_a_file(parsed(src)) for src in calls)
     assert not any(_reads_a_file(parsed(src)) for src in others)
+    builds = ["ModelConfig(**read_fields(obj, kinds))", "cls(**io.read_fields(o, {}))",
+              "f(1, **read_fields(o, k))"]
+    others = ["read_record(ModelConfig, obj)", "cls(**fields)", "cls(read_fields(o, k))",
+              "cls(x=read_fields(o, k))"]
+    assert all(_builds_from_read_fields(parsed(src)) for src in builds)
+    assert not any(_builds_from_read_fields(parsed(src)) for src in others)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
+import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import poollab
 from poollab import (
     EvalPoint,
     EvalSlice,
@@ -467,7 +471,7 @@ class TestSerialization:
                 assert all(type(v) is float for v in (point.benchmarks or {}).values())
 
     @pytest.mark.parametrize("field,message", [
-        ("losses", "malformed run record: 'list' object has no attribute 'values'"),
+        ("losses", "losses must be an object of numbers, got [3.0]"),
         ("benchmarks", "benchmarks must be an object of numbers, got [3.0]"),
     ])
     def test_parse_rejects_non_object_losses(self, tmp_path, field, message):
@@ -618,6 +622,17 @@ class TestModelConfigSharing:
         a, b, c = load_run_log(path)
         assert a.model == TINY and a.model is b.model is c.model
 
+    def test_configs_differing_in_an_ignored_key_are_shared(self, tmp_path):
+        # the cache is keyed on the fields read, so an unread key, even unhashable, splits none
+        path, text = write_log_of_models(tmp_path, asdict(TINY), {**asdict(TINY), "notes": "a"},
+                                         {**asdict(TINY), "notes": [1.5]},
+                                         {**asdict(TINY), "vocab_size": 1000.0, "notes": 2})
+        a, b, c, d = load_run_log(path)
+        assert a.model == TINY and a.model is b.model is c.model is d.model
+        out = tmp_path / "out.jsonl"
+        assert dispatch(["ingest", "--runs", str(path), "--output", str(out)]) == 0
+        assert '"notes"' not in out.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("field,value,twin", [
         ("vocab_size", 1000, 1000.0),
         ("total_params", 1_000_000_000, 1e9),
@@ -644,6 +659,28 @@ class TestModelConfigSharing:
         records, errors = parse_run_log(path)
         assert [r.model for r in records] == [ModelConfig(**first)]
         assert errors == [LineError(2, message)]
+
+    def test_freed_log_keeps_no_memory(self, tmp_path):
+        # crossing frees the log before numpy loads, so that numpy reuses its memory; an
+        # object kept from each record, even on a free list, would pin that memory instead.
+        # 21 points a record: a freed tuple of up to 20 items is kept on a free list.
+        write_run_log(tmp_path / "small.jsonl", [record()])
+        write_run_log(tmp_path / "runs.jsonl",
+                      [record(label=f"r{i}", losses=(3.0,) * 21) for i in range(2_000)])
+        code = (
+            "import sys, tracemalloc; from poollab.runlog import load_run_log\n"
+            "load_run_log(sys.argv[1])\n"  # first use: lazy imports and caches
+            "tracemalloc.start(); records = load_run_log(sys.argv[2]); del records\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        src = str(Path(poollab.__file__).resolve().parents[1])
+        left = subprocess.run(
+            [sys.executable, "-c", code, *(str(tmp_path / n) for n in ("small.jsonl", "runs.jsonl"))],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+            timeout=60).stdout
+        # about 17 kB of free-listed floats and dicts; 66 kB when a model key tuple
+        # was kept on a free list from about one record in five
+        assert int(left) < 32_768
 
     def test_invalid_config_rejected_on_every_line(self, tmp_path):
         bad = {**asdict(TINY), "hidden_dim": 100}

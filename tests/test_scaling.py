@@ -830,9 +830,9 @@ class TestThresholdLaws:
             assert read_json(path, ThresholdLaw.from_dict) == law
 
     def test_law_from_dict_rejects_malformed(self):
-        with pytest.raises(ValidationError, match="missing 'method'"):
+        with pytest.raises(ValidationError, match="^missing key 'method'$"):
             ThresholdLaw.from_dict({"parameter": 1.0})
-        with pytest.raises(ValidationError, match="malformed"):
+        with pytest.raises(ValidationError, match="^missing key 'model_params'$"):
             ThresholdLaw.from_dict(
                 {"method": "m", "parameter": 1.0, "points": [{"x": 1}],
                  "alpha": 1.0, "beta": 1.0, "r2": 1.0}
