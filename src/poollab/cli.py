@@ -27,8 +27,9 @@ from typing import Callable, Sequence
 from . import _EXPORTS, __version__
 from .errors import ConfigError, FitError, PoolLabError, ValidationError
 from .io import (
-    csv_cell, field_kinds, field_names, number, number_text, numbers, read_fields, read_json,
-    read_rows, sha256_file, string, whole, whole_text, write_json, write_lines, write_rows,
+    csv_cell, field_kinds, field_names, json_object, number, number_text, numbers, one_of,
+    read_json, read_rows, sha256_file, string, whole, whole_text, write_json, write_lines,
+    write_rows,
 )
 
 #: ``--profile`` and ``--kind`` choices: ``sorted(filters.PROFILES)`` and the
@@ -65,14 +66,8 @@ REPORT_COLUMNS = (
 )
 
 #: Crossings CSV columns: the CrossingPoint fields plus its derived epoch properties.
-CROSSING_COLUMNS = (
-    "model_params",
-    "pool_tokens",
-    "crossing_tokens",
-    "epochs_at_cross",
-    "observed",
-    "extreme_epochs",
-)
+CROSSING_COLUMNS = ("model_params", "pool_tokens", "crossing_tokens", "epochs_at_cross",
+                    "observed", "extreme_epochs")
 
 
 class UsageError(Exception):
@@ -84,9 +79,17 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _settings(obj: object, kinds: dict[str, Callable]) -> dict:
+    """The JSON object ``obj``, each key read by its kind in ``kinds``; no other key is read."""
+    for key in json_object(obj):
+        if key not in kinds:
+            raise ValidationError(f"unknown setting {key!r} (settings: {', '.join(sorted(kinds))})")
+    return {key: kinds[key](key, value) for key, value in obj.items()}
+
+
 def _load_config(path: str | None, kinds: dict[str, Callable]) -> dict:
-    """The ``--config`` object, each key of ``kinds`` read by its kind; ``{}`` without one."""
-    return read_json(path, lambda obj: read_fields(obj, kinds)) if path else {}
+    """The ``--config`` object of the settings in ``kinds``; ``{}`` without one."""
+    return read_json(path, lambda obj: _settings(obj, kinds)) if path else {}
 
 
 def opt(args: argparse.Namespace, config: dict, key: str, default):
@@ -197,12 +200,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, {"seed": whole, "kind": string, "vocab_seed": whole})
+    config = _load_config(args.config, {"seed": whole, "kind": one_of(lib.JunkKind),
+                                        "vocab_seed": whole})
     seed = opt(args, config, "seed", 0)
-    kind = opt(args, config, "kind", KIND_CHOICES[0])
-    if kind not in KIND_CHOICES:
-        raise ValidationError(f"kind must be one of {', '.join(KIND_CHOICES)}, got {kind!r}")
-    kind = lib.JunkKind(kind)
+    kind = lib.JunkKind(opt(args, config, "kind", KIND_CHOICES[0]))
     if (kind is lib.JunkKind.SHUFFLED_DOCS) != bool(args.junk_source):
         raise UsageError("--junk-source is read by --kind shuffled_docs only, which needs it")
     spec = lib.InjectionSpec(kind=kind, ratio=args.ratio, seed=seed)

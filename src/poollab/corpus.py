@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import StreamExhaustedError, ValidationError
-from .io import read_fields, read_json, read_jsonl, string, whole, write_json, write_lines
+from .io import (json_object, one_of, read_json, read_jsonl, read_record, string, write_json,
+                 write_lines)
 
 #: A word, as the stop-word filter and the keyword matcher count them.
 WORD_RE = re.compile(r"\w+")
@@ -45,8 +46,21 @@ class Document:
 #: *ratios* stay comparable.  Pool headers record this name for it.
 COUNTER_NAME = "whitespace"
 
-#: The kind of each pool-header field.
-_HEADER_FIELDS = {"label": string, "seed": whole, "total_tokens": whole, "counter_name": string}
+
+
+@dataclass(frozen=True)
+class PoolHeader:
+    """A pool's ``<path>.header.json``; each field may be absent."""
+
+    label: str | None = None  # None: the pool file's stem
+    seed: int = 0
+    total_tokens: int | None = None  # None: the recount of the documents
+    counter_name: str = COUNTER_NAME
+
+    def __post_init__(self) -> None:
+        if self.counter_name != COUNTER_NAME:
+            raise ValidationError(f"pool was counted under counter {self.counter_name!r}; "
+                                  f"poollab counts {COUNTER_NAME!r} runs only")
 
 
 def make_document(
@@ -146,13 +160,13 @@ def sample_pool(
 # ---------------------------------------------------------------------------
 
 
+_source = one_of(DocumentSource)
+
+
 def _document(obj: object) -> Document:
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {obj!r}")
-    doc_id, text = obj["id"], obj["text"]
-    if not (isinstance(doc_id, str) and isinstance(text, str)):
-        raise ValueError("document id and text must be strings")
-    return make_document(doc_id, text, DocumentSource(obj.get("source", "pool")))
+    json_object(obj)
+    source = _source("source", obj["source"]) if "source" in obj else DocumentSource.POOL
+    return make_document(string("id", obj["id"]), string("text", obj["text"]), source)
 
 
 def read_documents(path: str | Path) -> Iterator[Document]:
@@ -172,29 +186,19 @@ def header_path(pool_path: str | Path) -> Path:
 def write_pool(path: str | Path, pool: Pool) -> None:
     """Write pool documents as JSONL plus a ``<path>.header.json`` sidecar."""
     write_documents(path, pool.documents)
-    header = {"label": pool.label, "seed": pool.seed, "total_tokens": pool.total_tokens,
-              "counter_name": COUNTER_NAME}
-    write_json(header_path(path), header)
+    write_json(header_path(path), asdict(PoolHeader(pool.label, pool.seed, pool.total_tokens)))
 
 
 def read_pool(path: str | Path) -> Pool:
-    """Read a pool written by :func:`write_pool`; header is optional.
-
-    Each header field present is read by its kind in ``_HEADER_FIELDS``;
-    ``counter_name`` must be ``COUNTER_NAME`` and ``total_tokens`` must
-    equal the recount of the documents.
-    """
+    """Read a pool written by :func:`write_pool`; the header is optional, and a
+    ``total_tokens`` it gives must equal the recount of the documents."""
     docs = list(read_documents(path))
     hp = header_path(path)
-    header = read_json(hp, lambda obj: read_fields(obj, _HEADER_FIELDS)) if hp.exists() else {}
-    if header.get("counter_name", COUNTER_NAME) != COUNTER_NAME:
+    header = read_json(hp, partial(read_record, PoolHeader)) if hp.exists() else PoolHeader()
+    pool = Pool(docs, seed=header.seed,
+                label=Path(path).stem if header.label is None else header.label)
+    if header.total_tokens not in (None, pool.total_tokens):
         raise ValidationError(
-            f"{hp}: pool was counted under counter {header['counter_name']!r}; "
-            f"poollab counts {COUNTER_NAME!r} runs only"
-        )
-    pool = Pool(docs, seed=header.get("seed", 0), label=header.get("label", Path(path).stem))
-    if header.get("total_tokens", pool.total_tokens) != pool.total_tokens:
-        raise ValidationError(
-            f"{hp}: header total_tokens {header['total_tokens']} != recount {pool.total_tokens}"
+            f"{hp}: header total_tokens {header.total_tokens} != recount {pool.total_tokens}"
         )
     return pool

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .corpus import WORD_RE, Document, Pool
 from .errors import JudgeError, ValidationError
-from .io import read_jsonl, read_record, write_lines
+from .io import items, read_jsonl, read_record, write_lines
 
 
 class Verdict(str, Enum):
@@ -55,9 +55,9 @@ class QAItem:
                 raise ValidationError(f"QA item {name} must be a string")
         if not self.keywords:
             raise ValidationError("QA item needs at least one keyword")
-        for kw in self.keywords:
-            if not isinstance(kw, str) or kw != kw.lower():
-                raise ValidationError(f"keywords must be lowercase strings, got {kw!r}")
+        for kw in self.keywords:  # "" or " " would match every document, as r"\b\b" does
+            if not isinstance(kw, str) or kw != kw.lower() or not kw.strip():
+                raise ValidationError(f"keywords must be non-blank lowercase strings, got {kw!r}")
 
     @property
     def qa_id(self) -> str:
@@ -208,13 +208,8 @@ def mock_judge_client(classify: Callable[[str, str, str], Verdict] | None = None
     Without ``classify`` every document is judged ``Verdict.UNRELATED``.
     """
     fn = classify if classify is not None else (lambda doc, q, a: Verdict.UNRELATED)
-    return JudgeClient(
-        endpoint="mock://",
-        model_name="mock",
-        max_concurrency=1,
-        backoff_base=0.0,
-        classify=fn,
-    )
+    return JudgeClient(endpoint="mock://", model_name="mock", max_concurrency=1, backoff_base=0.0,
+                       classify=fn)
 
 
 def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -> JudgeRun:
@@ -249,13 +244,8 @@ def judge_documents(docs: Sequence[Document], qa: QAItem, client: JudgeClient) -
             results = list(executor.map(judge_one, docs))
     else:
         results = [judge_one(doc) for doc in docs]
-    run = JudgeRun(judgements=[], failures=[])
-    for result in results:
-        if isinstance(result, Judgement):
-            run.judgements.append(result)
-        else:
-            run.failures.append(result)
-    return run
+    return JudgeRun(judgements=[r for r in results if type(r) is Judgement],
+                    failures=[r for r in results if type(r) is JudgeFailure])
 
 
 def aggregate_judgements(
@@ -267,19 +257,12 @@ def aggregate_judgements(
     Related, Unrelated; subjects with no judgements get all-zero rows.
     """
     counts = Counter((j.qa_id, j.verdict) for j in judgements)
-
-    rows = []
     subjects: dict[str, list[QAItem]] = {}
     for item in qa_items:
         subjects.setdefault(item.subject, []).append(item)
-    for subject in sorted(subjects):
-        items = subjects[subject]
-        means = {}
-        for verdict in Verdict:
-            total = sum(counts[item.qa_id, verdict] for item in items)
-            means[verdict.value] = total / len(items)
-        rows.append({"subject": subject, **means})
-    return rows
+    return [{"subject": subject, **{v.value: sum(counts[qa.qa_id, v] for qa in group) / len(group)
+                                    for v in Verdict}}
+            for subject, group in sorted(subjects.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +271,7 @@ def aggregate_judgements(
 
 
 def _keywords(name: str, value: object) -> tuple[str, ...]:
-    # a string would split into letters, and "" or " " matches every document (r"\b\b" does)
-    if type(value) is not list or any(type(kw) is str and not kw.strip() for kw in value):
-        raise ValidationError(f"{name} must be a list of non-blank strings, got {value!r}")
-    return tuple(value)
+    return tuple(items(name, value))  # not tuple(value): a string would split into letters
 
 
 def read_qa_items(path: str | Path) -> list[QAItem]:

@@ -9,10 +9,11 @@ Rows are written from objects or mappings, one column per attribute or
 key, and read back into dataclasses by their field types.
 
 JSON values are read by one type rule, one function per kind (:func:`string`,
-:func:`flag`, :func:`number`, :func:`whole`, :func:`items`), each raising
-``"<field> must be <kind>, got <value!r>"``.  A JSON object fills a dataclass
-by :func:`read_record`: fields without a default are required, and each field's
-kind is its annotation (:func:`field_kinds`) unless the reader names another.
+:func:`flag`, :func:`number`, :func:`whole`, :func:`items`, and :func:`one_of`
+for an enum's values), each raising ``"<field> must be <kind>, got <value!r>"``.  A JSON
+object fills a dataclass by :func:`read_record`: fields without a default are
+required, and each field's kind is its annotation (:func:`field_kinds`) unless
+the reader names another.
 
 Pretty JSON: indent 2, sorted keys, trailing newline.
 
@@ -30,6 +31,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from functools import cache
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
@@ -39,6 +41,7 @@ from .errors import ValidationError
 NEVER = "NEVER"
 
 T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
 
 
 @contextmanager
@@ -150,6 +153,25 @@ def items(name: str, value: object) -> list:
     return value if type(value) is list else _reject(name, "a list", value)
 
 
+def json_object(value: object) -> dict:
+    """A JSON object."""
+    if type(value) is not dict:
+        raise ValidationError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def one_of(choices: type[E]) -> Callable[[str, object], E]:
+    """The kind of a member of the enum ``choices``, written as its value."""
+    members = {member.value: member for member in choices}
+
+    def member(name: str, value: object) -> E:
+        try:
+            return members[value]
+        except (KeyError, TypeError):  # TypeError: a list or an object cannot be a key
+            _reject(name, f"one of {', '.join(members)}", value)
+    return member
+
+
 def number_text(name: str, text: str, kind: str = "a number") -> float:
     """:func:`number` of a number written as text, such as ``"1e12"``; else not ``kind``."""
     try:
@@ -178,36 +200,29 @@ def numbers(name: str, value: object) -> dict[str, float]:
     return {key: number(f"{name}[{key!r}]", v) for key, v in value.items()}
 
 
-def read_fields(obj: object, kinds: Mapping[str, Callable[[str, Any], Any]]) -> dict:
-    """A copy of the JSON object ``obj`` with each field of ``kinds`` (name ->
-    type-rule function) that it holds read by its kind; other keys are copied."""
-    if type(obj) is not dict:
-        raise ValidationError(f"expected a JSON object, got {obj!r}")
-    return {**obj, **{key: kind(key, obj[key]) for key, kind in kinds.items() if key in obj}}
-
-
-#: The kind of a JSON value by the annotation string of the dataclass field it fills.
+#: The kind of a JSON value by the annotation string of the dataclass field it fills;
+#: a field annotated ``X | None`` is read by the kind of ``X`` when it is present.
 _KINDS = {"str": string, "bool": flag, "int": whole, "float": number}
 
 
 def field_kinds(cls: type) -> dict[str, Callable[[str, Any], Any]]:
     """The kind of each field of the dataclass ``cls`` annotated ``str``, ``bool``,
-    ``int`` or ``float``; other fields are left out."""
-    return {f.name: _KINDS[f.type] for f in fields(cls) if f.type in _KINDS}
+    ``int`` or ``float``, or one of those ``| None``; other fields are left out."""
+    return {name: kind for name, kind, _ in _record_fields(cls) if kind}
 
 
 @cache
 def _record_fields(cls: type) -> tuple[tuple[str, Callable | None, bool], ...]:
     """``(name, kind by annotation or None, required)`` of each field of ``cls``."""
-    return tuple((f.name, _KINDS.get(f.type), f.default is MISSING and f.default_factory is MISSING)
-                 for f in fields(cls))
+    return tuple((f.name, _KINDS.get(f.type.removesuffix(" | None")),
+                  f.default is MISSING and f.default_factory is MISSING) for f in fields(cls))
 
 
 def read_record(cls: type[T], obj: object, **kinds: Callable[[str, Any], Any]) -> T:
     """The dataclass ``cls`` of the JSON object ``obj``, each field read by its kind in
-    ``kinds`` or else by its annotation; fields without a default are required."""
-    if type(obj) is not dict:
-        raise ValidationError(f"expected a JSON object, got {obj!r}")
+    ``kinds`` or else by its annotation; fields without a default are required, and
+    keys that are not fields are ignored."""
+    json_object(obj)
     values = {}
     for name, kind, required in _record_fields(cls):
         if name in obj:

@@ -17,11 +17,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .io import (LineError, field_kinds, field_names, items, number, numbers, read_fields,
-                 read_json, read_jsonl, read_record, write_lines)
+from .io import (LineError, field_names, items, number, numbers, read_json, read_jsonl,
+                 read_record, write_lines)
 
 DEFAULT_BATCH_TOKENS = 2**19
-DEFAULT_CONTEXT_LENGTH = 1024
 
 
 @dataclass(frozen=True)
@@ -190,12 +189,15 @@ def best_achievable(records: Sequence[RunRecord], eval_sets: Sequence[str] | Non
 
 @dataclass(frozen=True)
 class EvalSlice:
-    """Mean loss at each context position for one evaluation."""
+    """Mean loss at each context position for one evaluation; ``context_length``
+    defaults to the number of losses."""
 
     position_losses: tuple[float, ...]
-    context_length: int = DEFAULT_CONTEXT_LENGTH
+    context_length: int | None = None
 
     def __post_init__(self) -> None:
+        if self.context_length is None:
+            object.__setattr__(self, "context_length", len(self.position_losses))
         if len(self.position_losses) != self.context_length:
             raise ValidationError(
                 f"position_losses length {len(self.position_losses)} != "
@@ -206,11 +208,9 @@ class EvalSlice:
 
     @classmethod
     def from_dict(cls, obj: object) -> "EvalSlice":
-        """The slice of a JSON object; ``context_length`` defaults to the number of losses."""
-        fields = read_fields(obj, {**field_kinds(cls), "position_losses": items})
-        losses = tuple(number(f"position_losses[{i}]", v)
-                       for i, v in enumerate(fields["position_losses"]))
-        return cls(losses, fields.get("context_length", len(losses)))
+        """The slice of a JSON object."""
+        return read_record(cls, obj, position_losses=lambda name, value: tuple(
+            number(f"{name}[{i}]", v) for i, v in enumerate(items(name, value))))
 
 
 def slice_loss(slc: EvalSlice, t: int) -> float:

@@ -41,6 +41,7 @@ from poollab import (
     write_run_log,
 )
 from poollab.cli import CROSSING_COLUMNS, dispatch
+from poollab.corpus import Document, PoolHeader
 from poollab.io import write_rows
 from poollab.runlog import record_to_dict
 
@@ -259,13 +260,13 @@ class TestPoolPipeline:
 
     def test_config_file_merging_flags_win(self, tmp_path, docs_file):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 5, "target_tokens": 800}), encoding="utf-8")
+        cfg.write_text(json.dumps({"seed": 5, "label": "cfg"}), encoding="utf-8")
         out = tmp_path / "pool.jsonl"
         assert dispatch(["sample", "--input", str(docs_file), "--target-tokens", "600",
-                         "--config", str(cfg), "--output", str(out)]) == 0
+                         "--config", str(cfg), "--label", "flag", "--output", str(out)]) == 0
         header = json.loads((tmp_path / "pool.jsonl.header.json").read_text())
         assert header["seed"] == 5  # from config
-        assert 600 <= header["total_tokens"] < 700  # flag won over config
+        assert header["label"] == "flag"  # flag won over config
 
     STOPWORD_DOC = "the cat and the dog of that cat"  # 5 stop words, 4 distinct
 
@@ -920,6 +921,15 @@ def extrapolate_law_with(tmp_path, **fields):
     return extrapolate_of(tmp_path, {**LAW, **fields})
 
 
+def filter_documents(tmp_path, text, header=None):
+    """filter of a pool ``d.jsonl`` whose lines are ``text``, with the JSON value
+    ``header``, if given, as its header."""
+    if header is not None:
+        write_text(tmp_path, "d.jsonl.header.json", json.dumps(header))
+    return ["filter", "--pool", write_text(tmp_path, "d.jsonl", text + "\n"),
+            "--output", str(tmp_path / "f.jsonl")]
+
+
 def slice_loss_of(tmp_path, text):
     """slice-loss at t=1 of the slice JSON ``text``."""
     return ["slice-loss", "--slice", write_text(tmp_path, "s.json", text), "--t", "1"]
@@ -1099,11 +1109,22 @@ MISTYPED_FIELDS = {
         lambda t, docs: slice_loss_of(t, '{"position_losses": [true]}'),
         "s.json: position_losses[0] must be a number, got True"),
     "qa-keyword-empty": (lambda t, docs: judge_keywords(t, docs, ["pulsar", ""]),
-                         "qa.jsonl: line 1: keywords must be a list of non-blank strings, "
-                         "got ['pulsar', '']"),
+                         "qa.jsonl: line 1: keywords must be non-blank lowercase strings, got ''"),
     "qa-keyword-blank": (lambda t, docs: judge_keywords(t, docs, [" "]),
-                         "qa.jsonl: line 1: keywords must be a list of non-blank strings, "
-                         "got [' ']"),
+                         "qa.jsonl: line 1: keywords must be non-blank lowercase strings, got ' '"),
+    "inject-config-kind-unknown": (
+        lambda t, docs: ["inject", "--pool", docs, "--ratio", "0.5", "--output", str(t / "i.jsonl"),
+                         "--config", write_text(t, "c.json", '{"kind": "zzz"}')],
+        "c.json: kind must be one of random_strings, shuffled_docs, got 'zzz'"),
+    "document-source-unknown": (
+        lambda t, docs: filter_documents(t, '{"id": "a", "text": "the pulsar", "source": "x"}'),
+        "d.jsonl: line 1: source must be one of pool, random_junk, shuffled_junk, got 'x'"),
+    "document-source-an-int": (
+        lambda t, docs: filter_documents(t, '{"id": "a", "text": "the pulsar", "source": 5}'),
+        "d.jsonl: line 1: source must be one of pool, random_junk, shuffled_junk, got 5"),
+    "document-id-an-int": (
+        lambda t, docs: filter_documents(t, '{"id": 5, "text": "the pulsar"}'),
+        "d.jsonl: line 1: id must be a string, got 5"),
     "run-log-weight-decay-nan": (
         lambda t, docs: ingest_record_with(t, lambda r: r.update(weight_decay=math.nan)),
         "r.jsonl: line 1: cc: weight_decay must be finite and non-negative, got nan"),
@@ -1137,7 +1158,6 @@ MISTYPED_FIELDS = {
     ("pool-tokens-abc", "--pool-tokens must be a number, got 'abc'"),
     ("slice-t-not-integer", "--t must be a whole number, got 'a'"),
     ("slice-t-empty-item", "--t must be a whole number, got ''"),
-    ("inject-config-kind-unknown", "kind must be one of random_strings, shuffled_docs, got 'zzz'"),
 ])
 def test_text_value_error_names_setting_and_kind(tmp_path, docs_file, capsys, case, message):
     assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
@@ -1185,9 +1205,6 @@ MALFORMED_INPUTS = {
         write_text(t, "s.json", '{"position_losses": [1.0], "context_length": 1}'), "--t", "a"],
     "slice-t-empty-item": lambda t, docs: [
         "slice-loss", "--slice", write_text(t, "s.json", '{"position_losses": [1.0]}'), "--t", "1,"],
-    "inject-config-kind-unknown": lambda t, docs: [
-        "inject", "--pool", docs, "--ratio", "0.5", "--config",
-        write_text(t, "c.json", '{"kind": "zzz"}'), "--output", str(t / "i.jsonl")],
     "config-stages-list": lambda t, docs: [
         "filter", "--pool", docs, "--config",
         write_text(t, "c.json", '{"stages": ["english"]}'), "--output", str(t / "f.jsonl")],
@@ -1504,6 +1521,13 @@ def test_malformed_pool_header_error_names_header(tmp_path, docs_file, capsys, c
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("header", [{}, {"label": "p"}, {"label": "p", "extra": 1}])
+def test_pool_header_needs_no_field_and_ignores_other_keys(tmp_path, header):
+    assert dispatch(filter_documents(tmp_path, '{"id": "a", "text": "one two"}', header)) == 0
+    written = json.loads((tmp_path / "f.jsonl.header.json").read_text())
+    assert (written["label"], written["seed"]) == (header.get("label", "d"), 0)
+
+
 @pytest.mark.parametrize("case,name", [
     ("law-invalid-json", "law.json"),
     ("law-without-method", "law.json"),
@@ -1596,6 +1620,10 @@ RECORD_READERS = {
         "--qa", write_text(t, "qa.jsonl", json.dumps(obj) + "\n")]),
     "eval-slice": (EvalSlice, {"position_losses": [1.0], "context_length": 1},
                    lambda t, docs, obj: slice_loss_of(t, json.dumps(obj))),
+    "pool-header": (PoolHeader, asdict(PoolHeader("d", 0, 2)), lambda t, docs, obj: (
+        filter_documents(t, '{"id": "a", "text": "one two"}', header=obj))),
+    "document": (Document, {"id": "a", "text": "one two", "source": "pool"},
+                 lambda t, docs, obj: filter_documents(t, json.dumps(obj))),
 }
 
 #: (reader, field) for each field without a default of each reader's dataclass.
@@ -1612,6 +1640,20 @@ def test_record_without_a_required_field_names_it(tmp_path, docs_file, capsys, r
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"missing key '{field}'\n"), err
     assert err.count("\n") == 1, err
+
+
+#: (reader, field) for each field with a default that each reader's valid object holds.
+OPTIONAL_FIELDS = [(reader, f.name) for reader, (cls, valid, _) in RECORD_READERS.items()
+                   for f in fields(cls)
+                   if (reader, f.name) not in REQUIRED_FIELDS and f.name in valid]
+
+
+@pytest.mark.parametrize("reader, field", OPTIONAL_FIELDS,
+                         ids=[f"{reader}-{field}" for reader, field in OPTIONAL_FIELDS])
+def test_record_without_an_optional_field_is_read(tmp_path, docs_file, reader, field):
+    _, valid, builder = RECORD_READERS[reader]
+    assert dispatch(builder(tmp_path, str(docs_file),
+                            {k: v for k, v in valid.items() if k != field})) == 0
 
 
 @pytest.mark.parametrize("reader", sorted(RECORD_READERS))
@@ -1740,6 +1782,98 @@ def test_manifest_hashes_each_input(tmp_path, docs_file, runs_file, monkeypatch,
     }
 
 
+#: A command line of each way a handler reads ``--config`` settings (run in the
+#: directory of write_manifest_inputs), and its exit code; the endpoint fails to
+#: parse before any connection, after the judge has read its settings.
+CONFIG_READERS = {
+    "sample": (SAMPLE, 0),
+    "filter": (["filter", "--pool", "docs.jsonl", "--output", "out.jsonl"], 0),
+    "inject-random-strings": (INJECT, 0),
+    "inject-shuffled-docs": (INJECT + ["--kind", "shuffled_docs", "--junk-source", "junk.jsonl"],
+                             0),
+    "scaling-law-tpp": (SCALING_LAW, 0),
+    "scaling-law-epoch": (SCALING_LAW + ["--method", "epoch"], 0),
+    "judge-mock": (JUDGE, 0),
+    "judge-endpoint": ([*JUDGE[:1], *JUDGE[2:], "--endpoint", "http://[::1"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_READERS))
+def test_each_setting_a_handler_reads_is_in_its_config_table(tmp_path, docs_file, runs_file,
+                                                             monkeypatch, case):
+    # a config holds only the keys of the table its handler gives _load_config,
+    # so a key that opt reads and that table lacks could never be set
+    monkeypatch.chdir(tmp_path)
+    write_manifest_inputs(tmp_path, docs_file, runs_file)
+    tables, read = [], []
+    load_config, opt = cli._load_config, cli.opt
+    monkeypatch.setattr(cli, "_load_config",
+                        lambda path, kinds: tables.append(kinds) or load_config(path, kinds))
+    monkeypatch.setattr(cli, "opt",
+                        lambda args, config, key, default: read.append(key) or opt(
+                            args, config, key, default))
+    argv, code = CONFIG_READERS[case]
+    assert dispatch(argv) == code
+    assert len(tables) == 1 and set(read) <= set(tables[0]), (read, tables)
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_READERS))
+def test_config_key_no_setting_reads_exits_one_and_writes_nothing(tmp_path, docs_file, runs_file,
+                                                                  monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    write_manifest_inputs(tmp_path, docs_file, runs_file)
+    (tmp_path / "c.json").write_text('{"sedd": 3}', encoding="utf-8")
+    before = set(tmp_path.iterdir())
+    assert dispatch(CONFIG_READERS[case][0] + ["--config", "c.json"]) == 1
+    assert set(tmp_path.iterdir()) == before
+    err = capsys.readouterr().err
+    assert err.startswith("error: c.json: unknown setting 'sedd' (settings: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, config, settings", [
+    (SAMPLE, {"sedd": 3}, "label, seed"),
+    (["filter", "--pool", "docs.jsonl", "--output", "out.jsonl"], {"english_treshold": 0.99},
+     "english_threshold, profile, quality_keep_fraction, repetition_thresholds, stages, "
+     "stopword_distinct, stopword_min_count, threads"),
+    (INJECT, {"ratio": 3}, "kind, seed, vocab_seed"),  # --ratio is a flag only
+    (JUDGE, {"endpoint": "http://127.0.0.1:9"}, "max_concurrency, model_name, timeout"),
+], ids=["sample", "filter", "inject", "judge"])
+def test_unknown_setting_error_lists_the_settings(tmp_path, docs_file, runs_file, monkeypatch,
+                                                  capsys, argv, config, settings):
+    monkeypatch.chdir(tmp_path)
+    write_manifest_inputs(tmp_path, docs_file, runs_file)
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    assert dispatch(argv + ["--config", "c.json"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: c.json: unknown setting {next(iter(config))!r} (settings: {settings})\n")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (SCALING_LAW, {"method": "tpp", "ratio": 600, "epochs": 4}),
+    (SCALING_LAW, {"method": "epoch", "ratio": 600, "epochs": 4}),
+    (JUDGE, {"model_name": "m", "timeout": 5, "max_concurrency": 2}),
+], ids=["scaling-law-tpp", "scaling-law-epoch", "judge-mock"])
+def test_config_may_hold_the_other_methods_settings(tmp_path, docs_file, runs_file, monkeypatch,
+                                                    argv, config):
+    monkeypatch.chdir(tmp_path)
+    write_manifest_inputs(tmp_path, docs_file, runs_file)
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    assert dispatch(argv + ["--config", "c.json"]) == 0
+
+
+def test_manifest_digest_is_the_same_for_a_kind_from_flag_or_config(tmp_path, docs_file,
+                                                                    runs_file, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_manifest_inputs(tmp_path, docs_file, runs_file)
+    (tmp_path / "c.json").write_text('{"kind": "random_strings"}', encoding="utf-8")
+    digests = []
+    for extra in (["--kind", "random_strings"], ["--config", "c.json"]):
+        assert dispatch(INJECT + extra) == 0
+        digests.append(json.loads(Path("out.jsonl.manifest.json").read_text())["config_digest"])
+    assert digests[0] == digests[1]
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: random flags and files through dispatch, in-process.
 # ---------------------------------------------------------------------------
@@ -1769,6 +1903,9 @@ FUZZ_JSON = st.recursive(
 )
 #: The flags that name a file, as they are spelled on the command line.
 PATH_FLAGS = {"--" + flag.replace("_", "-") for flag in cli.INPUT_FLAGS + cli.OUTPUT_FLAGS}
+#: The files that MANIFEST_CASES command lines read as ``--config``.
+CONFIG_FILES = {argv[argv.index("--config") + 1] for argv, *_ in MANIFEST_CASES.values()
+                if "--config" in argv}
 
 
 def in_dir(path, argv):
@@ -1874,9 +2011,10 @@ def test_json_number_of_another_kind_exits_one(data):
 @st.composite
 def fuzz_inputs(draw, targets):
     """The valid files with one line of one of ``targets``, if any, changed
-    (in JSON, now and then nested too deep to parse; in a CSV, a cell made too
-    long, a row repeated or a row copied at another row's pool size), and a
-    copy of one file cut short."""
+    (in JSON, now and then nested too deep to parse; in a config, now and then
+    given a key that no command reads; in a CSV, a cell made too long, a row
+    repeated or a row copied at another row's pool size), and a copy of one
+    file cut short."""
     files = dict(fuzz_files())
     if targets:
         name = draw(st.sampled_from(targets))
@@ -1909,7 +2047,12 @@ def mutated_file(draw, name, text):
     else:  # a .jsonl line, or a whole .json file
         if not name.endswith(".jsonl"):
             lines, index = [text], 0
-        value = json.dumps(draw(mutated_json(json.loads(lines[index]))))
+        value = json.loads(lines[index])
+        if name in CONFIG_FILES and draw(st.booleans()):
+            value = {**value, "other": draw(FUZZ_JSON)}
+        else:
+            value = draw(mutated_json(value))
+        value = json.dumps(value)
         depth = draw(st.sampled_from([0] * 3 + [DEEP]))
         lines[index] = "[" * depth + value + "]" * depth
     return "\n".join(lines) + "\n"
@@ -1948,9 +2091,10 @@ def random_argv(draw, names):
     return argv
 
 
-#: Pieces of the text Python gives a TypeError or AttributeError, such as
-#: ``ModelConfig.__init__() missing 8 required positional arguments``.
-PYTHON_TYPE_ERRORS = ("__init__()", "object is not", "object has no attribute", "indices must be")
+#: Pieces of the text Python gives a TypeError, AttributeError or an enum's ValueError,
+#: such as ``ModelConfig.__init__() missing 8 required positional arguments``.
+PYTHON_TYPE_ERRORS = ("__init__()", "object is not", "object has no attribute", "indices must be",
+                      "is not a valid")
 
 
 @given(data=st.data())

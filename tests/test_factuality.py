@@ -56,9 +56,9 @@ def reference_keyword_match(pool, qa):
 PIECES = ["pulsar", "PULSAR", "x", "ray", "net", "_", "7", "é", "É", "-", ".", " ", "\n", ","]
 texts = st.lists(st.sampled_from(PIECES), max_size=20).map("".join)
 keywords = st.one_of(
-    st.sampled_from(["pulsar", "x-ray", "x ray", "new york", ".net", "-", "", "é", "_7"]),
+    st.sampled_from(["pulsar", "x-ray", "x ray", "new york", ".net", "-", "é", "_7"]),
     st.lists(st.sampled_from(PIECES), max_size=4).map(lambda parts: "".join(parts).lower()),
-)
+).filter(str.strip)  # QAItem rejects a blank keyword, which would match every document
 
 
 class TestKeywordMatch:
@@ -104,6 +104,12 @@ class TestKeywordMatch:
     def test_keywords_must_be_lowercase(self):
         with pytest.raises(ValidationError):
             QAItem(subject="s", question="q", answer="a", keywords=("Pulsar",))
+
+    @pytest.mark.parametrize("blank", ["", " ", "\n"])
+    def test_blank_keyword_is_rejected(self, blank):
+        with pytest.raises(ValidationError, match=f"^keywords must be non-blank lowercase "
+                                                  f"strings, got {re.escape(repr(blank))}$"):
+            QAItem(subject="s", question="q", answer="a", keywords=("pulsar", blank))
 
 
 class TestParseVerdict:

@@ -9,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 import poollab
 from poollab import (
-    CrossingPoint, DocumentSource, EvalPoint, ModelConfig, Pool, RunRecord, ThresholdLaw,
-    ThresholdPoint, ValidationError, bundled_model_configs, load_run_log, make_document,
-    read_model_configs, read_pool, write_pool, write_run_log,
+    CrossingPoint, DocumentSource, EvalPoint, EvalSlice, ModelConfig, Pool, RunRecord,
+    ThresholdLaw, ThresholdPoint, ValidationError, bundled_model_configs, load_run_log,
+    make_document, read_model_configs, read_pool, write_pool, write_run_log,
 )
 from poollab.cli import CROSSING_COLUMNS
+from poollab.corpus import PoolHeader
 from poollab.io import (
-    LineError, csv_cell, field_kinds, field_names, flag, number, numbers, read_fields, read_json,
-    read_jsonl, read_rows, string, whole, whole_text, write_json, write_lines, write_rows,
+    LineError, csv_cell, field_kinds, field_names, flag, number, numbers, one_of, read_json,
+    read_jsonl, read_record, read_rows, string, whole, whole_text, write_json, write_lines,
+    write_rows,
 )
 
 CROSSINGS = [
@@ -221,14 +223,6 @@ def _reads_a_file(call: ast.Call) -> bool:
         func.attr == "open" or func.attr in ("load", "loads") and ast.unparse(func.value) == "json")
 
 
-def _builds_from_read_fields(call: ast.Call) -> bool:
-    """``X(**read_fields(...))``: a record built by hand, where ``io.read_record``
-    would name a missing field and ignore the keys that are not fields."""
-    return any(keyword.arg is None and isinstance(keyword.value, ast.Call)
-               and ast.unparse(keyword.value.func).rpartition(".")[2] == "read_fields"
-               for keyword in call.keywords)
-
-
 #: Reads outside io.py that are not of a file: factuality parses an HTTP response body.
 NOT_FILE_READS = {("factuality.py", "json.load(response)")}
 
@@ -247,7 +241,8 @@ def test_only_io_module_reads_files():
         and (name, ast.unparse(node)) not in NOT_FILE_READS
     ]
     assert readers == []
-    assert [f"{name}:{node.lineno}" for name, node in calls if _builds_from_read_fields(node)] == []
+    # every JSON object is read by io.read_record or by a reader that lists its keys
+    assert not hasattr(poollab.io, "read_fields")
 
 
 def test_read_check_sees_each_way_of_reading():
@@ -257,12 +252,6 @@ def test_read_check_sees_each_way_of_reading():
     parsed = lambda src: ast.parse(src, mode="eval").body  # noqa: E731
     assert all(_reads_a_file(parsed(src)) for src in calls)
     assert not any(_reads_a_file(parsed(src)) for src in others)
-    builds = ["ModelConfig(**read_fields(obj, kinds))", "cls(**io.read_fields(o, {}))",
-              "f(1, **read_fields(o, k))"]
-    others = ["read_record(ModelConfig, obj)", "cls(**fields)", "cls(read_fields(o, k))",
-              "cls(x=read_fields(o, k))"]
-    assert all(_builds_from_read_fields(parsed(src)) for src in builds)
-    assert not any(_builds_from_read_fields(parsed(src)) for src in others)
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +321,34 @@ def test_numbers_name_the_key():
         numbers("losses", [])
 
 
-def test_read_fields_checks_declared_keys_and_copies_the_rest():
+def test_field_kinds_read_by_annotation_and_ignore_other_keys():
     kinds = field_kinds(ThresholdPoint)
     assert {k: v.__name__ for k, v in kinds.items()} == {
         "model_params": "whole", "pool_tokens": "number", "crossing_tokens": "number",
         "compute": "number"}
-    obj = {"model_params": 1e3, "pool_tokens": 2, "other": [1]}
-    assert read_fields(obj, kinds) == {"model_params": 1000, "pool_tokens": 2.0, "other": [1]}
+    # an optional field is read by the kind of its annotation without None
+    assert {k: v.__name__ for k, v in field_kinds(PoolHeader).items()} == {
+        "label": "string", "seed": "whole", "total_tokens": "whole", "counter_name": "string"}
+    assert {k: v.__name__ for k, v in field_kinds(EvalSlice).items()} == {
+        "context_length": "whole"}
+    obj = {"model_params": 1e3, "pool_tokens": 2, "crossing_tokens": 3, "compute": 4,
+           "other": [1]}
+    assert read_record(ThresholdPoint, obj) == ThresholdPoint(1000, 2.0, 3.0, 4.0)
     with pytest.raises(ValidationError, match="^compute must be a number, got 'x'$"):
-        read_fields({"compute": "x"}, kinds)
+        read_record(ThresholdPoint, {**obj, "compute": "x"})
     with pytest.raises(ValidationError, match=r"^expected a JSON object, got \[1\]$"):
-        read_fields([1], kinds)
+        read_record(ThresholdPoint, [1])
+    with pytest.raises(ValidationError, match="^label must be a string, got None$"):
+        read_record(PoolHeader, {"label": None})  # optional means absent, not null
+
+
+@pytest.mark.parametrize("value", ["x", "POOL", 5, None, True, [1], {"pool": 1}])
+def test_one_of_reads_an_enum_by_its_values(value):
+    source = one_of(DocumentSource)
+    assert source("source", "random_junk") is DocumentSource.RANDOM_JUNK
+    message = f"source must be one of pool, random_junk, shuffled_junk, got {value!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        source("source", value)
 
 
 @pytest.mark.parametrize("cell, message", [

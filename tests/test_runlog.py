@@ -253,6 +253,10 @@ class TestNonEmbeddingParams:
 
 
 class TestEvalSlice:
+    def test_context_length_defaults_to_the_number_of_losses(self):
+        assert EvalSlice((1.0,)) == EvalSlice((1.0,), context_length=1)
+        assert EvalSlice.from_dict({"position_losses": [1.0, 2.0]}).context_length == 2
+
     def test_first_token(self):
         slc = EvalSlice(position_losses=(4.0, 2.0, 3.0), context_length=3)
         assert slice_loss(slc, 1) == 4.0
