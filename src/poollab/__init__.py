@@ -24,8 +24,7 @@ _EXPORTS = {
         "read_pool", "sample_pool", "write_documents", "write_pool",
     ), "corpus"),
     **dict.fromkeys((
-        "ConfigError", "FitError", "JudgeError", "PoolLabError", "StreamExhaustedError",
-        "ValidationError",
+        "FitError", "JudgeError", "PoolLabError", "StreamExhaustedError", "ValidationError",
     ), "errors"),
     **dict.fromkeys((
         "DocumentScorer", "FilterConfig", "FilterStats", "PipelineResult", "PipelineStage",

@@ -25,18 +25,19 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import _EXPORTS, __version__
-from .errors import ConfigError, FitError, PoolLabError, ValidationError
+from .errors import FitError, PoolLabError, ValidationError
 from .io import (
     csv_cell, field_kinds, field_names, json_object, number, number_text, numbers, one_of,
     read_json, read_rows, sha256_file, string, whole, whole_text, write_json, write_lines,
     write_rows,
 )
 
-#: ``--profile`` and ``--kind`` choices: ``sorted(filters.PROFILES)`` and the
-#: ``injection.JunkKind`` values, spelled out so that building the parser
-#: imports neither module.
+#: ``--profile``, ``--kind`` and ``--method`` choices: ``sorted(filters.PROFILES)``,
+#: the ``injection.JunkKind`` values and the ``scaling`` threshold methods, spelled
+#: out so that building the parser imports none of those modules.
 PROFILE_CHOICES = ("gopher", "permissive")
 KIND_CHOICES = ("random_strings", "shuffled_docs")
+METHOD_CHOICES = ("tpp", "epoch")
 
 #: This module.  The handlers read every library name as ``lib.<name>``,
 #: so a child running one subcommand imports only the modules whose names
@@ -174,8 +175,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     settings = field_kinds(lib.FilterConfig)  # all but repetition_thresholds, a mapping
-    config = _load_config(args.config, {**settings, "profile": string, "stages": string,
-                                        "threads": whole, "repetition_thresholds": numbers})
+    config = _load_config(args.config, {**settings, "profile": one_of(PROFILE_CHOICES),
+                                        "stages": string, "threads": whole,
+                                        "repetition_thresholds": numbers})
     base = lib.profile(opt(args, config, "profile", "gopher"))
     thresholds = opt(args, config, "repetition_thresholds", {})
     cfg = replace(  # a new config, so FilterConfig.__post_init__ checks the merged values
@@ -186,7 +188,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     stage_names = _comma_list(opt(args, config, "stages", "english,repetition,stopword"))
     threads = opt(args, config, "threads", 1)  # checked; every stage runs on one thread
     if threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
+        raise ValidationError(f"--threads must be >= 1, got {threads}")
     result = lib.run_pipeline(lib.read_pool(args.pool), lib.build_stages(stage_names, cfg),
                               threads)
     lib.write_pool(args.output, result.pool)
@@ -291,10 +293,9 @@ def _warn_in_one_line(fit: Callable, *fit_args):
 
 
 def cmd_scaling_law(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, {"method": string, "ratio": number, "epochs": number})
+    config = _load_config(args.config, {"method": one_of(METHOD_CHOICES), "ratio": number,
+                                        "epochs": number})
     method = opt(args, config, "method", "tpp")
-    if method not in ("tpp", "epoch"):
-        raise UsageError(f"--method must be tpp or epoch, got {method!r}")
     _reject_unread(args, ("epochs",) if method == "tpp" else ("ratio", "configs"),
                    f"--method {method}")
     by_model: dict[int, list[lib.CrossingPoint]] = {}
@@ -522,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling-law", help="fit a compute threshold law from crossings")
     p.add_argument("--crossings", required=True, help="CSV from the crossing command")
-    p.add_argument("--method", choices=["tpp", "epoch"])
+    p.add_argument("--method", choices=METHOD_CHOICES)
     p.add_argument("--ratio", type=float, help="tokens per non-embedding parameter (tpp)")
     p.add_argument("--epochs", type=float, help="epoch count (epoch method)")
     p.add_argument("--configs", help="model configs JSON; default: bundled reference")

@@ -13,10 +13,6 @@ class ValidationError(PoolLabError):
     """Input data violates a documented invariant or schema."""
 
 
-class ConfigError(PoolLabError):
-    """A configuration object is incomplete or inconsistent."""
-
-
 class StreamExhaustedError(PoolLabError):
     """A document stream ran out before a token target was reached."""
 

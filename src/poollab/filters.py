@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .corpus import WORD_RE, Document, Pool
-from .errors import ConfigError
+from .errors import ValidationError
 
 #: The stop words of the Gopher recipe (Rae et al. 2021, App. A).
 DEFAULT_STOPWORDS = frozenset(("the", "be", "to", "of", "and", "that", "have", "with"))
@@ -76,20 +76,22 @@ class FilterConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.english_threshold <= 1.0:
-            raise ConfigError(f"english_threshold must be in [0,1], got {self.english_threshold}")
+            raise ValidationError(
+                f"english_threshold must be in [0,1], got {self.english_threshold}"
+            )
         if self.stopword_min_count < 0:
-            raise ConfigError("stopword_min_count must be >= 0")
+            raise ValidationError("stopword_min_count must be >= 0")
         thresholds = MappingProxyType(dict(self.repetition_thresholds))
         for name, thr in thresholds.items():
             if name not in REPETITION_GRANULARITIES:
-                raise ConfigError(f"unknown repetition threshold {name!r}")
+                raise ValidationError(f"unknown repetition threshold {name!r}")
             if not 0.0 <= thr <= 1.0:
-                raise ConfigError(f"repetition threshold {name} must be in [0,1], got {thr}")
+                raise ValidationError(f"repetition threshold {name} must be in [0,1], got {thr}")
         missing = [name for name in REPETITION_GRANULARITIES if name not in thresholds]
         if missing:
-            raise ConfigError(f"repetition_thresholds missing granularities: {missing}")
+            raise ValidationError(f"repetition_thresholds missing granularities: {missing}")
         if not 0.0 < self.quality_keep_fraction <= 1.0:
-            raise ConfigError(
+            raise ValidationError(
                 f"quality_keep_fraction must be in (0,1], got {self.quality_keep_fraction}"
             )
         object.__setattr__(self, "repetition_thresholds", thresholds)
@@ -108,7 +110,7 @@ PROFILES: dict[str, FilterConfig] = {
 
 def profile(name: str) -> FilterConfig:
     if name not in PROFILES:
-        raise ConfigError(f"unknown profile {name!r}; available: {sorted(PROFILES)}")
+        raise ValidationError(f"unknown profile {name!r}; available: {sorted(PROFILES)}")
     return PROFILES[name]
 
 
@@ -367,7 +369,7 @@ def build_stages(
     The ``english`` and ``quality`` stages share one scorer that scores
     each distinct text once for the lifetime of the returned stages, so
     ``quality`` does not rescore what ``english`` already scored.  A name
-    listed twice is a :class:`ConfigError`.
+    listed twice is a :class:`ValidationError`.
     """
     scorer = scorer or builtin_english_scorer()
     scorer = DocumentScorer(name=scorer.name, score=cache(scorer.score))
@@ -388,9 +390,9 @@ def build_stages(
     stages: list[PipelineStage] = []
     for name in names:
         if name not in applies:
-            raise ConfigError(f"unknown stage {name!r}; available: {sorted(applies)}")
+            raise ValidationError(f"unknown stage {name!r}; available: {sorted(applies)}")
         if any(stage.name == name for stage in stages):
-            raise ConfigError(f"stage {name!r} is listed twice")
+            raise ValidationError(f"stage {name!r} is listed twice")
         stages.append(PipelineStage(name, applies[name]))
     return stages
 
@@ -431,7 +433,7 @@ def run_pipeline(pool: Pool, stages: Sequence[PipelineStage], threads: int = 1) 
     ``threads`` goes to each ``apply``; the built-in stages run on one thread.
     """
     if not stages:
-        raise ConfigError("pipeline requires at least one stage")
+        raise ValidationError("pipeline requires at least one stage")
     current = pool
     per_stage: list[tuple[str, FilterStats]] = []
     for stage in stages:

@@ -10,10 +10,10 @@ key, and read back into dataclasses by their field types.
 
 JSON values are read by one type rule, one function per kind (:func:`string`,
 :func:`flag`, :func:`number`, :func:`whole`, :func:`items`, and :func:`one_of`
-for an enum's values), each raising ``"<field> must be <kind>, got <value!r>"``.  A JSON
-object fills a dataclass by :func:`read_record`: fields without a default are
-required, and each field's kind is its annotation (:func:`field_kinds`) unless
-the reader names another.
+for an enum's values or a tuple of names), each raising
+``"<field> must be <kind>, got <value!r>"``.  A JSON object fills a dataclass by
+:func:`read_record`: fields without a default are required, and each field's
+kind is its annotation (:func:`field_kinds`) unless the reader names another.
 
 Pretty JSON: indent 2, sorted keys, trailing newline.
 
@@ -160,11 +160,12 @@ def json_object(value: object) -> dict:
     return value
 
 
-def one_of(choices: type[E]) -> Callable[[str, object], E]:
-    """The kind of a member of the enum ``choices``, written as its value."""
-    members = {member.value: member for member in choices}
+def one_of(choices: type[E] | Iterable[T]) -> Callable[[str, object], E | T]:
+    """The kind of a member of the enum ``choices``, written as its value, or of
+    one of the names ``choices``."""
+    members = {getattr(choice, "value", choice): choice for choice in choices}
 
-    def member(name: str, value: object) -> E:
+    def member(name: str, value: object) -> E | T:
         try:
             return members[value]
         except (KeyError, TypeError):  # TypeError: a list or an object cannot be a key

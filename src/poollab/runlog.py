@@ -225,13 +225,6 @@ def slice_loss(slc: EvalSlice, t: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _point_to_dict(point: EvalPoint) -> dict:
-    if point.benchmarks:
-        return {"tokens_seen": point.tokens_seen, "losses": point.losses,
-                "benchmarks": point.benchmarks}
-    return {"tokens_seen": point.tokens_seen, "losses": point.losses}
-
-
 def record_to_dict(record: RunRecord) -> dict:
     """The record's fields as JSON data, without empty ``benchmarks``.
 
@@ -241,7 +234,11 @@ def record_to_dict(record: RunRecord) -> dict:
     return {
         **vars(record),
         "model": dict(vars(record.model)),
-        "eval_points": [_point_to_dict(p) for p in record.eval_points],
+        "eval_points": [
+            {"tokens_seen": p.tokens_seen, "losses": p.losses, "benchmarks": p.benchmarks}
+            if p.benchmarks else {"tokens_seen": p.tokens_seen, "losses": p.losses}
+            for p in record.eval_points
+        ],
     }
 
 

@@ -128,14 +128,6 @@ def analytic_min_loss(spec: TaskSpec, r: int) -> float:
     return float(np.sum(singular_values[r:] ** 2)) + spec.noise_power
 
 
-def _population_loss(err_sigma: np.ndarray, err: np.ndarray, noise_power: float) -> float:
-    """``tr(err Sigma err^T)`` plus the noise, from ``err_sigma = err @ Sigma``.
-
-    The loss is even in ``err``, so the gradient's ``U V^T - M_star`` serves.
-    """
-    return float((err_sigma @ err.T).trace()) + noise_power
-
-
 def empirical_min_loss(
     spec: TaskSpec,
     r: int,
@@ -173,18 +165,19 @@ def empirical_min_loss(
     for _ in range(restarts):
         u = INIT_SCALE * rng.standard_normal((spec.m_out, r))
         v = INIT_SCALE * rng.standard_normal((spec.d, r))
+        # the loss tr(err Sigma err^T) + noise is even in err, so U V^T - M_star serves
         err = u @ v.T - m_star
         err_sigma = err @ sigma
-        initial = _population_loss(err_sigma, err, spec.noise_power)
-        loss = initial
+        initial = loss = float((err_sigma @ err.T).trace()) + spec.noise_power
         for _ in range(steps):
-            grad_u = 2.0 * err_sigma @ v
-            grad_v = 2.0 * err_sigma.T @ u
+            grad = 2.0 * err_sigma  # d loss / d err
+            grad_u = grad @ v
+            grad_v = grad.T @ u
             u = u - lr * grad_u
             v = v - lr * grad_v
             err = u @ v.T - m_star
             err_sigma = err @ sigma
-            new_loss = _population_loss(err_sigma, err, spec.noise_power)
+            new_loss = float((err_sigma @ err.T).trace()) + spec.noise_power
             if not math.isfinite(new_loss) or new_loss > 1e6 * max(initial, 1e-12):
                 raise FitError("gradient descent diverged; try a lower lr")
             if abs(loss - new_loss) <= 1e-15 * max(1.0, loss):

@@ -1283,6 +1283,11 @@ MALFORMED_INPUTS = {
     "filter-config-threads-a-string": lambda t, docs: [
         "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
         write_text(t, "c.json", '{"threads": "2"}')],
+    "filter-config-profile-unknown": lambda t, docs: [
+        "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
+        write_text(t, "c.json", '{"profile": "bad"}')],
+    "scaling-law-config-method-unknown": lambda t, docs: scaling_law_with(
+        t, "--config", write_text(t, "c.json", '{"method": "bad"}')),
     "filter-stages-duplicate": lambda t, docs: [
         "filter", "--pool", docs, "--stages", "english,repetition,english",
         "--output", str(t / "f.jsonl")],
@@ -1463,10 +1468,17 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
     ("crossing-pool-record-without-eval-sets", "record has no eval sets"),
     ("report-compute-overflows", "cc: training compute must be positive and finite, got inf"),
     ("pareto-compute-overflows", "cc: training compute must be positive and finite, got inf"),
+    ("scaling-law-config-method-unknown",
+     "{tmp}/c.json: method must be one of tpp, epoch, got 'bad'"),
+    ("filter-config-profile-unknown",
+     "{tmp}/c.json: profile must be one of gopher, permissive, got 'bad'"),
 ])
 def test_malformed_input_error_line(tmp_path, docs_file, capsys, case, error):
-    assert dispatch(MALFORMED_INPUTS[case](tmp_path, str(docs_file))) == 1
+    argv = MALFORMED_INPUTS[case](tmp_path, str(docs_file))
+    inputs = set(tmp_path.iterdir())
+    assert dispatch(argv) == 1
     assert capsys.readouterr().err == f"error: {error.format(tmp=tmp_path)}\n"
+    assert set(tmp_path.iterdir()) == inputs
 
 
 #: Edits that break the run-log rule in the cc record, with the message naming each.
@@ -2216,6 +2228,14 @@ def test_parser_choices_match_the_library():
     from poollab.filters import PROFILES
     assert cli.PROFILE_CHOICES == tuple(sorted(PROFILES))
     assert cli.KIND_CHOICES == tuple(k.value for k in poollab.JunkKind)
+    # each flag and its --config setting accept the same names
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, flag, choices in [("filter", "profile", cli.PROFILE_CHOICES),
+                                   ("inject", "kind", cli.KIND_CHOICES),
+                                   ("scaling-law", "method", cli.METHOD_CHOICES)]:
+        action = next(a for a in subparsers.choices[command]._actions if a.dest == flag)
+        assert action.choices is choices, command
 
 
 def loaded_poollab_modules(code):

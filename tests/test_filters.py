@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from poollab import (
-    ConfigError,
     DocumentScorer,
     FilterConfig,
     FilterStats,
     PipelineStage,
     Pool,
+    ValidationError,
     builtin_english_scorer,
     build_stages,
     english_filter,
@@ -262,9 +262,9 @@ class TestRepetitionFilter:
         # document first reaches the repetition stage
         partial = dict(FilterConfig().repetition_thresholds)
         del partial["dup_7gram"]
-        with pytest.raises(ConfigError, match=r"missing granularities: \['dup_7gram'\]"):
+        with pytest.raises(ValidationError, match=r"missing granularities: \['dup_7gram'\]"):
             FilterConfig(repetition_thresholds=partial)
-        with pytest.raises(ConfigError, match="dup_7gram"):
+        with pytest.raises(ValidationError, match="dup_7gram"):
             dataclasses.replace(FilterConfig(), repetition_thresholds=partial)
 
 
@@ -423,7 +423,7 @@ class TestPipeline:
         assert 0 < len(cached.pool) < len(pool)
 
     def test_empty_stage_list_rejected(self, small_pool):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             run_pipeline(small_pool, [])
 
     @pytest.mark.parametrize("names", [
@@ -433,7 +433,7 @@ class TestPipeline:
     ])
     def test_duplicate_stage_rejected(self, names):
         # a repeated stage would write a second stats row under the same name
-        with pytest.raises(ConfigError, match=f"stage {names[-1]!r} is listed twice"):
+        with pytest.raises(ValidationError, match=f"stage {names[-1]!r} is listed twice"):
             build_stages(names, FilterConfig())
 
     def test_stats_rows_schema(self, small_pool):
@@ -484,21 +484,21 @@ class TestConfig:
         assert cfg.repetition_thresholds["duplicate_line"] == 0.30
 
     def test_unknown_profile(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             profile("nope")
 
     def test_unknown_repetition_threshold_rejected(self):
-        with pytest.raises(ConfigError, match="top_2grams"):
+        with pytest.raises(ValidationError, match="top_2grams"):
             FilterConfig(repetition_thresholds={"top_2grams": 0.0})
 
     def test_threshold_bounds_checked(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             FilterConfig(english_threshold=1.5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             FilterConfig(quality_keep_fraction=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             FilterConfig(stopword_min_count=-3)
-        with pytest.raises(ConfigError, match="duplicate_line"):
+        with pytest.raises(ValidationError, match="duplicate_line"):
             with_threshold(FilterConfig(), "duplicate_line", -1.0)
 
     def test_stats_retention_math(self):

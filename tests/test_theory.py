@@ -116,7 +116,50 @@ def reference_empirical_min_loss(spec, r, steps, restarts, seed, init_scale=0.1)
     return best
 
 
+def hoisted_empirical_min_loss(spec, r, steps, restarts, seed, init_scale=0.1):
+    """The verifier loop with M_star and Sigma built once and the loss read from
+    ``err @ Sigma``, its gradient factor scaled twice per step."""
+    def population_loss(err_sigma, err):
+        return float((err_sigma @ err.T).trace()) + spec.noise_power
+
+    sigma, m_star = spec.sigma, spec.m_star
+    lr = 0.1 / float(np.linalg.norm(sigma, 2))
+    best = math.inf
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        u = init_scale * rng.standard_normal((spec.m_out, r))
+        v = init_scale * rng.standard_normal((spec.d, r))
+        err = u @ v.T - m_star
+        err_sigma = err @ sigma
+        initial = loss = population_loss(err_sigma, err)
+        for _ in range(steps):
+            grad_u = 2.0 * err_sigma @ v
+            grad_v = 2.0 * err_sigma.T @ u
+            u = u - lr * grad_u
+            v = v - lr * grad_v
+            err = u @ v.T - m_star
+            err_sigma = err @ sigma
+            new_loss = population_loss(err_sigma, err)
+            if not math.isfinite(new_loss) or new_loss > 1e6 * max(initial, 1e-12):
+                raise FitError("gradient descent diverged; try a lower lr")
+            if abs(loss - new_loss) <= 1e-15 * max(1.0, loss):
+                loss = new_loss
+                break
+            loss = new_loss
+        best = min(best, loss)
+    return best
+
+
 class TestEmpiricalMinLoss:
+    def test_equals_hoisted_loop_exactly(self):
+        # scaling err @ Sigma once per step, and taking grad_v from its
+        # transpose, hands BLAS the same operands: not a bit may move
+        for seed in range(25):
+            spec = random_orthogonal_spec(seed=seed)
+            for r in range(1, min(spec.d, spec.m_out) + 1):
+                expected = hoisted_empirical_min_loss(spec, r, 300, 2, seed)
+                assert empirical_min_loss(spec, r, steps=300, restarts=2, seed=seed) == expected
+
     def test_equals_per_step_reference_exactly(self):
         # hoisting M_star and Sigma and reusing err @ Sigma for the loss
         # must not move a single bit of the result
