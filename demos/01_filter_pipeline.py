@@ -10,11 +10,11 @@ percent of its documents.
 import random
 
 from poollab import (
+    Document,
     FilterConfig,
     Pool,
     build_stages,
     builtin_english_scorer,
-    make_document,
     profile,
     run_pipeline,
     sample_pool,
@@ -50,14 +50,14 @@ def main():
     # a mixed corpus: clean English, gibberish, spammy repetition, duplicates
     docs = []
     for i in range(300):
-        docs.append(make_document(f"clean-{i}", english_text(rng, rng.randint(30, 80))))
+        docs.append(Document(f"clean-{i}", english_text(rng, rng.randint(30, 80))))
     for i in range(80):
-        docs.append(make_document(f"junk-{i}", gibberish_text(rng, rng.randint(30, 80))))
+        docs.append(Document(f"junk-{i}", gibberish_text(rng, rng.randint(30, 80))))
     for i in range(40):
         line = english_text(rng, 8)
-        docs.append(make_document(f"spam-{i}", "\n".join([line] * 6)))
+        docs.append(Document(f"spam-{i}", "\n".join([line] * 6)))
     for i in range(30):
-        docs.append(make_document(f"dupe-{i}", docs[i].text))
+        docs.append(Document(f"dupe-{i}", docs[i].text))
 
     print(f"corpus: {len(docs)} documents, {sum(d.token_count for d in docs)} tokens")
 

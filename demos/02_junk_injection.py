@@ -11,13 +11,13 @@ import random
 from collections import Counter
 
 from poollab import (
+    Document,
     InjectionSpec,
     JunkKind,
     Pool,
     build_vocab,
     gen_random_document,
     inject,
-    make_document,
     random_junk_stream,
     shuffle_document,
     shuffled_junk_stream,
@@ -32,7 +32,7 @@ def main():
     sample = gen_random_document(vocab, n_words=12, seed=3)
     print(f"random-string doc: {sample.text!r}\n")
 
-    doc = make_document("d0", "the capital of france is paris and the river is the seine")
+    doc = Document("d0", "the capital of france is paris and the river is the seine")
     shuffled = shuffle_document(doc, seed=9)
     print(f"original: {doc.text}")
     print(f"shuffled: {shuffled.text}")
@@ -41,12 +41,12 @@ def main():
 
     # a 5,000-token pool and three injection ratios
     pool_docs = [
-        make_document(f"cc-{i}", " ".join(f"tok{rng.randint(0, 200)}" for _ in range(25)))
+        Document(f"cc-{i}", " ".join(f"tok{rng.randint(0, 200)}" for _ in range(25)))
         for i in range(200)
     ]
     pool = Pool(documents=pool_docs, seed=0, label="cc")
     extra_docs = [
-        make_document(f"extra-{i}", " ".join(f"tok{rng.randint(0, 200)}" for _ in range(25)))
+        Document(f"extra-{i}", " ".join(f"tok{rng.randint(0, 200)}" for _ in range(25)))
         for i in range(5000)
     ]
 

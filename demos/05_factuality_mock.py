@@ -10,13 +10,13 @@ per-document isolation.
 """
 
 from poollab import (
+    Document,
     Pool,
     QAItem,
     Verdict,
     aggregate_judgements,
     judge_documents,
     keyword_match,
-    make_document,
     mock_judge_client,
 )
 
@@ -60,7 +60,7 @@ def scripted_judge(doc_text, question, answer):
 
 
 def main():
-    pool = Pool(documents=[make_document(i, t) for i, t in DOCS])
+    pool = Pool(documents=[Document(i, t) for i, t in DOCS])
     client = mock_judge_client(scripted_judge)
 
     all_judgements = []

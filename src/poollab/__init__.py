@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 #: Exported name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys((
-        "Document", "DocumentSource", "Pool", "make_document", "read_documents",
-        "read_pool", "sample_pool", "write_documents", "write_pool",
+        "Document", "DocumentSource", "Pool", "read_documents", "read_pool", "sample_pool",
+        "write_documents", "write_pool",
     ), "corpus"),
     **dict.fromkeys((
         "FitError", "JudgeError", "PoolLabError", "StreamExhaustedError", "ValidationError",

@@ -14,6 +14,7 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -27,9 +28,9 @@ from typing import Callable, Sequence
 from . import _EXPORTS, __version__
 from .errors import FitError, PoolLabError, ValidationError
 from .io import (
-    csv_cell, field_kinds, field_names, json_object, number, number_text, numbers, one_of,
-    read_json, read_rows, sha256_file, string, whole, whole_text, write_json, write_lines,
-    write_rows,
+    csv_cell, field_kinds, field_names, json_object, natural, number, number_text, numbers,
+    one_of, positive, read_json, read_rows, sha256_file, string, whole, whole_text, write_json,
+    write_lines, write_rows,
 )
 
 #: ``--profile``, ``--kind`` and ``--method`` choices: ``sorted(filters.PROFILES)``,
@@ -89,8 +90,19 @@ def _settings(obj: object, kinds: dict[str, Callable]) -> dict:
 
 
 def _load_config(path: str | None, kinds: dict[str, Callable]) -> dict:
-    """The ``--config`` object of the settings in ``kinds``; ``{}`` without one."""
+    """The ``--config`` object of the settings in ``kinds``; ``{}`` without one.  A kind
+    that runs the library's check of its setting rejects a value as ``<path>: <reason>``."""
     return read_json(path, lambda obj: _settings(obj, kinds)) if path else {}
+
+
+def _checked(kind: Callable, build: Callable[[dict], object]) -> Callable:
+    """``kind``, then ``build({name: value})``, which builds what the setting alone
+    makes, so that the library's own checks of it run."""
+    def read(name: str, value: object):
+        value = kind(name, value)
+        build({name: value})
+        return value
+    return read
 
 
 def opt(args: argparse.Namespace, config: dict, key: str, default):
@@ -163,7 +175,7 @@ def write_manifest(args: argparse.Namespace) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, {"seed": whole, "label": string})
+    config = _load_config(args.config, {"seed": natural, "label": string})
     seed = opt(args, config, "seed", 0)
     target = whole_text("--target-tokens", args.target_tokens)
     label = opt(args, config, "label", Path(args.output).stem)
@@ -173,37 +185,58 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    settings = field_kinds(lib.FilterConfig)  # all but repetition_thresholds, a mapping
-    config = _load_config(args.config, {**settings, "profile": one_of(PROFILE_CHOICES),
-                                        "stages": string, "threads": whole,
-                                        "repetition_thresholds": numbers})
-    base = lib.profile(opt(args, config, "profile", "gopher"))
-    thresholds = opt(args, config, "repetition_thresholds", {})
+def _filter_stages(values: dict) -> list:
+    """The stages that the filter settings ``values`` select, each setting they leave out
+    at its default; ``profile``, ``FilterConfig`` and ``build_stages`` check them."""
+    base = lib.profile(values.get("profile", "gopher"))
     cfg = replace(  # a new config, so FilterConfig.__post_init__ checks the merged values
-        base, repetition_thresholds={**base.repetition_thresholds, **thresholds},
-        **{key: opt(args, config, key, getattr(base, key)) for key in settings},
+        base,
+        repetition_thresholds={**base.repetition_thresholds,
+                               **values.get("repetition_thresholds", {})},
+        **{key: values[key] for key in field_kinds(lib.FilterConfig) if key in values},
     )
+    return lib.build_stages(_comma_list(values.get("stages", "english,repetition,stopword")),
+                            cfg)
 
-    stage_names = _comma_list(opt(args, config, "stages", "english,repetition,stopword"))
-    threads = opt(args, config, "threads", 1)  # checked; every stage runs on one thread
-    if threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {threads}")
-    result = lib.run_pipeline(lib.read_pool(args.pool), lib.build_stages(stage_names, cfg),
-                              threads)
+
+def _threads(name: str, value: object) -> int:
+    """A ``--threads`` count: a whole number >= 1; every stage runs on one thread."""
+    value = whole(name, value)
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def cmd_filter(args: argparse.Namespace) -> int:
+    filter_fields = field_kinds(lib.FilterConfig)  # all but repetition_thresholds, a mapping
+    settings = {**filter_fields, "repetition_thresholds": numbers,
+                "profile": one_of(PROFILE_CHOICES), "stages": string}
+    config = _load_config(args.config, {
+        **{key: _checked(kind, _filter_stages) for key, kind in settings.items()},
+        "threads": _threads})
+    profile = opt(args, config, "profile", "gopher")
+    base = lib.profile(profile)
+    stages = _filter_stages({
+        "profile": profile,
+        "repetition_thresholds": opt(args, config, "repetition_thresholds", {}),
+        "stages": opt(args, config, "stages", "english,repetition,stopword"),
+        **{key: opt(args, config, key, getattr(base, key)) for key in filter_fields},
+    })
+    threads = _threads("--threads", opt(args, config, "threads", 1))
+    result = lib.run_pipeline(lib.read_pool(args.pool), stages, threads)
     lib.write_pool(args.output, result.pool)
     if args.stats:
         write_rows(args.stats, lib.STATS_COLUMNS, result.stats_rows())
     print(
         f"filtered {result.cumulative.docs_in} -> {result.cumulative.docs_kept} docs "
-        f"(token retention {result.cumulative.retention_tokens:.4f}) via {stage_names}"
+        f"(token retention {result.cumulative.retention_tokens:.4f}) via {result.stage_order}"
     )
     return EXIT_OK
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, {"seed": whole, "kind": one_of(lib.JunkKind),
-                                        "vocab_seed": whole})
+    config = _load_config(args.config, {"seed": natural, "kind": one_of(lib.JunkKind),
+                                        "vocab_seed": natural})
     seed = opt(args, config, "seed", 0)
     kind = lib.JunkKind(opt(args, config, "kind", KIND_CHOICES[0]))
     if (kind is lib.JunkKind.SHUFFLED_DOCS) != bool(args.junk_source):
@@ -293,8 +326,8 @@ def _warn_in_one_line(fit: Callable, *fit_args):
 
 
 def cmd_scaling_law(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, {"method": one_of(METHOD_CHOICES), "ratio": number,
-                                        "epochs": number})
+    config = _load_config(args.config, {"method": one_of(METHOD_CHOICES), "ratio": positive,
+                                        "epochs": positive})
     method = opt(args, config, "method", "tpp")
     _reject_unread(args, ("epochs",) if method == "tpp" else ("ratio", "configs"),
                    f"--method {method}")
@@ -417,7 +450,9 @@ def _heuristic_mock_classifier() -> Callable[[str, str, str], lib.Verdict]:
 
 def cmd_judge(args: argparse.Namespace) -> int:
     settings = {"model_name": string, "timeout": number, "max_concurrency": whole}  # HTTP only
-    config = _load_config(args.config, settings)
+    config = _load_config(args.config, {  # JudgeClient checks each, on the mock client
+        key: _checked(kind, lambda values: replace(lib.mock_judge_client(), **values))
+        for key, kind in settings.items()})
     if not args.mock and not args.endpoint:
         raise UsageError("choose --mock or --endpoint <url>")
     if args.mock:
@@ -588,6 +623,16 @@ def _check_outputs_are_not_inputs(args: argparse.Namespace) -> None:
                     raise UsageError(f"{names} name the same file {path + suffix}")
 
 
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Raise the OSError that writing would, before any work, if an output's directory
+    is missing or is not a directory, so that a failed run writes no file at all."""
+    for _, path in _named_files(args, OUTPUT_FLAGS):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+
+
 def dispatch(argv: Sequence[str]) -> int:
     """Run one subcommand; returns the process exit status."""
     parser = build_parser()
@@ -600,6 +645,7 @@ def dispatch(argv: Sequence[str]) -> int:
         return EXIT_USAGE
     try:
         _check_outputs_are_not_inputs(args)
+        _check_output_dirs(args)
         code = args.func(args)
         if args.output:
             write_manifest(args)

@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import StreamExhaustedError, ValidationError
-from .io import (json_object, one_of, read_json, read_jsonl, read_record, string, write_json,
-                 write_lines)
+from .io import natural, one_of, read_json, read_jsonl, read_record, write_json, write_lines
 
 #: A word, as the stop-word filter and the keyword matcher count them.
 WORD_RE = re.compile(r"\w+")
@@ -33,12 +32,16 @@ class DocumentSource(str, Enum):
 
 @dataclass(frozen=True)
 class Document:
-    """A unit of corpus text; ``token_count`` is its number of whitespace runs."""
+    """A unit of corpus text; ``token_count`` is its number of whitespace runs,
+    counted from ``text`` when the document is built and never passed in."""
 
     id: str
     text: str
     source: DocumentSource = DocumentSource.POOL
-    token_count: int = 0
+    token_count: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "token_count", len(self.text.split()))
 
 
 #: How poollab counts tokens: maximal runs of non-whitespace characters
@@ -63,21 +66,14 @@ class PoolHeader:
                                   f"poollab counts {COUNTER_NAME!r} runs only")
 
 
-def make_document(
-    doc_id: str, text: str, source: DocumentSource = DocumentSource.POOL
-) -> Document:
-    """Build a Document with its token count filled in."""
-    return Document(id=doc_id, text=text, source=source, token_count=len(text.split()))
-
-
-@dataclass
+@dataclass(frozen=True)
 class Pool:
     """An ordered collection of documents with a recorded sampling seed.
 
-    ``documents`` is stored as a tuple, whatever sequence it was built
-    from, so a pool's membership cannot change in place after
-    ``__post_init__`` has summed it into ``total_tokens``, which is not a
-    constructor argument; use ``replace_documents`` to get a new pool.
+    A pool is immutable: ``documents`` is stored as a tuple, whatever
+    sequence it was built from, and ``__post_init__`` sums it into
+    ``total_tokens``, which is not a constructor argument; use
+    ``replace_documents`` to get a new pool.
     """
 
     documents: tuple[Document, ...] = ()
@@ -86,8 +82,8 @@ class Pool:
     label: str = ""
 
     def __post_init__(self) -> None:
-        self.documents = tuple(self.documents)
-        self.total_tokens = sum(d.token_count for d in self.documents)
+        object.__setattr__(self, "documents", tuple(self.documents))
+        object.__setattr__(self, "total_tokens", sum(d.token_count for d in self.documents))
         ids = [d.id for d in self.documents]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"pool {self.label!r} contains duplicate document ids")
@@ -130,11 +126,13 @@ def sample_pool(
     target, so ``total_tokens - last_doc.token_count < target_tokens``.
 
     Raises:
+        ValidationError: ``target_tokens`` is not positive, or ``seed`` is negative.
         StreamExhaustedError: the stream ran out first; the error carries
             the token count actually achieved.
     """
     if target_tokens <= 0:
         raise ValidationError(f"target_tokens must be positive, got {target_tokens}")
+    natural("seed", seed)
     docs = list(stream)
     rng = random.Random(seed)
     rng.shuffle(docs)
@@ -160,18 +158,9 @@ def sample_pool(
 # ---------------------------------------------------------------------------
 
 
-_source = one_of(DocumentSource)
-
-
-def _document(obj: object) -> Document:
-    json_object(obj)
-    source = _source("source", obj["source"]) if "source" in obj else DocumentSource.POOL
-    return make_document(string("id", obj["id"]), string("text", obj["text"]), source)
-
-
 def read_documents(path: str | Path) -> Iterator[Document]:
     """Stream documents from a JSONL file, recounting their tokens."""
-    return read_jsonl(path, _document)
+    return read_jsonl(path, partial(read_record, Document, source=one_of(DocumentSource)))
 
 
 def write_documents(path: str | Path, documents: Iterable[Document]) -> None:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .corpus import Document, DocumentSource, Pool, make_document
+from .corpus import Document, DocumentSource, Pool
 from .errors import StreamExhaustedError, ValidationError
+from .io import natural
 
 
 def derive_seed(base_seed: int, *tags: object) -> int:
@@ -60,6 +61,7 @@ class InjectionSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        natural("seed", self.seed)
         if not 0 < self.ratio <= MAX_INJECTION_RATIO:  # NaN fails too: a target it can never meet
             raise ValidationError(
                 f"injection ratio must be finite, > 0 and <= {MAX_INJECTION_RATIO}, "
@@ -73,7 +75,7 @@ def build_vocab(seed: int) -> JunkVocab:
     Collisions are resampled until the vocabulary is distinct, so the
     result is a deterministic function of ``seed``.
     """
-    rng = random.Random(seed)
+    rng = random.Random(natural("vocab seed", seed))
     lo, hi = WORD_LENGTH_RANGE
     words: set[str] = set()
     ordered: list[str] = []
@@ -94,11 +96,8 @@ def gen_random_document(
         raise ValidationError(f"n_words must be positive, got {n_words}")
     rng = random.Random(seed)
     text = " ".join(rng.choice(vocab.words) for _ in range(n_words))
-    return make_document(
-        doc_id if doc_id is not None else f"random-{seed:x}-{n_words}",
-        text,
-        DocumentSource.RANDOM_JUNK,
-    )
+    return Document(doc_id if doc_id is not None else f"random-{seed:x}-{n_words}", text,
+                    DocumentSource.RANDOM_JUNK)
 
 
 def shuffle_document(doc: Document, seed: int) -> Document:
@@ -110,7 +109,7 @@ def shuffle_document(doc: Document, seed: int) -> Document:
     words = doc.text.split()
     rng = random.Random(seed)
     rng.shuffle(words)
-    return make_document(doc.id, " ".join(words), DocumentSource.SHUFFLED_JUNK)
+    return Document(doc.id, " ".join(words), DocumentSource.SHUFFLED_JUNK)
 
 
 def random_junk_stream(pool: Pool, vocab: JunkVocab, seed: int) -> Iterator[Document]:

@@ -11,9 +11,12 @@ key, and read back into dataclasses by their field types.
 JSON values are read by one type rule, one function per kind (:func:`string`,
 :func:`flag`, :func:`number`, :func:`whole`, :func:`items`, and :func:`one_of`
 for an enum's values or a tuple of names), each raising
-``"<field> must be <kind>, got <value!r>"``.  A JSON object fills a dataclass by
+``"<field> must be <kind>, got <value!r>"``.  Two kinds also bound their value,
+:func:`natural` (a seed) and :func:`positive`; the library checks its arguments
+by them too.  A JSON object fills a dataclass by
 :func:`read_record`: fields without a default are required, and each field's
-kind is its annotation (:func:`field_kinds`) unless the reader names another.
+kind is its annotation (:func:`field_kinds`) unless the reader names another; a
+field the dataclass derives (``init=False``) is not read.
 
 Pretty JSON: indent 2, sorted keys, trailing newline.
 
@@ -148,6 +151,19 @@ def whole(name: str, value: object) -> int:
     _reject(name, "a whole number", value)
 
 
+def natural(name: str, value: object) -> int:
+    """A :func:`whole` number >= 0, such as a seed: ``random.Random`` seeds ``-n`` as it
+    seeds ``n``, so a negative seed would alias a positive one."""
+    value = whole(name, value)
+    return value if value >= 0 else _reject(name, ">= 0", value)
+
+
+def positive(name: str, value: object) -> float:
+    """A :func:`number` that is finite and > 0."""
+    value = number(name, value)
+    return value if 0 < value < math.inf else _reject(name, "finite and > 0", value)
+
+
 def items(name: str, value: object) -> list:
     """A JSON array."""
     return value if type(value) is list else _reject(name, "a list", value)
@@ -214,9 +230,11 @@ def field_kinds(cls: type) -> dict[str, Callable[[str, Any], Any]]:
 
 @cache
 def _record_fields(cls: type) -> tuple[tuple[str, Callable | None, bool], ...]:
-    """``(name, kind by annotation or None, required)`` of each field of ``cls``."""
+    """``(name, kind by annotation or None, required)`` of each field of ``cls`` that its
+    constructor takes; a field it derives (``init=False``) is never read."""
     return tuple((f.name, _KINDS.get(f.type.removesuffix(" | None")),
-                  f.default is MISSING and f.default_factory is MISSING) for f in fields(cls))
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls) if f.init)
 
 
 def read_record(cls: type[T], obj: object, **kinds: Callable[[str, Any], Any]) -> T:

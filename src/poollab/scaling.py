@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import FitError, NoRootError, ValidationError
-from .io import items, read_record
+from .io import items, positive, read_record
 from .runlog import ModelConfig, RunRecord, best_achievable, eval_set_names, point_losses
 
 if TYPE_CHECKING:
@@ -673,8 +673,7 @@ def fit_threshold_tokens_per_param(
     quadratic.  Models whose quadratic has no real inverse are excluded
     with a warning.
     """
-    if not 0 < ratio < math.inf:  # NaN fails too
-        raise ValidationError(f"tokens-per-param ratio must be finite and > 0, got {ratio}")
+    positive("tokens-per-param ratio", ratio)
     by_total = {cfg.total_params: cfg for cfg in configs}
     points: list[ThresholdPoint] = []
     for model_params in sorted(quads):
@@ -710,8 +709,7 @@ def fit_threshold_epoch_constraint(
     quadratic coinciding with the line has no unique intersection and is
     an error.
     """
-    if not 0 < epochs < math.inf:  # NaN fails too
-        raise ValidationError(f"epochs must be finite and > 0, got {epochs}")
+    positive("epochs", epochs)
     points: list[ThresholdPoint] = []
     for model_params in sorted(quads):
         try:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable
 
 from .errors import FitError, ValidationError
+from .io import natural
 
 if TYPE_CHECKING:
     import numpy as np
@@ -199,9 +200,7 @@ def random_orthogonal_spec(seed: int, noise_power: float | None = None) -> TaskS
     """
     import numpy as np
 
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(natural("seed", seed))
     k = int(rng.integers(1, MAX_TASKS + 1))
     d = int(rng.integers(k, MAX_D + 1))
     m_out = int(rng.integers(k, MAX_M_OUT + 1))

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from poollab import Pool, make_document
+from poollab import Document, Pool
 
 
 @pytest.fixture
 def ten_token_docs():
     """100 documents of exactly 10 whitespace tokens each."""
     return [
-        make_document(f"doc-{i:03d}", " ".join(f"w{i}x{j}" for j in range(10)))
+        Document(f"doc-{i:03d}", " ".join(f"w{i}x{j}" for j in range(10)))
         for i in range(100)
     ]
 

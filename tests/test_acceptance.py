@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from poollab import (
+    Document,
     EvalPoint,
     ModelConfig,
     Pool,
@@ -38,7 +39,6 @@ from poollab import (
     keyword_match,
     kl_improvement_bruteforce,
     kl_improvement_closed_form,
-    make_document,
     non_embedding_params,
     predict_conditional,
     random_orthogonal_spec,
@@ -137,7 +137,7 @@ def test_c03_shuffle_word_frequency_invariance():
     n_docs = 10_000
     for i in range(n_docs):
         words = [rng.choice(vocab) for _ in range(rng.randint(1, 60))]
-        doc = make_document(f"d{i}", " ".join(words))
+        doc = Document(f"d{i}", " ".join(words))
         shuffled = shuffle_document(doc, seed=i)
         if Counter(shuffled.text.split()) != Counter(words):
             mismatches += 1
@@ -315,7 +315,7 @@ def test_c09_filter_determinism_and_oracle_recount(tmp_path):
     frozen = json.loads((DATA_DIR / "corpus_1k_oracle.json").read_text())
     assert live_oracle == frozen
 
-    pool = Pool(documents=[make_document(i, t) for i, t in docs])
+    pool = Pool(documents=[Document(i, t) for i, t in docs])
     cfg = FilterConfig()
     stage_names = ["english", "repetition", "stopword", "dedup", "quality"]
 
@@ -381,7 +381,7 @@ def test_c11_factuality_pipeline_under_mocks():
     rng = random.Random(12)
     vocab = ["pulsar", "pulsars", "neutron", "star", "galaxy", "the", "spins"]
     docs = [
-        make_document(f"d{i}", " ".join(rng.choice(vocab) for _ in range(rng.randint(3, 15))))
+        Document(f"d{i}", " ".join(rng.choice(vocab) for _ in range(rng.randint(3, 15))))
         for i in range(300)
     ]
     pool = Pool(documents=docs)

@@ -36,7 +36,6 @@ from poollab import (
     bundled_model_configs,
     crossing_point,
     load_run_log,
-    make_document,
     write_documents,
     write_run_log,
 )
@@ -58,7 +57,7 @@ def docs_file(tmp_path):
     docs = []
     for i in range(200):
         n = rng.randint(10, 40)
-        docs.append(make_document(f"doc-{i:03d}", " ".join(rng.choice(wordish) for _ in range(n))))
+        docs.append(Document(f"doc-{i:03d}", " ".join(rng.choice(wordish) for _ in range(n))))
     path = tmp_path / "docs.jsonl"
     write_documents(path, docs)
     return path
@@ -68,7 +67,7 @@ def docs_file(tmp_path):
 def extra_docs_file(tmp_path):
     rng = random.Random(4)
     docs = [
-        make_document(f"extra-{i:03d}", " ".join(f"w{rng.randint(0, 50)}" for _ in range(20)))
+        Document(f"extra-{i:03d}", " ".join(f"w{rng.randint(0, 50)}" for _ in range(20)))
         for i in range(400)
     ]
     path = tmp_path / "extra.jsonl"
@@ -206,7 +205,7 @@ class TestPoolPipeline:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         pool = tmp_path / "pool.jsonl"
-        write_documents(pool, [make_document("d0", "the cat and the dog")])
+        write_documents(pool, [Document("d0", "the cat and the dog")])
         before = pool.read_bytes()
         output = str(pool) if output == "POOL" else output
         assert dispatch(["filter", "--pool", "pool.jsonl", "--output", output]) == 2
@@ -248,7 +247,7 @@ class TestPoolPipeline:
                                                          argv, flags):
         # only p.jsonl and its header exist, so a command that read a file would exit 1
         monkeypatch.chdir(tmp_path)
-        write_documents(tmp_path / "p.jsonl", [make_document("d0", "the cat and the dog")])
+        write_documents(tmp_path / "p.jsonl", [Document("d0", "the cat and the dog")])
         (tmp_path / "p.jsonl.header.json").write_text('{"label": "p"}', encoding="utf-8")
         before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         assert dispatch(argv) == 2
@@ -272,7 +271,7 @@ class TestPoolPipeline:
 
     def filter_with_config(self, tmp_path, config):
         pool = tmp_path / "pool.jsonl"
-        write_documents(pool, [make_document("d0", self.STOPWORD_DOC)])
+        write_documents(pool, [Document("d0", self.STOPWORD_DOC)])
         cfg = write_text(tmp_path, "c.json", json.dumps(config))
         out = tmp_path / "f.jsonl"
         code = dispatch(["filter", "--pool", str(pool), "--stages", "stopword",
@@ -744,9 +743,9 @@ class TestJudgeCli:
     def test_mock_judge_end_to_end(self, tmp_path):
         pool = tmp_path / "pool.jsonl"
         docs = [
-            make_document("d0", "the pulsar is a rotating neutron star indeed"),
-            make_document("d1", "a pulsar timing array measures pulsar signals"),
-            make_document("d2", "nothing relevant here"),
+            Document("d0", "the pulsar is a rotating neutron star indeed"),
+            Document("d1", "a pulsar timing array measures pulsar signals"),
+            Document("d2", "nothing relevant here"),
         ]
         write_documents(pool, docs)
         qa = tmp_path / "qa.jsonl"
@@ -796,7 +795,7 @@ class TestJudgeCli:
         qa.write_text(json.dumps({"subject": "s", "question": "q", "answer": "a",
                                   "keywords": ["k"]}) + "\n", encoding="utf-8")
         pool = tmp_path / "pool.jsonl"
-        write_documents(pool, [make_document("d0", "k")])
+        write_documents(pool, [Document("d0", "k")])
         out = tmp_path / "o.jsonl"
         assert dispatch(["judge", "--qa", str(qa), "--pool", str(pool),
                          "--endpoint", f"file://{qa}", "--output", str(out)]) == 1
@@ -823,7 +822,7 @@ class TestJudgeCli:
         config = write_text(tmp_path, "c.json", json.dumps({"timeout": 5.0, "model_name": "m"}))
         qa = write_text(tmp_path, "qa.jsonl", QA_LINE + "\n")
         pool = tmp_path / "pool.jsonl"
-        write_documents(pool, [make_document("d0", "the")])
+        write_documents(pool, [Document("d0", "the")])
         argv = ["judge", "--mock", "--qa", qa, "--pool", str(pool), "--config", config,
                 "--output", str(tmp_path / "o.jsonl")]
         assert dispatch(argv + [flag, value]) == 2
@@ -835,7 +834,7 @@ class TestJudgeCli:
         qa.write_text(json.dumps({"subject": "s", "question": "q", "answer": "a",
                                   "keywords": ["k"]}) + "\n", encoding="utf-8")
         pool = tmp_path / "pool.jsonl"
-        write_documents(pool, [make_document("d0", "k")])
+        write_documents(pool, [Document("d0", "k")])
         assert dispatch(["judge", "--qa", str(qa), "--pool", str(pool),
                          "--output", str(tmp_path / "o.jsonl")]) == 2
 
@@ -1412,6 +1411,43 @@ MALFORMED_INPUTS = {
             f"1000,{pool},{crossing},1.0,True,False\n"
             for pool, crossing in [(0, 5.0), (10, 50.0), (100, 900.0)])),
         "--method", "epoch", "--output", str(t / "e.json")],
+    "sample-seed-negative": lambda t, docs: [
+        "sample", "--input", docs, "--target-tokens", "100", "--seed", "-7",
+        "--output", str(t / "p.jsonl")],
+    "sample-config-seed-negative": lambda t, docs: [
+        "sample", "--input", docs, "--target-tokens", "100",
+        "--config", write_text(t, "c.json", '{"seed": -7}'), "--output", str(t / "p.jsonl")],
+    "inject-seed-negative": lambda t, docs: [
+        "inject", "--pool", docs, "--ratio", "0.5", "--seed", "-7", "--output", str(t / "i.jsonl")],
+    "inject-vocab-seed-negative": lambda t, docs: [
+        "inject", "--pool", docs, "--ratio", "0.5", "--vocab-seed", "-7",
+        "--output", str(t / "i.jsonl")],
+    "inject-config-seed-negative": lambda t, docs: [
+        "inject", "--pool", docs, "--ratio", "0.5",
+        "--config", write_text(t, "c.json", '{"seed": -7}'), "--output", str(t / "i.jsonl")],
+    "inject-config-vocab-seed-negative": lambda t, docs: [
+        "inject", "--pool", docs, "--ratio", "0.5",
+        "--config", write_text(t, "c.json", '{"vocab_seed": -7}'), "--output", str(t / "i.jsonl")],
+    "filter-config-threads-zero": lambda t, docs: [
+        "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
+        write_text(t, "c.json", '{"threads": 0}')],
+    "filter-config-stage-unknown": lambda t, docs: [
+        "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
+        write_text(t, "c.json", '{"stages": "english,bogus"}')],
+    "filter-config-english-threshold-above-one": lambda t, docs: [
+        "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
+        write_text(t, "c.json", '{"english_threshold": 1.5}')],
+    "filter-config-stopword-min-count-negative": lambda t, docs: [
+        "filter", "--pool", docs, "--output", str(t / "f.jsonl"), "--config",
+        write_text(t, "c.json", '{"stopword_min_count": -2}')],
+    "scaling-law-config-ratio-negative": lambda t, docs: scaling_law_with(
+        t, "--config", write_text(t, "c.json", '{"ratio": -1}')),
+    "scaling-law-config-epochs-zero": lambda t, docs: scaling_law_with(
+        t, "--config", write_text(t, "c.json", '{"method": "epoch", "epochs": 0}')),
+    "judge-config-timeout-negative": lambda t, docs: [
+        "judge", "--qa", write_text(t, "qa.jsonl", QA_LINE), "--pool", docs,
+        "--endpoint", "http://x", "--config", write_text(t, "c.json", '{"timeout": -1}'),
+        "--output", str(t / "j.jsonl")],
     **{case: builder for case, (builder, _) in MISTYPED_FIELDS.items()},
 }
 
@@ -1472,6 +1508,29 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
      "{tmp}/c.json: method must be one of tpp, epoch, got 'bad'"),
     ("filter-config-profile-unknown",
      "{tmp}/c.json: profile must be one of gopher, permissive, got 'bad'"),
+    # a negative seed would alias its positive one: random.Random seeds -n as it seeds n
+    ("sample-seed-negative", "seed must be >= 0, got -7"),
+    ("sample-config-seed-negative", "{tmp}/c.json: seed must be >= 0, got -7"),
+    ("inject-seed-negative", "seed must be >= 0, got -7"),
+    ("inject-vocab-seed-negative", "vocab seed must be >= 0, got -7"),
+    ("inject-config-seed-negative", "{tmp}/c.json: seed must be >= 0, got -7"),
+    ("inject-config-vocab-seed-negative", "{tmp}/c.json: vocab_seed must be >= 0, got -7"),
+    # a --config value the library rejects names the file; the same value as a flag does not
+    ("filter-config-threads-zero", "{tmp}/c.json: threads must be >= 1, got 0"),
+    ("filter-threads-zero", "--threads must be >= 1, got 0"),
+    ("filter-config-stage-unknown", "{tmp}/c.json: unknown stage 'bogus'; "
+     "available: ['dedup', 'english', 'quality', 'repetition', 'stopword']"),
+    ("filter-config-english-threshold-above-one",
+     "{tmp}/c.json: english_threshold must be in [0,1], got 1.5"),
+    ("filter-config-stopword-min-count-negative", "{tmp}/c.json: stopword_min_count must be >= 0"),
+    ("filter-stopword-min-count-negative", "stopword_min_count must be >= 0"),
+    ("filter-repetition-threshold-above-one",
+     "{tmp}/c.json: repetition threshold dup_5gram must be in [0,1], got 7.5"),
+    ("scaling-law-config-ratio-negative", "{tmp}/c.json: ratio must be finite and > 0, got -1.0"),
+    ("scaling-law-ratio-negative", "tokens-per-param ratio must be finite and > 0, got -5.0"),
+    ("scaling-law-config-epochs-zero", "{tmp}/c.json: epochs must be finite and > 0, got 0.0"),
+    ("judge-config-timeout-negative",
+     "{tmp}/c.json: judge timeout must be a positive number, got -1.0"),
 ])
 def test_malformed_input_error_line(tmp_path, docs_file, capsys, case, error):
     argv = MALFORMED_INPUTS[case](tmp_path, str(docs_file))
@@ -1638,9 +1697,11 @@ RECORD_READERS = {
                  lambda t, docs, obj: filter_documents(t, json.dumps(obj))),
 }
 
-#: (reader, field) for each field without a default of each reader's dataclass.
+#: (reader, field) for each field without a default of each reader's dataclass; a field
+#: it derives (``init=False``, such as a document's token count) is never read.
 REQUIRED_FIELDS = [(reader, f.name) for reader, (cls, _, _) in RECORD_READERS.items()
-                   for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+                   for f in fields(cls)
+                   if f.init and f.default is MISSING and f.default_factory is MISSING]
 
 
 @pytest.mark.parametrize("reader, field", REQUIRED_FIELDS,
@@ -1774,6 +1835,24 @@ def test_manifest_lists_files_and_seeds(tmp_path, docs_file, runs_file, monkeypa
     assert manifest["outputs"] == outputs
     assert manifest["seeds"] == seeds
     assert manifest["tool_version"] == poollab.__version__
+
+
+#: (case, flag) for each output flag of each MANIFEST_CASES command line.
+OUTPUT_CASES = [(case, arg) for case, (argv, *_) in sorted(MANIFEST_CASES.items())
+                for arg in argv if arg.lstrip("-").replace("-", "_") in cli.OUTPUT_FLAGS]
+
+
+@pytest.mark.parametrize("case, flag", OUTPUT_CASES, ids=[f"{c}{f}" for c, f in OUTPUT_CASES])
+def test_output_in_a_missing_directory_fails_before_any_work(tmp_path, docs_file, runs_file,
+                                                             monkeypatch, capsys, case, flag):
+    monkeypatch.chdir(tmp_path)
+    write_manifest_inputs(tmp_path, docs_file, runs_file)
+    argv = list(MANIFEST_CASES[case][0])
+    argv[argv.index(flag) + 1] = missing = os.path.join("nodir", argv[argv.index(flag) + 1])
+    files = sorted(tmp_path.rglob("*"))
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_failed_verification_still_writes_manifest(tmp_path, monkeypatch):
@@ -1930,7 +2009,7 @@ def fuzz_files():
     """The files the MANIFEST_CASES command lines read, by name, with a pool header."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
-        docs = [make_document(f"doc-{i}", f"the cat and dog {i} sat with the hat")
+        docs = [Document(f"doc-{i}", f"the cat and dog {i} sat with the hat")
                 for i in range(40)]
         write_documents(tmp_path / "docs.jsonl", docs)
         # no total_tokens, so a changed text reaches the filters
@@ -2255,10 +2334,10 @@ def test_library_import_loads_no_thread_pool():
     # stages run on the calling thread whatever thread count they are given
     code = textwrap.dedent("""\
         import sys, poollab.factuality
-        from poollab import FilterConfig, Pool, build_stages, make_document, run_pipeline
+        from poollab import Document, FilterConfig, Pool, build_stages, run_pipeline
         from poollab.filters import DCLM_STAGES
         texts = ["the cat and the dog", "zzz qqq", "a\\na\\na", "the cat and the dog "]
-        pool = Pool(documents=[make_document(f"d{i}", t) for i, t in enumerate(texts)])
+        pool = Pool(documents=[Document(f"d{i}", t) for i, t in enumerate(texts)])
         stages = build_stages(DCLM_STAGES, FilterConfig())
         result = run_pipeline(pool, stages, threads=4)
         print(len(result.per_stage), "concurrent.futures" in sys.modules)

@@ -1,9 +1,12 @@
 import json
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poollab import (
+    Document,
     DocumentSource,
     InjectionSpec,
     JunkKind,
@@ -12,7 +15,6 @@ from poollab import (
     ValidationError,
     build_vocab,
     inject,
-    make_document,
     random_junk_stream,
     read_documents,
     read_pool,
@@ -24,7 +26,7 @@ from poollab.corpus import WORD_RE
 
 
 def token_count(text):
-    return make_document("d", text).token_count
+    return Document("d", text).token_count
 
 
 class TestCountTokens:
@@ -42,9 +44,41 @@ class TestCountTokens:
         assert token_count(" a\tb\nc ") == 3
 
 
+class TestDerivedCounts:
+    """A token count is derived from the text it counts, so it cannot go stale."""
+
+    def test_document_counts_its_own_text(self):
+        assert Document("b", "x y z").token_count == 3
+
+    def test_replaced_text_is_recounted(self):
+        assert replace(Document("b", "x y z"), text="one").token_count == 1
+
+    def test_count_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            Document("b", "x y z", token_count=5)
+
+    def test_count_in_a_file_is_ignored(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "text": "x y z", "token_count": 5}\n', encoding="utf-8")
+        assert [d.token_count for d in read_documents(path)] == [3]
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Pool)])
+    def test_no_pool_field_can_be_assigned(self, small_pool, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(small_pool, name, getattr(small_pool, name))
+
+    def test_pool_survives_file_and_pickle_round_trips(self, tmp_path, small_pool):
+        assert small_pool.word_index  # a built index is no part of the pool's value
+        write_pool(tmp_path / "p.jsonl", small_pool)
+        for back in (read_pool(tmp_path / "p.jsonl"), pickle.loads(pickle.dumps(small_pool))):
+            assert back == small_pool and back.total_tokens == small_pool.total_tokens == 200
+            with pytest.raises(FrozenInstanceError):
+                back.label = "other"
+
+
 class TestSamplePool:
     def test_single_doc_covers_target(self):
-        doc = make_document("d0", " ".join(["w"] * 10))
+        doc = Document("d0", " ".join(["w"] * 10))
         pool = sample_pool([doc], target_tokens=5, seed=1)
         assert [d.id for d in pool.documents] == ["d0"]
         assert pool.total_tokens == 10
@@ -83,7 +117,7 @@ class TestSamplePool:
     @settings(max_examples=60, deadline=None)
     def test_overshoot_bound(self, sizes, target, seed):
         docs = [
-            make_document(f"d{i}", " ".join(["w"] * size)) for i, size in enumerate(sizes)
+            Document(f"d{i}", " ".join(["w"] * size)) for i, size in enumerate(sizes)
         ]
         if sum(sizes) < target:
             with pytest.raises(StreamExhaustedError):
@@ -109,8 +143,8 @@ class TestPoolInvariants:
         assert type(from_list.replace_documents(docs).documents) is tuple
 
     def test_write_pool_bytes(self, tmp_path):
-        pool = Pool(documents=[make_document("a", "one two"),
-                               make_document("b", "drei", DocumentSource.RANDOM_JUNK)],
+        pool = Pool(documents=[Document("a", "one two"),
+                               Document("b", "drei", DocumentSource.RANDOM_JUNK)],
                     seed=5, label="demo")
         write_pool(tmp_path / "p.jsonl", pool)
         assert (tmp_path / "p.jsonl").read_bytes() == (
@@ -144,8 +178,8 @@ class TestPoolInvariants:
 class TestJsonl:
     def test_document_round_trip(self, tmp_path):
         docs = [
-            make_document("a", "hello world", DocumentSource.POOL),
-            make_document("b", "x y z", DocumentSource.RANDOM_JUNK),
+            Document("a", "hello world", DocumentSource.POOL),
+            Document("b", "x y z", DocumentSource.RANDOM_JUNK),
         ]
         path = tmp_path / "docs.jsonl"
         write_documents(path, docs)
@@ -185,7 +219,7 @@ class TestJsonl:
     @given(st.lists(st.text(alphabet="aAbB é_7-\n", max_size=30), max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_word_index_equals_setdefault_construction(self, texts):
-        pool = Pool(documents=[make_document(f"d{i}", t) for i, t in enumerate(texts)])
+        pool = Pool(documents=[Document(f"d{i}", t) for i, t in enumerate(texts)])
         reference: dict[str, list[int]] = {}
         for position, doc in enumerate(pool.documents):
             for word in set(WORD_RE.findall(doc.text.lower())):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poollab import (
+    Document,
     JudgeClient,
     Pool,
     QAItem,
@@ -17,7 +18,6 @@ from poollab import (
     aggregate_judgements,
     judge_documents,
     keyword_match,
-    make_document,
     mock_judge_client,
 )
 from poollab.corpus import DocumentSource
@@ -29,7 +29,7 @@ from poollab.factuality import (
 
 
 def pool_of(*texts):
-    return Pool(documents=[make_document(f"d{i}", t) for i, t in enumerate(texts)])
+    return Pool(documents=[Document(f"d{i}", t) for i, t in enumerate(texts)])
 
 
 QA = QAItem(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from poollab import (
+    Document,
     DocumentScorer,
     FilterConfig,
     FilterStats,
@@ -17,7 +18,6 @@ from poollab import (
     build_stages,
     english_filter,
     exact_dedup,
-    make_document,
     profile,
     quality_filter,
     repetition_filter,
@@ -37,7 +37,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def doc(text, doc_id="d0"):
-    return make_document(doc_id, text)
+    return Document(doc_id, text)
 
 
 # ---------------------------------------------------------------------------

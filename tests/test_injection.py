@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poollab import (
+    Document,
     DocumentSource,
     InjectionSpec,
     JunkKind,
@@ -14,7 +15,6 @@ from poollab import (
     build_vocab,
     gen_random_document,
     inject,
-    make_document,
     random_junk_stream,
     shuffle_document,
     shuffled_junk_stream,
@@ -24,7 +24,7 @@ from poollab.injection import ALPHABET, VOCAB_SIZE, WORD_LENGTH_RANGE
 
 def ten_token_pool(n_docs=100, label="cc"):
     docs = [
-        make_document(f"pool-{i:03d}", " ".join(f"w{i}x{j}" for j in range(10)))
+        Document(f"pool-{i:03d}", " ".join(f"w{i}x{j}" for j in range(10)))
         for i in range(n_docs)
     ]
     return Pool(documents=docs, seed=0, label=label)
@@ -32,7 +32,7 @@ def ten_token_pool(n_docs=100, label="cc"):
 
 def junk_docs(n, tokens_each=10):
     return [
-        make_document(
+        Document(
             f"junk-{i:04d}",
             " ".join(f"j{i}y{k}" for k in range(tokens_each)),
             DocumentSource.RANDOM_JUNK,
@@ -85,11 +85,11 @@ class TestGenRandomDocument:
 
 class TestShuffleDocument:
     def test_single_word_fixed_point(self):
-        d = make_document("a", "hello")
+        d = Document("a", "hello")
         assert shuffle_document(d, seed=3).text == "hello"
 
     def test_multiset_preserved_small(self):
-        d = make_document("a", "a b c")
+        d = Document("a", "a b c")
         out = shuffle_document(d, seed=1)
         assert sorted(out.text.split()) == ["a", "b", "c"]
         assert out.source is DocumentSource.SHUFFLED_JUNK
@@ -97,21 +97,21 @@ class TestShuffleDocument:
     def test_frequency_map_oracle_large(self):
         rng = random.Random(7)
         words = [rng.choice(["alpha", "beta", "gamma", "delta"]) for _ in range(1000)]
-        d = make_document("big", " ".join(words))
+        d = Document("big", " ".join(words))
         out = shuffle_document(d, seed=2)
         shuffled_words = out.text.split()
         assert len(shuffled_words) == 1000
         assert Counter(shuffled_words) == Counter(words)
 
     def test_deterministic(self):
-        d = make_document("a", "one two three four five six")
+        d = Document("a", "one two three four five six")
         assert shuffle_document(d, 5).text == shuffle_document(d, 5).text
 
     @given(st.lists(st.sampled_from("aa bb cc dd ee".split()), min_size=1, max_size=50),
            st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=80, deadline=None)
     def test_multiset_property(self, words, seed):
-        d = make_document("p", " ".join(words))
+        d = Document("p", " ".join(words))
         out = shuffle_document(d, seed)
         assert Counter(out.text.split()) == Counter(words)
 
@@ -159,7 +159,7 @@ class TestInject:
 
     def test_id_collision_rejected(self):
         pool = ten_token_pool()
-        colliding = [make_document("pool-000", "x y z", DocumentSource.RANDOM_JUNK)]
+        colliding = [Document("pool-000", "x y z", DocumentSource.RANDOM_JUNK)]
         with pytest.raises(ValidationError, match="collides"):
             inject(pool, InjectionSpec(kind=JunkKind.RANDOM_STRINGS, ratio=0.01, seed=1), colliding)
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import poollab
 from poollab import (
-    CrossingPoint, DocumentSource, EvalPoint, EvalSlice, ModelConfig, Pool, RunRecord,
+    CrossingPoint, Document, DocumentSource, EvalPoint, EvalSlice, ModelConfig, Pool, RunRecord,
     ThresholdLaw, ThresholdPoint, ValidationError, bundled_model_configs, load_run_log,
-    make_document, read_model_configs, read_pool, write_pool, write_run_log,
+    read_model_configs, read_pool, write_pool, write_run_log,
 )
 from poollab.cli import CROSSING_COLUMNS
 from poollab.corpus import PoolHeader
@@ -400,7 +400,7 @@ threshold_laws = st.builds(
                     min_size=3, max_size=4).map(tuple))
 crossings = st.builds(CrossingPoint, model_params=counts, pool_tokens=counts,
                       crossing_tokens=st.none() | finite, observed=st.booleans())
-documents = st.builds(make_document, st.uuids().map(str), st.text(max_size=30),
+documents = st.builds(Document, st.uuids().map(str), st.text(max_size=30),
                       st.sampled_from(list(DocumentSource)))
 
 
