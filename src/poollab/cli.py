@@ -81,28 +81,20 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _settings(obj: object, kinds: dict[str, Callable]) -> dict:
-    """The JSON object ``obj``, each key read by its kind in ``kinds``; no other key is read."""
-    for key in json_object(obj):
-        if key not in kinds:
-            raise ValidationError(f"unknown setting {key!r} (settings: {', '.join(sorted(kinds))})")
-    return {key: kinds[key](key, value) for key, value in obj.items()}
-
-
-def _load_config(path: str | None, kinds: dict[str, Callable]) -> dict:
-    """The ``--config`` object of the settings in ``kinds``; ``{}`` without one.  A kind
-    that runs the library's check of its setting rejects a value as ``<path>: <reason>``."""
-    return read_json(path, lambda obj: _settings(obj, kinds)) if path else {}
-
-
-def _checked(kind: Callable, build: Callable[[dict], object]) -> Callable:
-    """``kind``, then ``build({name: value})``, which builds what the setting alone
-    makes, so that the library's own checks of it run."""
-    def read(name: str, value: object):
-        value = kind(name, value)
-        build({name: value})
-        return value
-    return read
+def _load_config(path: str | None, kinds: dict[str, Callable],
+                 build: Callable[[dict], object] = dict) -> dict:
+    """The ``--config`` object of the settings in ``kinds``; ``{}`` without one.  Each key
+    is read by its kind, then ``build`` (default: no check) makes what the settings make,
+    once, so that the library checks them; a rejected value reads ``<path>: <reason>``."""
+    def settings(obj: object) -> dict:
+        for key in json_object(obj):
+            if key not in kinds:
+                raise ValidationError(
+                    f"unknown setting {key!r} (settings: {', '.join(sorted(kinds))})")
+        values = {key: kinds[key](key, value) for key, value in obj.items()}
+        build(values)
+        return values
+    return read_json(path, settings) if path else {}
 
 
 def opt(args: argparse.Namespace, config: dict, key: str, default):
@@ -185,18 +177,23 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: ``filter``'s settings that are not ``FilterConfig`` fields, with their defaults;
+#: a ``FilterConfig`` field defaults to the profile's value.
+FILTER_DEFAULTS = {"profile": "gopher", "stages": "english,repetition,stopword",
+                   "repetition_thresholds": {}}
+
+
 def _filter_stages(values: dict) -> list:
     """The stages that the filter settings ``values`` select, each setting they leave out
     at its default; ``profile``, ``FilterConfig`` and ``build_stages`` check them."""
-    base = lib.profile(values.get("profile", "gopher"))
+    values = {**FILTER_DEFAULTS, **values}
+    base = lib.profile(values["profile"])
     cfg = replace(  # a new config, so FilterConfig.__post_init__ checks the merged values
         base,
-        repetition_thresholds={**base.repetition_thresholds,
-                               **values.get("repetition_thresholds", {})},
+        repetition_thresholds={**base.repetition_thresholds, **values["repetition_thresholds"]},
         **{key: values[key] for key in field_kinds(lib.FilterConfig) if key in values},
     )
-    return lib.build_stages(_comma_list(values.get("stages", "english,repetition,stopword")),
-                            cfg)
+    return lib.build_stages(_comma_list(values["stages"]), cfg)
 
 
 def _threads(name: str, value: object) -> int:
@@ -209,19 +206,13 @@ def _threads(name: str, value: object) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     filter_fields = field_kinds(lib.FilterConfig)  # all but repetition_thresholds, a mapping
-    settings = {**filter_fields, "repetition_thresholds": numbers,
-                "profile": one_of(PROFILE_CHOICES), "stages": string}
     config = _load_config(args.config, {
-        **{key: _checked(kind, _filter_stages) for key, kind in settings.items()},
-        "threads": _threads})
-    profile = opt(args, config, "profile", "gopher")
-    base = lib.profile(profile)
-    stages = _filter_stages({
-        "profile": profile,
-        "repetition_thresholds": opt(args, config, "repetition_thresholds", {}),
-        "stages": opt(args, config, "stages", "english,repetition,stopword"),
-        **{key: opt(args, config, key, getattr(base, key)) for key in filter_fields},
-    })
+        **filter_fields, "repetition_thresholds": numbers, "profile": one_of(PROFILE_CHOICES),
+        "stages": string, "threads": _threads}, _filter_stages)
+    values = {key: opt(args, config, key, default) for key, default in FILTER_DEFAULTS.items()}
+    base = lib.profile(values["profile"])
+    stages = _filter_stages(
+        {**values, **{key: opt(args, config, key, getattr(base, key)) for key in filter_fields}})
     threads = _threads("--threads", opt(args, config, "threads", 1))
     result = lib.run_pipeline(lib.read_pool(args.pool), stages, threads)
     lib.write_pool(args.output, result.pool)
@@ -241,6 +232,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
     kind = lib.JunkKind(opt(args, config, "kind", KIND_CHOICES[0]))
     if (kind is lib.JunkKind.SHUFFLED_DOCS) != bool(args.junk_source):
         raise UsageError("--junk-source is read by --kind shuffled_docs only, which needs it")
+    if kind is lib.JunkKind.SHUFFLED_DOCS:
+        _reject_unread(args, ("vocab_seed",), f"--kind {kind.value}")
     spec = lib.InjectionSpec(kind=kind, ratio=args.ratio, seed=seed)
     pool = lib.read_pool(args.pool)
     if kind is lib.JunkKind.SHUFFLED_DOCS:
@@ -450,9 +443,8 @@ def _heuristic_mock_classifier() -> Callable[[str, str, str], lib.Verdict]:
 
 def cmd_judge(args: argparse.Namespace) -> int:
     settings = {"model_name": string, "timeout": number, "max_concurrency": whole}  # HTTP only
-    config = _load_config(args.config, {  # JudgeClient checks each, on the mock client
-        key: _checked(kind, lambda values: replace(lib.mock_judge_client(), **values))
-        for key, kind in settings.items()})
+    config = _load_config(args.config, settings, lambda values: lib.JudgeClient(
+        classify=_heuristic_mock_classifier(), **values))  # JudgeClient checks them
     if not args.mock and not args.endpoint:
         raise UsageError("choose --mock or --endpoint <url>")
     if args.mock:

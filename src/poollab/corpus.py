@@ -86,7 +86,9 @@ class Pool:
         object.__setattr__(self, "total_tokens", sum(d.token_count for d in self.documents))
         ids = [d.id for d in self.documents]
         if len(set(ids)) != len(ids):
-            raise ValidationError(f"pool {self.label!r} contains duplicate document ids")
+            seen: set[str] = set()
+            repeat = next(i for i in ids if i in seen or seen.add(i))  # add() returns None
+            raise ValidationError(f"pool {self.label!r} repeats document id {repeat!r}")
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -159,8 +161,10 @@ def sample_pool(
 
 
 def read_documents(path: str | Path) -> Iterator[Document]:
-    """Stream documents from a JSONL file, recounting their tokens."""
-    return read_jsonl(path, partial(read_record, Document, source=one_of(DocumentSource)))
+    """Stream documents from a JSONL file, recounting their tokens; a line that repeats
+    an earlier line's id is rejected when it is reached."""
+    return read_jsonl(path, partial(read_record, Document, source=one_of(DocumentSource)),
+                      key=lambda d: f"id={d.id!r}")
 
 
 def write_documents(path: str | Path, documents: Iterable[Document]) -> None:

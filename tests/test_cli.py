@@ -169,6 +169,22 @@ class TestPoolPipeline:
                          "--output", str(tmp_path / "x.jsonl")])
         assert code == 2
 
+    def test_vocab_seed_with_shuffled_docs_exits_two_before_reading(
+            self, tmp_path, docs_file, extra_docs_file, capsys, monkeypatch):
+        # as scaling-law's --method and judge's --mock reject a flag their mode ignores
+        read = []
+        for name in ("read_pool", "read_documents"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: read.append(name))
+        argv = ["inject", "--pool", str(docs_file), "--ratio", "0.5", "--kind", "shuffled_docs",
+                "--junk-source", str(extra_docs_file), "--output", str(tmp_path / "s.jsonl")]
+        assert dispatch(argv + ["--vocab-seed", "-3"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --vocab-seed is not read with --kind shuffled_docs\n")
+        assert read == [] and not (tmp_path / "s.jsonl").exists()
+        monkeypatch.undo()
+        config = write_text(tmp_path, "c.json", '{"vocab_seed": 3}')
+        assert dispatch(argv + ["--config", config]) == 0  # a config may hold the other kind's
+
     def test_sample_reruns_byte_identical(self, tmp_path, docs_file):
         out1, out2 = tmp_path / "p1.jsonl", tmp_path / "p2.jsonl"
         for out in (out1, out2):
@@ -1173,6 +1189,10 @@ def test_mistyped_field_error_names_path_and_field(tmp_path, docs_file, capsys, 
     assert f"{tmp_path}/{message}\n" in err, err
 
 
+#: Documents whose third line repeats the first line's id.
+REPEATED_ID_DOCS = "".join(json.dumps({"id": i, "text": "w " * 99}) + "\n" for i in "aba")
+
+
 # Each builder gets (tmp_path, docs_file) and returns argv for one malformed input.
 MALFORMED_INPUTS = {
     "config-invalid-json": lambda t, docs: [
@@ -1444,12 +1464,33 @@ MALFORMED_INPUTS = {
         t, "--config", write_text(t, "c.json", '{"ratio": -1}')),
     "scaling-law-config-epochs-zero": lambda t, docs: scaling_law_with(
         t, "--config", write_text(t, "c.json", '{"method": "epoch", "epochs": 0}')),
+    "sample-document-id-repeated": lambda t, docs: [
+        "sample", "--input", write_text(t, "d.jsonl", REPEATED_ID_DOCS),
+        "--target-tokens", "1", "--output", str(t / "p.jsonl")],
+    "filter-pool-document-id-repeated": lambda t, docs: [
+        "filter", "--pool", write_text(t, "d.jsonl", REPEATED_ID_DOCS),
+        "--output", str(t / "f.jsonl")],
+    "inject-junk-document-id-repeated": lambda t, docs: [
+        "inject", "--pool", docs, "--ratio", "1", "--kind", "shuffled_docs",
+        "--junk-source", write_text(t, "d.jsonl", REPEATED_ID_DOCS),
+        "--output", str(t / "i.jsonl")],
     "judge-config-timeout-negative": lambda t, docs: [
         "judge", "--qa", write_text(t, "qa.jsonl", QA_LINE), "--pool", docs,
         "--endpoint", "http://x", "--config", write_text(t, "c.json", '{"timeout": -1}'),
         "--output", str(t / "j.jsonl")],
     **{case: builder for case, (builder, _) in MISTYPED_FIELDS.items()},
 }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_repeated_document_id_fails_at_every_seed(tmp_path, capsys, seed):
+    # a pool that happened to draw only one of the two lines used to be written
+    lines = [json.dumps({"id": f"d{i}", "text": "w " * 10}) for i in range(20)]
+    path = write_text(tmp_path, "d.jsonl", "\n".join([*lines, lines[0]]) + "\n")
+    assert dispatch(["sample", "--input", path, "--target-tokens", "120", "--seed", str(seed),
+                     "--output", str(tmp_path / "p.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 21: repeats id='d0' of line 1\n"
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
@@ -1531,6 +1572,10 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
     ("scaling-law-config-epochs-zero", "{tmp}/c.json: epochs must be finite and > 0, got 0.0"),
     ("judge-config-timeout-negative",
      "{tmp}/c.json: judge timeout must be a positive number, got -1.0"),
+    # a repeated id is named with its lines, whichever documents a seed would draw
+    ("sample-document-id-repeated", "{tmp}/d.jsonl: line 3: repeats id='a' of line 1"),
+    ("filter-pool-document-id-repeated", "{tmp}/d.jsonl: line 3: repeats id='a' of line 1"),
+    ("inject-junk-document-id-repeated", "{tmp}/d.jsonl: line 3: repeats id='a' of line 1"),
 ])
 def test_malformed_input_error_line(tmp_path, docs_file, capsys, case, error):
     argv = MALFORMED_INPUTS[case](tmp_path, str(docs_file))
@@ -1899,7 +1944,8 @@ def test_each_setting_a_handler_reads_is_in_its_config_table(tmp_path, docs_file
     tables, read = [], []
     load_config, opt = cli._load_config, cli.opt
     monkeypatch.setattr(cli, "_load_config",
-                        lambda path, kinds: tables.append(kinds) or load_config(path, kinds))
+                        lambda path, kinds, *build: tables.append(kinds) or load_config(
+                            path, kinds, *build))
     monkeypatch.setattr(cli, "opt",
                         lambda args, config, key, default: read.append(key) or opt(
                             args, config, key, default))

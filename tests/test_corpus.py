@@ -173,6 +173,9 @@ class TestPoolInvariants:
     def test_duplicate_ids_rejected(self, ten_token_docs):
         with pytest.raises(ValidationError):
             Pool(documents=[ten_token_docs[0], ten_token_docs[0]])
+        docs = [Document(i, "x") for i in ("d0", "d1", "d1", "d0")]  # the first repeat is named
+        with pytest.raises(ValidationError, match=r"^pool 'x' repeats document id 'd1'$"):
+            Pool(documents=docs, label="x")
 
 
 class TestJsonl:
