@@ -84,45 +84,57 @@ class RunRecord:
     learning_rate: float = 5e-3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dataset_label, str):  # report sorts on it
-            raise ValidationError(f"dataset_label must be a string, got {self.dataset_label!r}")
+        label = self.dataset_label
+        if not isinstance(label, str):  # report sorts on it
+            raise ValidationError(f"dataset_label must be a string, got {label!r}")
         if not self.eval_points:
-            raise ValidationError(f"{self.dataset_label}: record has no eval points")
-        seen = [p.tokens_seen for p in self.eval_points]
-        if not {int}.issuperset(map(type, seen)):  # a NaN or a bool passes the checks below
-            for s in seen:
-                if type(s) is not int and not (type(s) is float and math.isfinite(s)):
-                    raise ValidationError(
-                        f"{self.dataset_label}: tokens_seen must be a finite number, got {s!r}"
-                    )
-        if seen != sorted(seen):
-            raise ValidationError(f"{self.dataset_label}: eval_points not sorted by tokens_seen")
-        if not all(0 < v < math.inf for p in self.eval_points for v in p.losses.values()):
-            point, v = next((p, v) for p in self.eval_points for v in p.losses.values()
-                            if not 0 < v < math.inf)
+            raise ValidationError(f"{label}: record has no eval points")
+        rebuilt = None  # the points, once one is rebuilt with float values
+        last = 0  # the first point bounds the rest
+        for i, p in enumerate(self.eval_points):  # one walk: tokens_seen, losses, benchmarks
+            seen, losses = p.tokens_seen, p.losses
+            if type(seen) is not int and not (type(seen) is float and math.isfinite(seen)):
+                raise ValidationError(  # a NaN or a bool would pass the order check
+                    f"{label}: tokens_seen must be a finite number, got {seen!r}")
+            if seen < last:
+                raise ValidationError(f"{label}: eval_points not sorted by tokens_seen" if i
+                                      else f"{label}: tokens_seen must be non-negative")
+            last = seen
+            if type(losses) is dict and losses and p.benchmarks is None:
+                for v in losses.values():
+                    if type(v) is not float or not 0 < v < math.inf:
+                        break
+                else:
+                    continue  # float losses in range and no benchmarks: the common point
+            losses = numbers("losses", losses)
+            if not losses:
+                raise ValidationError(f"{label}: eval point at tokens_seen={seen} has no losses")
+            for v in losses.values():
+                if not 0 < v < math.inf:
+                    raise ValidationError(f"{label}: {'non-positive' if v <= 0 else 'non-finite'}"
+                                          f" loss at tokens_seen={seen}")
+            benchmarks = p.benchmarks
+            if benchmarks is not None:  # only an absent, null or empty object means none
+                benchmarks = numbers("benchmarks", benchmarks) or None
+            if losses is not p.losses or benchmarks is not p.benchmarks:
+                rebuilt = rebuilt or list(self.eval_points)
+                rebuilt[i] = EvalPoint(seen, losses, benchmarks)
+        if rebuilt:
+            object.__setattr__(self, "eval_points", tuple(rebuilt))
+        if self.train_tokens < last:
             raise ValidationError(
-                f"{self.dataset_label}: {'non-positive' if v <= 0 else 'non-finite'} loss "
-                f"at tokens_seen={point.tokens_seen}"
-            )
-        if seen[0] < 0:
-            raise ValidationError(f"{self.dataset_label}: tokens_seen must be non-negative")
-        if self.train_tokens < seen[-1]:
-            raise ValidationError(
-                f"{self.dataset_label}: train_tokens {self.train_tokens} < last eval "
-                f"tokens_seen {seen[-1]}"
-            )
+                f"{label}: train_tokens {self.train_tokens} < last eval tokens_seen {last}")
         # Bounding train_tokens bounds every tokens_seen, so each count converts to a float.
         if not self.train_tokens <= sys.float_info.max:
-            raise ValidationError(f"{self.dataset_label}: train_tokens is beyond the float range")
+            raise ValidationError(f"{label}: train_tokens is beyond the float range")
         if not 0 < self.pool_tokens <= sys.float_info.max:
             raise ValidationError(
-                f"{self.dataset_label}: pool_tokens must be positive and within the float range"
-            )
+                f"{label}: pool_tokens must be positive and within the float range")
         for name in ("weight_decay", "learning_rate"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # NaN fails too: it would be written as non-JSON
-                raise ValidationError(f"{self.dataset_label}: {name} must be finite and "
-                                      f"non-negative, got {value!r}")
+                raise ValidationError(
+                    f"{label}: {name} must be finite and non-negative, got {value!r}")
 
 
 def compute_flops(record: RunRecord) -> float:
@@ -143,8 +155,7 @@ def point_loss(point: EvalPoint, eval_sets: Sequence[str]) -> float:
     missing = [s for s in eval_sets if s not in point.losses]
     if missing:
         raise ValidationError(
-            f"eval point at tokens_seen={point.tokens_seen} missing sets {missing}"
-        )
+            f"eval point at tokens_seen={point.tokens_seen} missing sets {missing}")
     return sum(point.losses[s] for s in eval_sets) / len(eval_sets)
 
 
@@ -164,8 +175,6 @@ def eval_set_names(record: RunRecord, eval_sets: Sequence[str] | None = None) ->
     """The sets a loss is the mean over: ``eval_sets``, or by default every
     set present at ``record``'s first eval point.  Each set is named once."""
     sets = list(eval_sets) if eval_sets else sorted(record.eval_points[0].losses)
-    if not sets:
-        raise ValidationError("record has no eval sets")
     if len(set(sets)) < len(sets):
         raise ValidationError(f"eval sets {sets} name a set more than once")
     return sets
@@ -201,8 +210,7 @@ class EvalSlice:
         if len(self.position_losses) != self.context_length:
             raise ValidationError(
                 f"position_losses length {len(self.position_losses)} != "
-                f"context_length {self.context_length}"
-            )
+                f"context_length {self.context_length}")
         if not all(0 <= v < math.inf for v in self.position_losses):  # NaN fails too
             raise ValidationError("position losses must be finite and non-negative")
 
@@ -262,22 +270,6 @@ def _model_config(obj: object, models: dict[tuple, ModelConfig]) -> ModelConfig:
     return models.setdefault(tuple(vars(model).values()), model)
 
 
-def _eval_points(name: str, points: object) -> tuple[EvalPoint, ...]:
-    """The :class:`EvalPoint` of each object of the JSON list ``points``, built in bulk: the
-    parsed ``losses`` dicts are kept if every loss is a float, else read by ``numbers``."""
-    if not {dict}.issuperset(map(type, items(name, points))):
-        raise ValidationError(f"{name} must be a list of objects, got {points!r}")
-    losses = [p["losses"] for p in points]
-    if not {dict}.issuperset(map(type, losses)) or any(
-            type(v) is not float for point_losses in losses for v in point_losses.values()):
-        losses = [numbers("losses", point_losses) for point_losses in losses]
-    return tuple([
-        EvalPoint(p["tokens_seen"], point_losses,
-                  numbers("benchmarks", p["benchmarks"]) if p.get("benchmarks") else None)
-        for p, point_losses in zip(points, losses)
-    ])
-
-
 def parse_run_log(path: str | Path) -> tuple[list[RunRecord], list[LineError]]:
     """Parse a JSONL run log, collecting malformed lines with line numbers.
 
@@ -285,7 +277,14 @@ def parse_run_log(path: str | Path) -> tuple[list[RunRecord], list[LineError]]:
     """
     errors: list[LineError] = []
     models: dict[tuple, ModelConfig] = {}
-    kinds = {"model": lambda _, obj: _model_config(obj, models), "eval_points": _eval_points}
+
+    def eval_points(name: str, points: object) -> tuple[EvalPoint, ...]:
+        if not {dict}.issuperset(map(type, items(name, points))):
+            raise ValidationError(f"{name} must be a list of objects, got {points!r}")
+        return tuple([EvalPoint(p["tokens_seen"], p["losses"], p.get("benchmarks"))
+                      for p in points])  # each checked by RunRecord, as in memory
+
+    kinds = {"model": lambda _, obj: _model_config(obj, models), "eval_points": eval_points}
     records = list(read_jsonl(path, lambda obj: read_record(RunRecord, obj, **kinds), errors))
     return records, errors
 

@@ -596,26 +596,23 @@ class ThresholdLaw:
     beta: float
     r2: float
 
+    def __post_init__(self) -> None:
+        # at least 3 points, as every fitted law has; alpha and beta are all that
+        # predict_compute reads (a NaN fails the range test too)
+        if len(self.points) < 3:
+            raise ValidationError(f"threshold law needs >= 3 points, got {len(self.points)}")
+        if not (-math.inf < self.alpha < math.inf and -math.inf < self.beta < math.inf):
+            raise ValidationError(f"threshold law alpha and beta must be finite, got "
+                                  f"{self.alpha!r} and {self.beta!r}")
+
     def predict_compute(self, pool_tokens: float) -> float:
         return self.alpha * pool_tokens**self.beta
 
     @classmethod
     def from_dict(cls, obj: object) -> "ThresholdLaw":
-        """Inverse of ``dataclasses.asdict``; keys other than the fields are ignored.
-
-        ``points`` must hold at least 3 points, as every fitted law does,
-        and ``alpha`` and ``beta`` must be finite, since they are all that
-        :meth:`predict_compute` reads.
-        """
-        law = read_record(cls, obj, points=lambda name, value: tuple(
+        """Inverse of ``dataclasses.asdict``; keys other than the fields are ignored."""
+        return read_record(cls, obj, points=lambda name, value: tuple(
             read_record(ThresholdPoint, p) for p in items(name, value)))
-        if len(law.points) < 3:
-            raise ValidationError(f"threshold law needs >= 3 points, got {len(law.points)}")
-        if not (math.isfinite(law.alpha) and math.isfinite(law.beta)):
-            raise ValidationError(
-                f"threshold law alpha and beta must be finite, got {law.alpha!r} and {law.beta!r}"
-            )
-        return law
 
 
 def extrapolate_compute(law: ThresholdLaw, pool_tokens: float) -> float:
@@ -650,11 +647,15 @@ def _fit_threshold_points(
     y = np.log10([p.compute for p in points])
     intercept, slope, sse, sst = _loglog_regression(x, y)
     r2 = 1.0 - sse / sst if sst > 0 else 1.0
+    try:
+        alpha = 10.0**intercept
+    except OverflowError:
+        raise FitError(f"fitted scale alpha = 10**{intercept!r} is not finite") from None
     return ThresholdLaw(
         method=method,
         parameter=parameter,
         points=tuple(points),
-        alpha=10.0**intercept,
+        alpha=alpha,
         beta=slope,
         r2=r2,
     )

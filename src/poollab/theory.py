@@ -403,7 +403,7 @@ def run_rank_necessity_trial(seed: int) -> dict:
 
 def run_filter_fact_trial(seed: int) -> dict:
     """One randomized check that brute-force KL matches the closed form."""
-    rng = random.Random(seed * 7919 + 13)
+    rng = random.Random(natural("seed", seed) * 7919 + 13)
     for _ in range(100):
         data = random_similarity_dataset(rng.randint(0, 2**31))
         labels = sorted({y for _, y in data.examples})

@@ -741,8 +741,10 @@ class TestVerifyTheoryCli:
         verdict = json.loads(lines[0])
         assert verdict["check"] == "rank_necessity" and verdict["pass"]
 
-    def test_filter_fact_accepts_negative_seed(self):
-        assert dispatch(["verify-theory", "--filter-fact", "--trials", "2", "--seed", "-1"]) == 0
+    def test_filter_fact_rejects_negative_seed(self, capsys):
+        # every seed is >= 0, as for --prop1, sample and inject
+        assert dispatch(["verify-theory", "--filter-fact", "--trials", "2", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_requires_a_check(self):
         assert dispatch(["verify-theory", "--trials", "2"]) == 2
@@ -886,6 +888,16 @@ def shared_quadratic_crossings():
         for x in (4, 5, 6):
             crossing = 10 ** (-0.05 * x * x + 2.0 * x - 3.0)
             rows.append(f"{model},{10**x},{crossing!r},{crossing / 10**x!r},False,False\n")
+    return CROSSINGS_HEADER + "".join(rows)
+
+
+def crossings_with_alpha_beyond_float():
+    """Models 1000, 10**150 and 10**300, each crossing at pools 1e6, 1e7 and 1e8 with
+    k * 0.01 * pool**1.5 tokens: the epoch law's compute grows as 10**300 over one pool
+    decade, so the fitted intercept is far past the float range."""
+    rows = [f"{model},{pool},{k * 0.01 * pool**1.5!r},1.0,True,False\n"
+            for model, k in [(1000, 1.0), (10**150, 1 + 1e-9), (10**300, 1 + 2e-9)]
+            for pool in (10**6, 10**7, 10**8)]
     return CROSSINGS_HEADER + "".join(rows)
 
 
@@ -1036,7 +1048,7 @@ LONG_CELL_CROSSINGS = CROSSINGS_HEADER + "1000,100," + "1" * LONG + ",1.0,False,
 
 
 def crossing_without_first_eval_sets(tmp_path):
-    """crossing on a log whose cc record has no eval sets at its first eval point."""
+    """crossing on a log whose cc record has no losses at its first eval point."""
     grid = [2, 4, 8]
     cc = record_to_dict(curve_run("cc", CONFIG_15M, 1_000, 2.0, 0.3, 3.0, tokens_grid=grid))
     cc["eval_points"][0]["losses"] = {}
@@ -1238,6 +1250,9 @@ MALFORMED_INPUTS = {
     "shared-quadratic-epoch-law": lambda t, docs: [
         "scaling-law", "--crossings", write_text(t, "x.csv", shared_quadratic_crossings()),
         "--method", "epoch", "--output", str(t / "law.json")],
+    "epoch-law-alpha-beyond-float": lambda t, docs: [
+        "scaling-law", "--crossings", write_text(t, "x.csv", crossings_with_alpha_beyond_float()),
+        "--method", "epoch", "--output", str(t / "law.json")],
     "document-not-an-object": lambda t, docs: [
         "sample", "--input", write_text(t, "d.jsonl", '{"id": "a", "text": "ok"}\n[1]\n'),
         "--target-tokens", "1", "--output", str(t / "p.jsonl")],
@@ -1262,6 +1277,9 @@ MALFORMED_INPUTS = {
         t, counter_name=5),
     "verify-theory-prop1-negative-seed": lambda t, docs: [
         "verify-theory", "--prop1", "--trials", "1", "--seed", "-1"],
+    "verify-theory-filter-fact-negative-seed": lambda t, docs: [
+        "verify-theory", "--filter-fact", "--trials", "1", "--seed", "-3",
+        "--output", str(t / "v.jsonl")],
     "document-not-utf8": lambda t, docs: [
         "sample", "--input", write_bytes(t, "d.jsonl", NOT_UTF8),
         "--target-tokens", "1", "--output", str(t / "p.jsonl")],
@@ -1542,8 +1560,12 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
     ("qa-repeated-question", "{tmp}/qa.jsonl: line 2: repeats qa_id=s:8e35c2cd of line 1"),
     ("target-tokens-fractional", "--target-tokens must be a whole number, got '2000.7'"),
     ("crossing-eval-set-repeated", "eval sets ['avg', 'avg'] name a set more than once"),
-    ("crossing-pool-record-without-eval-sets", "record has no eval sets"),
+    # an eval point without losses is a malformed line of the log, named with its record
+    ("crossing-pool-record-without-eval-sets",
+     "{tmp}/r.jsonl: 1 malformed line(s): line 1: cc: eval point at tokens_seen=2 has no losses"),
     ("report-compute-overflows", "cc: training compute must be positive and finite, got inf"),
+    # 10.0**intercept raises OverflowError; fit_power_law's exp(intercept) is checked alike
+    ("epoch-law-alpha-beyond-float", "fitted scale alpha = 10**889743812727.1813 is not finite"),
     ("pareto-compute-overflows", "cc: training compute must be positive and finite, got inf"),
     ("scaling-law-config-method-unknown",
      "{tmp}/c.json: method must be one of tpp, epoch, got 'bad'"),
@@ -1551,6 +1573,7 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
      "{tmp}/c.json: profile must be one of gopher, permissive, got 'bad'"),
     # a negative seed would alias its positive one: random.Random seeds -n as it seeds n
     ("sample-seed-negative", "seed must be >= 0, got -7"),
+    ("verify-theory-filter-fact-negative-seed", "seed must be >= 0, got -3"),
     ("sample-config-seed-negative", "{tmp}/c.json: seed must be >= 0, got -7"),
     ("inject-seed-negative", "seed must be >= 0, got -7"),
     ("inject-vocab-seed-negative", "vocab seed must be >= 0, got -7"),

@@ -160,11 +160,12 @@ class TestBestEval:
         assert str(exc.value) == "eval sets ['a', 'a', 'b'] name a set more than once"
 
     def test_no_set_at_the_first_point_is_error(self):
-        r = RunRecord(dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=100,
+        # a point without losses is rejected when the record is built, naming the point
+        with pytest.raises(ValidationError,
+                           match="^cc: eval point at tokens_seen=50 has no losses$"):
+            RunRecord(dataset_label="cc", model=TINY, train_tokens=100, pool_tokens=100,
                       eval_points=(EvalPoint(tokens_seen=50, losses={}),
                                    EvalPoint(tokens_seen=100, losses={"a": 2.0})))
-        with pytest.raises(ValidationError, match="^record has no eval sets$"):
-            best_eval(r)
 
     def test_eval_set_names(self):
         r = record(eval_sets=("c4", "avg"))
@@ -586,6 +587,122 @@ class TestSerialization:
                         encoding="utf-8")
         (rec,) = load_run_log(path)
         assert type(getattr(rec, field)) is int and rec == record(label="r0")
+
+
+#: Stands for an eval point's absent ``benchmarks`` key, which in memory is ``None``.
+ABSENT = object()
+#: One fault an eval point can hold in each of its values.
+BAD_TOKENS_SEEN = [math.nan, math.inf, -math.inf, True, "20", None, -5]
+BAD_LOSSES = [[1.0], "x", 3.0, None, False, {}]
+BAD_LOSS = [True, "3", None, 0.0, -1.0, -math.inf, math.inf, math.nan, 10**400]
+BAD_BENCHMARKS = [False, 0, "", [], [1], "x"]
+BAD_BENCHMARK = [True, "x", None, 10**400]
+
+
+@st.composite
+def eval_point_lists(draw):
+    """``[tokens_seen, losses, benchmarks]`` lists that are valid eval points, int losses and
+    empty benchmarks included, but for at most one fault."""
+    names = st.sampled_from(["c4", "fw", "v"])
+    seen = sorted(draw(st.lists(st.integers(0, 10**6) | st.floats(0, 1e6), min_size=1,
+                                max_size=4)))
+    points = [[s, draw(st.dictionaries(names, st.floats(1e-3, 1e3) | st.integers(1, 9),
+                                       min_size=1, max_size=2)),
+               draw(st.sampled_from([ABSENT, None, {}])
+                    | st.dictionaries(names, st.floats(-9, 9) | st.integers(-9, 9), max_size=2))]
+              for s in seen]
+    point = draw(st.sampled_from(points))
+    fault = draw(st.sampled_from(["none", "tokens_seen", "order", "losses", "loss",
+                                  "benchmarks", "benchmark"]))
+    if fault == "tokens_seen":
+        point[0] = draw(st.sampled_from(BAD_TOKENS_SEEN))
+    elif fault == "order" and len(points) > 1:
+        points[0][0], points[-1][0] = points[-1][0] + 1, points[0][0]
+    elif fault == "losses":
+        point[1] = draw(st.sampled_from(BAD_LOSSES))
+    elif fault == "loss":
+        point[1] = {**point[1], draw(names): draw(st.sampled_from(BAD_LOSS))}
+    elif fault == "benchmarks":
+        point[2] = draw(st.sampled_from(BAD_BENCHMARKS))
+    elif fault == "benchmark":
+        point[2] = {"arc": draw(st.sampled_from(BAD_BENCHMARK))}
+    return points
+
+
+@given(points=eval_point_lists())
+@settings(max_examples=300, deadline=None)
+def test_parsed_and_built_points_pass_one_rule(tmp_path_factory, points):
+    # the parser builds points as given and RunRecord checks them, so a point of the log and
+    # one built in memory give equal records or the same message
+    line = {"dataset_label": "cc", "model": asdict(TINY), "train_tokens": 10**7,
+            "pool_tokens": 10, "eval_points": [
+                {"tokens_seen": s, "losses": losses,
+                 **({} if benchmarks is ABSENT else {"benchmarks": benchmarks})}
+                for s, losses, benchmarks in points]}
+    path = tmp_path_factory.getbasetemp() / "points.jsonl"
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    records, errors = parse_run_log(path)
+    try:
+        built = RunRecord(dataset_label="cc", model=TINY, train_tokens=10**7, pool_tokens=10,
+                          eval_points=tuple(
+                              EvalPoint(s, losses, None if benchmarks is ABSENT else benchmarks)
+                              for s, losses, benchmarks in points))
+    except ValidationError as exc:
+        assert (records, errors) == ([], [LineError(1, str(exc))])
+    else:
+        assert (records, errors) == ([built], [])
+        for point in (*built.eval_points, *records[0].eval_points):
+            assert all(type(v) is float for v in point.losses.values())
+            assert point.benchmarks is None or (
+                point.benchmarks and all(type(v) is float for v in point.benchmarks.values()))
+
+
+def log_of_one_point(tmp_path, point):
+    """A run log of one cc record whose only eval point is the object ``point``."""
+    obj = {"dataset_label": "cc", "model": asdict(TINY), "train_tokens": 10, "pool_tokens": 10,
+           "eval_points": [point]}
+    path = tmp_path / "runs.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    return path
+
+
+class TestPointsBuiltInMemory:
+    """A record built in memory checks its points by the parser's rule, in its words."""
+
+    @pytest.mark.parametrize("losses,benchmarks,message", [
+        ([1.0], None, "losses must be an object of numbers, got [1.0]"),
+        ({"v": "x"}, None, "losses['v'] must be a number, got 'x'"),
+        ({"v": True}, None, "losses['v'] must be a number, got True"),
+        ({}, None, "cc: eval point at tokens_seen=10 has no losses"),
+        *(({"v": 1.0}, bad, f"benchmarks must be an object of numbers, got {bad!r}")
+          for bad in BAD_BENCHMARKS),
+    ])
+    def test_bad_value_is_the_parsers_error(self, tmp_path, losses, benchmarks, message):
+        point = EvalPoint(10, losses, benchmarks)
+        with pytest.raises(ValidationError) as exc:
+            RunRecord(dataset_label="cc", model=TINY, train_tokens=10, pool_tokens=10,
+                      eval_points=(point,))
+        assert str(exc.value) == message
+        path = log_of_one_point(tmp_path, {"tokens_seen": 10, "losses": losses,
+                                           "benchmarks": benchmarks})
+        assert parse_run_log(path) == ([], [LineError(1, message)])
+
+    def test_values_are_read_as_floats_and_empty_benchmarks_as_none(self):
+        rec = RunRecord(dataset_label="cc", model=TINY, train_tokens=30, pool_tokens=10,
+                        eval_points=(EvalPoint(10, {"c4": 3}, {"arc": 1}),
+                                     EvalPoint(20, {"c4": 2.5}, {}),
+                                     EvalPoint(30, {"c4": 2.0})))
+        assert rec.eval_points == (EvalPoint(10, {"c4": 3.0}, {"arc": 1.0}),
+                                   EvalPoint(20, {"c4": 2.5}), EvalPoint(30, {"c4": 2.0}))
+        assert [type(p.losses["c4"]) for p in rec.eval_points] == [float] * 3
+        assert type(rec.eval_points[0].benchmarks["arc"]) is float
+
+    @pytest.mark.parametrize("benchmarks", ["absent", None, {}])
+    def test_no_benchmarks_is_none_when_parsed(self, tmp_path, benchmarks):
+        point = {"tokens_seen": 10, "losses": {"c4": 3.0}}
+        (rec,) = load_run_log(log_of_one_point(
+            tmp_path, point if benchmarks == "absent" else {**point, "benchmarks": benchmarks}))
+        assert rec.eval_points == (EvalPoint(10, {"c4": 3.0}, None),)
 
 
 class TestEvalPointContract:

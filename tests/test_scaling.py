@@ -552,17 +552,19 @@ class TestCrossingPhases:
         assert fit_crossing(cp) is cp
 
     @pytest.mark.parametrize("eval_sets,message", [
-        (None, "record has no eval sets"),  # the pool record's first point has none
+        # the pool record's first point has none, which the record rejects when built
+        (None, "cc: eval point at tokens_seen=2 has no losses"),
         (["avg", "avg"], r"eval sets \['avg', 'avg'\] name a set more than once"),
     ])
     def test_eval_sets_follow_the_runlog_rule(self, eval_sets, message):
         grid = [2, 4, 8, 16]
-        pool = [curve_run("cc", TINY, 1000, 2.0, 0.3, 3.0, tokens_grid=grid)]
-        if eval_sets is None:
-            pool[0].eval_points[0].losses.clear()
+        pool = curve_run("cc", TINY, 1000, 2.0, 0.3, 3.0, tokens_grid=grid)
         filtered = [curve_run("rw", TINY, 1000, 1e-9, 0.5, 3.5, tokens_grid=grid)]
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            _reduce_cell(pool, filtered, TINY.total_params, 1000, eval_sets)
+            if eval_sets is None:
+                first, *rest = pool.eval_points
+                pool = replace(pool, eval_points=(replace(first, losses={}), *rest))
+            _reduce_cell([pool], filtered, TINY.total_params, 1000, eval_sets)
 
     def last_tokens_cell(self, last_tokens, last_loss):
         """A cell whose pool losses 5.0, 4.0 and ``last_loss`` are at
@@ -828,6 +830,19 @@ class TestThresholdLaws:
             path = tmp_path / f"{law.method}.json"
             write_json(path, asdict(law))
             assert read_json(path, ThresholdLaw.from_dict) == law
+
+    def test_law_checks_itself_when_built(self):
+        # a law built in memory is checked as one read from JSON is
+        world = planted_threshold_world()
+        quads = {m: fit_crossing_quadratic(c) for m, c in world.crossings_by_model.items()}
+        law = fit_threshold_epoch_constraint(quads, world.epochs)
+        for alpha, beta in [(math.nan, law.beta), (law.alpha, math.inf), (-math.inf, law.beta)]:
+            with pytest.raises(ValidationError) as exc:
+                replace(law, alpha=alpha, beta=beta)
+            assert str(exc.value) == (
+                f"threshold law alpha and beta must be finite, got {alpha!r} and {beta!r}")
+        with pytest.raises(ValidationError, match="^threshold law needs >= 3 points, got 2$"):
+            replace(law, points=law.points[:2])
 
     def test_law_from_dict_rejects_malformed(self):
         with pytest.raises(ValidationError, match="^missing key 'method'$"):
