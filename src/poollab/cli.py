@@ -326,7 +326,8 @@ def cmd_scaling_law(args: argparse.Namespace) -> int:
                    f"--method {method}")
     by_model: dict[int, list[lib.CrossingPoint]] = {}
     # a repeated cell is an error: weighting or dropping either row would hide a corrupt file
-    for cp in read_rows(args.crossings, lib.CrossingPoint, ("model_params", "pool_tokens")):
+    for cp in read_rows(args.crossings, lib.CrossingPoint, key=lambda c: (
+            f"model_params={c.model_params}, pool_tokens={c.pool_tokens}")):
         by_model.setdefault(cp.model_params, []).append(cp)
     quads = {}
     for model_params, cell in sorted(by_model.items()):
@@ -617,12 +618,16 @@ def _check_outputs_are_not_inputs(args: argparse.Namespace) -> None:
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
     """Raise the OSError that writing would, before any work, if an output's directory
-    is missing or is not a directory, so that a failed run writes no file at all."""
+    is missing or is not a directory, or if the output or one of its sidecars
+    (:data:`PATH_SUFFIXES`) is a directory, so that a failed run writes no file at all."""
     for _, path in _named_files(args, OUTPUT_FLAGS):
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
             raise OSError(code, os.strerror(code), path)
+        for named in (path + suffix for suffix in PATH_SUFFIXES):
+            if os.path.isdir(named):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), named)
 
 
 def dispatch(argv: Sequence[str]) -> int:

@@ -6,7 +6,9 @@ the whole-file JSON reader report a rejection as ``<path>[: line <n>]: <reason>`
 CSV cells: ``None`` is written as ``NEVER``, floats with ``repr`` (the
 shortest representation that round-trips exactly), bools with ``str``.
 Rows are written from objects or mappings, one column per attribute or
-key, and read back into dataclasses by their field types.
+key, and each row is read back by :func:`read_record`, as a JSON object
+is, with each cell read as text by its field's kind; a rejected row reads
+``<path>: line <n>: <reason>``.
 
 JSON values are read by one type rule, one function per kind (:func:`string`,
 :func:`flag`, :func:`number`, :func:`whole`, :func:`items`, and :func:`one_of`
@@ -110,16 +112,20 @@ def read_jsonl(
                     continue
                 item = parse(json.loads(line))
                 if key is not None:
-                    name = key(item)
-                    first = first_line.setdefault(name, lineno)
-                    if first != lineno:
-                        raise ValidationError(f"repeats {name} of line {first}")
+                    _check_repeat(first_line, key(item), lineno)
             except _REJECTIONS as exc:
                 if errors is None:
                     raise ValidationError(f"{path}: line {lineno}: {_reason(exc)}") from exc
                 errors.append(LineError(lineno, _reason(exc)))
             else:
                 yield item
+
+
+def _check_repeat(first_line: dict[str, int], key: str, lineno: int) -> None:
+    """Note that ``key`` is on line ``lineno``; ValidationError if an earlier line has it."""
+    first = first_line.setdefault(key, lineno)
+    if first != lineno:
+        raise ValidationError(f"repeats {key} of line {first}")
 
 
 def _reject(name: str, kind: str, value: object) -> NoReturn:
@@ -276,48 +282,42 @@ def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[object])
                 writer.writerow([csv_cell(getattr(row, name)) for name in columns])
 
 
-def _parse_float(name: str, cell: str) -> float | None:
-    value = None if cell == NEVER else number_text(name, cell, f"a finite number or {NEVER}")
-    return value if value is None or math.isfinite(value) else _reject(
-        name, f"a finite number or {NEVER}", cell)
+def _number_or_never(name: str, text: str) -> float | None:
+    """None written as ``NEVER``, else :func:`number_text`; the record checks the range."""
+    return None if text == NEVER else number_text(name, text, f"a finite number or {NEVER}")
 
 
-def _parse_bool(name: str, cell: str) -> bool:
-    return cell == "True" if cell in ("True", "False") else _reject(name, "True or False", cell)
+def _true_or_false(name: str, text: str) -> bool:
+    return text == "True" if text in ("True", "False") else _reject(name, "True or False", text)
 
 
-# Keyed by the field annotation strings of the dataclasses read back from CSV.
-_PARSERS = {"int": whole_text, "float | None": _parse_float, "bool": _parse_bool}
+#: The kind of a CSV cell by the JSON kind of the field it fills (:func:`field_kinds`).
+_CELL_KINDS = {whole: whole_text, number: _number_or_never, flag: _true_or_false}
 
 
-def read_rows(path: str | Path, cls: type[T], unique: Sequence[str] = ()) -> list[T]:
-    """Read a :func:`write_rows` CSV into ``cls`` instances; other columns are ignored.
+def read_rows(path: str | Path, cls: type[T], key: Callable[[T], str] | None = None) -> list[T]:
+    """:func:`read_record` of each row of a :func:`write_rows` CSV, its cells read by
+    :data:`_CELL_KINDS`; other columns are ignored.
 
-    A row whose values of the ``unique`` fields equal an earlier row's
-    raises ValidationError naming both lines.
+    A row that is rejected, or whose ``key`` equals an earlier row's, raises
+    ``ValidationError("<path>: line <n>: <reason>")``, as :func:`read_jsonl` does.
     """
-    parsers = [(f.name, _PARSERS[f.type]) for f in fields(cls)]
-    out = []
-    first_line: dict[tuple, int] = {}
+    kinds = {name: _CELL_KINDS[kind] for name, kind in field_kinds(cls).items()}
+    out: list[T] = []
+    first_line: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh, restval="")  # a short row's missing cells are empty
-            missing = [name for name, _ in parsers if name not in (reader.fieldnames or ())]
+            missing = [name for name in kinds if name not in (reader.fieldnames or ())]
             if missing:
                 raise ValidationError(f"{path}: missing column(s) {missing}")
             for row in reader:
                 try:
-                    values = {name: parse(name, row[name]) for name, parse in parsers}
+                    out.append(read_record(cls, row, **kinds))
+                    if key is not None:
+                        _check_repeat(first_line, key(out[-1]), reader.line_num)
                 except ValidationError as exc:
                     raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
-                if unique:
-                    key = tuple(values[name] for name in unique)
-                    if key in first_line:
-                        shown = ", ".join(f"{name}={v}" for name, v in zip(unique, key))
-                        raise ValidationError(f"{path}: line {reader.line_num} repeats {shown} "
-                                              f"of line {first_line[key]}")
-                    first_line[key] = reader.line_num
-                out.append(cls(**values))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     except csv.Error as exc:  # such as a cell longer than the csv module's field limit

@@ -52,8 +52,8 @@ class FrontierPoint:
     record_ref: str
 
     def __post_init__(self) -> None:
-        if self.compute <= 0 or self.loss <= 0:
-            raise ValidationError("frontier points need positive compute and loss")
+        if not (0 < self.compute < math.inf and 0 < self.loss < math.inf):  # NaN fails too
+            raise ValidationError("frontier points need finite, positive compute and loss")
 
 
 def pareto_frontier(points: Sequence[FrontierPoint]) -> list[FrontierPoint]:
@@ -324,6 +324,17 @@ class CrossingPoint:
     crossing_tokens: float | None
     observed: bool
 
+    def __post_init__(self) -> None:
+        for name in ("model_params", "pool_tokens"):  # fitted in log space or as a float
+            value = getattr(self, name)
+            if not 0 < value <= sys.float_info.max:
+                raise ValidationError(f"{name} must be > 0 and within the float range, "
+                                      f"got {value!r}")
+        if self.crossing_tokens is not None:
+            positive("crossing_tokens", self.crossing_tokens)
+        elif self.observed:
+            raise ValidationError("an observed crossing needs crossing_tokens, got NEVER")
+
     @property
     def never(self) -> bool:
         return self.crossing_tokens is None
@@ -534,9 +545,7 @@ class QuadFit:
 def fit_crossing_quadratic(crossings: Sequence[CrossingPoint]) -> QuadFit:
     """Least-squares quadratic through one model size's finite crossings.
 
-    Raises FitError unless the finite crossings lie at 3 or more distinct
-    pool sizes, and ValidationError for a non-positive pool or crossing
-    token count.
+    Raises FitError unless the finite crossings lie at 3 or more distinct pool sizes.
     """
     import numpy as np
 
@@ -550,13 +559,6 @@ def fit_crossing_quadratic(crossings: Sequence[CrossingPoint]) -> QuadFit:
     sizes = {c.model_params for c in finite}
     if len(sizes) > 1:
         raise ValidationError(f"crossings span multiple model sizes: {sorted(sizes)}")
-    for c in finite:  # both are fitted in log space
-        if not (0 < c.pool_tokens <= sys.float_info.max and 0 < c.crossing_tokens < math.inf):
-            raise ValidationError(
-                f"model {c.model_params}: crossing at pool_tokens {c.pool_tokens} has "
-                f"crossing_tokens {c.crossing_tokens!r}; both must be > 0 and within the "
-                f"float range"
-            )
     pools = sorted({c.pool_tokens for c in finite})
     if len(pools) < 3:  # a quadratic through fewer distinct x values is not determined
         raise FitError(f"need finite crossings at >= 3 distinct pool sizes, got {pools}")
@@ -584,6 +586,10 @@ class ThresholdPoint:
     crossing_tokens: float
     compute: float
 
+    def __post_init__(self) -> None:
+        for name in ("model_params", "pool_tokens", "crossing_tokens", "compute"):  # log space
+            positive(f"model {self.model_params}: {name}", getattr(self, name))
+
 
 @dataclass(frozen=True)
 class ThresholdLaw:
@@ -597,13 +603,14 @@ class ThresholdLaw:
     r2: float
 
     def __post_init__(self) -> None:
-        # at least 3 points, as every fitted law has; alpha and beta are all that
-        # predict_compute reads (a NaN fails the range test too)
+        # at least 3 points, as every fitted law has; a NaN fails each range test
         if len(self.points) < 3:
             raise ValidationError(f"threshold law needs >= 3 points, got {len(self.points)}")
         if not (-math.inf < self.alpha < math.inf and -math.inf < self.beta < math.inf):
             raise ValidationError(f"threshold law alpha and beta must be finite, got "
                                   f"{self.alpha!r} and {self.beta!r}")
+        if not self.alpha > 0:  # so that every compute it predicts is > 0
+            raise ValidationError(f"threshold law alpha must be > 0, got {self.alpha!r}")
 
     def predict_compute(self, pool_tokens: float) -> float:
         return self.alpha * pool_tokens**self.beta
@@ -623,8 +630,9 @@ def extrapolate_compute(law: ThresholdLaw, pool_tokens: float) -> float:
         compute = law.predict_compute(pool_tokens)
     except OverflowError:  # from pool_tokens**beta; alpha * a finite power overflows to inf
         compute = math.inf
-    if not math.isfinite(compute):
-        raise ValidationError(f"compute at pool_tokens {pool_tokens!r} overflows")
+    if not 0 < compute < math.inf:  # alpha > 0, so compute is 0.0 only by underflow
+        raise ValidationError(f"compute at pool_tokens {pool_tokens!r} "
+                              f"{'overflows' if compute else 'underflows to 0.0'}")
     return compute
 
 
@@ -635,12 +643,6 @@ def _fit_threshold_points(
 
     if len(points) < 3:
         raise FitError(f"threshold law needs >= 3 model sizes, got {len(points)}")
-    for p in points:
-        if not (0 < p.pool_tokens < math.inf and 0 < p.compute < math.inf):
-            raise FitError(
-                f"model {p.model_params}: threshold point has pool_tokens {p.pool_tokens!r} "
-                f"and compute {p.compute!r}; both must be finite and > 0"
-            )
     if len({p.pool_tokens for p in points}) < 2:
         raise FitError("threshold points share one pool size; the law's slope is undetermined")
     x = np.log10([p.pool_tokens for p in points])

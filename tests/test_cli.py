@@ -660,7 +660,7 @@ class TestScalingLawCli:
         model_params, pool_tokens = lines[2].split(",")[:2]
         assert dispatch(argv) == 1
         assert capsys.readouterr().err == (
-            f"error: {tmp_path / 'x.csv'}: line {len(lines)} repeats "
+            f"error: {tmp_path / 'x.csv'}: line {len(lines)}: repeats "
             f"model_params={model_params}, pool_tokens={pool_tokens} of line 3\n"
         )
         assert not (tmp_path / "e.json").exists()
@@ -1056,6 +1056,22 @@ def crossing_without_first_eval_sets(tmp_path):
     runs = write_text(tmp_path, "r.jsonl", "".join(json.dumps(r) + "\n" for r in (cc, rw)))
     return ["crossing", "--runs", runs, "--pool-label", "cc", "--filtered-label", "rw",
             "--output", str(tmp_path / "x.csv")]
+
+
+def extrapolate_with_first_point(tmp_path, **fields):
+    """extrapolate on LAW with ``fields`` in its first point."""
+    points = [{**LAW["points"][0], **fields}, *LAW["points"][1:]]
+    return ["extrapolate", "--law", write_text(tmp_path, "law.json", json.dumps(
+        {**LAW, "points": points})), "--pool-tokens", "1e12", "--output", str(tmp_path / "e.json")]
+
+
+def scaling_law_on_row(tmp_path, row):
+    """scaling-law on a crossings CSV whose first row is ``row``, given as its
+    ``model_params, pool_tokens, crossing_tokens, observed``, before two valid rows."""
+    rows = [row.split(","), ["1000", "200", "90.0", "True"], ["1000", "400", "160.0", "True"]]
+    text = CROSSINGS_HEADER + "".join(f"{m},{p},{c},1.0,{o},False\n" for m, p, c, o in rows)
+    return ["scaling-law", "--crossings", write_text(tmp_path, "x.csv", text),
+            "--method", "epoch", "--output", str(tmp_path / "e.json")]
 
 
 def scaling_law_with(tmp_path, *flags):
@@ -1492,6 +1508,20 @@ MALFORMED_INPUTS = {
         "inject", "--pool", docs, "--ratio", "1", "--kind", "shuffled_docs",
         "--junk-source", write_text(t, "d.jsonl", REPEATED_ID_DOCS),
         "--output", str(t / "i.jsonl")],
+    "law-alpha-negative": lambda t, docs: [
+        "extrapolate", "--law", write_text(t, "law.json", json.dumps({**LAW, "alpha": -2.0})),
+        "--pool-tokens", "1e12", "--output", str(t / "e.json")],
+    "law-point-compute-negative": lambda t, docs: extrapolate_with_first_point(
+        t, compute=-3e18),
+    "law-point-model-params-negative": lambda t, docs: extrapolate_with_first_point(
+        t, model_params=-7),
+    "extrapolate-compute-underflows": lambda t, docs: [  # 2 * (1e-300)**1.5 is 0.0
+        "extrapolate", "--law", write_text(t, "law.json", json.dumps(LAW)),
+        "--pool-tokens", "1e-300", "--output", str(t / "e.json")],
+    "crossings-model-params-negative": lambda t, docs: scaling_law_on_row(t, "-7,100,50.0,True"),
+    "crossings-crossing-tokens-negative": lambda t, docs: scaling_law_on_row(
+        t, "1000,100,-5.0,False"),
+    "crossings-observed-never": lambda t, docs: scaling_law_on_row(t, "1000,100,NEVER,True"),
     "judge-config-timeout-negative": lambda t, docs: [
         "judge", "--qa", write_text(t, "qa.jsonl", QA_LINE), "--pool", docs,
         "--endpoint", "http://x", "--config", write_text(t, "c.json", '{"timeout": -1}'),
@@ -1595,6 +1625,19 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
     ("scaling-law-config-epochs-zero", "{tmp}/c.json: epochs must be finite and > 0, got 0.0"),
     ("judge-config-timeout-negative",
      "{tmp}/c.json: judge timeout must be a positive number, got -1.0"),
+    # a record checks its own domain, read from a file or built in memory
+    ("law-alpha-negative", "{tmp}/law.json: threshold law alpha must be > 0, got -2.0"),
+    ("law-point-compute-negative",
+     "{tmp}/law.json: model 10000000: compute must be finite and > 0, got -3e+18"),
+    ("law-point-model-params-negative",
+     "{tmp}/law.json: model -7: model_params must be finite and > 0, got -7.0"),
+    ("extrapolate-compute-underflows", "compute at pool_tokens 1e-300 underflows to 0.0"),
+    ("crossings-model-params-negative",
+     "{tmp}/x.csv: line 2: model_params must be > 0 and within the float range, got -7"),
+    ("crossings-crossing-tokens-negative",
+     "{tmp}/x.csv: line 2: crossing_tokens must be finite and > 0, got -5.0"),
+    ("crossings-observed-never",
+     "{tmp}/x.csv: line 2: an observed crossing needs crossing_tokens, got NEVER"),
     # a repeated id is named with its lines, whichever documents a seed would draw
     ("sample-document-id-repeated", "{tmp}/d.jsonl: line 3: repeats id='a' of line 1"),
     ("filter-pool-document-id-repeated", "{tmp}/d.jsonl: line 3: repeats id='a' of line 1"),
@@ -1920,6 +1963,23 @@ def test_output_in_a_missing_directory_fails_before_any_work(tmp_path, docs_file
     files = sorted(tmp_path.rglob("*"))
     assert dispatch(argv) == 1
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("suffix", cli.PATH_SUFFIXES)
+@pytest.mark.parametrize("case, flag", OUTPUT_CASES, ids=[f"{c}{f}" for c, f in OUTPUT_CASES])
+def test_output_that_is_a_directory_fails_before_any_work(tmp_path, docs_file, runs_file,
+                                                          monkeypatch, capsys, case, flag, suffix):
+    # such as `filter --stats statsdir`, or `sample --output m.jsonl` with a directory
+    # m.jsonl.manifest.json: found before any work, so no other output of the run is written
+    monkeypatch.chdir(tmp_path)
+    write_manifest_inputs(tmp_path, docs_file, runs_file)
+    argv = MANIFEST_CASES[case][0]
+    directory = argv[argv.index(flag) + 1] + suffix
+    os.mkdir(directory)
+    files = sorted(tmp_path.rglob("*"))
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{directory}'\n"
     assert sorted(tmp_path.rglob("*")) == files
 
 

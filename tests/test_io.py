@@ -66,9 +66,10 @@ def test_repeated_unique_fields_name_both_lines(tmp_path):
                     encoding="utf-8")
     assert len(read_rows(path, CrossingPoint)) == 4
     with pytest.raises(ValidationError, match=(
-        f"^{path}: line 6 repeats model_params=1, pool_tokens=2 of line 2$"
+        f"^{path}: line 6: repeats model_params=1, pool_tokens=2 of line 2$"
     )):
-        read_rows(path, CrossingPoint, unique=("model_params", "pool_tokens"))
+        read_rows(path, CrossingPoint,
+                  key=lambda c: f"model_params={c.model_params}, pool_tokens={c.pool_tokens}")
 
 
 def test_invalid_utf8_rows_rejected(tmp_path):
@@ -243,6 +244,21 @@ def test_only_io_module_reads_files():
     assert readers == []
     # every JSON object is read by io.read_record or by a reader that lists its keys
     assert not hasattr(poollab.io, "read_fields")
+    # and so is every CSV row: io has no second record rule, and the one call that builds a
+    # dataclass from read values (a call of a parameter annotated ``type[...]``) is read_record's
+    assert not hasattr(poollab.io, "_PARSERS")
+    builds = [
+        (function.name, ast.unparse(call))
+        for function in ast.walk(ast.parse(Path(poollab.io.__file__).read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for classes in [{arg.arg for arg in function.args.args
+                         if arg.annotation is not None
+                         and ast.unparse(arg.annotation).startswith("type[")}]
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in classes
+    ]
+    assert builds == [("read_record", "cls(**values)")]
 
 
 def test_read_check_sees_each_way_of_reading():
@@ -371,6 +387,7 @@ def test_csv_int_cell_is_a_whole_number(tmp_path, cell, message):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0, allow_infinity=False)
 positive = st.floats(min_value=1e-300, max_value=1e300)
+above_zero = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 counts = st.integers(1, 2**70)
 names = st.text(max_size=6)
 
@@ -393,13 +410,15 @@ def run_records(draw):
 
 
 threshold_laws = st.builds(
-    ThresholdLaw, method=names, parameter=finite, alpha=finite, beta=finite,
+    ThresholdLaw, method=names, parameter=finite, alpha=above_zero, beta=finite,
     r2=st.floats(allow_infinity=False),
-    points=st.lists(st.builds(ThresholdPoint, model_params=counts, pool_tokens=finite,
-                              crossing_tokens=finite, compute=finite),
+    points=st.lists(st.builds(ThresholdPoint, model_params=counts, pool_tokens=above_zero,
+                              crossing_tokens=above_zero, compute=above_zero),
                     min_size=3, max_size=4).map(tuple))
-crossings = st.builds(CrossingPoint, model_params=counts, pool_tokens=counts,
-                      crossing_tokens=st.none() | finite, observed=st.booleans())
+# a crossing that is NEVER is not observed
+crossings = (st.none() | above_zero).flatmap(lambda tokens: st.builds(
+    CrossingPoint, model_params=counts, pool_tokens=counts, crossing_tokens=st.just(tokens),
+    observed=st.just(False) if tokens is None else st.booleans()))
 documents = st.builds(Document, st.uuids().map(str), st.text(max_size=30),
                       st.sampled_from(list(DocumentSource)))
 

@@ -24,12 +24,13 @@ from poollab import (
     pareto_frontier,
     reduce_crossings,
 )
-from poollab.io import read_json, write_json
+from poollab.io import field_names, read_json, read_record, read_rows, write_json, write_rows
 from poollab.runlog import EvalPoint, RunRecord, best_achievable, point_loss
 from poollab.scaling import (
     PowerLawFit,
     QuadFit,
     ThresholdLaw,
+    ThresholdPoint,
     _asymptote_grid,
     _golden_section_min,
     _loss_curve,
@@ -663,15 +664,19 @@ class TestCrossingQuadratic:
                      for k in (19, 20, 21)]
         assert fit_crossing_quadratic(crossings).coeffs[1] == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("pool,crossing", [(0, 5.0), (-10, 5.0), (10**400, 5.0), (10, 0.0),
-                                               (10, math.inf)])
-    def test_non_positive_or_overflowing_tokens_rejected(self, pool, crossing):
-        crossings = self.reference_crossings() + [
+    @pytest.mark.parametrize("pool,crossing,message", [
+        (0, 5.0, "pool_tokens must be > 0 and within the float range, got 0"),
+        (-10, 5.0, "pool_tokens must be > 0 and within the float range, got -10"),
+        (10**400, 5.0, f"pool_tokens must be > 0 and within the float range, got {10**400}"),
+        (10, 0.0, "crossing_tokens must be finite and > 0, got 0.0"),
+        (10, math.inf, "crossing_tokens must be finite and > 0, got inf"),
+    ])
+    def test_non_positive_or_overflowing_tokens_rejected(self, pool, crossing, message):
+        # such a crossing cannot be fitted in log space, so it is rejected when it is built
+        with pytest.raises(ValidationError) as exc:
             CrossingPoint(model_params=10**9, pool_tokens=pool, crossing_tokens=crossing,
                           observed=True)
-        ]
-        with pytest.raises(ValidationError, match="both must be > 0 and within the float range"):
-            fit_crossing_quadratic(crossings)
+        assert str(exc.value) == message
 
     def test_mixed_model_sizes_rejected(self):
         crossings = self.reference_crossings()
@@ -858,3 +863,69 @@ class TestThresholdLaws:
             with pytest.raises(ValidationError, match="alpha and beta must be finite"):
                 ThresholdLaw.from_dict({"method": "m", "parameter": 1.0, "points": points,
                                         "alpha": alpha, "beta": beta, "r2": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# One domain rule for analysis records read from a file and built in memory.
+# ---------------------------------------------------------------------------
+
+#: Counts of every sign, past the float range too; floats of every kind, NaN and inf too.
+any_counts = st.integers() | st.sampled_from([0, 10**400, -(10**400)])
+any_floats = st.floats()
+
+
+def built_or_message(build):
+    """``build()``, or the message of the ValidationError it raises."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def assert_read_as_built(read, built, where):
+    """``read`` is ``built``, or ``built``'s message after ``where``; compared by ``repr``,
+    which tells 0.0 from -0.0, an int from a float, and shows a NaN field as equal."""
+    assert repr(read) == repr(built if not isinstance(built, str) else f"{where}: {built}")
+
+
+@given(values=st.fixed_dictionaries({
+    "model_params": any_counts, "pool_tokens": any_counts,
+    "crossing_tokens": st.none() | any_floats, "observed": st.booleans()}))
+@settings(max_examples=300, deadline=None)
+def test_read_and_built_crossings_pass_one_rule(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "crossings.csv"
+    write_rows(path, field_names(CrossingPoint), [values])
+    built = built_or_message(lambda: [CrossingPoint(**values)])
+    assert_read_as_built(built_or_message(lambda: read_rows(path, CrossingPoint)), built,
+                         f"{path}: line 2")
+
+
+@given(values=st.fixed_dictionaries({
+    "model_params": any_counts, "pool_tokens": any_floats, "crossing_tokens": any_floats,
+    "compute": any_floats}))
+@settings(max_examples=300, deadline=None)
+def test_read_and_built_threshold_points_pass_one_rule(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "point.json"
+    write_json(path, values)
+    built = built_or_message(lambda: ThresholdPoint(**values))
+    read = built_or_message(lambda: read_json(path, lambda obj: read_record(ThresholdPoint, obj)))
+    assert_read_as_built(read, built, path)
+
+
+valid_points = st.builds(
+    ThresholdPoint, model_params=st.integers(1, 10**12),
+    **{name: st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+       for name in ("pool_tokens", "crossing_tokens", "compute")})
+
+
+@given(values=st.fixed_dictionaries({
+    "method": st.text(max_size=5), "parameter": any_floats,
+    "points": st.lists(valid_points, max_size=4).map(tuple), "alpha": any_floats,
+    "beta": any_floats, "r2": any_floats}))
+@settings(max_examples=300, deadline=None)
+def test_read_and_built_threshold_laws_pass_one_rule(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "law.json"
+    write_json(path, {**values, "points": [asdict(p) for p in values["points"]]})
+    built = built_or_message(lambda: ThresholdLaw(**values))
+    assert_read_as_built(built_or_message(lambda: read_json(path, ThresholdLaw.from_dict)),
+                         built, path)
