@@ -19,7 +19,11 @@ from poollab import (
     run_pipeline,
     sample_pool,
 )
-from poollab.filters import DCLM_STAGES, REFINEDWEB_STAGES
+
+#: Stage lineups of the two composite filters: heuristic cleaning, and that
+#: plus exact dedup and a quality-classifier cut.
+REFINEDWEB_STAGES = ("english", "repetition", "stopword")
+DCLM_STAGES = REFINEDWEB_STAGES + ("dedup", "quality")
 
 FUNCTION_WORDS = ["the", "be", "to", "of", "and", "that", "have", "with", "a", "in"]
 CONTENT_WORDS = [

@@ -353,12 +353,6 @@ class PipelineStage:
     apply: Callable[[Pool, int], Pool]
 
 
-#: Stage lineups for the two composite filters: the heuristic-cleaning
-#: lineup, and that plus dedup + quality-classifier cut.
-REFINEDWEB_STAGES = ("english", "repetition", "stopword")
-DCLM_STAGES = REFINEDWEB_STAGES + ("dedup", "quality")
-
-
 def build_stages(
     names: Sequence[str],
     cfg: FilterConfig,

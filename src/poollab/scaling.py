@@ -22,7 +22,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import FitError, NoRootError, ValidationError
 from .io import items, positive, read_record
@@ -416,7 +416,11 @@ def _reduce_cell(
 
     for n, loss in zip(tokens, losses):
         if loss < target:  # the curve is sorted, so n is the smallest winning tokens_seen
-            return CrossingPoint(model_params, pool_tokens, n, observed=True)
+            try:
+                return CrossingPoint(model_params, pool_tokens, n, observed=True)
+            except ValidationError as exc:
+                raise ValidationError(f"crossing for cell (model_params={model_params}, "
+                                      f"pool_tokens={pool_tokens}): {exc}") from exc
     return PendingCrossing(model_params, pool_tokens, target, tokens, losses)
 
 
@@ -517,27 +521,25 @@ class QuadFit:
     def predict(self, pool_tokens: float) -> float:
         return 10.0 ** self.predict_log10(math.log10(pool_tokens))
 
-    def invert_smaller_root(self, crossing_tokens: float, slope: float = 0.0) -> float:
-        """Smaller pool size at which the fit meets the line ``crossing_tokens * pool**slope``.
+    def invert_smaller_root(self, level: float, slope: float = 0.0) -> float:
+        """Smaller pool size at which the fit meets the line ``level * pool**slope``.
 
-        Slope 0 fixes the crossing tokens; slope 1, with ``crossing_tokens`` an epoch
-        count, fixes the epochs.  The smaller pool reaches a given crossing first.
-        Raises FitError if the fit coincides with the line, NoRootError if it never meets it.
+        Slope 0 fixes the crossing tokens at ``level``; slope 1 fixes the epochs
+        at ``level``.  The smaller pool reaches a given crossing first.  Raises
+        FitError if the fit coincides with the line, NoRootError if it never meets it.
         """
         c2, c1, c0 = self.coeffs
-        a1, a0 = c1 - slope, c0 - math.log10(crossing_tokens)
-        if abs(c2) < 1e-12:
-            if abs(a1) >= 1e-12:
-                return 10.0 ** (-a0 / a1)
-            if abs(a0) < 1e-12:
-                raise FitError(
-                    f"model {self.model_params}: quadratic coincides with the line "
-                    f"{crossing_tokens:g} * pool^{slope:g}; intersection is not unique"
-                )
-            raise NoRootError(f"model {self.model_params}: constant fit never meets the line")
+        a1, a0 = c1 - slope, c0 - math.log10(level)
+        line = f"the line {level:g} * pool^{slope:g}"
+        flat = abs(c2) < 1e-12
+        if flat and abs(a1) >= 1e-12:
+            return 10.0 ** (-a0 / a1)
+        if flat and abs(a0) < 1e-12:
+            raise FitError(f"model {self.model_params}: quadratic coincides with {line}; "
+                           "intersection is not unique")
         disc = a1 * a1 - 4.0 * c2 * a0
-        if disc < 0:
-            raise NoRootError(f"no real pool size reaches crossing tokens {crossing_tokens:g}")
+        if flat or disc < 0:
+            raise NoRootError(f"model {self.model_params}: quadratic never meets {line}")
         root = math.sqrt(disc)
         return 10.0 ** min((-a1 - root) / (2 * c2), (-a1 + root) / (2 * c2))
 
@@ -636,31 +638,40 @@ def extrapolate_compute(law: ThresholdLaw, pool_tokens: float) -> float:
     return compute
 
 
-def _fit_threshold_points(
-    method: str, parameter: float, points: list[ThresholdPoint]
+def _threshold_law(
+    method: str,
+    parameter: float,
+    quads: Mapping[int, QuadFit],
+    line: Callable[[int], tuple[float, float]],
 ) -> ThresholdLaw:
+    """Law through the smaller pool at which each model's quadratic meets its line
+    ``crossing_tokens = level * pool**slope``, with ``(level, slope) = line(model_params)``."""
     import numpy as np
 
+    points: list[ThresholdPoint] = []
+    for model_params in sorted(quads):
+        level, slope = line(model_params)
+        try:
+            pool_tokens = quads[model_params].invert_smaller_root(level, slope)
+        except NoRootError as exc:  # stacklevel 3: the caller of the public law function
+            warnings.warn(f"{exc}; excluded from the {method} law", RuntimeWarning, stacklevel=3)
+            continue
+        crossing_tokens = level * pool_tokens**slope
+        points.append(ThresholdPoint(model_params, pool_tokens, crossing_tokens,
+                                     6.0 * crossing_tokens * model_params))
     if len(points) < 3:
         raise FitError(f"threshold law needs >= 3 model sizes, got {len(points)}")
     if len({p.pool_tokens for p in points}) < 2:
         raise FitError("threshold points share one pool size; the law's slope is undetermined")
     x = np.log10([p.pool_tokens for p in points])
     y = np.log10([p.compute for p in points])
-    intercept, slope, sse, sst = _loglog_regression(x, y)
+    intercept, beta, sse, sst = _loglog_regression(x, y)
     r2 = 1.0 - sse / sst if sst > 0 else 1.0
     try:
         alpha = 10.0**intercept
     except OverflowError:
         raise FitError(f"fitted scale alpha = 10**{intercept!r} is not finite") from None
-    return ThresholdLaw(
-        method=method,
-        parameter=parameter,
-        points=tuple(points),
-        alpha=alpha,
-        beta=slope,
-        r2=r2,
-    )
+    return ThresholdLaw(method, parameter, tuple(points), alpha, beta, r2)
 
 
 def fit_threshold_tokens_per_param(
@@ -670,32 +681,22 @@ def fit_threshold_tokens_per_param(
 ) -> ThresholdLaw:
     """Threshold law from a fixed training-tokens-per-non-embedding-parameter ratio.
 
-    For each model size the ratio pins the crossing-token count
-    (ratio * non-embedding params) and hence the compute (6 * tokens *
-    total params); the pool size is recovered by inverting that model's
-    quadratic.  Models whose quadratic has no real inverse are excluded
-    with a warning.
+    Each model's line is flat at ``ratio * non_embedding_params`` crossing
+    tokens, and the compute is ``6 * crossing_tokens * total_params``.  A
+    model missing from ``configs`` is a ValidationError.  A model whose
+    quadratic never meets its line is left out of the law with one
+    RuntimeWarning; a quadratic that coincides with its line is a FitError.
     """
     positive("tokens-per-param ratio", ratio)
     by_total = {cfg.total_params: cfg for cfg in configs}
-    points: list[ThresholdPoint] = []
-    for model_params in sorted(quads):
+
+    def line(model_params: int) -> tuple[float, float]:
         cfg = by_total.get(model_params)
         if cfg is None:
             raise ValidationError(f"no ModelConfig with total_params={model_params}")
-        crossing_tokens = ratio * cfg.non_embedding_params
-        compute = 6.0 * crossing_tokens * cfg.total_params
-        try:
-            pool_tokens = quads[model_params].invert_smaller_root(crossing_tokens)
-        except FitError as exc:
-            warnings.warn(
-                f"model {model_params}: excluded from tokens-per-param law ({exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        points.append(ThresholdPoint(model_params, pool_tokens, crossing_tokens, compute))
-    return _fit_threshold_points("tokens_per_param", ratio, points)
+        return ratio * cfg.non_embedding_params, 0.0
+
+    return _threshold_law("tokens_per_param", ratio, quads, line)
 
 
 def fit_threshold_epoch_constraint(
@@ -704,27 +705,9 @@ def fit_threshold_epoch_constraint(
 ) -> ThresholdLaw:
     """Threshold law from a fixed epoch count.
 
-    The epoch constraint is the unit-slope line
-    ``log10(crossing tokens) = log10(pool) + log10(epochs)``; its
-    intersection with each model's quadratic (smaller root, the
-    increasing branch) yields that model's pool size and compute.
-    Models without a real intersection are excluded with a warning; a
-    quadratic coinciding with the line has no unique intersection and is
-    an error.
+    Each model's line is ``crossing_tokens = epochs * pool``, and the
+    compute is ``6 * crossing_tokens * model_params``.  Models are left
+    out, or raise, as in :func:`fit_threshold_tokens_per_param`.
     """
     positive("epochs", epochs)
-    points: list[ThresholdPoint] = []
-    for model_params in sorted(quads):
-        try:
-            pool_tokens = quads[model_params].invert_smaller_root(epochs, slope=1.0)
-        except NoRootError:
-            warnings.warn(
-                f"model {model_params}: no intersection with the {epochs:g}-epoch line",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        crossing_tokens = epochs * pool_tokens
-        compute = 6.0 * crossing_tokens * model_params
-        points.append(ThresholdPoint(model_params, pool_tokens, crossing_tokens, compute))
-    return _fit_threshold_points("epoch_constraint", epochs, points)
+    return _threshold_law("epoch_constraint", epochs, quads, lambda model_params: (epochs, 1.0))

@@ -72,12 +72,17 @@ class TaskSpec:
 
         if self.k < 1:
             raise ValidationError("need at least one task")
-        if len(self.p) != self.k or abs(float(np.sum(self.p)) - 1.0) > 1e-9:
+        if len(self.p) != self.k or not abs(float(np.sum(self.p)) - 1.0) <= 1e-9:  # NaN fails
             raise ValidationError("p must be a length-k probability vector")
         if np.any(self.p <= 0):
             raise ValidationError("all task probabilities must be positive")
-        if self.noise_power < 0:
-            raise ValidationError("noise_power must be non-negative")
+        if not 0 <= self.noise_power < math.inf:
+            raise ValidationError(f"noise_power must be finite and non-negative, "
+                                  f"got {self.noise_power!r}")
+        for name in ("u_list", "v_list", "sigma_list"):  # zip would cut a longer one short
+            if len(getattr(self, name)) != self.k:
+                raise ValidationError(f"{name} must hold k={self.k} entries, "
+                                      f"got {len(getattr(self, name))}")
         for i in range(self.k):
             if self.u_list[i].shape != (self.m_out,) or self.v_list[i].shape != (self.d,):
                 raise ValidationError(f"task {i}: direction vector shape mismatch")

@@ -1443,6 +1443,10 @@ MALFORMED_INPUTS = {
     "crossing-beyond-float-range": lambda t, docs: crossing_beyond_float_range(t),
     "crossing-pool-tokens-zero": lambda t, docs: crossing_with_pool_tokens(t, 0),
     "crossing-pool-tokens-beyond-float": lambda t, docs: crossing_with_pool_tokens(t, 10**400),
+    "crossing-observed-tokens-seen-zero": lambda t, docs: [
+        "crossing", "--runs", observed_cell_log(
+            t, lambda cc: cc["eval_points"][0].update(tokens_seen=0)),
+        "--pool-label", "cc", "--filtered-label", "rw", "--output", str(t / "x.csv")],
     "run-log-nested-too-deep": lambda t, docs: [
         "ingest", "--runs", write_text(t, "d.jsonl", run_log_line_with("dataset_label", '"a"')
                                        + DEEP_JSON + "\n"), "--validate-only"],
@@ -1590,6 +1594,9 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, docs_file, capsys, case, w
     ("qa-repeated-question", "{tmp}/qa.jsonl: line 2: repeats qa_id=s:8e35c2cd of line 1"),
     ("target-tokens-fractional", "--target-tokens must be a whole number, got '2000.7'"),
     ("crossing-eval-set-repeated", "eval sets ['avg', 'avg'] name a set more than once"),
+    # an observed crossing at tokens_seen 0 is named with its cell, as a failed fit is
+    ("crossing-observed-tokens-seen-zero", "crossing for cell (model_params=15009920, "
+     "pool_tokens=1000): crossing_tokens must be finite and > 0, got 0.0"),
     # an eval point without losses is a malformed line of the log, named with its record
     ("crossing-pool-record-without-eval-sets",
      "{tmp}/r.jsonl: 1 malformed line(s): line 1: cc: eval point at tokens_seen=2 has no losses"),
@@ -2464,10 +2471,10 @@ def test_library_import_loads_no_thread_pool():
     code = textwrap.dedent("""\
         import sys, poollab.factuality
         from poollab import Document, FilterConfig, Pool, build_stages, run_pipeline
-        from poollab.filters import DCLM_STAGES
         texts = ["the cat and the dog", "zzz qqq", "a\\na\\na", "the cat and the dog "]
         pool = Pool(documents=[Document(f"d{i}", t) for i, t in enumerate(texts)])
-        stages = build_stages(DCLM_STAGES, FilterConfig())
+        stages = build_stages(["english", "repetition", "stopword", "dedup", "quality"],
+                              FilterConfig())
         result = run_pipeline(pool, stages, threads=4)
         print(len(result.per_stage), "concurrent.futures" in sys.modules)
     """)

@@ -26,7 +26,6 @@ from poollab import (
     stopword_filter,
 )
 from poollab.filters import (
-    DCLM_STAGES,
     PROFILES,
     REPETITION_GRANULARITIES,
 )
@@ -34,6 +33,8 @@ from poollab.filters import (
 import oracle_recount
 
 DATA_DIR = Path(__file__).parent / "data"
+#: Every stage, in the order of a full pipeline.
+ALL_STAGES = ("english", "repetition", "stopword", "dedup", "quality")
 
 
 def doc(text, doc_id="d0"):
@@ -401,7 +402,7 @@ class TestPipeline:
             return builtin_english_scorer().score(text)
 
         cfg = FilterConfig(quality_keep_fraction=0.5)
-        stages = build_stages(DCLM_STAGES, cfg, DocumentScorer("counting", count))
+        stages = build_stages(ALL_STAGES, cfg, DocumentScorer("counting", count))
         cached = run_pipeline(pool, stages)
         assert sorted(scored) == sorted({d.text for d in docs})
 
@@ -429,7 +430,7 @@ class TestPipeline:
     @pytest.mark.parametrize("names", [
         ["english", "english"],
         ["stopword", "dedup", "stopword"],
-        list(DCLM_STAGES) + ["quality"],
+        list(ALL_STAGES) + ["quality"],
     ])
     def test_duplicate_stage_rejected(self, names):
         # a repeated stage would write a second stats row under the same name

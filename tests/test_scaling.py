@@ -24,7 +24,10 @@ from poollab import (
     pareto_frontier,
     reduce_crossings,
 )
-from poollab.io import field_names, read_json, read_record, read_rows, write_json, write_rows
+from poollab.errors import NoRootError
+from poollab.io import (
+    field_names, positive, read_json, read_record, read_rows, write_json, write_rows,
+)
 from poollab.runlog import EvalPoint, RunRecord, best_achievable, point_loss
 from poollab.scaling import (
     PowerLawFit,
@@ -434,7 +437,7 @@ class TestLossCurve:
 
 def reference_crossing_point(pool_runs, filtered_runs, model_params, pool_tokens, eval_sets=None):
     """``crossing_point`` as one function, as it was before it was split into
-    a reduce and a fit phase."""
+    a reduce and a fit phase, but naming the cell of a bad observed crossing."""
     if not pool_runs or not filtered_runs:
         raise ValidationError("crossing_point requires non-empty pool and filtered runs")
     for record in list(pool_runs) + list(filtered_runs):
@@ -453,7 +456,11 @@ def reference_crossing_point(pool_runs, filtered_runs, model_params, pool_tokens
     curve = _loss_curve(pool_runs, sets)
     winning = [tokens for tokens, loss in curve if loss < target]
     if winning:
-        return CrossingPoint(model_params, pool_tokens, float(min(winning)), observed=True)
+        try:
+            return CrossingPoint(model_params, pool_tokens, float(min(winning)), observed=True)
+        except ValidationError as exc:
+            raise ValidationError(f"crossing for cell (model_params={model_params}, "
+                                  f"pool_tokens={pool_tokens}): {exc}") from exc
     try:
         fit = fit_power_law(curve)
     except FitError as exc:
@@ -697,8 +704,138 @@ class TestCrossingQuadratic:
     def test_invert_no_real_root(self):
         quad = QuadFit(model_params=1, coeffs=(-0.2, 6.0, -26.0), residuals=(), points=())
         vertex_value = qeval((-0.2, 6.0, -26.0), 15.0)  # vertex at x=15
-        with pytest.raises(FitError, match="no real"):
+        with pytest.raises(NoRootError, match=r"^model 1: quadratic never meets the line "
+                                              r"1e\+20 \* pool\^0$"):
             quad.invert_smaller_root(10.0 ** (vertex_value + 1.0))
+        flat = QuadFit(model_params=1, coeffs=(0.0, 0.0, 3.0), residuals=(), points=())
+        with pytest.raises(NoRootError, match=r"^model 1: quadratic never meets the line "
+                                              r"100 \* pool\^0$"):  # one wording for both
+            flat.invert_smaller_root(100.0)
+
+
+def reference_fit_threshold_points(method, parameter, points):
+    """``scaling._fit_threshold_points`` as it was before both laws were built by one loop."""
+    if len(points) < 3:
+        raise FitError(f"threshold law needs >= 3 model sizes, got {len(points)}")
+    if len({p.pool_tokens for p in points}) < 2:
+        raise FitError("threshold points share one pool size; the law's slope is undetermined")
+    x = np.log10([p.pool_tokens for p in points])
+    y = np.log10([p.compute for p in points])
+    intercept, slope, sse, sst = _loglog_regression(x, y)
+    r2 = 1.0 - sse / sst if sst > 0 else 1.0
+    try:
+        alpha = 10.0**intercept
+    except OverflowError:
+        raise FitError(f"fitted scale alpha = 10**{intercept!r} is not finite") from None
+    return ThresholdLaw(method=method, parameter=parameter, points=tuple(points),
+                        alpha=alpha, beta=slope, r2=r2)
+
+
+def reference_fit_threshold_tokens_per_param(quads, configs, ratio):
+    """``fit_threshold_tokens_per_param`` as its own loop, which left out a model
+    whose quadratic coincides with its line instead of raising."""
+    positive("tokens-per-param ratio", ratio)
+    by_total = {cfg.total_params: cfg for cfg in configs}
+    points = []
+    for model_params in sorted(quads):
+        cfg = by_total.get(model_params)
+        if cfg is None:
+            raise ValidationError(f"no ModelConfig with total_params={model_params}")
+        crossing_tokens = ratio * cfg.non_embedding_params
+        compute = 6.0 * crossing_tokens * cfg.total_params
+        try:
+            pool_tokens = quads[model_params].invert_smaller_root(crossing_tokens)
+        except FitError as exc:
+            warnings.warn(f"model {model_params}: excluded from tokens-per-param law ({exc})",
+                          RuntimeWarning, stacklevel=2)
+            continue
+        points.append(ThresholdPoint(model_params, pool_tokens, crossing_tokens, compute))
+    return reference_fit_threshold_points("tokens_per_param", ratio, points)
+
+
+def reference_fit_threshold_epoch_constraint(quads, epochs):
+    """``fit_threshold_epoch_constraint`` as its own loop."""
+    positive("epochs", epochs)
+    points = []
+    for model_params in sorted(quads):
+        try:
+            pool_tokens = quads[model_params].invert_smaller_root(epochs, slope=1.0)
+        except NoRootError:
+            warnings.warn(f"model {model_params}: no intersection with the {epochs:g}-epoch line",
+                          RuntimeWarning, stacklevel=2)
+            continue
+        crossing_tokens = epochs * pool_tokens
+        compute = 6.0 * crossing_tokens * model_params
+        points.append(ThresholdPoint(model_params, pool_tokens, crossing_tokens, compute))
+    return reference_fit_threshold_points("epoch_constraint", epochs, points)
+
+
+def law_outcome(fit, *args):
+    """The law ``fit(*args)`` returns, or the type of the error it raises, and
+    the messages of the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = fit(*args)
+        except (FitError, ValidationError, OverflowError) as exc:
+            outcome = type(exc)
+    return outcome, [str(w.message) for w in caught]
+
+
+def excluded_models(messages):
+    """The models that threshold-law warnings name, each as ``model <params>: ...``."""
+    return {int(m.split(":")[0].removeprefix("model ")) for m in messages}
+
+
+#: Quadratics that may never meet a line: a parabola far below every line of the
+#: planted worlds, and a flat one, which meets a flat line only at its own level.
+NEVER_MEETING = [(-1.0, 1.0, -100.0), (0.0, 0.0, 0.0)]
+
+
+@st.composite
+def threshold_cases(draw):
+    """Quadratics of a planted world, some swapped for random or never-meeting
+    ones and some added under a model size no config names, with the world's
+    configs and its ratio and epoch count or others."""
+    names = draw(st.lists(st.sampled_from(["15M", "80M", "330M", "1B", "7B"]),
+                          min_size=1, max_size=5, unique=True))
+    world = planted_threshold_world(config_names=tuple(names),
+                                    curvature=draw(st.sampled_from([-0.4, -0.22, -0.1])))
+    coeffs = st.sampled_from(NEVER_MEETING) | st.tuples(
+        st.sampled_from([0.0]) | st.floats(-1.5, 0.5), st.floats(-5.0, 25.0),
+        st.floats(-120.0, 30.0))
+    quads = {}
+    for model_params, crossings in world.crossings_by_model.items():
+        if draw(st.booleans()):
+            quads[model_params] = fit_crossing_quadratic(crossings)
+        else:
+            quads[model_params] = QuadFit(model_params, draw(coeffs), (), ())
+    for model_params in draw(st.lists(st.integers(1, 10**12), max_size=2)):
+        quads[model_params] = QuadFit(model_params, draw(coeffs), (), ())
+    ratio = draw(st.sampled_from([world.ratio]) | st.floats(1e-3, 1e6))
+    epochs = draw(st.sampled_from([world.epochs]) | st.floats(1e-2, 1e4))
+    return quads, world.configs, ratio, epochs
+
+
+class TestThresholdLawsFoldedIntoOneLoop:
+    @given(threshold_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_the_two_loops(self, case):
+        quads, configs, ratio, epochs = case
+        for fit, reference, args in [
+            (fit_threshold_tokens_per_param, reference_fit_threshold_tokens_per_param,
+             (quads, configs, ratio)),
+            (fit_threshold_epoch_constraint, reference_fit_threshold_epoch_constraint,
+             (quads, epochs)),
+        ]:
+            expected, expected_warnings = law_outcome(reference, *args)
+            if any("coincides" in message for message in expected_warnings):
+                with pytest.raises(FitError, match="coincides"):  # no longer left out
+                    fit(*args)
+                continue
+            outcome, messages = law_outcome(fit, *args)
+            assert outcome == expected
+            assert excluded_models(messages) == excluded_models(expected_warnings)
 
 
 class TestThresholdLaws:
@@ -763,6 +900,15 @@ class TestThresholdLaws:
         with pytest.raises(FitError, match="coincides"):
             fit_threshold_epoch_constraint(quads, epochs=10.0)
 
+    def test_coincident_tpp_line_is_error(self):
+        world = planted_threshold_world()
+        quads = {m: fit_crossing_quadratic(c) for m, c in world.crossings_by_model.items()}
+        cfg = world.configs[0]
+        level = world.ratio * cfg.non_embedding_params
+        quads[cfg.total_params] = QuadFit(cfg.total_params, (0.0, 0.0, math.log10(level)), (), ())
+        with pytest.raises(FitError, match="coincides"):  # not left out, as it once was
+            fit_threshold_tokens_per_param(quads, world.configs, world.ratio)
+
     def test_no_intersection_excluded_with_warning(self):
         world = planted_threshold_world()
         quads = {m: fit_crossing_quadratic(c) for m, c in world.crossings_by_model.items()}
@@ -773,7 +919,10 @@ class TestThresholdLaws:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             law = fit_threshold_epoch_constraint(quads, world.epochs)
-        assert any("no intersection" in str(w.message) for w in caught)
+        [warning] = caught
+        assert str(warning.message) == ("model 42: quadratic never meets the line 4 * pool^1; "
+                                        "excluded from the epoch_constraint law")
+        assert warning.category is RuntimeWarning and warning.filename == __file__
         assert {p.model_params for p in law.points} == set(world.crossings_by_model)
 
     def test_missing_config_rejected(self):
@@ -798,7 +947,10 @@ class TestThresholdLaws:
             law = fit_threshold_tokens_per_param(
                 quads, list(world.configs) + [stunted], world.ratio
             )
-        assert any("excluded" in str(w.message) for w in caught)
+        [warning] = caught
+        assert str(warning.message).startswith("model 42: quadratic never meets the line ")
+        assert str(warning.message).endswith(" * pool^0; excluded from the tokens_per_param law")
+        assert warning.filename == __file__
         assert {p.model_params for p in law.points} == set(world.crossings_by_model)
 
     def test_extrapolate_validates_input(self):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ class TestAnalyticMinLoss:
     def test_rank_out_of_range(self):
         with pytest.raises(ValidationError):
             analytic_min_loss(two_task_spec(), 3)
+
+    @pytest.mark.parametrize("change,message", [
+        # NaN passes both the sum and the positivity test, and numpy's SVD then fails
+        ({"p": np.array([math.nan, 0.5])}, "p must be a length-k probability vector"),
+        ({"noise_power": math.nan}, "noise_power must be finite and non-negative, got nan"),
+        ({"noise_power": math.inf}, "noise_power must be finite and non-negative, got inf"),
+        ({"noise_power": -1.0}, "noise_power must be finite and non-negative, got -1.0"),
+        ({"u_list": [np.array([1.0, 0.0])]}, "u_list must hold k=2 entries, got 1"),
+        ({"u_list": [np.array([1.0, 0.0])] * 3}, "u_list must hold k=2 entries, got 3"),
+        ({"v_list": [np.array([1.0, 0.0])]}, "v_list must hold k=2 entries, got 1"),
+        ({"sigma_list": [np.diag([1.0, 0.0])] * 3}, "sigma_list must hold k=2 entries, got 3"),
+    ])
+    def test_malformed_spec_rejected(self, change, message):
+        with pytest.raises(ValidationError) as exc:
+            analytic_min_loss(replace(two_task_spec(), **change), 1)
+        assert str(exc.value) == message
 
     def test_orthogonality_violation_rejected(self):
         spec = two_task_spec()
