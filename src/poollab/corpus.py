@@ -61,6 +61,7 @@ class PoolHeader:
     counter_name: str = COUNTER_NAME
 
     def __post_init__(self) -> None:
+        natural("seed", self.seed)
         if self.counter_name != COUNTER_NAME:
             raise ValidationError(f"pool was counted under counter {self.counter_name!r}; "
                                   f"poollab counts {COUNTER_NAME!r} runs only")
@@ -178,8 +179,9 @@ def header_path(pool_path: str | Path) -> Path:
 
 def write_pool(path: str | Path, pool: Pool) -> None:
     """Write pool documents as JSONL plus a ``<path>.header.json`` sidecar."""
+    header = PoolHeader(pool.label, pool.seed, pool.total_tokens)  # checked before a write
     write_documents(path, pool.documents)
-    write_json(header_path(path), asdict(PoolHeader(pool.label, pool.seed, pool.total_tokens)))
+    write_json(header_path(path), asdict(header))
 
 
 def read_pool(path: str | Path) -> Pool:

@@ -80,7 +80,7 @@ class JudgeFailure:
     error: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class JudgeRun:
     """Per-document results: every input doc lands in exactly one list."""
 
@@ -144,7 +144,7 @@ def keyword_match(pool: Pool, qa: QAItem) -> list[Document]:
     return [doc for doc in candidates if all(p.search(doc.text.lower()) for p in patterns)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class JudgeClient:
     """Judge backend reachable over HTTP(S), or any classify callable."""
 
@@ -177,7 +177,7 @@ class JudgeClient:
                 raise ValidationError(
                     f"judge endpoint must be an http(s) URL, got {self.endpoint!r}"
                 )
-            self.classify = self._classify_http
+            object.__setattr__(self, "classify", self._classify_http)
 
     def _classify_http(self, doc_text: str, question: str, answer: str) -> Verdict:
         from urllib.request import Request, urlopen  # here, not at the top: ~25 ms of start-up

@@ -403,7 +403,7 @@ STATS_COLUMNS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineResult:
     pool: Pool
     per_stage: list[tuple[str, FilterStats]]

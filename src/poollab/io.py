@@ -84,7 +84,7 @@ def _reason(exc: BaseException) -> str:
     return str(exc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineError:
     lineno: int
     message: str
@@ -299,8 +299,10 @@ def read_rows(path: str | Path, cls: type[T], key: Callable[[T], str] | None = N
     """:func:`read_record` of each row of a :func:`write_rows` CSV, its cells read by
     :data:`_CELL_KINDS`; other columns are ignored.
 
-    A row that is rejected, or whose ``key`` equals an earlier row's, raises
-    ``ValidationError("<path>: line <n>: <reason>")``, as :func:`read_jsonl` does.
+    A header that names a column twice raises ``ValidationError("<path>: <reason>")``.
+    A row that is rejected, that has more cells than the header, or whose ``key``
+    equals an earlier row's, raises ``ValidationError("<path>: line <n>: <reason>")``,
+    as :func:`read_jsonl` does; a row's missing cells are empty.
     """
     kinds = {name: _CELL_KINDS[kind] for name, kind in field_kinds(cls).items()}
     out: list[T] = []
@@ -308,11 +310,18 @@ def read_rows(path: str | Path, cls: type[T], key: Callable[[T], str] | None = N
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh, restval="")  # a short row's missing cells are empty
-            missing = [name for name in kinds if name not in (reader.fieldnames or ())]
+            header = reader.fieldnames or []
+            missing = [name for name in kinds if name not in header]
             if missing:
                 raise ValidationError(f"{path}: missing column(s) {missing}")
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            if repeated:  # the last of the repeated columns would win
+                raise ValidationError(f"{path}: header repeats column(s) {repeated}")
             for row in reader:
                 try:
+                    if None in row:  # DictReader's key for the cells past the header's
+                        raise ValidationError(f"row has {len(header) + len(row[None])} cells, "
+                                              f"the header {len(header)}")
                     out.append(read_record(cls, row, **kinds))
                     if key is not None:
                         _check_repeat(first_line, key(out[-1]), reader.line_num)

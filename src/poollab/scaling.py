@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import FitError, NoRootError, ValidationError
-from .io import items, positive, read_record
+from .io import items, one_of, positive, read_record
 from .runlog import ModelConfig, RunRecord, best_achievable, eval_set_names, point_losses
 
 if TYPE_CHECKING:
@@ -447,6 +447,8 @@ def reduce_crossings(
     the log is freed when this returns, and numpy and the fits of
     :func:`fit_crossing` reuse its memory.
     """
+    if pool_label == filtered_label:
+        raise ValidationError(f"the pool and filtered labels must differ, both are {pool_label!r}")
     pool_runs = [r for r in records if r.dataset_label == pool_label]
     filtered_runs = [r for r in records if r.dataset_label == filtered_label]
     if not pool_runs or not filtered_runs:
@@ -613,6 +615,8 @@ class ThresholdLaw:
                                   f"{self.alpha!r} and {self.beta!r}")
         if not self.alpha > 0:  # so that every compute it predicts is > 0
             raise ValidationError(f"threshold law alpha must be > 0, got {self.alpha!r}")
+        one_of(("tokens_per_param", "epoch_constraint"))("threshold law method", self.method)
+        positive("threshold law parameter", self.parameter)
 
     def predict_compute(self, pool_tokens: float) -> float:
         return self.alpha * pool_tokens**self.beta
@@ -683,12 +687,18 @@ def fit_threshold_tokens_per_param(
 
     Each model's line is flat at ``ratio * non_embedding_params`` crossing
     tokens, and the compute is ``6 * crossing_tokens * total_params``.  A
-    model missing from ``configs`` is a ValidationError.  A model whose
-    quadratic never meets its line is left out of the law with one
-    RuntimeWarning; a quadratic that coincides with its line is a FitError.
+    model missing from ``configs``, or two configs with one ``total_params``,
+    is a ValidationError.  A model whose quadratic never meets its line is
+    left out of the law with one RuntimeWarning; a quadratic that coincides
+    with its line is a FitError.
     """
     positive("tokens-per-param ratio", ratio)
-    by_total = {cfg.total_params: cfg for cfg in configs}
+    by_total: dict[int, ModelConfig] = {}
+    for cfg in configs:  # a repeat is an error: either config would silently set the line
+        first = by_total.setdefault(cfg.total_params, cfg)
+        if first is not cfg:
+            raise ValidationError(f"model configs {first.name!r} and {cfg.name!r} share "
+                                  f"total_params={cfg.total_params}")
 
     def line(model_params: int) -> tuple[float, float]:
         cfg = by_total.get(model_params)

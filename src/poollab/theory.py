@@ -48,7 +48,7 @@ MAX_EXAMPLES, MAX_LABELS = 50, 5
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskSpec:
     """k linear tasks with pairwise trace-orthogonal input second moments.
 
@@ -67,7 +67,7 @@ class TaskSpec:
     sigma_list: list[np.ndarray]
     noise_power: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         import numpy as np
 
         if self.k < 1:
@@ -127,7 +127,6 @@ def analytic_min_loss(spec: TaskSpec, r: int) -> float:
     """
     import numpy as np
 
-    spec.validate()
     if not 0 <= r <= min(spec.d, spec.m_out):
         raise ValidationError(f"r must be in [0, {min(spec.d, spec.m_out)}], got {r}")
     singular_values = np.linalg.svd(spec.m_star @ spec.sigma_sqrt(), compute_uv=False)
@@ -155,7 +154,6 @@ def empirical_min_loss(
     """
     import numpy as np
 
-    spec.validate()
     if r < 1:
         raise ValidationError("empirical_min_loss needs r >= 1; use the analytic value for r=0")
     if steps < 1:
@@ -255,14 +253,14 @@ def random_orthogonal_spec(seed: int, noise_power: float | None = None) -> TaskS
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimilarityDataset:
     """Labeled examples with fixed similarity weights to one test input."""
 
     examples: list[tuple[Hashable, Hashable]]  # (x_id, y_label)
     weights: dict[Hashable, float] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.examples:
             raise ValidationError("dataset must contain at least one example")
         total = 0.0  # summed as predict_conditional sums it
@@ -291,7 +289,6 @@ class FilterFn:
 def predict_conditional(data: SimilarityDataset) -> dict[Hashable, float]:
     """Similarity-weighted label distribution: P(y) = sum of weights with
     label y over the total weight."""
-    data.validate()
     total = 0.0
     by_label: dict[Hashable, float] = {}
     for x_id, y_label in data.examples:
@@ -358,8 +355,6 @@ def kl_improvement_bruteforce(
     if y_star not in p_unfiltered or p_unfiltered[y_star] <= 0.0:
         raise ValidationError(f"target label {y_star!r} absent; improvement unbounded")
     filtered = apply_filter(data, phi)
-    if not filtered.examples:
-        raise ValidationError("filter removed all examples")
     p_filtered = predict_conditional(filtered)
     if p_filtered.get(y_star, 0.0) <= 0.0:
         raise ValidationError("filter removed all support for the target label")

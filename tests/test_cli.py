@@ -512,6 +512,14 @@ class TestRunAnalysis:
             "token counts must be finite and positive\n"
         )
 
+    def test_equal_labels_exit_one_without_output(self, tmp_path, capsys):
+        # a dataset against itself used to give a crossing cell of every (model, pool) pair
+        argv = MALFORMED_INPUTS["crossing-labels-equal"](tmp_path, None)
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: the pool and filtered labels must differ, both are 'cc'\n")
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("last_loss", [1.0, 3.5], ids=["observed", "extrapolated"])
     def test_tokens_seen_beyond_float_range_exits_one(self, tmp_path, capfd, last_loss):
         # the record is rejected as the log is read, whether its cell would be observed or fitted
@@ -653,6 +661,17 @@ class TestScalingLawCli:
         ]
         law = json.loads((tmp_path / "law.json").read_text(encoding="utf-8"))
         assert json.loads((tmp_path / "skipped.json").read_text(encoding="utf-8")) == law
+
+    @pytest.mark.parametrize("prepend", [False, True])
+    def test_configs_sharing_total_params_exit_one_naming_both(self, tmp_path, capsys, prepend):
+        # either config would set the 15M line: the last one used to win without a word
+        alt = replace(CONFIG_15M, name="15M-alt", non_embedding_params=1_000_000)
+        configs = [alt, *bundled_model_configs()] if prepend else [*bundled_model_configs(), alt]
+        assert dispatch(scaling_law_with_configs(tmp_path, configs)) == 1
+        first, second = ("15M-alt", "15M") if prepend else ("15M", "15M-alt")
+        assert capsys.readouterr().err == (f"error: model configs {first!r} and {second!r} "
+                                           f"share total_params={CONFIG_15M.total_params}\n")
+        assert not (tmp_path / "e.json").exists()
 
     def test_repeated_cell_exits_one_naming_both_lines(self, tmp_path, capsys):
         argv = crossings_with_repeated_cell(tmp_path)
@@ -1081,6 +1100,12 @@ def scaling_law_with(tmp_path, *flags):
             "--output", str(tmp_path / "e.json")]
 
 
+def scaling_law_with_configs(tmp_path, configs):
+    """scaling-law --method tpp of crossings that fit a law, with ``configs`` as its --configs."""
+    return scaling_law_with(tmp_path, "--configs", write_text(
+        tmp_path, "models.json", json.dumps([asdict(c) for c in configs])))
+
+
 #: A field of another JSON kind than its format's, or out of its range: argv (built
 #: as for MALFORMED_INPUTS, which holds these too) and the error naming the field.
 MISTYPED_FIELDS = {
@@ -1192,6 +1217,24 @@ MISTYPED_FIELDS = {
         "r.jsonl: line 1: losses must be an object of numbers, got [3.0]"),
     "law-points-an-int": (lambda t, docs: extrapolate_law_with(t, points=5),
                           "law.json: points must be a list, got 5"),
+    "law-method-unknown": (
+        lambda t, docs: extrapolate_law_with(t, method="bogus"),
+        "law.json: threshold law method must be one of tokens_per_param, epoch_constraint, "
+        "got 'bogus'"),
+    "law-parameter-negative": (
+        lambda t, docs: extrapolate_law_with(t, parameter=-7.0),
+        "law.json: threshold law parameter must be finite and > 0, got -7.0"),
+    "pool-header-seed-negative": (lambda t, docs: filter_pool_with_header(t, seed=-3),
+                                  "pool.jsonl.header.json: seed must be >= 0, got -3"),
+    "crossings-row-too-long": (
+        lambda t, docs: ["scaling-law", "--output", str(t / "e.json"), "--crossings", write_text(
+            t, "x.csv", CROSSINGS_HEADER + "1000,100,50.0,1.0,True,False,7.0\n")],
+        "x.csv: line 2: row has 7 cells, the header 6"),
+    "crossings-header-repeats-column": (
+        lambda t, docs: ["scaling-law", "--output", str(t / "e.json"), "--crossings", write_text(
+            t, "x.csv", "model_params,pool_tokens,crossing_tokens,crossing_tokens,epochs_at_cross,"
+            "observed,extreme_epochs\n1000,100,5000000.0,NEVER,1.0,True,False\n")],
+        "x.csv: header repeats column(s) ['crossing_tokens']"),
     "slice-position-losses-an-int": (lambda t, docs: slice_loss_of(t, '{"position_losses": 5}'),
                                      "s.json: position_losses must be a list, got 5"),
 }
@@ -1530,6 +1573,11 @@ MALFORMED_INPUTS = {
         "judge", "--qa", write_text(t, "qa.jsonl", QA_LINE), "--pool", docs,
         "--endpoint", "http://x", "--config", write_text(t, "c.json", '{"timeout": -1}'),
         "--output", str(t / "j.jsonl")],
+    "scaling-law-configs-total-params-repeated": lambda t, docs: scaling_law_with_configs(
+        t, [*bundled_model_configs(), replace(CONFIG_15M, name="15M-alt")]),
+    "crossing-labels-equal": lambda t, docs: [
+        "crossing", "--runs", observed_cell_log(t), "--pool-label", "cc",
+        "--filtered-label", "cc", "--output", str(t / "x.csv")],
     **{case: builder for case, (builder, _) in MISTYPED_FIELDS.items()},
 }
 

@@ -22,7 +22,7 @@ from poollab import (
     write_documents,
     write_pool,
 )
-from poollab.corpus import WORD_RE
+from poollab.corpus import WORD_RE, PoolHeader
 
 
 def token_count(text):
@@ -256,6 +256,23 @@ class TestJsonl:
         header_file.write_text(json.dumps(header), encoding="utf-8")
         with pytest.raises(ValidationError, match="total_tokens 1 != recount"):
             read_pool(path)
+
+    def test_negative_header_seed_rejected(self, tmp_path, ten_token_docs):
+        # random.Random seeds -3 as it seeds 3, so a negative seed would alias a positive one
+        with pytest.raises(ValidationError, match="^seed must be >= 0, got -3$"):
+            PoolHeader(seed=-3)
+        path = tmp_path / "pool.jsonl"
+        write_pool(path, sample_pool(ten_token_docs, 100, seed=11))
+        header_file = tmp_path / "pool.jsonl.header.json"
+        header_file.write_text(json.dumps({**json.loads(header_file.read_text()), "seed": -3}),
+                               encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{header_file}: seed must be >= 0, got -3$"):
+            read_pool(path)
+
+    def test_pool_with_negative_seed_is_not_written(self, tmp_path, ten_token_docs):
+        with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+            write_pool(tmp_path / "pool.jsonl", Pool(ten_token_docs, seed=-1))
+        assert list(tmp_path.iterdir()) == []
 
     def test_header_must_be_object(self, tmp_path, ten_token_docs):
         path = tmp_path / "pool.jsonl"

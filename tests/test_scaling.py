@@ -550,6 +550,10 @@ class TestCrossingPhases:
         ]
         with pytest.raises(ValidationError, match="need runs for both labels 'cc' and 'web'"):
             reduce_crossings(list(runs.values()), "cc", "web")
+        # a dataset against itself would give a crossing in every cell it has
+        with pytest.raises(ValidationError,
+                           match="^the pool and filtered labels must differ, both are 'cc'$"):
+            reduce_crossings(list(runs.values()), "cc", "cc")
 
     def test_observed_cell_is_final(self):
         grid = [2, 4, 8, 16]
@@ -1000,6 +1004,28 @@ class TestThresholdLaws:
                 f"threshold law alpha and beta must be finite, got {alpha!r} and {beta!r}")
         with pytest.raises(ValidationError, match="^threshold law needs >= 3 points, got 2$"):
             replace(law, points=law.points[:2])
+        with pytest.raises(ValidationError, match="^threshold law method must be one of "
+                                                  "tokens_per_param, epoch_constraint, got 'bogus'$"):
+            replace(law, method="bogus")
+        for parameter in (-7.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError) as exc:
+                replace(law, parameter=parameter)
+            assert str(exc.value) == (
+                f"threshold law parameter must be finite and > 0, got {parameter!r}")
+
+    @pytest.mark.parametrize("prepend", [False, True])
+    def test_configs_sharing_total_params_rejected(self, prepend):
+        # the last of the two would set the model's line without a word
+        world = planted_threshold_world()
+        quads = {m: fit_crossing_quadratic(c) for m, c in world.crossings_by_model.items()}
+        first = world.configs[0]
+        alt = replace(first, name=f"{first.name}-alt", non_embedding_params=1_000_000)
+        configs = [alt, *world.configs] if prepend else [*world.configs, alt]
+        names = (alt.name, first.name) if prepend else (first.name, alt.name)
+        with pytest.raises(ValidationError) as exc:
+            fit_threshold_tokens_per_param(quads, configs, world.ratio)
+        assert str(exc.value) == (f"model configs {names[0]!r} and {names[1]!r} share "
+                                  f"total_params={first.total_params}")
 
     def test_law_from_dict_rejects_malformed(self):
         with pytest.raises(ValidationError, match="^missing key 'method'$"):
@@ -1071,7 +1097,8 @@ valid_points = st.builds(
 
 
 @given(values=st.fixed_dictionaries({
-    "method": st.text(max_size=5), "parameter": any_floats,
+    "method": st.sampled_from(["tokens_per_param", "epoch_constraint"]) | st.text(max_size=5),
+    "parameter": any_floats,
     "points": st.lists(valid_points, max_size=4).map(tuple), "alpha": any_floats,
     "beta": any_floats, "r2": any_floats}))
 @settings(max_examples=300, deadline=None)

@@ -93,15 +93,15 @@ class TestAnalyticMinLoss:
 
     def test_orthogonality_violation_rejected(self):
         spec = two_task_spec()
-        spec.sigma_list[1] = np.eye(2)  # overlaps task 0's support
         with pytest.raises(ValidationError, match="not 0"):
-            analytic_min_loss(spec, 1)
+            # the second task overlaps the first task's support
+            replace(spec, sigma_list=[spec.sigma_list[0], np.eye(2)])
 
     def test_v_outside_range_rejected(self):
         spec = two_task_spec()
-        spec.v_list[0] = np.array([0.6, 0.8])  # leaves range(diag(1,0))
         with pytest.raises(ValidationError, match="range"):
-            analytic_min_loss(spec, 1)
+            # the first direction leaves range(diag(1,0))
+            replace(spec, v_list=[np.array([0.6, 0.8]), spec.v_list[1]])
 
 
 def reference_empirical_min_loss(spec, r, steps, restarts, seed, init_scale=0.1):
@@ -281,25 +281,22 @@ class TestPredictConditional:
         assert predict_conditional(data) == {"A": 1.0}
 
     def test_zero_weights_rejected(self):
-        data = SimilarityDataset(examples=[("x", "A")], weights={"x": 0.0})
         with pytest.raises(ValidationError):
-            predict_conditional(data)
+            SimilarityDataset(examples=[("x", "A")], weights={"x": 0.0})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_non_finite_or_negative_weight_rejected(self, bad):
         # a NaN weight would make every predicted probability NaN
-        data = SimilarityDataset(examples=[("a", "A"), ("b", "B")], weights={"a": bad, "b": 1.0})
         with pytest.raises(ValidationError,
                            match=f"^weight for 'a' must be finite and non-negative, got {bad}$"):
-            predict_conditional(data)
+            SimilarityDataset(examples=[("a", "A"), ("b", "B")], weights={"a": bad, "b": 1.0})
 
     def test_weight_total_beyond_float_range_rejected(self):
         # each weight is finite, but their sum is inf and would give {'A': nan, 'B': 0.0}
-        data = SimilarityDataset(examples=[("a", "A"), ("b", "A"), ("c", "B")],
-                                 weights={"a": 1e308, "b": 1e308, "c": 1.0})
         with pytest.raises(ValidationError,
                            match="^the weights sum to inf, beyond the float range$"):
-            predict_conditional(data)
+            SimilarityDataset(examples=[("a", "A"), ("b", "A"), ("c", "B")],
+                              weights={"a": 1e308, "b": 1e308, "c": 1.0})
 
     def test_finite_weight_total_near_float_max_accepted(self):
         data = SimilarityDataset(examples=[("a", "A"), ("b", "B")],
@@ -399,6 +396,12 @@ class TestKlImprovement:
         phi = FilterFn(lambda x, y: int(y == "B"))
         with pytest.raises(ValidationError, match="support"):
             kl_improvement_bruteforce(data, phi, "A")
+
+    def test_filter_removing_every_example_rejected(self):
+        # the filtered dataset is built, and so checked, like any other
+        data = SimilarityDataset(examples=[("a", "A")], weights={"a": 1.0})
+        with pytest.raises(ValidationError, match="^dataset must contain at least one example$"):
+            kl_improvement_bruteforce(data, FilterFn(lambda x, y: 0), "A")
 
     def test_absent_target_rejected(self):
         data = SimilarityDataset(examples=[("a", "A")], weights={"a": 1.0})
